@@ -55,7 +55,6 @@ from .genfunc_solver import (
     series_expand,
 )
 from .geometry import (
-    KERNEL_BACKEND,
     ChordArrangement,
     CirclePoint,
     GeometricVerdict,
@@ -121,7 +120,6 @@ __all__ = [
     "extract_coefficient_formula",
     "partial_fractions",
     "series_expand",
-    "KERNEL_BACKEND",
     "ChordArrangement",
     "CirclePoint",
     "GeometricVerdict",

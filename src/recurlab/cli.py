@@ -277,14 +277,13 @@ def cmd_regions(args) -> int:
             geometric_note = note
         else:
             if args.degenerate == "hexagon":
-                arrangements = [hexagon_arrangement(workers=args.workers)]
+                arrangements = [hexagon_arrangement()]
             else:
                 arrangements = [
                     generic_arrangement(
                         m,
                         variant=trial,
                         seed=None if args.seed is None else args.seed + trial,
-                        workers=args.workers,
                     )
                     for trial in range(args.trials)
                 ]
@@ -412,9 +411,7 @@ def _verify_checks(args, cap: int) -> list[dict]:
     geom_limit = min(max_m, cap)
     geom_fail = None
     for m in range(1, geom_limit + 1):
-        verdict = verify_against_formula(
-            m, args.trials, seed=args.seed, workers=args.workers
-        )
+        verdict = verify_against_formula(m, args.trials, seed=args.seed)
         if not verdict.passed:
             geom_fail = (
                 f"m={m}: counted {verdict.counts[-1]}, expected {verdict.expected}, "
@@ -527,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"max m for the geometric method (default {DEFAULT_GEOM_CAP}, env RECURLAB_GEOM_CAP)",
     )
-    regions.add_argument("--workers", type=int, default=None, help="threads for the pair loop")
     regions.add_argument(
         "--dump-arrangement",
         metavar="PATH",
@@ -548,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=f"max m for geometric checks (default {DEFAULT_GEOM_CAP}, env RECURLAB_GEOM_CAP)",
     )
-    verify.add_argument("--workers", type=int, default=None, help="threads for the pair loop")
     verify.add_argument("--json", action="store_true", help="emit a JSON report")
     verify.set_defaults(handler=cmd_verify)
 

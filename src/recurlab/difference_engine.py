@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .core_numeric import Polynomial, Rational, RationalLike, as_rational, binomial, format_polynomial
+from .core_numeric import Polynomial, Rational, as_rational, binomial, format_polynomial
 from .errors import NoConstantRowError
 
 
@@ -32,10 +32,6 @@ class Sequence:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(as_rational(t) for t in self.terms))
-
-    @classmethod
-    def from_values(cls, values: Iterable[RationalLike], offset: int = 0) -> "Sequence":
-        return cls(tuple(values), offset)
 
     def __len__(self) -> int:
         return len(self.terms)

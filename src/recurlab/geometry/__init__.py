@@ -1,12 +1,11 @@
 """Exact planar geometry: the brute-force oracle for the region counts.
 
 Everything here is integer/rational arithmetic on homogeneous coordinates;
-there is no floating point and hence no epsilon anywhere.  The package
-selects a compiled intersection kernel at import when available (see
-``KERNEL_BACKEND``); the pure-Python fallback is bit-identical.
+there is no floating point and hence no epsilon anywhere.  The chord-pair
+crossing kernel (``_kernel``) is plain Python over integer homogeneous
+triples.
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .arrangement import (
     ChordArrangement,
     DegeneracyReport,
@@ -28,13 +27,11 @@ from .points import (
     antipode_parameter,
     generic_parameters,
     hexagon_parameters,
-    parse_parameter,
     regular_approx_parameters,
     seeded_parameters,
 )
 
 __all__ = [
-    "KERNEL_BACKEND",
     "ChordArrangement",
     "CirclePoint",
     "DegeneracyReport",
@@ -51,7 +48,6 @@ __all__ = [
     "hexagon_arrangement",
     "hexagon_parameters",
     "intersect_chords",
-    "parse_parameter",
     "place_points",
     "regular_approx_parameters",
     "seeded_parameters",

@@ -16,15 +16,13 @@ DegeneracyReport instead of being silently miscounted.  That makes the
 oracle sensitive to exactly the degeneracies that break the C(m, 4)
 counting argument.
 
-All structures are immutable; the pair loop can therefore run chunked
-across a thread pool, and the deterministic chunk order keeps parallel
-output bit-identical to the serial run.
+Interior points are stored once, as canonical integer homogeneous
+triples; rational coordinates are derived only for display and JSON.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
@@ -43,14 +41,23 @@ from .points import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteriorPoint:
-    """An exact interior intersection point and the chords through it."""
+    """An exact interior intersection point and the chords through it.
 
-    x: Rational
-    y: Rational
+    ``triple`` is the canonical homogeneous (X, Y, W): gcd 1 and W > 0.
+    """
+
     chords: tuple[int, ...]
     triple: tuple[int, int, int]
+
+    @property
+    def x(self) -> Rational:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def y(self) -> Rational:
+        return Fraction(self.triple[1], self.triple[2])
 
 
 @dataclass(frozen=True)
@@ -170,35 +177,13 @@ def _chord_lines(
     return lx, ly, lw
 
 
-def _chunk_ranges(n_chords: int, n_chunks: int) -> list[tuple[int, int]]:
-    """Contiguous outer-index ranges balanced by pair count."""
-    total = n_chords * (n_chords - 1) // 2
-    if total == 0 or n_chunks <= 1:
-        return [(0, n_chords)]
-    per_chunk = max(total // n_chunks, 1)
-    ranges = []
-    begin = 0
-    acc = 0
-    for i in range(n_chords):
-        acc += n_chords - 1 - i
-        if acc >= per_chunk and begin <= i:
-            ranges.append((begin, i + 1))
-            begin = i + 1
-            acc = 0
-    if begin < n_chords:
-        ranges.append((begin, n_chords))
-    return ranges
-
-
-def intersect_chords(arr: ChordArrangement, workers: int | None = None) -> ChordArrangement:
+def intersect_chords(arr: ChordArrangement) -> ChordArrangement:
     """Compute all interior intersection points, exactly.
 
     Every chord pair without a shared endpoint is tested for a proper
     crossing by integer orientation signs; crossing points are
     deduplicated by their canonical homogeneous triple, and every chord
-    through each point is recorded.  ``workers`` > 1 splits the pair loop
-    over a thread pool; results are merged in chunk order, so the output
-    is bit-identical to the serial run.
+    through each point is recorded.
     """
     points = arr.points
     px = [p.triple[0] for p in points]
@@ -207,22 +192,7 @@ def intersect_chords(arr: ChordArrangement, workers: int | None = None) -> Chord
     ca = [a for a, _ in arr.chords]
     cb = [b for _, b in arr.chords]
     lx, ly, lw = _chord_lines(points, arr.chords)
-    n_chords = len(arr.chords)
-
-    if workers is None or workers <= 1:
-        hits = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, n_chords)
-    else:
-        ranges = _chunk_ranges(n_chords, workers * 4)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda span: _kernel.intersect_pairs(
-                        px, py, pw, lx, ly, lw, ca, cb, span[0], span[1]
-                    ),
-                    ranges,
-                )
-            )
-        hits = [hit for chunk in chunks for hit in chunk]
+    hits = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(arr.chords))
 
     by_triple: dict[tuple[int, int, int], set[int]] = {}
     for i, j, x, y, w in hits:
@@ -232,13 +202,8 @@ def intersect_chords(arr: ChordArrangement, workers: int | None = None) -> Chord
 
     circle_triples = {p.triple for p in points}
     interior = tuple(
-        InteriorPoint(
-            x=Fraction(x, w),
-            y=Fraction(y, w),
-            chords=tuple(sorted(through)),
-            triple=(x, y, w),
-        )
-        for (x, y, w), through in by_triple.items()
+        InteriorPoint(chords=tuple(sorted(through)), triple=triple)
+        for triple, through in by_triple.items()
     )
     concurrent = tuple(p for p in interior if len(p.chords) >= 3)
     on_circle = tuple(p for p in interior if p.triple in circle_triples)
@@ -287,7 +252,6 @@ def generic_arrangement(
     *,
     variant: int = 0,
     seed: int | None = None,
-    workers: int | None = None,
     retry_budget: int = 16,
 ) -> ChordArrangement:
     """A fully intersected general-position arrangement of m points.
@@ -307,7 +271,7 @@ def generic_arrangement(
             params = generic_parameters(m, variant=variant, attempt=attempt)
         else:
             params = seeded_parameters(m, seed=seed, attempt=attempt)
-        arr = intersect_chords(build_arrangement([CirclePoint(t) for t in params]), workers)
+        arr = intersect_chords(build_arrangement([CirclePoint(t) for t in params]))
         if arr.general_position:
             return arr
     raise DegeneracyBudgetError(
@@ -323,7 +287,6 @@ def place_points(
     variant: int = 0,
     seed: int | None = None,
     retry_budget: int = 16,
-    workers: int | None = None,
 ) -> tuple[CirclePoint, ...]:
     """Place m distinct points on the circle, sorted by angle.
 
@@ -350,15 +313,15 @@ def place_points(
         return _sorted_points(regular_approx_parameters(m))
     if mode == "generic":
         return generic_arrangement(
-            m, variant=variant, seed=seed, workers=workers, retry_budget=retry_budget
+            m, variant=variant, seed=seed, retry_budget=retry_budget
         ).points
     raise ValueError(f"unknown placement mode: {mode!r}")
 
 
-def hexagon_arrangement(workers: int | None = None) -> ChordArrangement:
+def hexagon_arrangement() -> ChordArrangement:
     """The exactly symmetric degenerate hexagon, fully intersected."""
     points = place_points(6, mode="explicit", params=hexagon_parameters())
-    return intersect_chords(build_arrangement(points), workers)
+    return intersect_chords(build_arrangement(points))
 
 
 def verify_against_formula(
@@ -366,7 +329,6 @@ def verify_against_formula(
     trials: int,
     *,
     seed: int | None = None,
-    workers: int | None = None,
     retry_budget: int = 16,
 ) -> GeometricVerdict:
     """Count regions for ``trials`` distinct general-position layouts of m
@@ -386,7 +348,6 @@ def verify_against_formula(
             m,
             variant=trial,
             seed=None if seed is None else seed + trial,
-            workers=workers,
             retry_budget=retry_budget,
         )
         report = count_regions(arr)

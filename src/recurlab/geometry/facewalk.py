@@ -52,12 +52,10 @@ def count_faces(arr: ChordArrangement) -> int:
         raise ValueError("intersections not computed yet; call intersect_chords")
     m = arr.m
 
-    # Vertex ids: circle points first, then interior points.
+    # Vertex ids: circle points first, then interior points.  An interior
+    # point derives its rational coordinates on each read, so read them once.
     coords: list[tuple[Fraction, Fraction]] = [(p.x, p.y) for p in arr.points]
-    interior_id = {}
-    for point in arr.interior_points:
-        interior_id[point.triple] = len(coords)
-        coords.append((point.x, point.y))
+    coords.extend((p.x, p.y) for p in arr.interior_points)
 
     # Half-edges: (origin vertex, direction); twins are paired by index.
     origins: list[int] = []
@@ -83,20 +81,22 @@ def count_faces(arr: ChordArrangement) -> int:
 
     # Chord segments: each chord is split at its interior points, ordered
     # along the chord by exact projection onto the endpoint difference.
-    on_chord: dict[int, list] = {c: [] for c in range(len(arr.chords))}
-    for point in arr.interior_points:
+    # Every segment then points from a towards b, so its direction is a
+    # positive multiple of that difference, which is all the angular order
+    # needs.
+    on_chord: list[list[int]] = [[] for _ in arr.chords]
+    for vertex, point in enumerate(arr.interior_points, start=m):
         for c in point.chords:
-            on_chord[c].append(point)
+            on_chord[c].append(vertex)
     for c, (a, b) in enumerate(arr.chords):
         ax, ay = coords[a]
         bx, by = coords[b]
         dx, dy = bx - ax, by - ay
-        stops = sorted(on_chord[c], key=lambda p: (p.x - ax) * dx + (p.y - ay) * dy)
-        chain = [a] + [interior_id[p.triple] for p in stops] + [b]
+        stops = sorted(on_chord[c], key=lambda v: coords[v][0] * dx + coords[v][1] * dy)
+        chain = [a, *stops, b]
+        forward, backward = (dx, dy), (-dx, -dy)
         for v1, v2 in zip(chain, chain[1:]):
-            x1, y1 = coords[v1]
-            x2, y2 = coords[v2]
-            add_edge(v1, (x2 - x1, y2 - y1), v2, (x1 - x2, y1 - y2))
+            add_edge(v1, forward, v2, backward)
 
     # Rotation system: half-edges around each vertex in angular order.
     around: dict[int, list[int]] = {}

@@ -82,17 +82,6 @@ class CirclePoint:
         return f"CirclePoint({self.parameter_text})"
 
 
-def parse_parameter(text: str) -> Fraction | None:
-    """Parse a point parameter: an integer, ``p/q``, or ``inf``."""
-    text = text.strip()
-    if text in ("inf", "-inf", "oo"):
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a point parameter: {text!r}") from exc
-
-
 def antipode_parameter(t: Fraction | None) -> Fraction | None:
     """Parameter of the diametrically opposite point: t -> -1/t.
 

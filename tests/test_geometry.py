@@ -6,6 +6,7 @@ against the combinatorial formulas.  The degenerate hexagon pins the
 oracle's sensitivity: a single triple point must change the counts.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -30,14 +31,20 @@ from recurlab.geometry import (
     generic_arrangement,
     generic_parameters,
     hexagon_parameters,
-    parse_parameter,
     regular_approx_parameters,
     seeded_parameters,
 )
-from recurlab.geometry import _intersect_py
-from recurlab.geometry.arrangement import _chord_lines
+from recurlab.geometry import _kernel
+from recurlab.geometry.arrangement import InteriorPoint, _chord_lines
 
 F = Fraction
+
+
+def _kernel_args(arr):
+    """The kernel's leading arguments (px, py, pw, lx, ly, lw, ca, cb)."""
+    px, py, pw = (list(column) for column in zip(*(p.triple for p in arr.points)))
+    lx, ly, lw = _chord_lines(arr.points, arr.chords)
+    return px, py, pw, lx, ly, lw, [a for a, _ in arr.chords], [b for _, b in arr.chords]
 
 
 class TestCirclePoint:
@@ -78,13 +85,6 @@ class TestCirclePoint:
         p = CirclePoint(F(1))
         with pytest.raises(AttributeError):
             p.x = F(0)
-
-    def test_parse_parameter(self):
-        assert parse_parameter("3/4") == F(3, 4)
-        assert parse_parameter("inf") is None
-        assert parse_parameter("-2") == F(-2)
-        with pytest.raises(ValueError):
-            parse_parameter("north")
 
     def test_antipode(self):
         assert antipode_parameter(F(2)) == F(-1, 2)
@@ -171,33 +171,23 @@ class TestIntersection:
             (a, b), (c, d) = (arr.chords[i] for i in p.chords)
             assert {a, b} & {c, d} == set()
 
-    def test_parallel_equals_serial_bit_for_bit(self):
-        pts = place_points(9)
-        arr = build_arrangement(pts)
-        serial = intersect_chords(arr, workers=None)
-        threaded = intersect_chords(arr, workers=4)
-        assert serial.interior_points == threaded.interior_points
-        assert json.dumps(arrangement_to_json_dict(serial)) == json.dumps(
-            arrangement_to_json_dict(threaded)
-        )
+    def test_kernel_row_ranges_concatenate(self):
+        # Hits come in (i, j) order, so splitting the outer chord range at
+        # any k and concatenating the two runs gives the full run.
+        for arr in (hexagon_arrangement(), generic_arrangement(9, seed=7)):
+            args = _kernel_args(arr)
+            n = len(arr.chords)
+            whole = _kernel.intersect_pairs(*args, 0, n)
+            assert whole
+            for k in range(n + 1):
+                head = _kernel.intersect_pairs(*args, 0, k)
+                tail = _kernel.intersect_pairs(*args, k, n)
+                assert head + tail == whole, (arr.m, k)
 
-    def test_kernel_twins_identical(self):
-        # The pure-Python kernel and whichever kernel the package selected
-        # must return identical hit lists on identical raw inputs.
-        from recurlab.geometry import _kernel
-
-        pts = place_points(8)
-        arr = build_arrangement(pts)
-        px = [p.triple[0] for p in arr.points]
-        py = [p.triple[1] for p in arr.points]
-        pw = [p.triple[2] for p in arr.points]
-        ca = [a for a, _ in arr.chords]
-        cb = [b for _, b in arr.chords]
-        lx, ly, lw = _chord_lines(arr.points, arr.chords)
-        n = len(arr.chords)
-        selected = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, n)
-        pure = _intersect_py.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, n)
-        assert selected == pure
+    def test_interior_point_stores_only_its_triple(self):
+        assert [f.name for f in dataclasses.fields(InteriorPoint)] == ["chords", "triple"]
+        point = InteriorPoint(chords=(0, 5), triple=(-3, 4, 10))
+        assert (point.x, point.y) == (F(-3, 10), F(2, 5))
 
     def test_general_position_requires_intersection_first(self):
         arr = build_arrangement(place_points(4))
@@ -359,15 +349,5 @@ class TestCrossingCountInvariant:
         # for any placement, including the degenerate hexagon, because
         # every 4 points determine exactly one crossing pair.
         for arr in (hexagon_arrangement(), generic_arrangement(6), generic_arrangement(7)):
-            m = arr.m
-            points = arr.points
-            px = [p.triple[0] for p in points]
-            py = [p.triple[1] for p in points]
-            pw = [p.triple[2] for p in points]
-            ca = [a for a, _ in arr.chords]
-            cb = [b for _, b in arr.chords]
-            lx, ly, lw = _chord_lines(points, arr.chords)
-            hits = _intersect_py.intersect_pairs(
-                px, py, pw, lx, ly, lw, ca, cb, 0, len(arr.chords)
-            )
-            assert len(hits) == binomial(m, 4)
+            hits = _kernel.intersect_pairs(*_kernel_args(arr), 0, len(arr.chords))
+            assert len(hits) == binomial(arr.m, 4)

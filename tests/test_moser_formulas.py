@@ -125,6 +125,12 @@ class TestEulerCounts:
         with pytest.raises(ValueError):
             EulerCounts(m=3, vertices=3, edges=6, faces=6)
 
+    def test_faces_do_not_consult_the_closed_form(self, monkeypatch):
+        import recurlab.moser_formulas as moser
+
+        monkeypatch.setattr(moser, "regions_binomial", lambda m: 0)
+        assert euler_counts(7).regions == 57
+
     def test_identity_holds_across_sweep(self):
         for m in range(1, 101):
             counts = euler_counts(m)
