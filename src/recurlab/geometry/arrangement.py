@@ -11,10 +11,9 @@ the disk's interior faces number F - 1 with F from V - E + F = 2).
 
 No general-position assumption is baked in: intersections are deduplicated
 by exact coordinates, each interior point records every chord through it,
-and concurrences (or intersections on the circle itself) are reported in a
-DegeneracyReport instead of being silently miscounted.  That makes the
-oracle sensitive to exactly the degeneracies that break the C(m, 4)
-counting argument.
+and concurrences are reported in a DegeneracyReport instead of being
+silently miscounted.  That makes the oracle sensitive to exactly the
+degeneracies that break the C(m, 4) counting argument.
 
 Interior points are stored once, as canonical integer homogeneous
 triples; rational coordinates are derived only for display and JSON.
@@ -65,12 +64,13 @@ class DegeneracyReport:
     """Everything that violates general position.
 
     ``concurrent``: interior points where >= 3 chords meet.
-    ``on_circle``: chord-pair intersection points that coincide with one
-    of the circle points (possible only for degenerate inputs).
+    ``on_circle``: always empty, since every crossing lies strictly inside
+    the disk (see ``intersect_chords``); kept so that JSON schema v1 still
+    carries its ``"on_circle": []`` key.
     """
 
     concurrent: tuple[InteriorPoint, ...]
-    on_circle: tuple[InteriorPoint, ...]
+    on_circle: tuple[InteriorPoint, ...] = ()
 
     def describe(self) -> str:
         parts = []
@@ -80,8 +80,6 @@ class DegeneracyReport:
                 f"{len(self.concurrent)} concurrent intersection point(s) "
                 f"(up to {worst} chords through one point)"
             )
-        if self.on_circle:
-            parts.append(f"{len(self.on_circle)} intersection(s) on the circle")
         return "; ".join(parts) if parts else "none"
 
 
@@ -200,18 +198,19 @@ def intersect_chords(arr: ChordArrangement) -> ChordArrangement:
         through.add(i)
         through.add(j)
 
-    circle_triples = {p.triple for p in points}
+    # No hit lies on the circle.  The kernel skips pairs that share an
+    # endpoint, and its four sign tests are strict: the endpoints of each
+    # chord lie strictly on opposite sides of the other chord's line.  So the
+    # hit is an endpoint of neither chord and lies on both open segments.
+    # The disk is strictly convex, so the open segment between two distinct
+    # circle points lies strictly inside it.  Every hit is therefore an
+    # interior point, and DegeneracyReport.on_circle stays empty.
     interior = tuple(
         InteriorPoint(chords=tuple(sorted(through)), triple=triple)
         for triple, through in by_triple.items()
     )
     concurrent = tuple(p for p in interior if len(p.chords) >= 3)
-    on_circle = tuple(p for p in interior if p.triple in circle_triples)
-    degeneracy = (
-        DegeneracyReport(concurrent=concurrent, on_circle=on_circle)
-        if (concurrent or on_circle)
-        else None
-    )
+    degeneracy = DegeneracyReport(concurrent=concurrent) if concurrent else None
     return replace(arr, interior_points=interior, degeneracy=degeneracy)
 
 

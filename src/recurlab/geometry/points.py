@@ -30,15 +30,15 @@ class CirclePoint:
     """A point on the unit circle with exact rational coordinates.
 
     Construct with a finite rational parameter or ``None`` for the point
-    at parameter infinity, (-1, 0).  Instances are immutable by
-    convention; equality and hashing use the canonical homogeneous triple.
+    at parameter infinity, (-1, 0).  Instances are immutable; equality and
+    hashing use the canonical homogeneous triple, and the rational
+    coordinates ``x``/``y`` are derived from it on each access.
     """
 
-    __slots__ = ("t", "x", "y", "triple")
+    __slots__ = ("t", "triple")
 
     def __init__(self, t: RationalLike | None):
         if t is None:
-            x, y = Fraction(-1), Fraction(0)
             triple = (-1, 0, 1)
         else:
             t = as_rational(t)
@@ -46,15 +46,19 @@ class CirclePoint:
             raw_x, raw_y, raw_w = q * q - p * p, 2 * p * q, q * q + p * p
             g = math.gcd(math.gcd(abs(raw_x), abs(raw_y)), raw_w)
             triple = (raw_x // g, raw_y // g, raw_w // g)
-            x = Fraction(raw_x, raw_w)
-            y = Fraction(raw_y, raw_w)
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
         object.__setattr__(self, "triple", triple)
 
     def __setattr__(self, name, value):
         raise AttributeError("CirclePoint is immutable")
+
+    @property
+    def x(self) -> Rational:
+        return Fraction(self.triple[0], self.triple[2])
+
+    @property
+    def y(self) -> Rational:
+        return Fraction(self.triple[1], self.triple[2])
 
     @property
     def parameter_text(self) -> str:

@@ -86,6 +86,11 @@ class TestCirclePoint:
         with pytest.raises(AttributeError):
             p.x = F(0)
 
+    def test_stores_only_parameter_and_triple(self):
+        assert CirclePoint.__slots__ == ("t", "triple")
+        p = CirclePoint(F(-7, 3))
+        assert (p.x, p.y) == (F(-20, 29), F(-21, 29))
+
     def test_antipode(self):
         assert antipode_parameter(F(2)) == F(-1, 2)
         assert antipode_parameter(None) == F(0)
@@ -227,15 +232,38 @@ class TestFaceWalk:
         for m in range(1, 8):
             arr = generic_arrangement(m)
             assert count_faces(arr) == count_regions(arr).regions + 1, m
+        for seed in range(5):
+            arr = generic_arrangement(12, seed=seed)
+            assert count_faces(arr) == count_regions(arr).regions + 1 == 563, seed
 
     def test_matches_euler_route_on_degenerate_input(self):
         arr = hexagon_arrangement()
         assert count_faces(arr) == count_regions(arr).regions + 1 == 31
+        # Four diameters of the regular-approx octagon meet at the center.
+        arr = intersect_chords(build_arrangement(place_points(8, mode="regular-approx")))
+        assert max(len(p.chords) for p in arr.interior_points) == 4
+        assert count_faces(arr) == count_regions(arr).regions + 1
 
     def test_regular_approx_odd_m(self):
         pts = place_points(7, mode="regular-approx")
         arr = intersect_chords(build_arrangement(pts))
         assert count_faces(arr) == count_regions(arr).regions + 1
+
+    def test_reads_only_integer_triples(self, monkeypatch):
+        # The walk works on the homogeneous triples alone: the rational
+        # coordinates of circle and interior points are never read.
+        arr = generic_arrangement(6, seed=3)
+        hexagon = hexagon_arrangement()
+        expected = count_regions(arr).regions + 1
+
+        def no_rationals(self):
+            raise AssertionError("count_faces read a rational coordinate")
+
+        for cls in (CirclePoint, InteriorPoint):
+            monkeypatch.setattr(cls, "x", property(no_rationals))
+            monkeypatch.setattr(cls, "y", property(no_rationals))
+        assert count_faces(arr) == expected
+        assert count_faces(hexagon) == 31
 
 
 class TestDegenerateHexagon:
@@ -336,6 +364,8 @@ class TestSerialization:
         assert payload["degeneracy"] is not None
         assert len(payload["degeneracy"]["concurrent"]) == 1
         assert payload["degeneracy"]["concurrent"][0]["chords"] == [2, 7, 11]
+        # A crossing never lies on the circle; schema v1 keeps the empty key.
+        assert payload["degeneracy"]["on_circle"] == []
 
     def test_unintersected_arrangement_serializes_with_nulls(self):
         payload = arrangement_to_json_dict(build_arrangement(place_points(3)))
