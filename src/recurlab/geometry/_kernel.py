@@ -18,6 +18,21 @@ triples), and no three distinct points of a circle are collinear, since a
 line meets a circle at most twice.  So a chord's line never passes through
 a circle point other than its own endpoints, and none of the four sign
 tests is ever zero.
+
+Each sign test asks on which side of chord c's line circle point p lies,
+and that depends on (c, p) alone, not on the pair being tested.  So the
+kernel evaluates ``lx[c]*px[p] + ly[c]*py[p] + lw[c]*pw[p]`` once per
+(chord, circle point), in exact integers, and stores the signs as one
+bitmask per chord: bit p of ``side[c]`` is set iff the sum is > 0.  The
+pair loop then reads the same four signs as bits, so the test is the
+one above, unchanged.  That is m * C(m, 2) sign evaluations (31,200 at
+m = 40) in place of two per disjoint chord pair plus two more per pair
+passing the first test (731,120 at m = 40).  Endpoints of chord c get
+bit 0; pairs that share an endpoint are skipped before any bit is read.
+
+On a circle the four endpoints are in convex position, so either pair of
+tests alone already decides a crossing; the kernel keeps both, so the
+crossing test does not rest on that.
 """
 
 from math import gcd
@@ -31,6 +46,15 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
     order, so the hits of [start, k) followed by those of [k, stop) are
     the hits of [start, stop).
     """
+    points = tuple(zip(px, py, pw))
+    side = []
+    for l0, l1, l2 in zip(lx, ly, lw):
+        mask = 0
+        for p, (x, y, w) in enumerate(points):
+            if l0 * x + l1 * y + l2 * w > 0:
+                mask |= 1 << p
+        side.append(mask)
+
     hits = []
     n = len(ca)
     for i in range(start, stop):
@@ -39,25 +63,23 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
         l0 = lx[i]
         l1 = ly[i]
         l2 = lw[i]
+        si = side[i]
         for j in range(i + 1, n):
             c = ca[j]
             d = cb[j]
             if c == a or c == b or d == a or d == b:
                 continue
             # c and d are circle points off chord i's line (module docstring),
-            # so neither sign is zero.
-            s1 = l0 * px[c] + l1 * py[c] + l2 * pw[c]
-            s2 = l0 * px[d] + l1 * py[d] + l2 * pw[d]
-            if (s1 > 0) == (s2 > 0):
+            # so bit c and bit d of side[i] are their strict signs.
+            if not (si >> c ^ si >> d) & 1:
+                continue
+            # Likewise a and b are off chord j's line.
+            sj = side[j]
+            if not (sj >> a ^ sj >> b) & 1:
                 continue
             m0 = lx[j]
             m1 = ly[j]
             m2 = lw[j]
-            # Likewise a and b are off chord j's line.
-            s3 = m0 * px[a] + m1 * py[a] + m2 * pw[a]
-            s4 = m0 * px[b] + m1 * py[b] + m2 * pw[b]
-            if (s3 > 0) == (s4 > 0):
-                continue
             # w = 0 would make the lines parallel or equal.  They are not
             # equal, because c is strictly off line i; and they are not
             # parallel, because segment cd lies on line j and crosses line
@@ -67,6 +89,6 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
             w = l0 * m1 - l1 * m0
             if w < 0:
                 x, y, w = -x, -y, -w
-            g = gcd(gcd(abs(x), abs(y)), w)
+            g = gcd(x, y, w)
             hits.append((i, j, x // g, y // g, w // g))
     return hits

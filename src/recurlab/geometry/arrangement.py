@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence as SequenceABC
 
-from ..core_numeric import Rational, binomial, format_rational
+from ..core_numeric import Rational, format_rational
 from ..errors import DegeneracyBudgetError
 from ..moser_formulas import regions_binomial
 from . import _kernel
@@ -108,10 +108,15 @@ class ChordArrangement:
 
     @property
     def general_position(self) -> bool:
-        """True when no degeneracy was found and the C(m, 4) count holds."""
+        """True when no three chords pass through one interior point.
+
+        A purely geometric verdict: it does not consult the C(m, 4) count,
+        so a kernel that drops crossings shows up as a wrong region count,
+        not as a degenerate layout.
+        """
         if self.interior_points is None:
             raise ValueError("intersections not computed yet; call intersect_chords")
-        return self.degeneracy is None and len(self.interior_points) == binomial(self.m, 4)
+        return self.degeneracy is None
 
 
 @dataclass(frozen=True)
@@ -192,11 +197,18 @@ def intersect_chords(arr: ChordArrangement) -> ChordArrangement:
     lx, ly, lw = _chord_lines(points, arr.chords)
     hits = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(arr.chords))
 
-    by_triple: dict[tuple[int, int, int], set[int]] = {}
+    # A point's first hit stores its chord pair (i, j), already sorted; only
+    # a point that is hit again (three or more chords through it) gets the
+    # sorted union.  Points keep first-hit order, so output order follows
+    # the kernel's (i, j) order.
+    by_triple: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    repeated = False
     for i, j, x, y, w in hits:
-        through = by_triple.setdefault((x, y, w), set())
-        through.add(i)
-        through.add(j)
+        pair = (i, j)
+        through = by_triple.setdefault((x, y, w), pair)
+        if through is not pair:
+            by_triple[x, y, w] = tuple(sorted({*through, i, j}))
+            repeated = True
 
     # No hit lies on the circle.  The kernel skips pairs that share an
     # endpoint, and its four sign tests are strict: the endpoints of each
@@ -205,11 +217,8 @@ def intersect_chords(arr: ChordArrangement) -> ChordArrangement:
     # The disk is strictly convex, so the open segment between two distinct
     # circle points lies strictly inside it.  Every hit is therefore an
     # interior point, and DegeneracyReport.on_circle stays empty.
-    interior = tuple(
-        InteriorPoint(chords=tuple(sorted(through)), triple=triple)
-        for triple, through in by_triple.items()
-    )
-    concurrent = tuple(p for p in interior if len(p.chords) >= 3)
+    interior = tuple(map(InteriorPoint, by_triple.values(), by_triple.keys()))
+    concurrent = tuple(p for p in interior if len(p.chords) >= 3) if repeated else ()
     degeneracy = DegeneracyReport(concurrent=concurrent) if concurrent else None
     return replace(arr, interior_points=interior, degeneracy=degeneracy)
 

@@ -53,6 +53,8 @@ def count_faces(arr: ChordArrangement) -> int:
     if arr.interior_points is None:
         raise ValueError("intersections not computed yet; call intersect_chords")
     m = arr.m
+    if m < 1:
+        raise ValueError("arrangement needs at least one point")
 
     # Vertex ids: circle points first, then interior points.
     triples = [p.triple for p in arr.points]
@@ -89,7 +91,7 @@ def count_faces(arr: ChordArrangement) -> int:
     # because N1 W2 - N2 W1 is a nonzero integer.  With 2^shift > W1 W2, the
     # scaled projections N 2^shift / W differ by more than 1, so their floors
     # keep their order: an exact integer sort key.
-    shift = 2 * max((w for _, _, w in triples), default=0).bit_length()
+    shift = 2 * max(w for _, _, w in triples).bit_length()
     on_chord: list[list[int]] = [[] for _ in arr.chords]
     for vertex, point in enumerate(arr.interior_points, start=m):
         for c in point.chords:

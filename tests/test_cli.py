@@ -401,6 +401,17 @@ class TestVerify:
         geom = [c for c in payload["result"]["checks"] if c["name"] == "geometric-construction"]
         assert geom[0]["scope"] == "m=1..4, trials=1"
 
+    def test_dropped_crossing_is_a_disagreement(self, capsys, monkeypatch):
+        # A kernel that loses a crossing must fail the geometric check
+        # (exit 1), not look like a degenerate layout (exit 4).
+        from recurlab.geometry import _kernel
+
+        intersect_pairs = _kernel.intersect_pairs
+        monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1])
+        code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
+        assert code == 1
+        assert "FAIL geometric-construction [m=1..10, trials=2]: m=4:" in out
+
     def test_invalid_arguments(self, capsys):
         assert run_cli(["verify", "--max-m", "0"], capsys)[0] == 2
         assert run_cli(["verify", "--trials", "0"], capsys)[0] == 2

@@ -8,6 +8,7 @@ oracle's sensitivity: a single triple point must change the counts.
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,37 @@ def _kernel_args(arr):
     px, py, pw = (list(column) for column in zip(*(p.triple for p in arr.points)))
     lx, ly, lw = _chord_lines(arr.points, arr.chords)
     return px, py, pw, lx, ly, lw, [a for a, _ in arr.chords], [b for _, b in arr.chords]
+
+
+def _four_sign_reference(px, py, pw, lx, ly, lw, ca, cb, start, stop):
+    """The kernel without its side bitmasks: four sign evaluations per pair."""
+    hits = []
+    for i in range(start, stop):
+        a, b = ca[i], cb[i]
+        for j in range(i + 1, len(ca)):
+            c, d = ca[j], cb[j]
+            if {a, b} & {c, d}:
+                continue
+            s1 = lx[i] * px[c] + ly[i] * py[c] + lw[i] * pw[c]
+            s2 = lx[i] * px[d] + ly[i] * py[d] + lw[i] * pw[d]
+            if (s1 > 0) == (s2 > 0):
+                continue
+            s3 = lx[j] * px[a] + ly[j] * py[a] + lw[j] * pw[a]
+            s4 = lx[j] * px[b] + ly[j] * py[b] + lw[j] * pw[b]
+            if (s3 > 0) == (s4 > 0):
+                continue
+            x = ly[i] * lw[j] - lw[i] * ly[j]
+            y = lw[i] * lx[j] - lx[i] * lw[j]
+            w = lx[i] * ly[j] - ly[i] * lx[j]
+            if w < 0:
+                x, y, w = -x, -y, -w
+            g = math.gcd(x, y, w)
+            hits.append((i, j, x // g, y // g, w // g))
+    return hits
+
+
+def _regular_approx(m):
+    return build_arrangement(place_points(m, mode="regular-approx"))
 
 
 class TestCirclePoint:
@@ -189,6 +221,39 @@ class TestIntersection:
                 tail = _kernel.intersect_pairs(*args, k, n)
                 assert head + tail == whole, (arr.m, k)
 
+    def test_kernel_matches_four_sign_reference(self):
+        # The side bitmasks hoist the same exact signs out of the pair loop,
+        # so the hit list is identical, order included, on general-position
+        # and degenerate (concurrent) layouts alike.
+        arrangements = [hexagon_arrangement()]
+        arrangements += [_regular_approx(m) for m in range(1, 17)]
+        arrangements += [
+            build_arrangement([CirclePoint(t) for t in seeded_parameters(m, seed=seed)])
+            for m in (1, 2, 4, 9, 12, 20)
+            for seed in range(3)
+        ]
+        for arr in arrangements:
+            args = _kernel_args(arr)
+            n = len(arr.chords)
+            expected = _four_sign_reference(*args, 0, n)
+            assert _kernel.intersect_pairs(*args, 0, n) == expected, arr.m
+            assert len(expected) == binomial(arr.m, 4), arr.m
+
+    def test_merge_on_concurrent_points(self):
+        for m in (8, 10, 12):
+            arr = intersect_chords(_regular_approx(m))
+            through: dict = {}
+            for i, j, *triple in _four_sign_reference(*_kernel_args(arr), 0, len(arr.chords)):
+                through.setdefault(tuple(triple), set()).update((i, j))
+            assert [p.triple for p in arr.interior_points] == list(through), m
+            for p in arr.interior_points:
+                assert p.chords == tuple(sorted(through[p.triple])), (m, p)
+            concurrent = [p for p in arr.interior_points if len(p.chords) >= 3]
+            assert concurrent, m
+            assert list(arr.degeneracy.concurrent) == concurrent, m
+            assert not arr.general_position
+            assert count_faces(arr) == count_regions(arr).regions + 1, m
+
     def test_interior_point_stores_only_its_triple(self):
         assert [f.name for f in dataclasses.fields(InteriorPoint)] == ["chords", "triple"]
         point = InteriorPoint(chords=(0, 5), triple=(-3, 4, 10))
@@ -243,6 +308,12 @@ class TestFaceWalk:
         arr = intersect_chords(build_arrangement(place_points(8, mode="regular-approx")))
         assert max(len(p.chords) for p in arr.interior_points) == 4
         assert count_faces(arr) == count_regions(arr).regions + 1
+
+    def test_empty_arrangement_rejected(self):
+        arr = intersect_chords(build_arrangement([]))
+        for count in (count_faces, count_regions):
+            with pytest.raises(ValueError, match="at least one point"):
+                count(arr)
 
     def test_regular_approx_odd_m(self):
         pts = place_points(7, mode="regular-approx")
