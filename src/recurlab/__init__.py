@@ -6,10 +6,12 @@ The pipeline, all in exact rational arithmetic:
    sequence; a constant row certifies a monic linear recurrence with
    constant right-hand side.
 2. ``recurrence_solver``: closed form via the characteristic polynomial,
-   resonance-aware undetermined coefficients, and exact elimination.
+   resonance-aware undetermined coefficients solved from power moments,
+   and exact elimination for the initial conditions.
 3. ``genfunc_solver``: the same closed form by an independent route —
-   ordinary generating function, partial fractions, coefficient
-   extraction.
+   ordinary generating function, partial fractions by local expansion at
+   each root, coefficient extraction.  It shares the root finder with
+   ``recurrence_solver`` but no solver.
 4. ``moser_formulas`` and ``geometry``: the verified corpus.  The circle-
    division counts f(m) = 1 + C(m,2) + C(m,4) are checked four ways,
    including a brute-force exact-geometry oracle that actually draws the

@@ -9,7 +9,10 @@ polynomial solver:
    prod (1 - r_i x)^{m_i} over the characteristic roots, and N collects the
    initial conditions plus the transformed right-hand side.
 2. ``partial_fractions`` decomposes f into sum coeff / (1 - r x)^k (plus a
-   polynomial part when the numerator degree reaches the denominator's).
+   polynomial part when the numerator degree reaches the denominator's)
+   by local expansion at each root: the substitution x = (1 - y)/r turns
+   the factor (1 - r x) into y, and the series in y of what is left gives
+   the coefficients of that root's terms.  No linear system is solved.
 3. ``extract_coefficient_formula`` reads coefficients off each basis term
    with [x^n] 1/(1 - r x)^k = C(n + k - 1, k - 1) r^n, yielding a
    ClosedForm tagged "genfunc".
@@ -17,6 +20,10 @@ polynomial solver:
 ``series_expand`` provides the ground truth the decomposition is checked
 against: exact power-series coefficients straight from the rational
 function.
+
+The route shares no solver with the characteristic-polynomial route.  It
+does share ``characteristic_polynomial`` and ``rational_roots``: both
+routes factor chi with the same root finder.
 """
 
 from __future__ import annotations
@@ -34,13 +41,7 @@ from .core_numeric import (
 )
 from .difference_engine import LinearRecurrence, Sequence
 from .errors import UnsupportedRootsError
-from .recurrence_solver import (
-    ClosedForm,
-    ExactMatrix,
-    characteristic_polynomial,
-    gaussian_solve,
-    rational_roots,
-)
+from .recurrence_solver import ClosedForm, characteristic_polynomial, rational_roots
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,12 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
     boundary terms, and R(x) = sum_n rhs(n) x^n.
 
     A polynomial right-hand side of degree e makes R rational with
-    denominator (1-x)^{e+1}: writing rhs in the binomial basis
-    rhs(n) = sum_i beta_i C(n+i, i) gives
-    R(x) = sum_i beta_i / (1-x)^{i+1}.  Clearing denominators yields a
-    fully factored result.  Requires all characteristic roots rational.
+    denominator (1-x)^{e+1}, and R(x) (1-x)^{e+1} is a polynomial of degree
+    at most e, so it equals (sum_{n<=e} rhs(n) x^n) (1-x)^{e+1} truncated
+    after x^e.  Clearing denominators yields a fully factored result.
+    Requires all characteristic roots rational.  The roots come from
+    ``characteristic_polynomial`` and ``rational_roots``, which this route
+    shares with the characteristic-polynomial route.
     """
     d = rec.order
     ascending = tuple(reversed(rec.coefficients))  # c_0 .. c_d
@@ -191,21 +194,9 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
         return RationalFunction(init_poly, tuple(factors))
 
     degree = rhs.degree
-    # Rewrite rhs in the binomial basis C(n+i, i), i = 0..degree.  The
-    # basis polynomial for i has degree i with leading coefficient 1/i!,
-    # so peeling from the top degree down is an exact triangular solve.
-    basis = [Polynomial.one()] + [binomial_rising(i) for i in range(1, degree + 1)]
-    remainder = rhs
-    beta = [Fraction(0)] * (degree + 1)
-    for i in range(degree, -1, -1):
-        beta[i] = remainder.coefficient(i) / basis[i].leading_coefficient
-        remainder = remainder - beta[i] * basis[i]
-    assert remainder.is_zero, "binomial-basis rewrite must be exact"
-
     one_minus_x = Polynomial((1, -1))
-    forcing = Polynomial.zero()
-    for i in range(degree + 1):
-        forcing = forcing + beta[i] * one_minus_x ** (degree - i)
+    head = Polynomial(rhs.evaluate(n) for n in range(degree + 1)) * one_minus_x ** (degree + 1)
+    forcing = Polynomial(head.coefficients[: degree + 1])
     numerator = Polynomial.monomial(d) * forcing + init_poly * one_minus_x ** (degree + 1)
     factors.append((Fraction(1), degree + 1))
     return RationalFunction(numerator, tuple(factors))
@@ -215,39 +206,33 @@ def partial_fractions(rf: RationalFunction) -> PartialFractionForm:
     """Decompose into sum coeff/(1 - root x)^k plus a polynomial part.
 
     An improper numerator is first reduced by exact polynomial division.
-    The remaining proper part is matched against the basis
-    B_{r,k}(x) = denominator / (1 - r x)^k for each factor root r and each
-    k up to its power; comparing coefficients gives a square exact system
-    (a confluent Vandermonde-type matrix, nonsingular for distinct roots).
+    The proper part is then expanded locally at each factor (r, p).  The
+    substitution x = (1 - y)/r turns (1 - r x) into y and every other
+    factor (1 - s x) into ((r - s)/r) (1 - (s/(s - r)) y), so the proper
+    part becomes g(y)/y^p with g = numerator((1 - y)/r) / scale over
+    factors (1 - (s/(s - r)) y), analytic at y = 0.  Its first p series
+    coefficients g_0 .. g_(p-1) are the coefficients of 1/(1 - r x)^p down
+    to 1/(1 - r x).  s -> s/(s - r) is injective and never 0, so the new
+    factors stay distinct.
     """
-    den = rf.denominator_polynomial()
-    total = rf.denominator_degree
     numerator = rf.numerator
     poly_part = Polynomial.zero()
-    if not numerator.is_zero and numerator.degree >= total:
-        poly_part, numerator = divmod(numerator, den)
-    if total == 0:
-        return PartialFractionForm(terms=(), poly_part=poly_part)
+    if not numerator.is_zero and numerator.degree >= rf.denominator_degree:
+        poly_part, numerator = divmod(numerator, rf.denominator_polynomial())
 
-    layout = [(root, k) for root, power in rf.denominator_factors for k in range(1, power + 1)]
-    basis_polys = []
-    for root, k in layout:
-        poly = Polynomial.one()
-        for other_root, power in rf.denominator_factors:
-            reduced = power - k if other_root == root else power
-            if reduced:
-                poly = poly * Polynomial((1, -other_root)) ** reduced
-        basis_polys.append(poly)
-
-    matrix = ExactMatrix.from_rows(
-        [[poly.coefficient(j) for poly in basis_polys] for j in range(total)]
-    )
-    target = [numerator.coefficient(j) for j in range(total)]
-    coeffs = gaussian_solve(matrix, target)
-    terms = tuple(
-        (root, k, coeff) for (root, k), coeff in zip(layout, coeffs)
-    )
-    return PartialFractionForm(terms=terms, poly_part=poly_part)
+    terms = []
+    for root, power in rf.denominator_factors:
+        step = -1 / root
+        at_root = Polynomial(c * step**i for i, c in enumerate(numerator.coefficients))
+        scale = Fraction(1)
+        others = []
+        for other, other_power in rf.denominator_factors:
+            if other != root:
+                scale *= ((root - other) / root) ** other_power
+                others.append((other / (other - root), other_power))
+        local = RationalFunction(at_root.compose_shift(-1) * (1 / scale), tuple(others))
+        terms.extend((root, power - j, coeff) for j, coeff in enumerate(local.series(power)))
+    return PartialFractionForm(terms=tuple(terms), poly_part=poly_part)
 
 
 def extract_coefficient_formula(pf: PartialFractionForm) -> ClosedForm:

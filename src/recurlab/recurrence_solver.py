@@ -8,7 +8,9 @@ The route, entirely in exact rational arithmetic:
    division), keeping multiplicities.
 3. Build a particular solution for the polynomial right-hand side with the
    resonance-aware ansatz n^s * q(n), where s is the multiplicity of the
-   root 1.
+   root 1.  The power moments mu_t = sum_k c_k k^t make the coefficient
+   match triangular, so q comes from back-substitution, with no linear
+   system.
 4. Fit the homogeneous coefficients to the initial conditions by exact
    Gaussian elimination.
 
@@ -29,6 +31,7 @@ from .core_numeric import (
     Rational,
     RationalLike,
     as_rational,
+    binomial,
     format_polynomial,
     format_rational,
 )
@@ -288,9 +291,13 @@ def particular_solution(
     With s the multiplicity of the characteristic root 1 and e the degree
     of the right-hand side, the ansatz is p(n) = n^s * q(n) with deg q = e:
     the extra n^s absorbs the resonance where plain polynomial ansatzes are
-    annihilated.  Applying the recurrence operator to each basis monomial
-    n^{s+i} drops the degree back to at most e, and matching coefficients
-    gives a triangular, always-solvable (e+1) x (e+1) system.
+    annihilated.  With the power moments mu_t = sum_k c_k k^t, the operator
+    maps n^j to sum_t C(j, t) mu_t n^(j-t), and mu_t = 0 for t < s exactly
+    when (r - 1)^s divides chi.  So n^(s+i) maps to a polynomial of degree
+    i with leading coefficient C(s+i, i) mu_s, and matching coefficients
+    from the top down gives each coefficient of q by back-substitution:
+
+        a_q = (rhs_q - sum_{i>q} a_i C(s+i, q) mu_(s+i-q)) / (C(s+q, q) mu_s)
 
     Returns (p, s).  A zero right-hand side returns (0, s).
     """
@@ -301,31 +308,22 @@ def particular_solution(
 
     degree = rhs.degree
     ascending = tuple(reversed(rec.coefficients))  # c_0 .. c_d
-    images: list[Polynomial] = []
-    for i in range(degree + 1):
-        monomial = Polynomial.monomial(shift + i)
-        image = Polynomial.zero()
-        for k, c_k in enumerate(ascending):
-            if c_k:
-                image = image + c_k * monomial.compose_shift(k)
-        # Resonance cancellation must kill every power above deg(rhs); a
-        # violation means the supplied roots misstate the multiplicity of 1.
-        assert image.degree <= degree, "ansatz image degree exceeds right-hand side"
-        images.append(image)
+    mu = [
+        sum(c_k * k**t for k, c_k in enumerate(ascending))
+        for t in range(shift + degree + 1)
+    ]
+    # mu_0 .. mu_(s-1) vanish and mu_s does not exactly when 1 is a root of
+    # multiplicity s; anything else means the roots misstate it.
+    assert not any(mu[:shift]) and mu[shift], "roots misstate the multiplicity of root 1"
 
-    matrix = ExactMatrix.from_rows(
-        [[img.coefficient(j) for img in images] for j in range(degree + 1)]
-    )
-    target = [rhs.coefficient(j) for j in range(degree + 1)]
-    try:
-        amplitudes = gaussian_solve(matrix, target)
-    except SingularMatrixError as exc:  # unreachable for a correct root list
-        raise AssertionError("particular-solution system cannot be singular") from exc
-
-    particular = Polynomial.zero()
-    for i, amplitude in enumerate(amplitudes):
-        particular = particular + Polynomial.monomial(shift + i, amplitude)
-    return particular, shift
+    amplitudes = [Fraction(0)] * (degree + 1)
+    for q in range(degree, -1, -1):
+        acc = rhs.coefficients[q] - sum(
+            amplitudes[i] * binomial(shift + i, q) * mu[shift + i - q]
+            for i in range(q + 1, degree + 1)
+        )
+        amplitudes[q] = acc / (binomial(shift + q, q) * mu[shift])
+    return Polynomial((0,) * shift + tuple(amplitudes)), shift
 
 
 def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:

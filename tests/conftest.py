@@ -38,10 +38,19 @@ def solver_corpus() -> list[tuple[str, LinearRecurrence]]:
     Used to cross-check the two solver routes against forward iteration
     and against each other.  Covers: repeated root 1 with constant and
     polynomial right-hand sides, distinct integer roots, a negative root,
-    a fractional root, and mixed root-1/root-2 with forcing.
+    a fractional root, mixed root-1/root-2 with forcing, and repeated
+    non-unit roots (integer, negative fractional) with and without forcing.
     """
     F = Fraction
     P = Polynomial
+
+    def monic(*factors):
+        """Coefficients (c_d, ..., c_0) of prod (r - root)^power."""
+        chi = P.one()
+        for root, power in factors:
+            chi = chi * P((-root, 1)) ** power
+        return tuple(reversed(chi.coefficients))
+
     corpus = [
         (
             "regions-order-4",
@@ -82,6 +91,20 @@ def solver_corpus() -> list[tuple[str, LinearRecurrence]]:
         (
             "double-root-quadratic-rhs",  # (r-1)^2 with rhs n^2
             LinearRecurrence((F(1), F(-2), F(1)), P((0, 0, 1)), (F(0), F(1))),
+        ),
+        (
+            "repeated-2-and-1-with-half",  # (r-1)^2 (r-2)^3 (r+1/2), rhs n^2 + 1/3
+            LinearRecurrence(
+                monic((F(1), 2), (F(2), 3), (F(-1, 2), 1)),
+                P((F(1, 3), 0, 1)),
+                (F(0), F(1), F(-1), F(2), F(1, 2), F(3)),
+            ),
+        ),
+        (
+            "repeated-3-and-minus-two-thirds",  # (r-3)^2 (r+2/3)^2, rhs 0
+            LinearRecurrence(
+                monic((F(3), 2), (F(-2, 3), 2)), P.zero(), (F(1), F(0), F(2), F(-1, 3))
+            ),
         ),
     ]
     return corpus

@@ -1,0 +1,182 @@
+"""The structural solvers against the dense linear systems they replaced.
+
+``particular_solution`` (power moments) and ``partial_fractions`` (local
+expansion at each root) used to build a square exact system and hand it
+to ``gaussian_solve``.  Test-local copies of those dense versions serve as
+references here: on the solver corpus and on seeded random recurrences
+with repeated, negative and fractional roots, both results must be
+identical, not merely equivalent.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from recurlab import (
+    ExactMatrix,
+    LinearRecurrence,
+    Polynomial,
+    RationalFunction,
+    PartialFractionForm,
+    RootMultiplicity,
+    build_ogf,
+    characteristic_polynomial,
+    gaussian_solve,
+    iterate_recurrence,
+    particular_solution,
+    partial_fractions,
+    rational_roots,
+)
+
+from conftest import solver_corpus
+
+F = Fraction
+
+ROOT_POOL = (F(1), F(2), F(-1), F(3), F(1, 2), F(-2, 3), F(5))
+RANDOM_CASES = 300
+
+
+def dense_particular_solution(rec, roots):
+    """Undetermined coefficients by composing shifted monomials and elimination."""
+    rhs = rec.rhs
+    shift = next((rm.multiplicity for rm in roots if rm.root == 1), 0)
+    if rhs.is_zero:
+        return Polynomial.zero(), shift
+    degree = rhs.degree
+    ascending = tuple(reversed(rec.coefficients))
+    images = []
+    for i in range(degree + 1):
+        monomial = Polynomial.monomial(shift + i)
+        image = Polynomial.zero()
+        for k, c_k in enumerate(ascending):
+            if c_k:
+                image = image + c_k * monomial.compose_shift(k)
+        assert image.degree <= degree
+        images.append(image)
+    matrix = ExactMatrix.from_rows(
+        [[img.coefficient(j) for img in images] for j in range(degree + 1)]
+    )
+    amplitudes = gaussian_solve(matrix, [rhs.coefficient(j) for j in range(degree + 1)])
+    particular = Polynomial.zero()
+    for i, amplitude in enumerate(amplitudes):
+        particular = particular + Polynomial.monomial(shift + i, amplitude)
+    return particular, shift
+
+
+def dense_partial_fractions(rf):
+    """Partial fractions from the confluent-Vandermonde system."""
+    den = rf.denominator_polynomial()
+    total = rf.denominator_degree
+    numerator = rf.numerator
+    poly_part = Polynomial.zero()
+    if not numerator.is_zero and numerator.degree >= total:
+        poly_part, numerator = divmod(numerator, den)
+    if total == 0:
+        return PartialFractionForm(terms=(), poly_part=poly_part)
+    layout = [(root, k) for root, power in rf.denominator_factors for k in range(1, power + 1)]
+    basis_polys = []
+    for root, k in layout:
+        poly = Polynomial.one()
+        for other_root, power in rf.denominator_factors:
+            reduced = power - k if other_root == root else power
+            if reduced:
+                poly = poly * Polynomial((1, -other_root)) ** reduced
+        basis_polys.append(poly)
+    matrix = ExactMatrix.from_rows(
+        [[poly.coefficient(j) for poly in basis_polys] for j in range(total)]
+    )
+    coeffs = gaussian_solve(matrix, [numerator.coefficient(j) for j in range(total)])
+    terms = tuple((root, k, coeff) for (root, k), coeff in zip(layout, coeffs))
+    return PartialFractionForm(terms=terms, poly_part=poly_part)
+
+
+def random_rational(rng, bound=9, max_denominator=4):
+    return F(rng.randint(-bound, bound), rng.randint(1, max_denominator))
+
+
+def random_recurrence(rng):
+    """1-4 distinct roots from ROOT_POOL, multiplicities 1-3, rhs degree <= 3."""
+    chi = Polynomial.one()
+    for root in rng.sample(ROOT_POOL, rng.randint(1, 4)):
+        chi = chi * Polynomial((-root, 1)) ** rng.randint(1, 3)
+    degree = rng.randint(-1, 3)
+    rhs = Polynomial(random_rational(rng) for _ in range(degree + 1))
+    order = chi.degree
+    initial = tuple(random_rational(rng) for _ in range(order))
+    return LinearRecurrence(tuple(reversed(chi.coefficients)), rhs, initial)
+
+
+def improper(rng, rf):
+    """The same denominator over numerator + q * denominator, deg q in 0..2."""
+    q = Polynomial(random_rational(rng) for _ in range(rng.randint(1, 3)))
+    if q.is_zero:
+        q = Polynomial.one()
+    numerator = rf.numerator + q * rf.denominator_polynomial()
+    return RationalFunction(numerator, rf.denominator_factors)
+
+
+def roots_of(rec):
+    roots, residual = rational_roots(characteristic_polynomial(rec))
+    assert residual.degree == 0
+    return roots
+
+
+@pytest.fixture(scope="module")
+def random_cases():
+    """(recurrence, its roots, its OGF) for RANDOM_CASES seeded recurrences."""
+    rng = random.Random(20240606)
+    recs = [random_recurrence(rng) for _ in range(RANDOM_CASES)]
+    return [(rec, roots_of(rec), build_ogf(rec)) for rec in recs]
+
+
+class TestParticularSolutionMatchesDenseSystem:
+    def test_corpus(self):
+        for name, rec in solver_corpus():
+            roots = roots_of(rec)
+            assert particular_solution(rec, roots) == dense_particular_solution(rec, roots), name
+
+    def test_random_recurrences(self, random_cases):
+        for rec, roots, _ in random_cases:
+            assert particular_solution(rec, roots) == dense_particular_solution(rec, roots), rec
+
+    @pytest.mark.parametrize("claimed", [0, 3, 5])
+    def test_misstated_multiplicity_of_one_rejected(self, moser_recurrence, claimed):
+        # chi = (r - 1)^4; any other multiplicity of 1 must be refused.
+        roots = [RootMultiplicity(F(1), claimed)] if claimed else []
+        with pytest.raises(AssertionError):
+            particular_solution(moser_recurrence, roots)
+
+    def test_misstated_multiplicity_with_other_roots(self):
+        # (r - 1)^2 (r - 2) with rhs n: claiming 1 or 3 for root 1 is wrong.
+        chi = Polynomial((-1, 1)) ** 2 * Polynomial((-2, 1))
+        rec = LinearRecurrence(tuple(reversed(chi.coefficients)), Polynomial((0, 1)), (F(0),) * 3)
+        for claimed in (1, 3):
+            roots = [RootMultiplicity(F(1), claimed), RootMultiplicity(F(2), 1)]
+            with pytest.raises(AssertionError):
+                particular_solution(rec, roots)
+
+
+class TestPartialFractionsMatchDenseSystem:
+    def test_corpus(self):
+        for name, rec in solver_corpus():
+            rf = build_ogf(rec)
+            assert partial_fractions(rf) == dense_partial_fractions(rf), name
+
+    def test_random_recurrences(self, random_cases):
+        for rec, _, rf in random_cases:
+            assert rf.series(40) == list(iterate_recurrence(rec, 40)), rec
+            assert partial_fractions(rf) == dense_partial_fractions(rf), rec
+
+    def test_random_improper_numerators(self, random_cases):
+        rng = random.Random(20240607)
+        for rec, _, proper in random_cases:
+            rf = improper(rng, proper)
+            pf = partial_fractions(rf)
+            assert not pf.poly_part.is_zero
+            assert pf == dense_partial_fractions(rf), rec
+
+    def test_no_factors(self):
+        rf = RationalFunction(Polynomial((3, 0, 1)), ())
+        assert partial_fractions(rf) == dense_partial_fractions(rf)
+        assert partial_fractions(rf).poly_part == Polynomial((3, 0, 1))

@@ -1,0 +1,58 @@
+"""sympy as an outside oracle for both solver routes (skipped without sympy).
+
+``sympy.rsolve`` solves each corpus recurrence on its own, and its answer
+must equal both routes' closed forms symbolically.  ``sympy.apart``
+decomposes each corpus OGF, and the rational function rebuilt from
+``partial_fractions`` must equal it.  sympy is a test-only dependency;
+the library itself imports nothing outside the standard library.
+"""
+
+import pytest
+
+from recurlab import build_ogf, extract_coefficient_formula, partial_fractions, solve_charpoly
+
+from conftest import solver_corpus
+
+sympy = pytest.importorskip("sympy")
+
+n, x = sympy.symbols("n x")
+
+
+def exact(value):
+    return sympy.Rational(value.numerator, value.denominator)
+
+
+def polynomial_expr(poly, variable):
+    return sympy.Add(*(exact(c) * variable**i for i, c in enumerate(poly.coefficients)))
+
+
+def closed_form_expr(form):
+    assert form.variable_offset == 0
+    return sympy.Add(*(polynomial_expr(poly, n) * exact(root) ** n for root, poly in form.terms))
+
+
+@pytest.mark.parametrize("name, rec", solver_corpus(), ids=[name for name, _ in solver_corpus()])
+def test_rsolve_matches_both_routes(name, rec):
+    a = sympy.Function("a")
+    ascending = reversed(rec.coefficients)
+    equation = sympy.Add(*(exact(c) * a(n + k) for k, c in enumerate(ascending)))
+    equation -= polynomial_expr(rec.rhs, n)
+    initial = {a(i): exact(v) for i, v in enumerate(rec.initial_conditions)}
+    expected = sympy.rsolve(equation, a(n), initial)
+    assert expected is not None, name
+    charpoly = solve_charpoly(rec)
+    genfunc = extract_coefficient_formula(partial_fractions(build_ogf(rec)))
+    for form in (charpoly, genfunc):
+        assert sympy.simplify(closed_form_expr(form) - expected) == 0, (name, form.method)
+
+
+@pytest.mark.parametrize("name, rec", solver_corpus(), ids=[name for name, _ in solver_corpus()])
+def test_partial_fractions_match_apart(name, rec):
+    rf = build_ogf(rec)
+    denominator = sympy.Mul(*((1 - exact(r) * x) ** p for r, p in rf.denominator_factors))
+    expected = sympy.apart(polynomial_expr(rf.numerator, x) / denominator, x)
+    pf = partial_fractions(rf)
+    rebuilt = polynomial_expr(pf.poly_part, x) + sympy.Add(
+        *(exact(c) / (1 - exact(r) * x) ** p for r, p, c in pf.terms)
+    )
+    assert sympy.cancel(rebuilt - expected) == 0, name
