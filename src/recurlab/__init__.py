@@ -66,7 +66,6 @@ from .geometry import (
     count_regions,
     hexagon_arrangement,
     intersect_chords,
-    place_points,
     verify_against_formula,
 )
 from .moser_formulas import (
@@ -131,7 +130,6 @@ __all__ = [
     "count_regions",
     "hexagon_arrangement",
     "intersect_chords",
-    "place_points",
     "verify_against_formula",
     "EulerCounts",
     "chord_count",

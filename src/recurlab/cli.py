@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -153,17 +152,7 @@ def _resolve_sequence(args) -> tuple[Sequence, dict]:
 
 
 def _geometry_cap(args) -> int:
-    if getattr(args, "geom_cap", None) is not None:
-        cap = args.geom_cap
-    else:
-        raw = os.environ.get("RECURLAB_GEOM_CAP")
-        if raw is None:
-            cap = DEFAULT_GEOM_CAP
-        else:
-            try:
-                cap = int(raw)
-            except ValueError as exc:
-                raise ValueError(f"RECURLAB_GEOM_CAP is not an integer: {raw!r}") from exc
+    cap = args.geom_cap
     if cap < 1:
         raise ValueError(f"geometric cap must be >= 1, got {cap}")
     return cap
@@ -296,9 +285,7 @@ def cmd_regions(args) -> int:
                 "vertices": reports[0].vertices,
                 "edges": reports[0].edges,
                 "general_position": reports[0].general_position,
-                "degeneracy": (
-                    None if last.degeneracy is None else last.degeneracy.describe()
-                ),
+                "degeneracy": None if last.general_position else last.describe_degeneracy(),
             }
             if args.dump_arrangement:
                 with open(args.dump_arrangement, "w", encoding="utf-8") as handle:
@@ -521,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     regions.add_argument(
         "--geom-cap",
         type=int,
-        default=None,
-        help=f"max m for the geometric method (default {DEFAULT_GEOM_CAP}, env RECURLAB_GEOM_CAP)",
+        default=DEFAULT_GEOM_CAP,
+        help=f"max m for the geometric method (default {DEFAULT_GEOM_CAP})",
     )
     regions.add_argument(
         "--dump-arrangement",
@@ -541,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--geom-cap",
         type=int,
-        default=None,
-        help=f"max m for geometric checks (default {DEFAULT_GEOM_CAP}, env RECURLAB_GEOM_CAP)",
+        default=DEFAULT_GEOM_CAP,
+        help=f"max m for geometric checks (default {DEFAULT_GEOM_CAP})",
     )
     verify.add_argument("--json", action="store_true", help="emit a JSON report")
     verify.set_defaults(handler=cmd_verify)

@@ -36,7 +36,6 @@ from .core_numeric import (
     Rational,
     as_rational,
     binomial,
-    binomial_rising,
     format_polynomial,
 )
 from .difference_engine import LinearRecurrence, Sequence
@@ -238,20 +237,24 @@ def partial_fractions(rf: RationalFunction) -> PartialFractionForm:
 def extract_coefficient_formula(pf: PartialFractionForm) -> ClosedForm:
     """Closed form for the series coefficients of a partial-fraction form.
 
-    Each term coeff/(1 - r x)^p contributes coeff * C(n+p-1, p-1) * r^n,
-    and C(n+p-1, p-1) is the polynomial ``binomial_rising(p-1)`` in n.
-    Terms sharing a root are summed into one polynomial per root.
+    Each term coeff/(1 - r x)^p contributes coeff * C(n+p-1, p-1) * r^n.
+    The polynomials rising[k] = C(n+k, k) in n are built once, each from
+    the one before as rising[k-1] * (n+k)/k, so a pole of order p costs
+    O(p^2) and not O(p^3).  Terms sharing a root are summed into one
+    polynomial per root.
 
     A nonzero polynomial part only affects indices up to its degree and is
     deliberately not represented: the returned formula is exact for all
     n > deg(poly_part), and for all n when the part is zero (always the
     case for the proper rational functions ``build_ogf`` produces).
     """
+    rising = [Polynomial.one()]
     grouped: dict[Rational, Polynomial] = {}
     for root, power, coeff in pf.terms:
-        contribution = binomial_rising(power - 1) if power >= 2 else Polynomial.one()
+        for k in range(len(rising), power):
+            rising.append(rising[-1] * Polynomial((1, Fraction(1, k))))
         current = grouped.get(root, Polynomial.zero())
-        grouped[root] = current + coeff * contribution
+        grouped[root] = current + coeff * rising[power - 1]
     terms = tuple((root, poly) for root, poly in grouped.items())
     return ClosedForm(terms=terms, method="genfunc")
 

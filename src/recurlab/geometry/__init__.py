@@ -1,14 +1,16 @@
 """Exact planar geometry: the brute-force oracle for the region counts.
 
 Everything here is integer/rational arithmetic on homogeneous coordinates;
-there is no floating point and hence no epsilon anywhere.  The chord-pair
+there is no floating point and hence no epsilon anywhere.  An arrangement
+is built in two steps: ``build_arrangement`` orders distinct circle
+points by angle, and ``intersect_chords`` turns them into a complete
+``ChordArrangement`` with every interior intersection.  The chord-pair
 crossing kernel (``_kernel``) is plain Python over integer homogeneous
 triples.
 """
 
 from .arrangement import (
     ChordArrangement,
-    DegeneracyReport,
     GeometricVerdict,
     InteriorPoint,
     RegionReport,
@@ -18,7 +20,6 @@ from .arrangement import (
     generic_arrangement,
     hexagon_arrangement,
     intersect_chords,
-    place_points,
     verify_against_formula,
 )
 from .facewalk import count_faces
@@ -34,7 +35,6 @@ from .points import (
 __all__ = [
     "ChordArrangement",
     "CirclePoint",
-    "DegeneracyReport",
     "GeometricVerdict",
     "InteriorPoint",
     "RegionReport",
@@ -48,7 +48,6 @@ __all__ = [
     "hexagon_arrangement",
     "hexagon_parameters",
     "intersect_chords",
-    "place_points",
     "regular_approx_parameters",
     "seeded_parameters",
     "verify_against_formula",

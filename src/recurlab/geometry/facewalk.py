@@ -50,8 +50,6 @@ def _angle_compare(u: tuple[int, int], v: tuple[int, int]) -> int:
 
 def count_faces(arr: ChordArrangement) -> int:
     """Number of faces of the arrangement, unbounded face included."""
-    if arr.interior_points is None:
-        raise ValueError("intersections not computed yet; call intersect_chords")
     m = arr.m
     if m < 1:
         raise ValueError("arrangement needs at least one point")

@@ -141,7 +141,7 @@ def _tan_fraction(x: Fraction, depth: int = 30) -> Fraction:
     return x / acc
 
 
-def regular_approx_parameters(m: int, max_denominator: int = 10**6) -> list[Fraction | None]:
+def regular_approx_parameters(m: int) -> list[Fraction | None]:
     """Rational points near the vertices of a regular m-gon.
 
     Point k sits at angle 2*pi*k/m, i.e. half-angle parameter
@@ -167,7 +167,7 @@ def regular_approx_parameters(m: int, max_denominator: int = 10**6) -> list[Frac
         psi = pi * Fraction(k, m)
         if 2 * k > m:
             psi -= pi
-        return _tan_fraction(psi).limit_denominator(max_denominator)
+        return _tan_fraction(psi).limit_denominator(10**6)
 
     if m % 2 == 0:
         half = [vertex_parameter(k) for k in range(m // 2)]

@@ -4,6 +4,7 @@ Most tests drive ``main(argv)`` in-process and capture stdout; one smoke
 test runs ``python3 -m recurlab`` as a real subprocess.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -14,6 +15,44 @@ from recurlab.cli import main
 
 QUARTIC_IN_M = "(m^4 - 6*m^3 + 23*m^2 - 18*m + 24)/24"
 QUARTIC_IN_N = "(n^4 - 2*n^3 + 11*n^2 + 14*n + 24)/24"
+
+
+def _point(x, y, *chords):
+    return {"x": x, "y": y, "chords": list(chords)}
+
+
+# The whole --dump-arrangement file of the degenerate hexagon, as written by
+# json.dump(..., indent=2) plus a newline.
+HEXAGON_DUMP = {
+    "schema_version": 1,
+    "m": 6,
+    "points": ["-2/1", "-1/2", "0/1", "1/2", "2/1", "inf"],
+    "chords": [[a, b] for a in range(6) for b in range(a + 1, 6)],
+    "interior_points": [
+        _point("3/5", "-1/5", 1, 6),
+        _point("3/11", "-4/11", 1, 7),
+        _point("0/1", "-1/2", 1, 8),
+        _point("0/1", "0/1", 2, 7, 11),
+        _point("-3/11", "-4/11", 2, 8),
+        _point("3/11", "4/11", 2, 10),
+        _point("-3/5", "-1/5", 3, 8),
+        _point("-3/5", "0/1", 3, 11),
+        _point("-3/5", "1/5", 3, 13),
+        _point("3/5", "1/5", 6, 10),
+        _point("3/5", "0/1", 6, 11),
+        _point("-3/11", "4/11", 7, 13),
+        _point("0/1", "1/2", 10, 13),
+    ],
+    "degeneracy": {
+        "concurrent": [_point("0/1", "0/1", 2, 7, 11)],
+        "on_circle": [],
+        "summary": "1 concurrent intersection point(s) (up to 3 chords through one point)",
+    },
+    "general_position": False,
+}
+
+# sha256 of the dump file of `regions --m 12 --method geometric --seed 5`.
+SEEDED_M12_DUMP_SHA256 = "cfceb826470211d4e287721beb61cf216e17a7d1c8d266c4240f76e5799af545"
 
 
 def run_cli(argv, capsys):
@@ -293,26 +332,6 @@ class TestRegions:
         assert payload["agreement"] is True
         assert "exceeds the geometric cap" in payload["result"]["geometric_note"]
 
-    def test_cap_env_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("RECURLAB_GEOM_CAP", "5")
-        code, _, err = run_cli(["regions", "--m", "6", "--method", "geometric"], capsys)
-        assert code == 2
-        assert "exceeds the geometric cap (5)" in err
-
-    def test_cap_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("RECURLAB_GEOM_CAP", "5")
-        code, payload, _ = run_json(
-            ["regions", "--m", "6", "--method", "geometric", "--geom-cap", "10"], capsys
-        )
-        assert code == 0
-        assert payload["result"]["counts"]["geometric"] == 31
-
-    def test_cap_env_garbage_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("RECURLAB_GEOM_CAP", "many")
-        code, _, err = run_cli(["regions", "--m", "4", "--method", "geometric"], capsys)
-        assert code == 2
-        assert "RECURLAB_GEOM_CAP" in err
-
     def test_cap_zero_exit_2(self, capsys):
         code, _, err = run_cli(
             ["regions", "--m", "4", "--method", "geometric", "--geom-cap", "0"], capsys
@@ -363,6 +382,21 @@ class TestRegions:
         assert len(dumped["chords"]) == 6
         assert len(dumped["interior_points"]) == 1
         assert dumped["general_position"] is True
+
+    def test_dump_arrangement_golden(self, tmp_path, capsys):
+        path = tmp_path / "hexagon.json"
+        argv = ["regions", "--m", "6", "--method", "geometric", "--degenerate", "hexagon"]
+        code, out, err = run_cli(argv + ["--dump-arrangement", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert "geometric: 30" in out
+        assert path.read_text() == json.dumps(HEXAGON_DUMP, indent=2) + "\n"
+
+        path = tmp_path / "seeded.json"
+        argv = ["regions", "--m", "12", "--method", "geometric", "--seed", "5"]
+        code, payload, err = run_json(argv + ["--dump-arrangement", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert payload["result"]["counts"]["geometric"] == 562
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SEEDED_M12_DUMP_SHA256
 
 
 class TestVerify:

@@ -187,6 +187,15 @@ class TestExtractCoefficientFormula:
         form = extract_coefficient_formula(pf)
         assert form.polynomial_form() == Polynomial((1, F(3, 2), F(1, 2)))
 
+    def test_pole_of_order_forty_matches_series(self):
+        # Every power 1..40 at one root, after a lower pole at another root,
+        # so the C(n+k, k) polynomials are built up across the whole order.
+        terms = [(F(-1), p, F(p)) for p in range(1, 6)]
+        terms += [(F(3, 2), p, F(p, 7) - 2) for p in range(1, 41)]
+        pf = PartialFractionForm(terms=tuple(terms))
+        form = extract_coefficient_formula(pf)
+        assert [form.evaluate(n) for n in range(60)] == pf.series(60)
+
     def test_agrees_with_charpoly_route_on_corpus(self):
         for name, rec in solver_corpus():
             genfunc_form = extract_coefficient_formula(partial_fractions(build_ogf(rec)))

@@ -7,6 +7,7 @@ oracle's sensitivity: a single triple point must change the counts.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -20,7 +21,6 @@ from recurlab import (
     count_regions,
     hexagon_arrangement,
     intersect_chords,
-    place_points,
     regions_binomial,
     verify_against_formula,
 )
@@ -36,16 +36,18 @@ from recurlab.geometry import (
     seeded_parameters,
 )
 from recurlab.geometry import _kernel
-from recurlab.geometry.arrangement import InteriorPoint, _chord_lines
+from recurlab.geometry import arrangement as arrangement_module
+from recurlab.geometry.arrangement import RETRY_BUDGET, InteriorPoint, _chord_lines
 
 F = Fraction
 
 
-def _kernel_args(arr):
+def _kernel_args(points):
     """The kernel's leading arguments (px, py, pw, lx, ly, lw, ca, cb)."""
-    px, py, pw = (list(column) for column in zip(*(p.triple for p in arr.points)))
-    lx, ly, lw = _chord_lines(arr.points, arr.chords)
-    return px, py, pw, lx, ly, lw, [a for a, _ in arr.chords], [b for _, b in arr.chords]
+    chords = list(itertools.combinations(range(len(points)), 2))
+    px, py, pw = (list(column) for column in zip(*(p.triple for p in points)))
+    lx, ly, lw = _chord_lines(points, chords)
+    return px, py, pw, lx, ly, lw, [a for a, _ in chords], [b for _, b in chords]
 
 
 def _four_sign_reference(px, py, pw, lx, ly, lw, ca, cb, start, stop):
@@ -75,8 +77,9 @@ def _four_sign_reference(px, py, pw, lx, ly, lw, ca, cb, start, stop):
     return hits
 
 
-def _regular_approx(m):
-    return build_arrangement(place_points(m, mode="regular-approx"))
+def _regular_approx_points(m):
+    """The regular-approx m-gon's points, in angular order."""
+    return build_arrangement(map(CirclePoint, regular_approx_parameters(m)))
 
 
 class TestCirclePoint:
@@ -136,13 +139,13 @@ class TestCirclePoint:
 
 class TestPlacement:
     def test_generic_counts_and_order(self):
-        points = place_points(6)
+        points = generic_arrangement(6).points
         assert len(points) == 6
         assert [p.angle_key for p in points] == sorted(p.angle_key for p in points)
 
     def test_generic_variants_differ(self):
-        a = place_points(5, variant=0)
-        b = place_points(5, variant=1)
+        a = generic_arrangement(5, variant=0).points
+        b = generic_arrangement(5, variant=1).points
         assert {p.triple for p in a} != {p.triple for p in b}
 
     def test_seeded_reproducible(self):
@@ -150,20 +153,12 @@ class TestPlacement:
         assert seeded_parameters(8, seed=42) != seeded_parameters(8, seed=43)
 
     def test_explicit_duplicates_rejected(self):
-        with pytest.raises(ValueError):
-            place_points(2, mode="explicit", params=[F(1), F(2, 2)])
-
-    def test_explicit_wrong_count_rejected(self):
-        with pytest.raises(ValueError):
-            place_points(3, mode="explicit", params=[F(1), F(2)])
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            place_points(3, mode="randomly")
+        with pytest.raises(ValueError, match="duplicate circle point at parameter 1/1"):
+            build_arrangement([CirclePoint(F(1)), CirclePoint(F(2, 2))])
 
     def test_regular_approx_on_circle(self):
         for m in (3, 5, 7):
-            points = place_points(m, mode="regular-approx")
+            points = _regular_approx_points(m)
             assert len(points) == m
             for p in points:
                 assert p.x**2 + p.y**2 == 1
@@ -212,7 +207,7 @@ class TestIntersection:
         # Hits come in (i, j) order, so splitting the outer chord range at
         # any k and concatenating the two runs gives the full run.
         for arr in (hexagon_arrangement(), generic_arrangement(9, seed=7)):
-            args = _kernel_args(arr)
+            args = _kernel_args(arr.points)
             n = len(arr.chords)
             whole = _kernel.intersect_pairs(*args, 0, n)
             assert whole
@@ -225,32 +220,32 @@ class TestIntersection:
         # The side bitmasks hoist the same exact signs out of the pair loop,
         # so the hit list is identical, order included, on general-position
         # and degenerate (concurrent) layouts alike.
-        arrangements = [hexagon_arrangement()]
-        arrangements += [_regular_approx(m) for m in range(1, 17)]
-        arrangements += [
-            build_arrangement([CirclePoint(t) for t in seeded_parameters(m, seed=seed)])
+        layouts = [hexagon_arrangement().points]
+        layouts += [_regular_approx_points(m) for m in range(1, 17)]
+        layouts += [
+            build_arrangement(map(CirclePoint, seeded_parameters(m, seed=seed)))
             for m in (1, 2, 4, 9, 12, 20)
             for seed in range(3)
         ]
-        for arr in arrangements:
-            args = _kernel_args(arr)
-            n = len(arr.chords)
+        for points in layouts:
+            args = _kernel_args(points)
+            n = len(args[-1])
             expected = _four_sign_reference(*args, 0, n)
-            assert _kernel.intersect_pairs(*args, 0, n) == expected, arr.m
-            assert len(expected) == binomial(arr.m, 4), arr.m
+            assert _kernel.intersect_pairs(*args, 0, n) == expected, len(points)
+            assert len(expected) == binomial(len(points), 4), len(points)
 
     def test_merge_on_concurrent_points(self):
         for m in (8, 10, 12):
-            arr = intersect_chords(_regular_approx(m))
+            arr = intersect_chords(_regular_approx_points(m))
             through: dict = {}
-            for i, j, *triple in _four_sign_reference(*_kernel_args(arr), 0, len(arr.chords)):
+            for i, j, *triple in _four_sign_reference(*_kernel_args(arr.points), 0, len(arr.chords)):
                 through.setdefault(tuple(triple), set()).update((i, j))
             assert [p.triple for p in arr.interior_points] == list(through), m
             for p in arr.interior_points:
                 assert p.chords == tuple(sorted(through[p.triple])), (m, p)
             concurrent = [p for p in arr.interior_points if len(p.chords) >= 3]
             assert concurrent, m
-            assert list(arr.degeneracy.concurrent) == concurrent, m
+            assert list(arr.concurrent) == concurrent, m
             assert not arr.general_position
             assert count_faces(arr) == count_regions(arr).regions + 1, m
 
@@ -258,11 +253,6 @@ class TestIntersection:
         assert [f.name for f in dataclasses.fields(InteriorPoint)] == ["chords", "triple"]
         point = InteriorPoint(chords=(0, 5), triple=(-3, 4, 10))
         assert (point.x, point.y) == (F(-3, 10), F(2, 5))
-
-    def test_general_position_requires_intersection_first(self):
-        arr = build_arrangement(place_points(4))
-        with pytest.raises(ValueError):
-            arr.general_position
 
 
 class TestRegionCounts:
@@ -286,11 +276,6 @@ class TestRegionCounts:
             assert report.vertices == expected.vertices, m
             assert report.edges == expected.edges, m
 
-    def test_requires_intersections(self):
-        arr = build_arrangement(place_points(5))
-        with pytest.raises(ValueError):
-            count_regions(arr)
-
 
 class TestFaceWalk:
     def test_matches_euler_route_in_general_position(self):
@@ -305,7 +290,7 @@ class TestFaceWalk:
         arr = hexagon_arrangement()
         assert count_faces(arr) == count_regions(arr).regions + 1 == 31
         # Four diameters of the regular-approx octagon meet at the center.
-        arr = intersect_chords(build_arrangement(place_points(8, mode="regular-approx")))
+        arr = intersect_chords(_regular_approx_points(8))
         assert max(len(p.chords) for p in arr.interior_points) == 4
         assert count_faces(arr) == count_regions(arr).regions + 1
 
@@ -316,8 +301,7 @@ class TestFaceWalk:
                 count(arr)
 
     def test_regular_approx_odd_m(self):
-        pts = place_points(7, mode="regular-approx")
-        arr = intersect_chords(build_arrangement(pts))
+        arr = intersect_chords(_regular_approx_points(7))
         assert count_faces(arr) == count_regions(arr).regions + 1
 
     def test_reads_only_integer_triples(self, monkeypatch):
@@ -353,9 +337,10 @@ class TestDegenerateHexagon:
         arr = hexagon_arrangement()
         assert len(arr.interior_points) == 13
         assert not arr.general_position
-        assert arr.degeneracy is not None
-        assert len(arr.degeneracy.concurrent) == 1
-        assert not arr.degeneracy.on_circle
+        assert [p.triple for p in arr.concurrent] == [(0, 0, 1)]
+        assert arr.describe_degeneracy() == (
+            "1 concurrent intersection point(s) (up to 3 chords through one point)"
+        )
 
     def test_region_count_drops_by_one(self):
         report = count_regions(hexagon_arrangement())
@@ -364,8 +349,7 @@ class TestDegenerateHexagon:
         assert not report.general_position
 
     def test_regular_approx_six_is_degenerate_too(self):
-        pts = place_points(6, mode="regular-approx")
-        arr = intersect_chords(build_arrangement(pts))
+        arr = intersect_chords(_regular_approx_points(6))
         assert not arr.general_position
         assert count_regions(arr).regions == 30
 
@@ -393,23 +377,21 @@ class TestVerifyAgainstFormula:
 
 
 class TestRetryBudget:
-    def test_exhaustion_raises(self):
+    def test_exhaustion_raises(self, monkeypatch):
         # Degeneracy is never hit by the generic family, so exercise the
-        # budget by monkey-style wrapping: force every candidate layout to
-        # be the degenerate hexagon parameters.
-        import recurlab.geometry.arrangement as arrangement_module
+        # budget by forcing every candidate layout to be the degenerate
+        # hexagon, and record the attempt index of each candidate.
+        attempts = []
 
-        original = arrangement_module.generic_parameters
-        arrangement_module.generic_parameters = lambda m, variant=0, attempt=0: hexagon_parameters()
-        try:
-            with pytest.raises(DegeneracyBudgetError):
-                generic_arrangement(6, retry_budget=3)
-        finally:
-            arrangement_module.generic_parameters = original
+        def degenerate(m, variant=0, attempt=0):
+            attempts.append(attempt)
+            return hexagon_parameters()
 
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            generic_arrangement(4, retry_budget=0)
+        monkeypatch.setattr(arrangement_module, "generic_parameters", degenerate)
+        with pytest.raises(DegeneracyBudgetError, match="within 16 attempts"):
+            generic_arrangement(6)
+        assert RETRY_BUDGET == 16
+        assert attempts == list(range(16))
 
 
 class TestSerialization:
@@ -438,11 +420,6 @@ class TestSerialization:
         # A crossing never lies on the circle; schema v1 keeps the empty key.
         assert payload["degeneracy"]["on_circle"] == []
 
-    def test_unintersected_arrangement_serializes_with_nulls(self):
-        payload = arrangement_to_json_dict(build_arrangement(place_points(3)))
-        assert payload["interior_points"] is None
-        assert payload["general_position"] is None
-
 
 class TestCrossingCountInvariant:
     def test_crossing_pairs_always_binomial_even_when_degenerate(self):
@@ -450,5 +427,5 @@ class TestCrossingCountInvariant:
         # for any placement, including the degenerate hexagon, because
         # every 4 points determine exactly one crossing pair.
         for arr in (hexagon_arrangement(), generic_arrangement(6), generic_arrangement(7)):
-            hits = _kernel.intersect_pairs(*_kernel_args(arr), 0, len(arr.chords))
+            hits = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords))
             assert len(hits) == binomial(arr.m, 4)
