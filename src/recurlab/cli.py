@@ -34,13 +34,7 @@ from .difference_engine import (
     iterate_recurrence,
     predict_next,
 )
-from .errors import (
-    DegeneracyBudgetError,
-    NoConstantRowError,
-    RecurlabError,
-    SingularMatrixError,
-    UnsupportedRootsError,
-)
+from .errors import DegeneracyBudgetError, RecurlabError
 from .genfunc_solver import build_ogf, extract_coefficient_formula, partial_fractions
 from .geometry import (
     arrangement_to_json_dict,
@@ -239,6 +233,8 @@ def cmd_regions(args) -> int:
             raise ValueError("--degenerate requires --method geometric")
         if m != 6:
             raise ValueError("--degenerate hexagon requires --m 6")
+        if args.trials != 1 or args.seed is not None:
+            raise ValueError("--degenerate hexagon takes neither --trials nor --seed")
 
     wants = (
         ["binomial", "polynomial", "sum", "euler", "geometric"]
@@ -545,9 +541,6 @@ def main(argv: list[str] | None = None) -> int:
     except DegeneracyBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY
-    except (NoConstantRowError, UnsupportedRootsError, SingularMatrixError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except RecurlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

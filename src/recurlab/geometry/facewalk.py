@@ -1,51 +1,36 @@
 """Second-opinion region counting: explicit face tracing.
 
-Independent of the Euler-formula bookkeeping in ``count_regions``: build
-the planar subdivision explicitly (circle arcs between angularly
-consecutive points, chords split at their interior intersections), sort
-the half-edges around every vertex by exact angular comparison, and count
-the orbits of the next-half-edge permutation.  Each orbit is one face of
-the arrangement (the unbounded face included), so for any arrangement
+Independent of the Euler bookkeeping in ``count_regions``: build the planar
+subdivision (circle arcs between consecutive points, chords split at their
+interior points), order the half-edges around every vertex, and count the
+orbits of the next-half-edge permutation.  Each orbit is one face, the
+unbounded one included, so ``count_faces(arr) == regions + 1`` must hold.
 
-    count_faces(arr) == count_regions(arr).regions + 2 - 1  ==  regions + 1
+The rotation comes from circle order, as one integer rank per half-edge: a
+chord half-edge heading for circle point b has rank 2b, at circle points
+and interior points alike; at circle point i the backward arc has rank 2i
+and the forward arc 2i + 1.  Sorted by rank, a vertex's half-edges are in
+counterclockwise order up to a cyclic shift, which the face permutation
+ignores.  Proof, with the points in counterclockwise index order:
 
-must hold.  Everything is exact integer arithmetic on the homogeneous
-triples (X, Y, W), W > 0, of the circle and interior points; no
-``Fraction`` is built.  A direction is an integer vector, a positive
-multiple of the true one, which is all the angular order needs; the
-rotational order uses a half-plane split plus cross-product sign, never an
-angle computation.
+- At circle point a (angle t), the chord to the point at angle s leaves in
+  direction (t + s)/2 + pi/2, which grows with s - t over (0, 2 pi), from
+  the forward tangent to the backward one.
+- Every interior point lies strictly inside the disk (``intersect_chords``
+  proves it).  From such a point, a ray's circle hit turns counterclockwise
+  as the ray does.
+- The ranks at one vertex are distinct: two chords through an interior
+  point that head for the same circle point would meet twice.
 
-Intended for small m (it builds the whole subdivision); used as an oracle
-against the closed-form counts and the Euler route.
+Coordinates are read only for the exact integer key that orders interior
+points along a chord, which circle order alone does not fix.  No
+``Fraction`` is built.  Intended for small m; an oracle against the
+closed-form counts and the Euler route.
 """
 
 from __future__ import annotations
 
-from functools import cmp_to_key
-
 from .arrangement import ChordArrangement
-
-
-def _direction_half(direction: tuple[int, int]) -> int:
-    """0 for the upper half-plane sweep [0, pi), 1 for [pi, 2*pi)."""
-    dx, dy = direction
-    if dy > 0 or (dy == 0 and dx > 0):
-        return 0
-    return 1
-
-
-def _angle_compare(u: tuple[int, int], v: tuple[int, int]) -> int:
-    """Order directions counterclockwise starting from the positive x-axis."""
-    hu, hv = _direction_half(u), _direction_half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    cross = u[0] * v[1] - u[1] * v[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    raise ValueError("two half-edges leave one vertex in the same direction")
 
 
 def count_faces(arr: ChordArrangement) -> int:
@@ -58,30 +43,22 @@ def count_faces(arr: ChordArrangement) -> int:
     triples = [p.triple for p in arr.points]
     triples.extend(p.triple for p in arr.interior_points)
 
-    # Half-edges: (origin vertex, direction), added in twin pairs, so the
-    # twin of half-edge he is he ^ 1.
+    # Half-edges: (origin vertex, rank), added in twin pairs, so the twin
+    # of half-edge he is he ^ 1.
     origins: list[int] = []
-    directions: list[tuple[int, int]] = []
+    ranks: list[int] = []
 
-    def add_edge(v1: int, d1: tuple[int, int], v2: int, d2: tuple[int, int]):
+    def add_edge(v1: int, r1: int, v2: int, r2: int):
         origins.extend((v1, v2))
-        directions.extend((d1, d2))
+        ranks.extend((r1, r2))
 
-    # Circle arcs between angularly consecutive points.  The tangent of the
-    # counterclockwise arc at a circle point (X, Y, W) is (-Y, X) / W; as
-    # W > 0, (-Y, X) has the same direction, and (Y, -X) the reverse one.
-    # A single point gets one full-circle loop arc.
+    # Circle arcs, forward from i and backward from j; one point gets a loop.
     for i in range(m):
         j = (i + 1) % m
-        xi, yi, _ = triples[i]
-        xj, yj, _ = triples[j]
-        add_edge(i, (-yi, xi), j, (yj, -xj))
-        if m == 1:
-            break
+        add_edge(i, 2 * i + 1, j, 2 * j)
 
     # Chord segments: each chord a -> b is split at its interior points.
-    # (Xb Wa - Xa Wb, Yb Wa - Ya Wb) is (b - a) scaled by Wa Wb > 0, and every
-    # segment of the chord points along it or against it.
+    # (Xb Wa - Xa Wb, Yb Wa - Ya Wb) is (b - a) scaled by Wa Wb > 0.
     #
     # A stop (X, Y, W) lies at projection N / W along that direction, with
     # N = X dx + Y dy.  Two distinct stops of one chord have distinct
@@ -104,21 +81,18 @@ def count_faces(arr: ChordArrangement) -> int:
             return ((x * dx + y * dy) << shift) // w
 
         chain = [a, *sorted(on_chord[c], key=along), b]
-        forward, backward = (dx, dy), (-dx, -dy)
         for v1, v2 in zip(chain, chain[1:]):
-            add_edge(v1, forward, v2, backward)
+            add_edge(v1, 2 * b, v2, 2 * a)
 
-    # Rotation system: the half-edges around each vertex in angular order.
     around: list[list[int]] = [[] for _ in triples]
     for he, origin in enumerate(origins):
         around[origin].append(he)
-    by_angle = cmp_to_key(lambda p, q: _angle_compare(directions[p], directions[q]))
 
-    # Faces are the orbits of "rotational successor of the twin":
-    # succ[he] is the half-edge after twin(he) = he ^ 1 around its origin.
+    # Faces are the orbits of succ: succ[he] is the half-edge after
+    # twin(he) = he ^ 1 in rank order around its origin.
     succ = [0] * len(origins)
     for members in around:
-        members.sort(key=by_angle)
+        members.sort(key=ranks.__getitem__)
         for idx, he in enumerate(members):
             succ[members[idx - 1] ^ 1] = he
 

@@ -299,6 +299,13 @@ class TestRegions:
         assert code == 2
         assert "--m 6" in err
 
+    def test_degenerate_rejects_trials_and_seed(self, capsys):
+        argv = ["regions", "--m", "6", "--method", "geometric", "--degenerate", "hexagon"]
+        for extra in (["--trials", "3"], ["--seed", "4"], ["--trials", "1", "--seed", "0"]):
+            code, out, err = run_cli(argv + extra + ["--json"], capsys)
+            assert (code, out) == (2, ""), extra
+            assert "neither --trials nor --seed" in err, extra
+
     def test_m0_exit_2(self, capsys):
         code, _, err = run_cli(["regions", "--m", "0"], capsys)
         assert code == 2
