@@ -13,7 +13,7 @@ and the forward arc 2i + 1.  Sorted by rank, a vertex's half-edges are in
 counterclockwise order up to a cyclic shift, which the face permutation
 ignores.  Proof, with the points in counterclockwise index order:
 
-- At circle point a (angle t), the chord to the point at angle s leaves in
+- At circle point i (angle t), the chord to the point at angle s leaves in
   direction (t + s)/2 + pi/2, which grows with s - t over (0, 2 pi), from
   the forward tangent to the backward one.
 - Every interior point lies strictly inside the disk (``intersect_chords``
