@@ -99,10 +99,6 @@ class Polynomial:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    @classmethod
     def constant(cls, value: RationalLike) -> "Polynomial":
         return cls((as_rational(value),))
 
@@ -127,12 +123,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def leading_coefficient(self) -> Rational:
-        if not self._coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
 
     def coefficient(self, i: int) -> Rational:
         """Coefficient of x^i (0 beyond the stored degree)."""
@@ -204,12 +194,6 @@ class Polynomial:
                 for j, c in enumerate(divisor._coeffs):
                     remainder[i + j] -= factor * c
         return Polynomial(quotient), Polynomial(remainder)
-
-    def __floordiv__(self, divisor: "Polynomial") -> "Polynomial":
-        return divmod(self, divisor)[0]
-
-    def __mod__(self, divisor: "Polynomial") -> "Polynomial":
-        return divmod(self, divisor)[1]
 
     # -- evaluation and composition -----------------------------------
 

@@ -25,10 +25,9 @@ from .errors import NoConstantRowError
 
 @dataclass(frozen=True)
 class Sequence:
-    """A finite exact sequence with an index offset (term i has index offset+i)."""
+    """A finite exact sequence; term i has index i."""
 
     terms: tuple[Rational, ...]
-    offset: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(as_rational(t) for t in self.terms))

@@ -4,7 +4,8 @@ Everything here is integer/rational arithmetic on homogeneous coordinates;
 there is no floating point and hence no epsilon anywhere.  An arrangement
 is built in two steps: ``build_arrangement`` orders distinct circle
 points by angle, and ``intersect_chords`` turns them into a complete
-``ChordArrangement`` with every interior intersection.  The chord-pair
+``ChordArrangement``, whose ``crossings`` map every interior
+intersection's integer triple to the chords through it.  The chord-pair
 crossing kernel (``_kernel``) is plain Python over integer homogeneous
 triples.
 """

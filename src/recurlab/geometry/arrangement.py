@@ -19,8 +19,9 @@ and points where three or more chords meet are kept as the arrangement's
 the oracle sensitive to exactly the degeneracies that break the C(m, 4)
 counting argument.
 
-Interior points are stored once, as canonical integer homogeneous
-triples; rational coordinates are derived only for display and JSON.
+Interior points are stored once, as one dict from canonical integer
+homogeneous triple to the chords through it; the counts read that dict,
+and rational coordinates are derived only for display and JSON.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class InteriorPoint:
     """An exact interior intersection point and the chords through it.
 
     ``triple`` is the canonical homogeneous (X, Y, W): gcd 1 and W > 0.
+    A library view of one ``ChordArrangement.crossings`` entry.
     """
 
     chords: tuple[int, ...]
@@ -70,19 +72,25 @@ class ChordArrangement:
     """m circle points, all their chords, and every interior intersection.
 
     ``points`` are in counterclockwise angular order; ``chords`` lists
-    point-index pairs in lexicographic order.  ``interior_points`` holds the
-    deduplicated intersection points, each with all chords through it, and
-    ``concurrent`` the ones where three or more chords meet.
+    point-index pairs in lexicographic order.  ``crossings`` maps each
+    deduplicated interior point's canonical triple (X, Y, W) to the sorted
+    indices of all chords through it, in the kernel's first-hit order, and
+    ``concurrent`` lists the triples where three or more chords meet.
     """
 
     points: tuple[CirclePoint, ...]
     chords: tuple[tuple[int, int], ...]
-    interior_points: tuple[InteriorPoint, ...]
-    concurrent: tuple[InteriorPoint, ...]
+    crossings: dict[tuple[int, int, int], tuple[int, ...]]
+    concurrent: tuple[tuple[int, int, int], ...]
 
     @property
     def m(self) -> int:
         return len(self.points)
+
+    @property
+    def interior_points(self) -> tuple[InteriorPoint, ...]:
+        """The crossings as ``InteriorPoint``s, built anew on each access."""
+        return tuple(map(InteriorPoint, self.crossings.values(), self.crossings.keys()))
 
     @property
     def general_position(self) -> bool:
@@ -98,7 +106,7 @@ class ChordArrangement:
         """One-line summary of the concurrent points, or ``none``."""
         if not self.concurrent:
             return "none"
-        worst = max(len(p.chords) for p in self.concurrent)
+        worst = max(len(self.crossings[t]) for t in self.concurrent)
         return (
             f"{len(self.concurrent)} concurrent intersection point(s) "
             f"(up to {worst} chords through one point)"
@@ -203,9 +211,8 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     # The disk is strictly convex, so the open segment between two distinct
     # circle points lies strictly inside it.  Every hit is therefore an
     # interior point, and the JSON's "on_circle" list stays empty.
-    interior = tuple(map(InteriorPoint, by_triple.values(), by_triple.keys()))
-    concurrent = tuple(p for p in interior if len(p.chords) >= 3) if repeated else ()
-    return ChordArrangement(points, chords, interior, concurrent)
+    concurrent = tuple(t for t, through in by_triple.items() if len(through) >= 3) if repeated else ()
+    return ChordArrangement(points, chords, by_triple, concurrent)
 
 
 def count_regions(arr: ChordArrangement) -> RegionReport:
@@ -223,8 +230,8 @@ def count_regions(arr: ChordArrangement) -> RegionReport:
     m = arr.m
     if m < 1:
         raise ValueError("arrangement needs at least one point")
-    vertices = m + len(arr.interior_points)
-    edges = m + len(arr.chords) + sum(len(p.chords) for p in arr.interior_points)
+    vertices = m + len(arr.crossings)
+    edges = m + len(arr.chords) + sum(map(len, arr.crossings.values()))
     regions = edges - vertices + 1
     return RegionReport(
         m=m,
@@ -292,11 +299,12 @@ def verify_against_formula(m: int, trials: int, *, seed: int | None = None) -> G
     return GeometricVerdict(m=m, expected=expected, counts=tuple(counts), passed=True)
 
 
-def _interior_point_json(point: InteriorPoint) -> dict:
+def _interior_point_json(triple: tuple[int, int, int], chords: tuple[int, ...]) -> dict:
+    x, y, w = triple
     return {
-        "x": format_rational(point.x),
-        "y": format_rational(point.y),
-        "chords": list(point.chords),
+        "x": format_rational(Fraction(x, w)),
+        "y": format_rational(Fraction(y, w)),
+        "chords": list(chords),
     }
 
 
@@ -311,9 +319,9 @@ def arrangement_to_json_dict(arr: ChordArrangement) -> dict:
         "m": arr.m,
         "points": [p.parameter_text for p in arr.points],
         "chords": [list(c) for c in arr.chords],
-        "interior_points": [_interior_point_json(p) for p in arr.interior_points],
+        "interior_points": [_interior_point_json(*item) for item in arr.crossings.items()],
         "degeneracy": None if arr.general_position else {
-            "concurrent": [_interior_point_json(p) for p in arr.concurrent],
+            "concurrent": [_interior_point_json(t, arr.crossings[t]) for t in arr.concurrent],
             "on_circle": [],
             "summary": arr.describe_degeneracy(),
         },

@@ -41,7 +41,7 @@ def count_faces(arr: ChordArrangement) -> int:
 
     # Vertex ids: circle points first, then interior points.
     triples = [p.triple for p in arr.points]
-    triples.extend(p.triple for p in arr.interior_points)
+    triples.extend(arr.crossings)
 
     # Half-edges: (origin vertex, rank), added in twin pairs, so the twin
     # of half-edge he is he ^ 1.
@@ -68,8 +68,8 @@ def count_faces(arr: ChordArrangement) -> int:
     # keep their order: an exact integer sort key.
     shift = 2 * max(w for _, _, w in triples).bit_length()
     on_chord: list[list[int]] = [[] for _ in arr.chords]
-    for vertex, point in enumerate(arr.interior_points, start=m):
-        for c in point.chords:
+    for vertex, through in enumerate(arr.crossings.values(), start=m):
+        for c in through:
             on_chord[c].append(vertex)
     for c, (a, b) in enumerate(arr.chords):
         xa, ya, wa = triples[a]

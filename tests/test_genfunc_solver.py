@@ -215,7 +215,6 @@ class TestSeriesExpand:
     def test_returns_sequence(self, moser_recurrence):
         seq = series_expand(build_ogf(moser_recurrence), 7)
         assert tuple(seq) == (1, 2, 4, 8, 16, 31, 57)
-        assert seq.offset == 0
 
     def test_depth_validated(self, moser_recurrence):
         with pytest.raises(ValueError):

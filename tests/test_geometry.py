@@ -36,6 +36,7 @@ from recurlab.geometry import (
     regular_approx_parameters,
     seeded_parameters,
 )
+from recurlab.cli import main
 from recurlab.geometry import _kernel
 from recurlab.geometry import arrangement as arrangement_module
 from recurlab.geometry.arrangement import (
@@ -359,11 +360,36 @@ class TestIntersection:
             assert [p.triple for p in arr.interior_points] == list(through), m
             for p in arr.interior_points:
                 assert p.chords == tuple(sorted(through[p.triple])), (m, p)
-            concurrent = [p for p in arr.interior_points if len(p.chords) >= 3]
+            expected = {triple: tuple(sorted(chords)) for triple, chords in through.items()}
+            assert arr.crossings == expected, m
+            assert list(arr.crossings) == list(expected), m
+            concurrent = [triple for triple, chords in expected.items() if len(chords) >= 3]
             assert concurrent, m
             assert list(arr.concurrent) == concurrent, m
             assert not arr.general_position
             assert count_faces(arr) == count_regions(arr).regions + 1, m
+
+    def test_count_paths_build_no_interior_points(self, monkeypatch, capsys):
+        # The counts, the degeneracy verdict and the CLI read the merge's
+        # crossings dict; only the interior_points view builds InteriorPoints.
+        class Forbidden:
+            def __init__(self, *args):
+                raise AssertionError("an InteriorPoint was built")
+
+        monkeypatch.setattr(arrangement_module, "InteriorPoint", Forbidden)
+        hexagon_summary = "1 concurrent intersection point(s) (up to 3 chords through one point)"
+        for arr, regions, summary in (
+            (generic_arrangement(12, seed=3), 562, "none"),
+            (hexagon_arrangement(), 30, hexagon_summary),
+        ):
+            assert arr.general_position is (summary == "none")
+            assert count_regions(arr).regions == regions
+            assert count_faces(arr) == regions + 1
+            assert arr.describe_degeneracy() == summary
+        assert main(["regions", "--m", "12", "--method", "geometric", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["counts"]["geometric"] == 562
+        with pytest.raises(AssertionError, match="InteriorPoint was built"):
+            hexagon_arrangement().interior_points
 
     def test_interior_point_stores_only_its_triple(self):
         assert [f.name for f in dataclasses.fields(InteriorPoint)] == ["chords", "triple"]
@@ -472,7 +498,7 @@ class TestDegenerateHexagon:
         arr = hexagon_arrangement()
         assert len(arr.interior_points) == 13
         assert not arr.general_position
-        assert [p.triple for p in arr.concurrent] == [(0, 0, 1)]
+        assert arr.concurrent == ((0, 0, 1),)
         assert arr.describe_degeneracy() == (
             "1 concurrent intersection point(s) (up to 3 chords through one point)"
         )
