@@ -25,6 +25,7 @@ from recurlab import (
     regions_binomial,
     verify_against_formula,
 )
+from recurlab.cli import main
 from recurlab.geometry import (
     CirclePoint,
     antipode_parameter,
@@ -36,7 +37,6 @@ from recurlab.geometry import (
     regular_approx_parameters,
     seeded_parameters,
 )
-from recurlab.cli import main
 from recurlab.geometry import _kernel
 from recurlab.geometry import arrangement as arrangement_module
 from recurlab.geometry.arrangement import (
