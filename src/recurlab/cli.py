@@ -241,6 +241,15 @@ def cmd_regions(args) -> int:
         if args.method == "all"
         else [args.method]
     )
+    over_cap = f"m={m} exceeds the geometric cap ({cap}); raise --geom-cap to force it"
+    if "geometric" not in wants:
+        if args.trials != 1 or args.seed is not None:
+            raise ValueError(f"--method {args.method} takes neither --trials nor --seed")
+        if args.dump_arrangement:
+            raise ValueError(f"--method {args.method} has no arrangement to dump")
+    elif m > cap and (args.method == "geometric" or args.dump_arrangement):
+        raise ValueError(over_cap)
+
     counts: dict[str, int] = {}
     geometric_detail = None
     geometric_note = None
@@ -256,25 +265,20 @@ def cmd_regions(args) -> int:
 
     if "geometric" in wants:
         if m > cap:
-            note = f"m={m} exceeds the geometric cap ({cap}); raise --geom-cap to force it"
-            if args.method == "geometric":
-                raise ValueError(note)
-            geometric_note = note
+            geometric_note = over_cap
         else:
-            if args.degenerate == "hexagon":
-                arrangements = [hexagon_arrangement()]
-            else:
-                arrangements = [
-                    generic_arrangement(
+            reports = []  # counted as built; only the last layout is kept
+            for trial in range(args.trials):
+                if args.degenerate == "hexagon":
+                    last = hexagon_arrangement()
+                else:
+                    last = generic_arrangement(
                         m,
                         variant=trial,
                         seed=None if args.seed is None else args.seed + trial,
                     )
-                    for trial in range(args.trials)
-                ]
-            reports = [count_regions(arr) for arr in arrangements]
+                reports.append(count_regions(last))
             counts["geometric"] = reports[0].regions
-            last = arrangements[-1]
             geometric_detail = {
                 "trials": len(reports),
                 "counts": [r.regions for r in reports],
@@ -351,8 +355,7 @@ def _verify_checks(args, cap: int) -> list[dict]:
     #    solve by both routes, compare against the closed formula.
     seq = Sequence(tuple(Fraction(v) for v in moser_terms(7)))
     rec = infer_recurrence(build_difference_table(seq))
-    charpoly_form = solve_charpoly(rec)
-    genfunc_form = extract_coefficient_formula(partial_fractions(build_ogf(rec)))
+    charpoly_form, genfunc_form = _solve_forms(rec, ["charpoly", "genfunc"])
     add(
         "solver-routes-agree",
         "order-4 region recurrence",

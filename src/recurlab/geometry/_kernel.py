@@ -39,12 +39,14 @@ from math import gcd
 
 
 def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
-    """Return [(i, j, X, Y, W), ...] for properly crossing chord pairs.
+    """Return {(X, Y, W): chords} for the chord pairs that properly cross.
 
-    ``i``/``j`` index chords (i < j); (X, Y, W) is the canonical integer
-    homogeneous intersection point.  Hits come in lexicographic (i, j)
-    order, so the hits of [start, k) followed by those of [k, stop) are
-    the hits of [start, stop).
+    (X, Y, W) is a crossing point's canonical integer homogeneous triple.
+    Pairs are tested in lexicographic (i, j) order; a point's first pair
+    stores (i, j), and a repeat stores the sorted union of its chords.  So
+    keys keep first-hit order, and the map of [start, k), extended by that
+    of [k, stop) with a repeated key's chords united, is the map of
+    [start, stop), key order included.
     """
     points = tuple(zip(px, py, pw))
     side = []
@@ -55,7 +57,7 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
                 mask |= 1 << p
         side.append(mask)
 
-    hits = []
+    crossings = {}
     n = len(ca)
     for i in range(start, stop):
         a = ca[i]
@@ -90,5 +92,9 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
             if w < 0:
                 x, y, w = -x, -y, -w
             g = gcd(x, y, w)
-            hits.append((i, j, x // g, y // g, w // g))
-    return hits
+            point = (x // g, y // g, w // g)
+            pair = (i, j)
+            through = crossings.setdefault(point, pair)
+            if through is not pair:
+                crossings[point] = tuple(sorted({*through, i, j}))
+    return crossings

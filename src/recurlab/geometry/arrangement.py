@@ -19,9 +19,10 @@ and points where three or more chords meet are kept as the arrangement's
 the oracle sensitive to exactly the degeneracies that break the C(m, 4)
 counting argument.
 
-Interior points are stored once, as one dict from canonical integer
-homogeneous triple to the chords through it; the counts read that dict,
-and rational coordinates are derived only for display and JSON.
+Interior points are stored once, as the crossing kernel's dict from
+canonical integer homogeneous triple to the chords through it; the counts
+read that dict, and rational coordinates are derived only for display and
+JSON.
 """
 
 from __future__ import annotations
@@ -176,10 +177,10 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     """The complete arrangement of all chords between ``points``, exactly.
 
     ``points`` must be distinct and in angular order, as
-    ``build_arrangement`` returns them.  Every chord pair without a shared
-    endpoint is tested for a proper crossing by integer orientation signs;
-    crossing points are deduplicated by their canonical homogeneous triple,
-    and every chord through each point is recorded.
+    ``build_arrangement`` returns them.  The kernel tests every chord pair
+    without a shared endpoint for a proper crossing by integer orientation
+    signs and returns the ``crossings`` map itself: one entry per crossing
+    point's canonical homogeneous triple, with every chord through it.
     """
     points = tuple(points)
     chords = tuple(itertools.combinations(range(len(points)), 2))
@@ -189,30 +190,17 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     ca = [a for a, _ in chords]
     cb = [b for _, b in chords]
     lx, ly, lw = _chord_lines(points, chords)
-    hits = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords))
+    crossings = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords))
 
-    # A point's first hit stores its chord pair (i, j), already sorted; only
-    # a point that is hit again (three or more chords through it) gets the
-    # sorted union.  Points keep first-hit order, so output order follows
-    # the kernel's (i, j) order.
-    by_triple: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    repeated = False
-    for i, j, x, y, w in hits:
-        pair = (i, j)
-        through = by_triple.setdefault((x, y, w), pair)
-        if through is not pair:
-            by_triple[x, y, w] = tuple(sorted({*through, i, j}))
-            repeated = True
-
-    # No hit lies on the circle.  The kernel skips pairs that share an
+    # No crossing lies on the circle.  The kernel skips pairs that share an
     # endpoint, and its four sign tests are strict: the endpoints of each
     # chord lie strictly on opposite sides of the other chord's line.  So the
-    # hit is an endpoint of neither chord and lies on both open segments.
+    # point is an endpoint of neither chord and lies on both open segments.
     # The disk is strictly convex, so the open segment between two distinct
-    # circle points lies strictly inside it.  Every hit is therefore an
+    # circle points lies strictly inside it.  Every crossing is therefore an
     # interior point, and the JSON's "on_circle" list stays empty.
-    concurrent = tuple(t for t, through in by_triple.items() if len(through) >= 3) if repeated else ()
-    return ChordArrangement(points, chords, by_triple, concurrent)
+    concurrent = tuple(t for t, through in crossings.items() if len(through) >= 3)
+    return ChordArrangement(points, chords, crossings, concurrent)
 
 
 def count_regions(arr: ChordArrangement) -> RegionReport:

@@ -306,6 +306,26 @@ class TestRegions:
             assert (code, out) == (2, ""), extra
             assert "neither --trials nor --seed" in err, extra
 
+    def test_geometry_flags_without_geometry_exit_2(self, tmp_path, capsys):
+        # A flag that only the geometric construction reads is an input
+        # error when no construction runs, never silently dropped.
+        path = tmp_path / "arrangement.json"
+        dump = ["--dump-arrangement", str(path)]
+        cases = [
+            (["--m", "5", "--method", "binomial"] + dump, "no arrangement to dump"),
+            (["--m", "20"] + dump, "exceeds the geometric cap"),
+        ]
+        for method in ("binomial", "polynomial", "sum", "euler"):
+            for extra in (["--trials", "2"], ["--seed", "3"]):
+                cases.append(
+                    (["--m", "5", "--method", method] + extra, "neither --trials nor --seed")
+                )
+        for argv, message in cases:
+            code, out, err = run_cli(["regions"] + argv + ["--json"], capsys)
+            assert (code, out) == (2, ""), argv
+            assert message in err, argv
+            assert not path.exists(), argv
+
     def test_m0_exit_2(self, capsys):
         code, _, err = run_cli(["regions", "--m", "0"], capsys)
         assert code == 2
@@ -448,7 +468,9 @@ class TestVerify:
         from recurlab.geometry import _kernel
 
         intersect_pairs = _kernel.intersect_pairs
-        monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1])
+        monkeypatch.setattr(
+            _kernel, "intersect_pairs", lambda *args: dict(list(intersect_pairs(*args).items())[:-1])
+        )
         code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
         assert code == 1
         assert "FAIL geometric-construction [m=1..10, trials=2]: m=4:" in out

@@ -84,6 +84,16 @@ def _four_sign_reference(px, py, pw, lx, ly, lw, ca, cb, start, stop):
     return hits
 
 
+def _merge_hits(hits):
+    """Crossing pairs as the kernel's map: a point's first pair (i, j), then
+    the sorted union of every chord through it, keys in first-hit order."""
+    crossings = {}
+    for i, j, *triple in hits:
+        through = crossings.get(tuple(triple))
+        crossings[tuple(triple)] = (i, j) if through is None else tuple(sorted({*through, i, j}))
+    return crossings
+
+
 # The face walk as it was before its rotation came from circle order: the
 # half-edges around each vertex sorted by exact angle comparison.
 def _direction_half(direction: tuple[int, int]) -> int:
@@ -321,22 +331,26 @@ class TestIntersection:
             assert {a, b} & {c, d} == set()
 
     def test_kernel_row_ranges_concatenate(self):
-        # Hits come in (i, j) order, so splitting the outer chord range at
-        # any k and concatenating the two runs gives the full run.
+        # Pairs are tested in (i, j) order, so splitting the outer chord
+        # range at any k and extending the first map by the second, uniting
+        # the chords of a repeated point, gives the full map, key order
+        # included.
         for arr in (hexagon_arrangement(), generic_arrangement(9, seed=7)):
             args = _kernel_args(arr.points)
             n = len(arr.chords)
             whole = _kernel.intersect_pairs(*args, 0, n)
             assert whole
             for k in range(n + 1):
-                head = _kernel.intersect_pairs(*args, 0, k)
-                tail = _kernel.intersect_pairs(*args, k, n)
-                assert head + tail == whole, (arr.m, k)
+                merged = _kernel.intersect_pairs(*args, 0, k)
+                for triple, chords in _kernel.intersect_pairs(*args, k, n).items():
+                    merged[triple] = tuple(sorted({*merged.get(triple, ()), *chords}))
+                assert list(merged.items()) == list(whole.items()), (arr.m, k)
 
     def test_kernel_matches_four_sign_reference(self):
         # The side bitmasks hoist the same exact signs out of the pair loop,
-        # so the hit list is identical, order included, on general-position
-        # and degenerate (concurrent) layouts alike.
+        # so the kernel's map is the reference's hits under the merge rule,
+        # key order included, on general-position and degenerate
+        # (concurrent) layouts alike.
         layouts = [hexagon_arrangement().points]
         layouts += [_regular_approx_points(m) for m in range(1, 17)]
         layouts += [
@@ -348,7 +362,8 @@ class TestIntersection:
             args = _kernel_args(points)
             n = len(args[-1])
             expected = _four_sign_reference(*args, 0, n)
-            assert _kernel.intersect_pairs(*args, 0, n) == expected, len(points)
+            crossings = _kernel.intersect_pairs(*args, 0, n)
+            assert list(crossings.items()) == list(_merge_hits(expected).items()), len(points)
             assert len(expected) == binomial(len(points), 4), len(points)
 
     def test_merge_on_concurrent_points(self):
@@ -585,8 +600,13 @@ class TestSerialization:
 class TestCrossingCountInvariant:
     def test_crossing_pairs_always_binomial_even_when_degenerate(self):
         # Count properly crossing chord PAIRS (not points): C(m, 4) holds
-        # for any placement, including the degenerate hexagon, because
-        # every 4 points determine exactly one crossing pair.
-        for arr in (hexagon_arrangement(), generic_arrangement(6), generic_arrangement(7)):
-            hits = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords))
-            assert len(hits) == binomial(arr.m, 4)
+        # for any placement, including the degenerate hexagon and the
+        # regular-approx polygons with four or more chords through a point,
+        # because every 4 points determine exactly one crossing pair.  A
+        # point with k chords through it holds C(k, 2) of those pairs.
+        layouts = [hexagon_arrangement(), generic_arrangement(6), generic_arrangement(7)]
+        layouts += [intersect_chords(_regular_approx_points(m)) for m in (8, 10, 12)]
+        for arr in layouts:
+            crossings = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords))
+            pairs = sum(binomial(len(chords), 2) for chords in crossings.values())
+            assert pairs == binomial(arr.m, 4), arr.m
