@@ -247,7 +247,12 @@ def cmd_regions(args) -> int:
             raise ValueError(f"--method {args.method} takes neither --trials nor --seed")
         if args.dump_arrangement:
             raise ValueError(f"--method {args.method} has no arrangement to dump")
-    elif m > cap and (args.method == "geometric" or args.dump_arrangement):
+    elif m > cap and (
+        args.method == "geometric"
+        or args.dump_arrangement
+        or args.trials != 1
+        or args.seed is not None
+    ):
         raise ValueError(over_cap)
 
     counts: dict[str, int] = {}
@@ -395,15 +400,13 @@ def _verify_checks(args, cap: int) -> list[dict]:
 
     # 3. Geometric construction against the closed formula.
     geom_limit = min(max_m, cap)
+    verdict = verify_against_formula(geom_limit, args.trials, seed=args.seed)
     geom_fail = None
-    for m in range(1, geom_limit + 1):
-        verdict = verify_against_formula(m, args.trials, seed=args.seed)
-        if not verdict.passed:
-            geom_fail = (
-                f"m={m}: counted {verdict.counts[-1]}, expected {verdict.expected}, "
-                f"points {verdict.failing_parameters}"
-            )
-            break
+    if not verdict.passed:
+        geom_fail = (
+            f"m={verdict.m}: counted {verdict.counts[-1]}, expected {verdict.expected}, "
+            f"points {verdict.failing_parameters}"
+        )
     add(
         "geometric-construction",
         f"m=1..{geom_limit}, trials={args.trials}",

@@ -21,6 +21,7 @@ from .arrangement import (
     generic_arrangement,
     hexagon_arrangement,
     intersect_chords,
+    prefix_region_counts,
     verify_against_formula,
 )
 from .facewalk import count_faces
@@ -49,6 +50,7 @@ __all__ = [
     "hexagon_arrangement",
     "hexagon_parameters",
     "intersect_chords",
+    "prefix_region_counts",
     "regular_approx_parameters",
     "seeded_parameters",
     "verify_against_formula",

@@ -23,6 +23,11 @@ Interior points are stored once, as the crossing kernel's dict from
 canonical integer homogeneous triple to the chords through it; the counts
 read that dict, and rational coordinates are derived only for display and
 JSON.
+
+``prefix_region_counts`` reads the count of every prefix of the points (in
+a given birth order) off one arrangement, by the same Euler formula.  The
+layout families are nested, so ``verify_against_formula`` checks m = 1..K
+with one K-point build per trial.
 """
 
 from __future__ import annotations
@@ -230,6 +235,46 @@ def count_regions(arr: ChordArrangement) -> RegionReport:
     )
 
 
+def prefix_region_counts(arr: ChordArrangement, births: SequenceABC[int]) -> list[int]:
+    """Regions of every prefix of the arrangement, by Euler's formula.
+
+    ``births[i]`` is the 1-based time at which ``arr.points[i]`` is added,
+    a permutation of 1..m.  Entry k - 1 of the result counts the regions of
+    the chords among the first k points alone.  A chord is born with its
+    later endpoint and a crossing point with its second chord; each chord
+    born after that adds one more edge at the point.  So, for each k,
+
+        V_k = k + (crossing points born by k),
+        E_k = k + sum over chords born by k of (1 + points on it by k),
+
+    and regions_k = E_k - V_k + 1.  No general position is assumed: a
+    point where several chords meet is one vertex at every k.
+    """
+    m = arr.m
+    chord_birth = [max(births[a], births[b]) for a, b in arr.chords]
+    # step[k] is what the k-th point adds to E - V.  The point and its arc
+    # cancel; each new chord adds one edge, each new crossing one vertex and
+    # two edges, and each later chord through a crossing one edge.  So every
+    # chord through a crossing but its earliest-born one adds 1.
+    step = [0] * (m + 1)
+    for t in chord_birth:
+        step[t] += 1
+    for through in arr.crossings.values():
+        if len(through) == 2:
+            a, b = through
+            ta, tb = chord_birth[a], chord_birth[b]
+            step[ta if ta > tb else tb] += 1
+        else:
+            for t in sorted([chord_birth[c] for c in through])[1:]:
+                step[t] += 1
+    counts = []
+    regions = 1
+    for k in range(1, m + 1):
+        regions += step[k]
+        counts.append(regions)
+    return counts
+
+
 def generic_arrangement(m: int, *, variant: int = 0, seed: int | None = None) -> ChordArrangement:
     """A fully intersected general-position arrangement of m points.
 
@@ -260,31 +305,62 @@ def hexagon_arrangement() -> ChordArrangement:
 
 
 def verify_against_formula(m: int, trials: int, *, seed: int | None = None) -> GeometricVerdict:
-    """Count regions for ``trials`` distinct general-position layouts of m
-    points and compare each count with regions_binomial(m).
+    """Compare the constructed region counts of every k = 1..m with
+    regions_binomial(k), on ``trials`` distinct general-position layouts.
 
-    Layout diversity comes from the variant index (or seed offset), so
-    repeated trials exercise genuinely different coordinates.  Returns the
-    verdict with all counts; on the first mismatch the failing layout's
-    parameters are included.
+    Both layout families are nested: the k-point layout is the first k
+    parameters of the m-point one.  So each trial builds one arrangement,
+    of m points, and reads every prefix's count off it with
+    ``prefix_region_counts``; ``count_regions`` of the whole arrangement
+    cross-checks the last of them.  Layout diversity comes from the variant
+    index (or seed offset).  If the m-point layout needed a retry, the trial
+    falls back to one ``generic_arrangement(k)`` per k, so every layout
+    tested is the one ``generic_arrangement(k)`` gives.
+
+    Scanning k in order, then the trials in order, the first mismatch is
+    returned with the counts of the trials up to it and the failing
+    layout's parameters in angular order; on a pass, the verdict is that
+    of k = m.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    expected = regions_binomial(m)
-    counts: list[int] = []
-    for trial in range(trials):
-        arr = generic_arrangement(m, variant=trial, seed=None if seed is None else seed + trial)
-        report = count_regions(arr)
-        counts.append(report.regions)
-        if report.regions != expected:
-            return GeometricVerdict(
-                m=m,
-                expected=expected,
-                counts=tuple(counts),
-                passed=False,
-                failing_parameters=tuple(p.parameter_text for p in arr.points),
-            )
-    return GeometricVerdict(m=m, expected=expected, counts=tuple(counts), passed=True)
+    seeds = [None if seed is None else seed + trial for trial in range(trials)]
+    runs = [_prefix_counts(m, trial, s) for trial, s in enumerate(seeds)]
+    for k in range(1, m + 1):
+        expected = regions_binomial(k)
+        for trial, counts in enumerate(runs):
+            if counts[k - 1] != expected:
+                failing = generic_arrangement(k, variant=trial, seed=seeds[trial])
+                return GeometricVerdict(
+                    m=k,
+                    expected=expected,
+                    counts=tuple(c[k - 1] for c in runs[: trial + 1]),
+                    passed=False,
+                    failing_parameters=tuple(p.parameter_text for p in failing.points),
+                )
+    return GeometricVerdict(
+        m=m, expected=regions_binomial(m), counts=tuple(c[-1] for c in runs), passed=True
+    )
+
+
+def _prefix_counts(m: int, variant: int, seed: int | None) -> list[int]:
+    """Region counts of ``generic_arrangement(k, variant=, seed=)`` for k = 1..m."""
+    if seed is None:
+        params = generic_parameters(m, variant=variant)
+    else:
+        params = seeded_parameters(m, seed=seed)
+    birth = {t: i for i, t in enumerate(params, 1)}
+    arr = generic_arrangement(m, variant=variant, seed=seed)
+    births = [birth.get(p.t) for p in arr.points]
+    if None in births:
+        # generic_arrangement had to retry at m: build each k on its own.
+        return [
+            count_regions(generic_arrangement(k, variant=variant, seed=seed)).regions
+            for k in range(1, m + 1)
+        ]
+    counts = prefix_region_counts(arr, births)
+    assert count_regions(arr).regions == counts[-1]
+    return counts
 
 
 def _interior_point_json(triple: tuple[int, int, int], chords: tuple[int, ...]) -> dict:

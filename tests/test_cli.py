@@ -55,6 +55,21 @@ HEXAGON_DUMP = {
 SEEDED_M12_DUMP_SHA256 = "cfceb826470211d4e287721beb61cf216e17a7d1c8d266c4240f76e5799af545"
 
 
+# stdout of `verify --max-m 30 --geom-cap 25`.
+VERIFY_NORTH_STAR = """\
+ok   symbolic-methods-agree [m=1..30]
+ok   solver-routes-agree [order-4 region recurrence]
+ok   closed-form-matches-quartic [m-variable comparison]
+ok   closed-form-evaluation [m=1..30]
+ok   forward-iteration [m=1..30]
+ok   geometric-construction [m=1..25, trials=2]
+verdict: all checks passed
+"""
+
+# sha256 of the stdout of `verify --max-m 30 --geom-cap 25 --trials 3 --seed 11 --json`.
+VERIFY_SEEDED_JSON_SHA256 = "ac2e97d5b54e31233c6c0eace91f13ad3313ed49d238a27d27b6943ecedfe82a"
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -326,6 +341,19 @@ class TestRegions:
             assert message in err, argv
             assert not path.exists(), argv
 
+    def test_trials_and_seed_over_cap_exit_2(self, capsys):
+        # With --method all above the cap the geometric count is skipped, so
+        # --trials and --seed have nothing to act on.
+        for extra in (["--trials", "2"], ["--seed", "3"]):
+            code, out, err = run_cli(["regions", "--m", "20"] + extra, capsys)
+            assert (code, out) == (2, ""), extra
+            assert err == (
+                "error: m=20 exceeds the geometric cap (15); raise --geom-cap to force it\n"
+            ), extra
+        code, payload, _ = run_json(["regions", "--m", "20", "--seed", "3", "--geom-cap", "20"], capsys)
+        assert code == 0
+        assert payload["result"]["counts"]["geometric"] == 5036
+
     def test_m0_exit_2(self, capsys):
         code, _, err = run_cli(["regions", "--m", "0"], capsys)
         assert code == 2
@@ -462,9 +490,19 @@ class TestVerify:
         geom = [c for c in payload["result"]["checks"] if c["name"] == "geometric-construction"]
         assert geom[0]["scope"] == "m=1..4, trials=1"
 
+    def test_north_star_golden(self, capsys):
+        code, out, err = run_cli(["verify", "--max-m", "30", "--geom-cap", "25"], capsys)
+        assert (code, out, err) == (0, VERIFY_NORTH_STAR, "")
+        argv = ["verify", "--max-m", "30", "--geom-cap", "25", "--trials", "3", "--seed", "11"]
+        code, out, err = run_cli(argv + ["--json"], capsys)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEEDED_JSON_SHA256
+
     def test_dropped_crossing_is_a_disagreement(self, capsys, monkeypatch):
         # A kernel that loses a crossing must fail the geometric check
-        # (exit 1), not look like a degenerate layout (exit 4).
+        # (exit 1), not look like a degenerate layout (exit 4).  Each trial
+        # builds one 10-point arrangement, and the kernel's last crossing
+        # there involves the last point, so the first failing prefix is m=10.
         from recurlab.geometry import _kernel
 
         intersect_pairs = _kernel.intersect_pairs
@@ -473,7 +511,34 @@ class TestVerify:
         )
         code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
         assert code == 1
-        assert "FAIL geometric-construction [m=1..10, trials=2]: m=4:" in out
+        points = ", ".join(f"'{2**i}/1'" for i in range(10))
+        assert (
+            "FAIL geometric-construction [m=1..10, trials=2]: "
+            f"m=10: counted 255, expected 256, points ({points})\n"
+        ) in out
+
+    def test_dropped_early_crossing_fails_at_its_birth(self, capsys, monkeypatch):
+        # Drop the crossing of chords (0, 2) and (1, 3).  The generic layouts'
+        # parameters increase, so angular order is birth order, and that
+        # crossing is born with the fourth point: every prefix from m=4 on
+        # misses it.
+        from recurlab.geometry import _kernel
+
+        intersect_pairs = _kernel.intersect_pairs
+
+        def drop_first_born(*args):
+            crossings = intersect_pairs(*args)
+            cb = args[7]
+            del crossings[next(t for t, through in crossings.items() if cb[through[-1]] < 4)]
+            return crossings
+
+        monkeypatch.setattr(_kernel, "intersect_pairs", drop_first_born)
+        code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
+        assert code == 1
+        assert (
+            "FAIL geometric-construction [m=1..10, trials=2]: "
+            "m=4: counted 7, expected 8, points ('1/1', '2/1', '4/1', '8/1')\n"
+        ) in out
 
     def test_invalid_arguments(self, capsys):
         assert run_cli(["verify", "--max-m", "0"], capsys)[0] == 2

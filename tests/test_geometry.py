@@ -34,6 +34,7 @@ from recurlab.geometry import (
     generic_arrangement,
     generic_parameters,
     hexagon_parameters,
+    prefix_region_counts,
     regular_approx_parameters,
     seeded_parameters,
 )
@@ -434,6 +435,40 @@ class TestRegionCounts:
             assert report.edges == expected.edges, m
 
 
+class TestPrefixRegionCounts:
+    @staticmethod
+    def _both_ways(params):
+        """Prefix counts off one build, and count_regions of each prefix built alone."""
+        points = [CirclePoint(t) for t in params]
+        arr = intersect_chords(build_arrangement(points))
+        birth = {p: i for i, p in enumerate(points, 1)}
+        counts = prefix_region_counts(arr, [birth[p] for p in arr.points])
+        per_prefix = [
+            count_regions(intersect_chords(build_arrangement(points[:k]))).regions
+            for k in range(1, len(points) + 1)
+        ]
+        return arr, counts, per_prefix
+
+    def test_matches_per_prefix_builds_on_degenerate_layouts(self):
+        # Taken in list order, these layouts have concurrent points, some
+        # of them off the center, and prefixes with and without them.
+        layouts = [hexagon_parameters()] + [regular_approx_parameters(m) for m in (10, 12, 16, 20, 24)]
+        for params in layouts:
+            arr, counts, per_prefix = self._both_ways(params)
+            assert not arr.general_position, len(params)
+            assert counts == per_prefix, len(params)
+
+    def test_matches_per_prefix_builds_on_seeded_layouts(self):
+        for seed in (3, 4):
+            _, counts, per_prefix = self._both_ways(seeded_parameters(16, seed))
+            assert counts == per_prefix == [regions_binomial(k) for k in range(1, 17)], seed
+
+    def test_last_count_is_count_regions(self):
+        arr = hexagon_arrangement()
+        for births in ([1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [3, 1, 4, 6, 2, 5]):
+            assert prefix_region_counts(arr, births)[-1] == count_regions(arr).regions == 30
+
+
 class TestFaceWalk:
     def test_matches_euler_route_in_general_position(self):
         for m in range(1, 8):
@@ -550,6 +585,75 @@ class TestVerifyAgainstFormula:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             verify_against_formula(5, trials=0)
+
+    @staticmethod
+    def _record_builds(monkeypatch):
+        builds = []
+        build = arrangement_module.generic_arrangement
+
+        def recording(m, *, variant=0, seed=None):
+            builds.append((m, variant, seed))
+            return build(m, variant=variant, seed=seed)
+
+        monkeypatch.setattr(arrangement_module, "generic_arrangement", recording)
+        return builds
+
+    def test_one_build_per_trial(self, monkeypatch):
+        builds = self._record_builds(monkeypatch)
+        assert verify_against_formula(12, trials=2).passed
+        assert verify_against_formula(8, trials=3, seed=5).passed
+        assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 6), (8, 2, 7)]
+
+    def test_retried_layout_falls_back_to_one_build_per_m(self, monkeypatch):
+        # Make trial 0's attempt-0 layout at m=6 the degenerate hexagon.  The
+        # 6-point build then retries, its points are not the attempt-0 ones,
+        # and that trial is checked with one generic_arrangement per m.
+        attempts = []
+        parameters = arrangement_module.generic_parameters
+
+        def hexagon_at_six(m, variant=0, attempt=0):
+            if (m, variant) == (6, 0):
+                attempts.append(attempt)
+                if attempt == 0:
+                    return hexagon_parameters()
+            return parameters(m, variant=variant, attempt=attempt)
+
+        monkeypatch.setattr(arrangement_module, "generic_parameters", hexagon_at_six)
+        builds = self._record_builds(monkeypatch)
+        verdict = verify_against_formula(6, trials=2)
+        assert verdict.passed
+        assert (verdict.m, verdict.expected, verdict.counts) == (6, 31, (31, 31))
+        assert builds == [(6, 0, None)] + [(m, 0, None) for m in range(1, 7)] + [(6, 1, None)]
+        # births, the 6-point build (0 then 1), the fallback's own 6-point build
+        assert attempts == [0, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7])])
+    def test_failing_prefix_is_the_dropped_crossings_birth(self, monkeypatch, seed, births):
+        # Seeded parameters are not in angular order, so this checks the
+        # birth bookkeeping: dropping the kernel's last crossing fails first
+        # at the prefix that holds all four of its chords' endpoints.  With
+        # seed 3 both trials first fail at m=6 and trial 0 is reported; with
+        # seed 7, trial 1 fails at m=7, before trial 0 does at m=8.
+        found = []
+        for s in (seed, seed + 1):
+            params = seeded_parameters(8, s)
+            arr = generic_arrangement(8, seed=s)
+            ends = {i for c in list(arr.crossings.values())[-1] for i in arr.chords[c]}
+            found.append(max(params.index(arr.points[i].t) + 1 for i in ends))
+        assert found == births
+        m, trial = min((b, t) for t, b in enumerate(births))
+
+        intersect_pairs = _kernel.intersect_pairs
+        monkeypatch.setattr(
+            _kernel, "intersect_pairs", lambda *args: dict(list(intersect_pairs(*args).items())[:-1])
+        )
+        verdict = verify_against_formula(8, trials=2, seed=seed)
+        assert (verdict.passed, verdict.m, verdict.expected) == (False, m, regions_binomial(m))
+        assert verdict.counts == tuple(regions_binomial(m) - (b == m) for b in births[: trial + 1])
+        assert verdict.failing_parameters == tuple(
+            p.parameter_text
+            for p in build_arrangement(map(CirclePoint, seeded_parameters(m, seed + trial)))
+        )
 
 
 class TestRetryBudget:
