@@ -336,8 +336,8 @@ def _verify_checks(args, cap: int) -> list[dict]:
     def add(name: str, scope: str, passed: bool, detail: str = "") -> None:
         checks.append({"name": name, "scope": scope, "passed": passed, "detail": detail})
 
-    # 1. The four symbolic methods agree (Euler identity is enforced inside
-    #    euler_counts at construction).
+    # 1. The four symbolic methods agree (the Euler route counts V and E by
+    #    rule and gets F from Euler's formula).
     mismatch = None
     for m in range(1, max_m + 1):
         values = {

@@ -265,24 +265,31 @@ def format_polynomial(poly: Polynomial, variable: str = "n") -> str:
     if poly.is_zero:
         return "0"
     denominator = math.lcm(*(c.denominator for c in poly.coefficients))
+    monomials = ["", variable] + [f"{variable}^{k}" for k in range(2, poly.degree + 1)]
     scaled = [int(c * denominator) for c in poly.coefficients]
-    pieces: list[str] = []
-    for power in range(len(scaled) - 1, -1, -1):
-        coeff = scaled[power]
-        if coeff == 0:
-            continue
-        sign = "-" if coeff < 0 else "+"
-        magnitude = abs(coeff)
-        if power == 0:
-            body = str(magnitude)
-        else:
-            var = variable if power == 1 else f"{variable}^{power}"
-            body = var if magnitude == 1 else f"{magnitude}*{var}"
-        if not pieces:
-            pieces.append(body if sign == "+" else f"-{body}")
-        else:
-            pieces.append(f" {sign} {body}")
-    text = "".join(pieces)
+    text = format_signed_terms(reversed(list(zip(scaled, monomials))))
     if denominator == 1:
         return text
     return f"({text})/{denominator}"
+
+
+def format_signed_terms(terms: Iterable[tuple[RationalLike, str]]) -> str:
+    """Join (coefficient, monomial) pairs into a sum like ``x - 5/2*y + 3``.
+
+    Zero terms are skipped, a unit coefficient is implicit, and "" marks
+    the constant term.
+    """
+    text = ""
+    for coeff, monomial in terms:
+        if coeff == 0:
+            continue
+        magnitude = abs(coeff)
+        if not monomial:
+            body = str(magnitude)
+        else:
+            body = monomial if magnitude == 1 else f"{magnitude}*{monomial}"
+        if text:
+            text += f" {'-' if coeff < 0 else '+'} {body}"
+        else:
+            text = f"-{body}" if coeff < 0 else body
+    return text

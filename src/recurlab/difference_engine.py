@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core_numeric import Polynomial, Rational, as_rational, binomial, format_polynomial
+from .core_numeric import (
+    Polynomial,
+    Rational,
+    as_rational,
+    binomial,
+    format_polynomial,
+    format_signed_terms,
+)
 from .errors import NoConstantRowError
 
 
@@ -53,10 +60,6 @@ class DifferenceTable:
 
     rows: tuple[tuple[Rational, ...], ...]
     constant_depth: int | None
-
-    @property
-    def sequence(self) -> tuple[Rational, ...]:
-        return self.rows[0]
 
 
 @dataclass(frozen=True)
@@ -94,19 +97,11 @@ class LinearRecurrence:
     def describe(self, variable: str = "n") -> str:
         """Human-readable equation, e.g. ``a[n+4] - 4*a[n+3] + ... + a[n] = 1``."""
         d = self.order
-        pieces: list[str] = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
-                continue
-            shift = d - k
-            term = f"a[{variable}]" if shift == 0 else f"a[{variable}+{shift}]"
-            magnitude = abs(c)
-            body = term if magnitude == 1 else f"{magnitude}*{term}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f" {'+' if c > 0 else '-'} {body}")
-        return "".join(pieces) + " = " + format_polynomial(self.rhs, variable)
+        lhs = format_signed_terms(
+            (c, f"a[{variable}]" if k == d else f"a[{variable}+{d - k}]")
+            for k, c in enumerate(self.coefficients)
+        )
+        return f"{lhs} = {format_polynomial(self.rhs, variable)}"
 
 
 def _is_constant(row: tuple[Rational, ...]) -> bool:

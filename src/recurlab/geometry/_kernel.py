@@ -3,21 +3,21 @@
 Works purely on integer homogeneous coordinates:
 
 - point i of the circle is (px[i], py[i], pw[i]) with pw > 0;
-- chord c joins points ca[c], cb[c] and lies on the line
+- chord c joins points ca[c] < cb[c] and lies on the line
   (lx[c], ly[c], lw[c]) (the cross product of its endpoint triples).
 
 For each chord pair (i, j) with start <= i < stop, j > i and no shared
 endpoint, the chords cross in the open disk exactly when each chord's
 endpoints lie strictly on opposite sides of the other chord's line — four
 integer sign tests.  The crossing point is the cross product of the two
-lines, normalized to gcd 1 with positive last coordinate so equal points
-get equal triples.
+lines, divided by the gcd of its coordinates so equal points get equal
+triples.
 
-The circle points are distinct (``build_arrangement`` rejects duplicate
-triples), and no three distinct points of a circle are collinear, since a
-line meets a circle at most twice.  So a chord's line never passes through
-a circle point other than its own endpoints, and none of the four sign
-tests is ever zero.
+``intersect_chords`` passes distinct circle points in counterclockwise
+order, and the chords in lexicographic order.  No three distinct points of
+a circle are collinear, since a line meets a circle at most twice.  So a
+chord's line never passes through a circle point other than its own
+endpoints, and none of the four sign tests is ever zero.
 
 Each sign test asks on which side of chord c's line circle point p lies,
 and that depends on (c, p) alone, not on the pair being tested.  So the
@@ -33,6 +33,15 @@ bit 0; pairs that share an endpoint are skipped before any bit is read.
 On a circle the four endpoints are in convex position, so either pair of
 tests alone already decides a crossing; the kernel keeps both, so the
 crossing test does not rest on that.
+
+The crossing's last coordinate w is positive, so the divided triple is
+canonical: gcd 1 and W > 0.  Crossing chords i < j join points a < b and
+c < d with a < c (no shared endpoint), and c, d lie on opposite arcs of
+chord (a, b): the indices between a and b, and the rest.  With a < c < d,
+that means a < c < b < d, in counterclockwise order.  As
+(A x B) x (C x D) = det(A, B, D) C - det(A, B, C) D, w is a positive
+multiple of cross(b - a, d - a) - cross(b - a, c - a) = cross(b - a, d - c),
+twice the signed area of the convex quadrilateral a, c, b, d.  So w > 0.
 """
 
 from math import gcd
@@ -82,15 +91,11 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
             m0 = lx[j]
             m1 = ly[j]
             m2 = lw[j]
-            # w = 0 would make the lines parallel or equal.  They are not
-            # equal, because c is strictly off line i; and they are not
-            # parallel, because segment cd lies on line j and crosses line
-            # i (c and d are strictly on opposite sides of it).  So w != 0.
             x = l1 * m2 - l2 * m1
             y = l2 * m0 - l0 * m2
             w = l0 * m1 - l1 * m0
-            if w < 0:
-                x, y, w = -x, -y, -w
+            # Positive by the module docstring's quadrilateral argument.
+            assert w > 0
             g = gcd(x, y, w)
             point = (x // g, y // g, w // g)
             pair = (i, j)

@@ -1,11 +1,11 @@
 """Chord arrangements: exact intersection and region counting.
 
-The brute-force geometric oracle, in two steps.  ``build_arrangement``
-puts m distinct points on the unit circle in angular order, and
-``intersect_chords`` draws all C(m, 2) chords between them and finds every
-interior intersection point in exact integer arithmetic, giving a complete
-``ChordArrangement``.  ``count_regions`` then counts regions via Euler's
-formula
+The brute-force geometric oracle.  ``intersect_chords`` takes m circle
+points in any order, puts them in angular order with ``build_arrangement``
+(which rejects a repeated point), draws all C(m, 2) chords between them and
+finds every interior intersection point in exact integer arithmetic, giving
+a complete ``ChordArrangement``.  ``count_regions`` then counts regions via
+Euler's formula
 
     regions inside the disk = E - V + 1
 
@@ -144,8 +144,8 @@ class GeometricVerdict:
 def build_arrangement(points: Iterable[CirclePoint]) -> tuple[CirclePoint, ...]:
     """The given circle points in counterclockwise angular order.
 
-    This is the point-placement step: ``intersect_chords`` turns its result
-    into a complete arrangement.  A repeated point raises ValueError.
+    This is the point-placement step of ``intersect_chords``.  A repeated
+    point raises ValueError.
     """
     ordered: list[CirclePoint] = []
     seen: set[tuple[int, int, int]] = set()
@@ -181,13 +181,18 @@ def _chord_lines(
 def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     """The complete arrangement of all chords between ``points``, exactly.
 
-    ``points`` must be distinct and in angular order, as
-    ``build_arrangement`` returns them.  The kernel tests every chord pair
-    without a shared endpoint for a proper crossing by integer orientation
-    signs and returns the ``crossings`` map itself: one entry per crossing
-    point's canonical homogeneous triple, with every chord through it.
+    ``points`` may come in any order: ``build_arrangement`` sorts them by
+    angle.  A repeated point or an empty input raises ValueError, so the
+    kernel, ``count_regions`` and ``count_faces`` always get at least one
+    point, all distinct and in angular order.  The kernel tests every chord
+    pair without a shared endpoint for a proper crossing by integer
+    orientation signs and returns the ``crossings`` map itself: one entry
+    per crossing point's canonical homogeneous triple, with every chord
+    through it.
     """
-    points = tuple(points)
+    points = build_arrangement(points)
+    if not points:
+        raise ValueError("arrangement needs at least one point")
     chords = tuple(itertools.combinations(range(len(points)), 2))
     px = [p.triple[0] for p in points]
     py = [p.triple[1] for p in points]
@@ -221,8 +226,6 @@ def count_regions(arr: ChordArrangement) -> RegionReport:
     point changes V and E and the count drops accordingly.
     """
     m = arr.m
-    if m < 1:
-        raise ValueError("arrangement needs at least one point")
     vertices = m + len(arr.crossings)
     edges = m + len(arr.chords) + sum(map(len, arr.crossings.values()))
     regions = edges - vertices + 1
@@ -291,7 +294,7 @@ def generic_arrangement(m: int, *, variant: int = 0, seed: int | None = None) ->
             params = generic_parameters(m, variant=variant, attempt=attempt)
         else:
             params = seeded_parameters(m, seed=seed, attempt=attempt)
-        arr = intersect_chords(build_arrangement(map(CirclePoint, params)))
+        arr = intersect_chords(map(CirclePoint, params))
         if arr.general_position:
             return arr
     raise DegeneracyBudgetError(
@@ -301,7 +304,7 @@ def generic_arrangement(m: int, *, variant: int = 0, seed: int | None = None) ->
 
 def hexagon_arrangement() -> ChordArrangement:
     """The exactly symmetric degenerate hexagon, fully intersected."""
-    return intersect_chords(build_arrangement(map(CirclePoint, hexagon_parameters())))
+    return intersect_chords(map(CirclePoint, hexagon_parameters()))
 
 
 def verify_against_formula(m: int, trials: int, *, seed: int | None = None) -> GeometricVerdict:

@@ -36,8 +36,6 @@ from .arrangement import ChordArrangement
 def count_faces(arr: ChordArrangement) -> int:
     """Number of faces of the arrangement, unbounded face included."""
     m = arr.m
-    if m < 1:
-        raise ValueError("arrangement needs at least one point")
 
     # Vertex ids: circle points first, then interior points.
     triples = [p.triple for p in arr.points]

@@ -7,8 +7,8 @@ Points are generated by the tangent half-angle parametrization
 which hits every rational point of the unit circle except (-1, 0); that
 one point is represented by the parameter "infinity" (``t = None``).  As
 t sweeps -oo -> +oo the point sweeps the circle counterclockwise from
-just above (-1, 0) around to just below it, so sorting finite parameters
-ascending (infinity last) sorts points by angle.
+just below (-1, 0) around to just above it (t = -1000 gives y < 0), so
+sorting finite parameters ascending (infinity last) sorts points by angle.
 
 Each point also carries integer homogeneous coordinates (X, Y, W) with
 x = X/W, y = Y/W, gcd = 1 and W > 0 — the representation the intersection

@@ -141,12 +141,7 @@ class ClosedForm:
             if root == 1:
                 pieces.append(body)
             else:
-                base = (
-                    str(root.numerator)
-                    if root.denominator == 1
-                    else f"{root.numerator}/{root.denominator}"
-                )
-                base = f"({base})" if (root < 0 or root.denominator != 1) else base
+                base = f"({root})" if root < 0 or root.denominator != 1 else str(root)
                 factor = f"{base}^{variable}"
                 pieces.append(factor if body == "1" else f"({body}) * {factor}")
         return " + ".join(pieces)
@@ -367,20 +362,15 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     except SingularMatrixError as exc:  # fundamental system: cannot happen
         raise AssertionError("initial-condition system cannot be singular") from exc
 
-    combined: dict[Rational, list[Rational]] = {}
-    for (root, j), amplitude in zip(basis, amplitudes):
-        coeffs = combined.setdefault(root, [])
-        while len(coeffs) <= j:
-            coeffs.append(Fraction(0))
-        coeffs[j] = amplitude
-    one = Fraction(1)
-    if not particular.is_zero:
-        coeffs = combined.setdefault(one, [])
-        poly = Polynomial(coeffs) + particular
-        combined[one] = list(poly.coefficients)
-
-    terms = tuple((root, Polynomial(coeffs)) for root, coeffs in combined.items())
-    return ClosedForm(terms=terms, method="charpoly")
+    # Each root's amplitudes, ascending in j, are its polynomial's
+    # coefficients; the particular solution belongs to root 1.
+    polys = {Fraction(1): particular}
+    start = 0
+    for rm in roots:
+        stop = start + rm.multiplicity
+        polys[rm.root] = Polynomial(amplitudes[start:stop]) + polys.get(rm.root, Polynomial.zero())
+        start = stop
+    return ClosedForm(terms=tuple(polys.items()), method="charpoly")
 
 
 def to_moser_variable(form: ClosedForm) -> ClosedForm:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import (
+    LinearRecurrence,
     NoConstantRowError,
     Polynomial,
     Sequence,
@@ -151,6 +152,23 @@ class TestInferRecurrence:
     def test_no_constant_row_raises(self):
         with pytest.raises(NoConstantRowError):
             infer_recurrence(build_difference_table(seq(1, 2, 4, 8, 16)))
+
+    def test_describe_text_is_pinned(self):
+        # Literal text: rational, negative and zero coefficients, and
+        # non-constant right-hand sides.
+        F = Fraction
+        cases = [
+            ((1, F(-5, 2), F(3, 2)), (F(1, 3), -2), "a[{v}+2] - 5/2*a[{v}+1] + 3/2*a[{v}] = (-6*{v} + 1)/3"),
+            ((1, 0, -1), (0, 0, F(-1, 4)), "a[{v}+2] - a[{v}] = (-{v}^2)/4"),
+            ((1, 0, F(2, 7), 0, -3), (), "a[{v}+4] + 2/7*a[{v}+2] - 3*a[{v}] = 0"),
+            ((1, -1), (5,), "a[{v}+1] - a[{v}] = 5"),
+            ((1, 1, -2), (-1, F(3, 5)), "a[{v}+2] + a[{v}+1] - 2*a[{v}] = (3*{v} - 5)/5"),
+        ]
+        for coefficients, rhs, text in cases:
+            order = len(coefficients) - 1
+            rec = LinearRecurrence(coefficients, Polynomial(rhs), tuple(range(order)))
+            assert rec.describe() == text.format(v="n")
+            assert rec.describe("m") == text.format(v="m")
 
 
 class TestIterateRecurrence:

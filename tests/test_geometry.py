@@ -331,6 +331,17 @@ class TestIntersection:
             (a, b), (c, d) = (arr.chords[i] for i in p.chords)
             assert {a, b} & {c, d} == set()
 
+    def test_points_in_any_order(self):
+        # intersect_chords orders the points itself, so both routes see the
+        # same arrangement whatever order the points come in.
+        arr = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
+        assert [p.parameter_text for p in arr.points] == ["-2/1", "0/1", "1/1", "3/1", "7/1"]
+        assert count_faces(arr) == count_regions(arr).regions + 1 == 17
+
+    def test_repeated_point_rejected(self):
+        with pytest.raises(ValueError, match="duplicate circle point at parameter 1/1"):
+            intersect_chords(CirclePoint(F(t)) for t in (0, 1, 1, 3))
+
     def test_kernel_row_ranges_concatenate(self):
         # Pairs are tested in (i, j) order, so splitting the outer chord
         # range at any k and extending the first map by the second, uniting
@@ -487,10 +498,9 @@ class TestFaceWalk:
         assert count_faces(arr) == count_regions(arr).regions + 1
 
     def test_empty_arrangement_rejected(self):
-        arr = intersect_chords(build_arrangement([]))
-        for count in (count_faces, count_regions):
-            with pytest.raises(ValueError, match="at least one point"):
-                count(arr)
+        # No arrangement without points reaches count_faces or count_regions.
+        with pytest.raises(ValueError, match="at least one point"):
+            intersect_chords([])
 
     def test_regular_approx_odd_m(self):
         arr = intersect_chords(_regular_approx_points(7))

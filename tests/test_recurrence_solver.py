@@ -267,6 +267,35 @@ class TestClosedForm:
         assert form.evaluate(17) == 0
         assert form.polynomial_form() == Polynomial.zero()
 
+    def test_describe_text_is_pinned(self):
+        # Literal text: every root shape (integer, negative, fractional, 1),
+        # polynomial and constant coefficients, in both variables.
+        P = Polynomial
+        cases = [
+            (
+                (
+                    (F(3), P((2,))),
+                    (F(-2), P((0, F(-1, 2)))),
+                    (F(1, 2), P((F(1, 3), 0, 5))),
+                    (F(-1, 3), P((-1,))),
+                    (F(1), P((4, -1))),
+                ),
+                "((-{v})/2) * (-2)^{v} + (-1) * (-1/3)^{v} + ((15*{v}^2 + 1)/3) * (1/2)^{v}"
+                " + -{v} + 4 + (2) * 3^{v}",
+            ),
+            (((F(-2), P((1,))),), "(-2)^{v}"),
+            (((F(1, 2), P((0, 1))),), "({v}) * (1/2)^{v}"),
+            (((F(-1, 3), P((F(-7, 3),))),), "((-7)/3) * (-1/3)^{v}"),
+            (((F(1), P((1,))),), "1"),
+            (((F(3), P((F(1, 6), F(-1, 2)))),), "((-3*{v} + 1)/6) * 3^{v}"),
+            ((), "0"),
+            (((F(2), P.zero()),), "0"),
+        ]
+        for terms, text in cases:
+            for offset, v in ((0, "n"), (1, "m")):
+                form = ClosedForm(terms=terms, method="charpoly", variable_offset=offset)
+                assert form.describe() == text.format(v=v)
+
 
 class TestToMoserVariable:
     def test_region_quartic(self, moser_recurrence):
