@@ -7,7 +7,7 @@ The pipeline, all in exact rational arithmetic:
    constant right-hand side.
 2. ``recurrence_solver``: closed form via the characteristic polynomial,
    resonance-aware undetermined coefficients solved from power moments,
-   and exact elimination for the initial conditions.
+   and fraction-free elimination for the initial conditions.
 3. ``genfunc_solver``: the same closed form by an independent route —
    ordinary generating function, partial fractions by local expansion at
    each root, coefficient extraction.  It shares the root finder with

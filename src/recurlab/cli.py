@@ -25,7 +25,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core_numeric import format_polynomial, format_rational, parse_rational
+from .core_numeric import format_polynomial, format_quotient, format_rational, parse_rational
 from .difference_engine import (
     LinearRecurrence,
     Sequence,
@@ -160,26 +160,29 @@ def _geometry_cap(args) -> int:
 def cmd_table(args) -> int:
     seq, inputs = _resolve_sequence(args)
     table = build_difference_table(seq, args.max_depth)
-    next_term = None if table.constant_depth is None else predict_next(table)
+    depth = table.constant_depth
+    next_term = None if depth is None else predict_next(table)
 
-    result = {
-        "rows": [[format_rational(v) for v in row] for row in table.rows],
-        "constant_depth": table.constant_depth,
-        "next": None if next_term is None else format_rational(next_term),
-    }
-    envelope = _envelope("table", inputs, ["differences"], result, agreement=None)
+    # Only the printed view is built, not both for _emit: the table can hold
+    # tens of thousands of cells, each written from its integer numerator.
+    cells = [[format_quotient(v, table.denominator, args.json) for v in row] for row in table.rows]
+    if args.json:
+        next_text = None if next_term is None else format_rational(next_term)
+        result = {"rows": cells, "constant_depth": depth, "next": next_text}
+        print(json.dumps(_envelope("table", inputs, ["differences"], result, None), indent=2))
+        return EXIT_OK
 
-    human = []
-    for depth, row in enumerate(table.rows):
-        label = "sequence " if depth == 0 else f"depth {depth}  "
-        human.append(f"{label}: " + " ".join(str(v) for v in row))
-    if table.constant_depth is None:
+    human = [
+        ("sequence " if d == 0 else f"depth {d}  ") + ": " + " ".join(row)
+        for d, row in enumerate(cells)
+    ]
+    if depth is None:
         human.append("constant row: none certified")
         human.append("next term: unknown")
     else:
-        human.append(f"constant row: depth {table.constant_depth}")
+        human.append(f"constant row: depth {depth}")
         human.append(f"next term: {next_term}")
-    _emit(args, envelope, human)
+    print("\n".join(human))
     return EXIT_OK
 
 

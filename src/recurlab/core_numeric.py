@@ -235,6 +235,15 @@ class Polynomial:
         return format_polynomial(self)
 
 
+def clear_denominators(values: tuple[Rational, ...]) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over the lcm of their denominators.
+
+    ``(1/2, 3, -5/6)`` -> ``([3, 18, -5], 6)``; the lcm is 1 for integers.
+    """
+    denominator = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (denominator // v.denominator) for v in values], denominator
+
+
 def format_rational(value: RationalLike) -> str:
     """Render as ``p/q`` with the denominator always explicit (``3`` -> ``3/1``).
 
@@ -242,7 +251,24 @@ def format_rational(value: RationalLike) -> str:
     can parse one shape unconditionally.
     """
     value = as_rational(value)
-    return f"{value.numerator}/{value.denominator}"
+    return format_quotient(value.numerator, value.denominator)
+
+
+def format_quotient(numerator: int, denominator: int, wire: bool = True) -> str:
+    """Render the integer quotient ``numerator/denominator`` in lowest terms.
+
+    ``denominator`` must be positive.  With ``wire`` the denominator is
+    always explicit, as in :func:`format_rational` (``6, 2`` -> ``3/1``);
+    without it a whole number prints bare, as ``str`` of a ``Fraction``
+    does (``6, 2`` -> ``3``, ``3, 6`` -> ``1/2``).
+    """
+    if denominator != 1:
+        common = math.gcd(numerator, denominator)
+        numerator //= common
+        denominator //= common
+        if denominator != 1:
+            return f"{numerator}/{denominator}"
+    return f"{numerator}/1" if wire else str(numerator)
 
 
 def parse_rational(text: str) -> Rational:
@@ -264,9 +290,8 @@ def format_polynomial(poly: Polynomial, variable: str = "n") -> str:
     """
     if poly.is_zero:
         return "0"
-    denominator = math.lcm(*(c.denominator for c in poly.coefficients))
+    scaled, denominator = clear_denominators(poly.coefficients)
     monomials = ["", variable] + [f"{variable}^{k}" for k in range(2, poly.degree + 1)]
-    scaled = [int(c * denominator) for c in poly.coefficients]
     text = format_signed_terms(reversed(list(zip(scaled, monomials))))
     if denominator == 1:
         return text

@@ -1,11 +1,13 @@
 """Successive-difference analysis of exact sequences.
 
 Given a sequence, build the table of successive differences row by row.
-If some row becomes constant (witnessed by at least two equal entries),
-the sequence is generated by a linear recurrence with constant coefficients
+The table is integer: the terms are scaled once by their common
+denominator D, and every row holds integer numerators over D.  If some
+row becomes constant (witnessed by at least two equal entries), the
+sequence is generated by a linear recurrence with constant coefficients
 and a constant right-hand side, and this module recovers it:
 
-    row d constant  =>  sum_{k=0..d} (-1)^k C(d,k) a_{n+d-k} = rows[d][0]
+    row d constant  =>  sum_{k=0..d} (-1)^k C(d,k) a_{n+d-k} = rows[d][0] / D
 
 The alternating-binomial left side is exactly the d-th finite difference,
 so the recurrence is monic of order d with the first d terms as initial
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterator
 
 from .core_numeric import (
@@ -24,6 +27,7 @@ from .core_numeric import (
     Rational,
     as_rational,
     binomial,
+    clear_denominators,
     format_polynomial,
     format_signed_terms,
 )
@@ -51,15 +55,19 @@ class Sequence:
 
 @dataclass(frozen=True)
 class DifferenceTable:
-    """Rows of successive differences; rows[0] is the input sequence.
+    """Rows of successive differences, as integer numerators over ``denominator``.
 
+    ``denominator`` is the lcm of the input terms' denominators (1 for an
+    integer sequence), so ``rows[d][i] / denominator`` is the exact entry
+    and ``rows[0]`` is the input sequence scaled by it.
     ``constant_depth`` is the depth of the first row certified constant
     (>= 2 equal entries), or None if no row could be certified before the
     table bottomed out or hit its depth limit.
     """
 
-    rows: tuple[tuple[Rational, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     constant_depth: int | None
+    denominator: int
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,9 @@ class LinearRecurrence:
         return f"{lhs} = {format_polynomial(self.rhs, variable)}"
 
 
-def _is_constant(row: tuple[Rational, ...]) -> bool:
+def _is_constant(row: tuple[int, ...]) -> bool:
     """Constancy certified only with >= 2 entries; a single entry never counts."""
-    return len(row) >= 2 and all(entry == row[0] for entry in row)
+    return len(row) >= 2 and row.count(row[0]) == len(row)
 
 
 def build_difference_table(seq: Sequence, max_depth: int | None = None) -> DifferenceTable:
@@ -115,6 +123,8 @@ def build_difference_table(seq: Sequence, max_depth: int | None = None) -> Diffe
     Stops at the first constant row, at ``max_depth``, or when the next row
     would be empty — whichever comes first.  ``max_depth`` defaults to
     ``len(seq) - 2``, the deepest row that can still hold two entries.
+    The terms are scaled once by their common denominator and the rows are
+    differenced in integers.
 
     Examples::
 
@@ -129,29 +139,31 @@ def build_difference_table(seq: Sequence, max_depth: int | None = None) -> Diffe
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
 
-    rows: list[tuple[Rational, ...]] = [tuple(seq.terms)]
+    numerators, denominator = clear_denominators(seq.terms)
+    rows = [tuple(numerators)]
     depth: int | None = 0 if _is_constant(rows[0]) else None
     while depth is None and len(rows) - 1 < max_depth and len(rows[-1]) >= 2:
         current = rows[-1]
-        nxt = tuple(current[i + 1] - current[i] for i in range(len(current) - 1))
+        nxt = tuple(map(sub, current[1:], current))
         rows.append(nxt)
         if _is_constant(nxt):
             depth = len(rows) - 1
-    return DifferenceTable(tuple(rows), depth)
+    return DifferenceTable(tuple(rows), depth, denominator)
 
 
 def predict_next(table: DifferenceTable) -> Rational:
     """Next term: the sum of each row's last entry, constant row up to row 0.
 
     For (1, 2, 4, 8, 16, 31) the last entries are 1, 3, 7, 15, 31 and the
-    prediction is 57.
+    prediction is 57.  The integer sum is divided once by the table's
+    denominator.
     """
     depth = table.constant_depth
     if depth is None:
         raise NoConstantRowError(
             "no constant difference row was certified; cannot predict the next term"
         )
-    return sum((row[-1] for row in table.rows[: depth + 1]), start=Fraction(0))
+    return Fraction(sum(row[-1] for row in table.rows[: depth + 1]), table.denominator)
 
 
 def infer_recurrence(table: DifferenceTable) -> LinearRecurrence:
@@ -168,11 +180,12 @@ def infer_recurrence(table: DifferenceTable) -> LinearRecurrence:
             "no constant difference row was certified; cannot infer a recurrence"
         )
     sequence = table.rows[0]
+    denominator = table.denominator
     if depth == 0:
         return LinearRecurrence(
             coefficients=(Fraction(1), Fraction(-1)),
             rhs=Polynomial.zero(),
-            initial_conditions=(sequence[0],),
+            initial_conditions=(Fraction(sequence[0], denominator),),
         )
     if len(sequence) < depth + 1:
         raise ValueError(
@@ -181,8 +194,8 @@ def infer_recurrence(table: DifferenceTable) -> LinearRecurrence:
     coefficients = tuple(Fraction((-1) ** k * binomial(depth, k)) for k in range(depth + 1))
     return LinearRecurrence(
         coefficients=coefficients,
-        rhs=Polynomial.constant(table.rows[depth][0]),
-        initial_conditions=tuple(sequence[:depth]),
+        rhs=Polynomial.constant(Fraction(table.rows[depth][0], denominator)),
+        initial_conditions=tuple(Fraction(a, denominator) for a in sequence[:depth]),
     )
 
 

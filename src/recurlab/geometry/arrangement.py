@@ -82,12 +82,23 @@ class ChordArrangement:
     deduplicated interior point's canonical triple (X, Y, W) to the sorted
     indices of all chords through it, in the kernel's first-hit order, and
     ``concurrent`` lists the triples where three or more chords meet.
+
+    Construction checks the point invariants every count relies on: at
+    least one point, in strictly increasing ``angle_key`` order (so also
+    distinct).  A ValueError names the one that fails.
     """
 
     points: tuple[CirclePoint, ...]
     chords: tuple[tuple[int, int], ...]
     crossings: dict[tuple[int, int, int], tuple[int, ...]]
     concurrent: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        if not self.points:
+            raise ValueError("arrangement needs at least one point")
+        keys = [p.angle_key for p in self.points]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("arrangement points must be in strictly increasing angular order")
 
     @property
     def m(self) -> int:
@@ -191,8 +202,6 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     through it.
     """
     points = build_arrangement(points)
-    if not points:
-        raise ValueError("arrangement needs at least one point")
     chords = tuple(itertools.combinations(range(len(points)), 2))
     px = [p.triple[0] for p in points]
     py = [p.triple[1] for p in points]

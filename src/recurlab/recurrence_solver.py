@@ -11,8 +11,8 @@ The route, entirely in exact rational arithmetic:
    root 1.  The power moments mu_t = sum_k c_k k^t make the coefficient
    match triangular, so q comes from back-substitution, with no linear
    system.
-4. Fit the homogeneous coefficients to the initial conditions by exact
-   Gaussian elimination.
+4. Fit the homogeneous coefficients to the initial conditions by
+   fraction-free (Bareiss) elimination in integers.
 
 Only recurrences whose characteristic roots are all rational and nonzero
 are solvable here; anything else raises UnsupportedRootsError naming the
@@ -32,6 +32,7 @@ from .core_numeric import (
     RationalLike,
     as_rational,
     binomial,
+    clear_denominators,
     format_polynomial,
     format_rational,
 )
@@ -144,7 +145,11 @@ class ClosedForm:
                 base = f"({root})" if root < 0 or root.denominator != 1 else str(root)
                 factor = f"{base}^{variable}"
                 pieces.append(factor if body == "1" else f"({body}) * {factor}")
-        return " + ".join(pieces)
+        # Only a root-1 polynomial can lead with a sign; join it by that sign.
+        text = pieces[0]
+        for piece in pieces[1:]:
+            text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+        return text
 
 
 def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
@@ -208,8 +213,7 @@ def rational_roots(poly: Polynomial) -> tuple[list[RootMultiplicity], Polynomial
         roots.append(RootMultiplicity(Fraction(0), zero_mult))
 
     if work.degree >= 1:
-        denom_lcm = math.lcm(*(c.denominator for c in work.coefficients))
-        ints = [int(c * denom_lcm) for c in work.coefficients]
+        ints, _ = clear_denominators(work.coefficients)
         content = math.gcd(*ints)
         constant = abs(ints[0]) // content
         leading = abs(ints[-1]) // content
@@ -236,10 +240,13 @@ def rational_roots(poly: Polynomial) -> tuple[list[RootMultiplicity], Polynomial
 
 
 def gaussian_solve(matrix: ExactMatrix, rhs: SequenceABC[RationalLike]) -> list[Rational]:
-    """Solve a square exact linear system by elimination with exact pivots.
+    """Solve a square exact linear system by fraction-free elimination.
 
-    Pivoting picks the first row with a nonzero entry in the current
-    column — exact arithmetic needs no magnitude-based pivoting.  Raises
+    Each augmented row is scaled to integers by the lcm of its denominators
+    and eliminated by Bareiss's rule: each update is divided exactly by the
+    previous pivot, since by Sylvester's identity every entry is a minor.
+    ``Fraction`` appears only in back-substitution.  Pivoting picks the
+    first row with a nonzero entry in the current column.  Raises
     SingularMatrixError (carrying the achieved rank) when the system has
     no unique solution.
     """
@@ -250,19 +257,23 @@ def gaussian_solve(matrix: ExactMatrix, rhs: SequenceABC[RationalLike]) -> list[
         raise ValueError(f"right-hand side length {len(rhs)} != {n_rows}")
 
     n = n_rows
-    aug = [list(row) + [as_rational(rhs[i])] for i, row in enumerate(matrix.rows)]
+    aug = [clear_denominators(row + (as_rational(b),))[0] for row, b in zip(matrix.rows, rhs)]
     rank = 0
+    previous = 1
     for col in range(n):
         pivot_row = next((r for r in range(rank, n) if aug[r][col] != 0), None)
         if pivot_row is None:
             continue
         aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        pivot = aug[rank][col]
+        top = aug[rank]
+        pivot = top[col]
         for r in range(rank + 1, n):
-            factor = aug[r][col] / pivot
-            if factor:
-                for c in range(col, n + 1):
-                    aug[r][c] -= factor * aug[rank][c]
+            row = aug[r]
+            factor = row[col]
+            # Entries at or left of col are never read again; not cleared.
+            for c in range(col + 1, n + 1):
+                row[c] = (pivot * row[c] - factor * top[c]) // previous
+        previous = pivot
         rank += 1
     if rank < n:
         raise SingularMatrixError(
@@ -271,7 +282,7 @@ def gaussian_solve(matrix: ExactMatrix, rhs: SequenceABC[RationalLike]) -> list[
 
     solution = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
-        acc = aug[i][n]
+        acc = Fraction(aug[i][n])
         for j in range(i + 1, n):
             acc -= aug[i][j] * solution[j]
         solution[i] = acc / aug[i][i]
@@ -351,12 +362,14 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     basis = [(rm.root, j) for rm in roots for j in range(rm.multiplicity)]
     assert len(basis) == d, "root multiplicities must sum to the order"
 
+    # Row n is scaled by scale^n, which keeps the solution and makes every
+    # entry n^j * (scale * root)^n an integer.
+    scaled_roots, scale = clear_denominators(tuple(root for root, _ in basis))
     rows = []
     target = []
     for n in range(d):
-        point = Fraction(n)
-        rows.append([point**j * root**n for root, j in basis])
-        target.append(rec.initial_conditions[n] - particular.evaluate(n))
+        rows.append([n**j * r**n for r, (_, j) in zip(scaled_roots, basis)])
+        target.append((rec.initial_conditions[n] - particular.evaluate(n)) * scale**n)
     try:
         amplitudes = gaussian_solve(ExactMatrix.from_rows(rows), target)
     except SingularMatrixError as exc:  # fundamental system: cannot happen

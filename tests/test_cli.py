@@ -70,6 +70,84 @@ verdict: all checks passed
 VERIFY_SEEDED_JSON_SHA256 = "ac2e97d5b54e31233c6c0eace91f13ad3313ed49d238a27d27b6943ecedfe82a"
 
 
+# Pinned `table` and `solve` inputs: rational terms with a common
+# denominator, the rational sequence whose recurrence prints `(2)/3`, and a
+# mixed-sign cubic.  Human stdout is pinned as text, `--json` stdout by its
+# sha256; every run exits 0.
+PIN_HALVES = "--seq=1/2,3/2,5/2"
+PIN_RATIONAL = "--seq=1/7,-1/42,10/21,23/14,73/21,251/42,64/7,545/42,367/21"
+PIN_MIXED_SIGN = "--seq=4,-2,-14,-20,-8,34,118,256"
+
+TABLE_PINS = {
+    PIN_HALVES: (
+        """\
+sequence : 1/2 3/2 5/2
+depth 1  : 1 1
+constant row: depth 1
+next term: 7/2
+""",
+        "6fd118e1c03350345dddd545885c32cdf81b4b82ac2c5212c383e36488b91b0a",
+    ),
+    PIN_RATIONAL: (
+        """\
+sequence : 1/7 -1/42 10/21 23/14 73/21 251/42 64/7 545/42 367/21
+depth 1  : -1/6 1/2 7/6 11/6 5/2 19/6 23/6 9/2
+depth 2  : 2/3 2/3 2/3 2/3 2/3 2/3 2/3
+constant row: depth 2
+next term: 317/14
+""",
+        "c71f8ef052cc9f419eeb7ba76b60e5b6d19e1c1cb882fe3142e86bc1c2d243e3",
+    ),
+    PIN_MIXED_SIGN: (
+        """\
+sequence : 4 -2 -14 -20 -8 34 118 256
+depth 1  : -6 -12 -6 12 42 84 138
+depth 2  : -6 6 18 30 42 54
+depth 3  : 12 12 12 12 12
+constant row: depth 3
+next term: 460
+""",
+        "9f0095fa49d5bb740a883fdf043aed5ca37d8969fb46bd26e1aaa84569a75229",
+    ),
+}
+
+SOLVE_PINS = {
+    PIN_HALVES: (
+        """\
+recurrence: a[n+1] - a[n] = 1
+closed form [charpoly]: a(n) = (2*n + 1)/2
+  in m = n + 1: (2*m - 1)/2
+closed form [genfunc]: a(n) = (2*n + 1)/2
+  in m = n + 1: (2*m - 1)/2
+methods agree: yes
+""",
+        "781e8021697d6bdc38b7043602ccf3764a1effa8f1a45e095af622bdd44aca5c",
+    ),
+    PIN_RATIONAL: (
+        """\
+recurrence: a[n+2] - 2*a[n+1] + a[n] = (2)/3
+closed form [charpoly]: a(n) = (14*n^2 - 21*n + 6)/42
+  in m = n + 1: (14*m^2 - 49*m + 41)/42
+closed form [genfunc]: a(n) = (14*n^2 - 21*n + 6)/42
+  in m = n + 1: (14*m^2 - 49*m + 41)/42
+methods agree: yes
+""",
+        "69dae0126a092d5f068e9034f32d434d00701d1c34e92a8b366cd04e04ee3838",
+    ),
+    PIN_MIXED_SIGN: (
+        """\
+recurrence: a[n+3] - 3*a[n+2] + 3*a[n+1] - a[n] = 12
+closed form [charpoly]: a(n) = 2*n^3 - 9*n^2 + n + 4
+  in m = n + 1: 2*m^3 - 15*m^2 + 25*m - 8
+closed form [genfunc]: a(n) = 2*n^3 - 9*n^2 + n + 4
+  in m = n + 1: 2*m^3 - 15*m^2 + 25*m - 8
+methods agree: yes
+""",
+        "edfef683d084692096ef6d5e32c7e78ec1e184575c32ddb2e7663bc1847010c0",
+    ),
+}
+
+
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -81,7 +159,18 @@ def run_json(argv, capsys):
     return code, json.loads(out), err
 
 
+def check_pins(command, pins, capsys):
+    for seq, (human, json_sha256) in pins.items():
+        assert run_cli([command, seq], capsys) == (0, human, ""), seq
+        code, out, err = run_cli([command, seq, "--json"], capsys)
+        assert (code, err) == (0, ""), seq
+        assert hashlib.sha256(out.encode()).hexdigest() == json_sha256, seq
+
+
 class TestTable:
+    def test_golden_pins(self, capsys):
+        check_pins("table", TABLE_PINS, capsys)
+
     def test_human_golden(self, capsys):
         code, out, err = run_cli(["table", "--moser"], capsys)
         assert code == 0
@@ -171,6 +260,9 @@ class TestTable:
 
 
 class TestSolve:
+    def test_golden_pins(self, capsys):
+        check_pins("solve", SOLVE_PINS, capsys)
+
     def test_human_golden(self, capsys):
         code, out, _ = run_cli(["solve", "--moser"], capsys)
         assert code == 0

@@ -85,7 +85,9 @@ class TestBuildTable:
             Sequence((Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)))
         )
         assert table.constant_depth == 1
-        assert table.rows[1] == (1, 1)
+        # Rows are integer numerators over the terms' common denominator.
+        assert table.denominator == 2
+        assert table.rows[1] == (2, 2)
 
 
 class TestPredictNext:

@@ -342,6 +342,24 @@ class TestIntersection:
         with pytest.raises(ValueError, match="duplicate circle point at parameter 1/1"):
             intersect_chords(CirclePoint(F(t)) for t in (0, 1, 1, 3))
 
+    def test_hand_built_empty_arrangement_rejected(self):
+        # Once counted as one region by count_regions.
+        with pytest.raises(ValueError, match="^arrangement needs at least one point$"):
+            ChordArrangement((), (), {}, ())
+
+    def test_hand_built_points_out_of_order_rejected(self):
+        # A hand-built arrangement must hold its points in strictly
+        # increasing angular order, as intersect_chords makes them; the
+        # unordered points above once split the face walk from Euler's count.
+        built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
+        fields = (built.chords, built.crossings, built.concurrent)
+        assert ChordArrangement(built.points, *fields) == built
+        shuffled = tuple(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
+        repeated = tuple(CirclePoint(F(t)) for t in (-2, 0, 1, 1, 7))
+        for points in (shuffled, repeated, built.points[::-1]):
+            with pytest.raises(ValueError, match="strictly increasing angular order"):
+                ChordArrangement(points, *fields)
+
     def test_kernel_row_ranges_concatenate(self):
         # Pairs are tested in (i, j) order, so splitting the outer chord
         # range at any k and extending the first map by the second, uniting

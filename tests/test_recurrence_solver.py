@@ -281,7 +281,7 @@ class TestClosedForm:
                     (F(1), P((4, -1))),
                 ),
                 "((-{v})/2) * (-2)^{v} + (-1) * (-1/3)^{v} + ((15*{v}^2 + 1)/3) * (1/2)^{v}"
-                " + -{v} + 4 + (2) * 3^{v}",
+                " - {v} + 4 + (2) * 3^{v}",
             ),
             (((F(-2), P((1,))),), "(-2)^{v}"),
             (((F(1, 2), P((0, 1))),), "({v}) * (1/2)^{v}"),
