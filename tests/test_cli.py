@@ -55,6 +55,23 @@ HEXAGON_DUMP = {
 SEEDED_M12_DUMP_SHA256 = "cfceb826470211d4e287721beb61cf216e17a7d1c8d266c4240f76e5799af545"
 
 
+# sha256 of the --dump-arrangement file and of stdout, per geometric command.
+GEOMETRY_PINS = {
+    "--m 6 --method geometric --degenerate hexagon --json": (
+        "6a2092b2f1ba3f9ae058cd1870f25c17699f2351e9e5e32940fbb4294f2eb682",
+        "3cda204b2a01386a332e0c5608532d012f4bb54085a223bc797962def6fbaec3",
+    ),
+    "--m 12 --method geometric --seed 5 --json": (
+        "cfceb826470211d4e287721beb61cf216e17a7d1c8d266c4240f76e5799af545",
+        "0929c58ffbb838805a70f57c06eda156c5316a8fbb9615000a8a0a37f39afb86",
+    ),
+    "--m 24 --method geometric --seed 5 --geom-cap 24 --json": (
+        "e395b2e63ab96bc20f1a0f64e7e59c1c3812dee8d842765460dbf1ec9b5207f4",
+        "f1de4ba1589e2b1e03a8d62fc2e5a6475863f2a1039ffa84b0ad77f0425c5bb9",
+    ),
+}
+
+
 # stdout of `verify --max-m 30 --geom-cap 25`.
 VERIFY_NORTH_STAR = """\
 ok   symbolic-methods-agree [m=1..30]
@@ -544,6 +561,16 @@ class TestRegions:
         assert (code, err) == (0, "")
         assert payload["result"]["counts"]["geometric"] == 562
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SEEDED_M12_DUMP_SHA256
+
+
+    @pytest.mark.parametrize("args", list(GEOMETRY_PINS))
+    def test_geometric_golden_pins(self, args, tmp_path, capsys):
+        path = tmp_path / "arrangement.json"
+        code, out, err = run_cli(["regions", *args.split(), "--dump-arrangement", str(path)], capsys)
+        assert (code, err) == (0, "")
+        dump_sha256, out_sha256 = GEOMETRY_PINS[args]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_sha256
+        assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
 
 
 class TestVerify:

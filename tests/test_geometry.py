@@ -7,6 +7,7 @@ oracle's sensitivity: a single triple point must change the counts.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -727,6 +728,44 @@ class TestSerialization:
         assert payload["degeneracy"]["concurrent"][0]["chords"] == [2, 7, 11]
         # A crossing never lies on the circle; schema v1 keeps the empty key.
         assert payload["degeneracy"]["on_circle"] == []
+
+
+    # sha256 of json.dumps(arrangement_to_json_dict(arr)) for the
+    # regular-approx m-gon, m = 1..24.  Those layouts have off-center
+    # concurrent points (47 of them at m = 20) that no CLI command reaches,
+    # so these pins fix each point's triple, chords and order there.
+    REGULAR_APPROX_JSON_SHA256 = [
+        "096d516ff0d3dd184e3350ce4806f7b75f7f479df787c25d39240d1095674738",
+        "0e35768ec3e431bda15e37768d59f67c3c6ad7dfb28ab0b511f1f42a0ff0a3a9",
+        "5e09cef990cc1f9a74349a4de3b61bda81b90b010b667a7201fd2b4b7c006bb1",
+        "f972ffa824fa925616d4e852c2da0fd16819f4f32f72d83b178e6f5de271f706",
+        "073fd0b32dc1fbd4ca16b3903595f48ae25c103f394a80210b00c30597de3677",
+        "8180fc5115eb811411fbe082ffb14d8edea79176f4844af831ef593e12b56195",
+        "e5663a13d11e6a7aafb9613353a496b603f19f62e24b5b6c4abab5547624a318",
+        "dc9e1f38ae069881b772a6db2c69033466c1885b9bce02d2611744ecde8cad33",
+        "6097b47d78e3ad5efe4bcd3df8571e41deb0ddac127ad2d76a17f0601789c41a",
+        "1546ea797e69360f444c86b40227a7de8d8b14cec7f175af16f5a5cca8d5fc2a",
+        "a2337154b3703321fa87911e83684fc057dc6657b60b06c97b69cb9d5a1b02f2",
+        "7dd2a0706496ccaa2ca47ce9f4209e2cda9f19a011009f4b5d522d532504301c",
+        "1523eb1a3eccaf060cc75f795c1fcb1409ebcec6bc838985cb0a1bb3e3ac96b0",
+        "b6c4beaf8ac31a18cb90433516f18e8b32b48d395531a5256c5c652ec5d8c2df",
+        "38270b91807bf653c26235624491e9100c5b08e253204d6d467175c8fbf28757",
+        "1474571b3d9c46ee435657b4f71b328538b7d1fa67f6bb8e5c8437f90ce202ad",
+        "4366e12384ec9aa30b649372535cfd106180aa85d46de335ac9192b56287541a",
+        "22abb8e22c1419270ef3ca05b3cffde19856afec7d7290e5511ae4562a4f060a",
+        "a1811203691a591d66193d37880314dc40025cb0397c7afdb032833bf3c4dcec",
+        "110d43adaada804a7a79a6c3d0d5b906f91abbec53035f854038c70608647702",
+        "9b9529f95e9a100bc43af471569deec57731c4942e584830a79bbb7ab47829bc",
+        "2d53d86350bf1a13662f2cf5e3dcd9fafb2179af81ed83c1fedaf46c3597ab2f",
+        "af9fa37007d86d23ed403aecc355b261f66dcfc5c000459ec8ba3f9e63caea23",
+        "e543c10556ab3993517a3ba1439e8d328f04f29c5c8480467d3586909e5a893d",
+    ]
+
+    def test_regular_approx_json_pins(self):
+        for m, pin in enumerate(self.REGULAR_APPROX_JSON_SHA256, start=1):
+            arr = intersect_chords(_regular_approx_points(m))
+            text = json.dumps(arrangement_to_json_dict(arr))
+            assert hashlib.sha256(text.encode()).hexdigest() == pin, m
 
 
 class TestCrossingCountInvariant:
