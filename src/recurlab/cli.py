@@ -165,24 +165,23 @@ def cmd_table(args) -> int:
 
     # Only the printed view is built, not both for _emit: the table can hold
     # tens of thousands of cells, each written from its integer numerator.
-    cells = [[format_quotient(v, table.denominator, args.json) for v in row] for row in table.rows]
     if args.json:
+        cells = [[format_quotient(v, table.denominator, True) for v in row] for row in table.rows]
         next_text = None if next_term is None else format_rational(next_term)
         result = {"rows": cells, "constant_depth": depth, "next": next_text}
         print(json.dumps(_envelope("table", inputs, ["differences"], result, None), indent=2))
         return EXIT_OK
 
-    human = [
-        ("sequence " if d == 0 else f"depth {d}  ") + ": " + " ".join(row)
-        for d, row in enumerate(cells)
-    ]
+    # The human view is printed a row at a time, so only one row's text is held.
+    for d, row in enumerate(table.rows):
+        cells = " ".join(format_quotient(v, table.denominator, False) for v in row)
+        print(("sequence " if d == 0 else f"depth {d}  ") + ": " + cells)
     if depth is None:
-        human.append("constant row: none certified")
-        human.append("next term: unknown")
+        print("constant row: none certified")
+        print("next term: unknown")
     else:
-        human.append(f"constant row: depth {depth}")
-        human.append(f"next term: {next_term}")
-    print("\n".join(human))
+        print(f"constant row: depth {depth}")
+        print(f"next term: {next_term}")
     return EXIT_OK
 
 

@@ -4,10 +4,11 @@ Everything here is integer/rational arithmetic on homogeneous coordinates;
 there is no floating point and hence no epsilon anywhere.  An arrangement
 is built in one step: ``intersect_chords`` orders distinct circle points by
 angle (with ``build_arrangement``) and turns them into a complete
-``ChordArrangement``, whose ``crossings`` map every interior
-intersection's integer triple to the chords through it.  The chord-pair
-crossing kernel (``_kernel``) is plain Python over integer homogeneous
-triples.
+``ChordArrangement``, whose ``crossings`` hold the sorted chords through
+each interior intersection.  The chord-pair crossing kernel (``_kernel``)
+is plain Python over integer homogeneous triples; it names each crossing
+by its chords, and the integer triple of a point is built only for JSON
+and the ``interior_points`` view.
 """
 
 from .arrangement import (

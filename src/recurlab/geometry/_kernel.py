@@ -9,9 +9,7 @@ Works purely on integer homogeneous coordinates:
 For each chord pair (i, j) with start <= i < stop, j > i and no shared
 endpoint, the chords cross in the open disk exactly when each chord's
 endpoints lie strictly on opposite sides of the other chord's line — four
-integer sign tests.  The crossing point is the cross product of the two
-lines, divided by the gcd of its coordinates so equal points get equal
-triples.
+integer sign tests.
 
 ``intersect_chords`` passes distinct circle points in counterclockwise
 order, and the chords in lexicographic order.  No three distinct points of
@@ -20,64 +18,73 @@ chord's line never passes through a circle point other than its own
 endpoints, and none of the four sign tests is ever zero.
 
 Each sign test asks on which side of chord c's line circle point p lies,
-and that depends on (c, p) alone, not on the pair being tested.  So the
-kernel evaluates ``lx[c]*px[p] + ly[c]*py[p] + lw[c]*pw[p]`` once per
-(chord, circle point), in exact integers, and stores the signs as one
-bitmask per chord: bit p of ``side[c]`` is set iff the sum is > 0.  The
-pair loop then reads the same four signs as bits, so the test is the
-one above, unchanged.  That is m * C(m, 2) sign evaluations (31,200 at
-m = 40) in place of two per disjoint chord pair plus two more per pair
-passing the first test (731,120 at m = 40).  Endpoints of chord c get
-bit 0; pairs that share an endpoint are skipped before any bit is read.
+and that depends on (c, p) alone.  So the kernel evaluates the side value
+s_c(p) = ``lx[c]*px[p] + ly[c]*py[p] + lw[c]*pw[p]`` once per (chord,
+circle point), in exact integers, not two to four times per pair.  It
+keeps |s_c(p)|, and the signs as one bitmask per chord: bit p of
+``side[c]`` is set iff s_c(p) > 0 (endpoints get bit 0, but pairs that
+share an endpoint are skipped before any bit is read).  On a circle the four endpoints are in
+convex position, so either pair of tests alone decides a crossing; the
+kernel keeps both, so the test does not rest on that.
 
-On a circle the four endpoints are in convex position, so either pair of
-tests alone already decides a crossing; the kernel keeps both, so the
-crossing test does not rest on that.
+A crossing point is named by its chords, from the side values alone.
+Chord j meets chord i = (A, B) at |s_j(B)| A + |s_j(A)| B: the point is on
+line i, and s_j of it is 0, as s_j(A) and s_j(B) have opposite signs.  As
+W_A, W_B > 0, its place along the chord grows with sa / (sa + sb), where
+sa = |s_j(A)| and sb = |s_j(B)|, so two chords meet chord i at one point
+exactly when those ratios are equal.  Row i keys chord j by
+floor(sa 2^shift / (sa + sb)), with 2^shift > 4 big^2 and big the largest
+|s|.  Distinct ratios p/q and p'/q' (q, q' <= 2 big) differ by at least
+1/(q q') >= 1/(4 big^2), so scaled by 2^shift they differ by more than 1
+and so do their floors: equal keys are exactly equal points.
 
-The crossing's last coordinate w is positive, so the divided triple is
-canonical: gcd 1 and W > 0.  Crossing chords i < j join points a < b and
-c < d with a < c (no shared endpoint), and c, d lie on opposite arcs of
-chord (a, b): the indices between a and b, and the rest.  With a < c < d,
-that means a < c < b < d, in counterclockwise order.  As
-(A x B) x (C x D) = det(A, B, D) C - det(A, B, C) D, w is a positive
-multiple of cross(b - a, d - a) - cross(b - a, c - a) = cross(b - a, d - c),
-twice the signed area of the convex quadrilateral a, c, b, d.  So w > 0.
+The point where the chords S meet is found whole in row min(S), as the
+row and each j with its key, in j order: every other chord of S is larger
+and crosses min(S).  The later rows of S would meet it again, through the
+pairs of S without min(S); those pairs go into a set when the point is
+found, which only happens at concurrent points (3 or more chords), and
+later rows skip them.  No triple, gcd or global dict is needed.
+
+Points come out by row, and within a row in the order their keys were
+first seen: by (min S, second chord of S), the order of their first pair
+in (i, j) order.  Two chords meet at most once, so no two points share
+their first two chords, and that is ascending tuple order.  Rows [start,
+k) and [k, stop) see a point with min(S) < k twice: whole, then as its
+chords from k on, if two or more.  Two tuples that share two chords are
+one point; so the list of [start, stop) is that of [start, k) followed by
+the tuples of [k, stop) that share at most one chord with any of them.
 """
 
-from math import gcd
+from itertools import combinations
 
 
 def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
-    """Return {(X, Y, W): chords} for the chord pairs that properly cross.
+    """Return the sorted chord tuple of every crossing point, ascending.
 
-    (X, Y, W) is a crossing point's canonical integer homogeneous triple.
-    Pairs are tested in lexicographic (i, j) order; a point's first pair
-    stores (i, j), and a repeat stores the sorted union of its chords.  So
-    keys keep first-hit order, and the map of [start, k), extended by that
-    of [k, stop) with a repeated key's chords united, is the map of
-    [start, stop), key order included.
+    A point's tuple holds every chord through it, as far as rows
+    [start, stop) see it (module docstring); over all rows, ``len`` of the
+    result is the number of crossing points.
     """
     points = tuple(zip(px, py, pw))
     side = []
+    size = []
     for l0, l1, l2 in zip(lx, ly, lw):
-        mask = 0
-        for p, (x, y, w) in enumerate(points):
-            if l0 * x + l1 * y + l2 * w > 0:
-                mask |= 1 << p
-        side.append(mask)
+        values = [l0 * x + l1 * y + l2 * w for x, y, w in points]
+        side.append(sum(1 << p for p, s in enumerate(values) if s > 0))
+        size.append(list(map(abs, values)))
+    big = max(map(max, size), default=0)
+    shift = (4 * big * big).bit_length()
 
-    crossings = {}
+    crossings = []
+    later = {}  # row -> chords met there at a point an earlier row found
     n = len(ca)
     for i in range(start, stop):
-        a = ca[i]
-        b = cb[i]
-        l0 = lx[i]
-        l1 = ly[i]
-        l2 = lw[i]
-        si = side[i]
+        a, b, si = ca[i], cb[i], side[i]
+        skip = later.pop(i, ())
+        at = {}
+        repeats = []
         for j in range(i + 1, n):
-            c = ca[j]
-            d = cb[j]
+            c, d = ca[j], cb[j]
             if c == a or c == b or d == a or d == b:
                 continue
             # c and d are circle points off chord i's line (module docstring),
@@ -88,18 +95,21 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
             sj = side[j]
             if not (sj >> a ^ sj >> b) & 1:
                 continue
-            m0 = lx[j]
-            m1 = ly[j]
-            m2 = lw[j]
-            x = l1 * m2 - l2 * m1
-            y = l2 * m0 - l0 * m2
-            w = l0 * m1 - l1 * m0
-            # Positive by the module docstring's quadrilateral argument.
-            assert w > 0
-            g = gcd(x, y, w)
-            point = (x // g, y // g, w // g)
-            pair = (i, j)
-            through = crossings.setdefault(point, pair)
-            if through is not pair:
-                crossings[point] = tuple(sorted({*through, i, j}))
+            if j in skip:
+                continue
+            sizes = size[j]
+            sa = sizes[a]
+            first = at.setdefault((sa << shift) // (sa + sizes[b]), j)
+            if first != j:
+                repeats.append((first, j))
+        if not repeats:
+            crossings.extend([(i, j) for j in at.values()])
+            continue
+        through = {j: [i, j] for j in at.values()}
+        for first, j in repeats:
+            through[first].append(j)
+        for chords in through.values():
+            for x, y in combinations(chords[1:], 2):
+                later.setdefault(x, set()).add(y)
+            crossings.append(tuple(chords))
     return crossings

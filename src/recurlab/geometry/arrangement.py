@@ -12,17 +12,16 @@ Euler's formula
 (V and E count the whole arrangement, including circle points and arcs;
 the disk's interior faces number F - 1 with F from V - E + F = 2).
 
-No general-position assumption is baked in: intersections are deduplicated
-by exact coordinates, each interior point records every chord through it,
-and points where three or more chords meet are kept as the arrangement's
-``concurrent`` points instead of being silently miscounted.  That makes
-the oracle sensitive to exactly the degeneracies that break the C(m, 4)
-counting argument.
+No general-position assumption is baked in: each interior point is found
+once, by exact integer keys along its chords, and records every chord
+through it.  Points where three or more chords meet are kept as the
+arrangement's ``concurrent`` points instead of being silently miscounted.
+That makes the oracle sensitive to exactly the degeneracies that break the
+C(m, 4) counting argument.
 
-Interior points are stored once, as the crossing kernel's dict from
-canonical integer homogeneous triple to the chords through it; the counts
-read that dict, and rational coordinates are derived only for display and
-JSON.
+Interior points are stored once, as the kernel's sorted chord tuple
+through each point, which the counts read.  Canonical integer triples,
+and rational coordinates, are built only for ``interior_points`` and JSON.
 
 ``prefix_region_counts`` reads the count of every prefix of the points (in
 a given birth order) off one arrangement, by the same Euler formula.  The
@@ -78,10 +77,9 @@ class ChordArrangement:
     """m circle points, all their chords, and every interior intersection.
 
     ``points`` are in counterclockwise angular order; ``chords`` lists
-    point-index pairs in lexicographic order.  ``crossings`` maps each
-    deduplicated interior point's canonical triple (X, Y, W) to the sorted
-    indices of all chords through it, in the kernel's first-hit order, and
-    ``concurrent`` lists the triples where three or more chords meet.
+    point-index pairs in lexicographic order.  ``crossings`` holds one
+    sorted tuple of the indices of all chords through each interior point,
+    in ascending order, and ``concurrent`` those of 3 or more chords.
 
     Construction checks the point invariants every count relies on: at
     least one point, in strictly increasing ``angle_key`` order (so also
@@ -90,8 +88,8 @@ class ChordArrangement:
 
     points: tuple[CirclePoint, ...]
     chords: tuple[tuple[int, int], ...]
-    crossings: dict[tuple[int, int, int], tuple[int, ...]]
-    concurrent: tuple[tuple[int, int, int], ...]
+    crossings: tuple[tuple[int, ...], ...]
+    concurrent: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not self.points:
@@ -106,8 +104,23 @@ class ChordArrangement:
 
     @property
     def interior_points(self) -> tuple[InteriorPoint, ...]:
-        """The crossings as ``InteriorPoint``s, built anew on each access."""
-        return tuple(map(InteriorPoint, self.crossings.values(), self.crossings.keys()))
+        """The crossings as ``InteriorPoint``s, built anew on each access.
+
+        A point's triple is the point on the lines of its first two chords,
+        (a, b) and (c, d), over its gcd.  Its w is positive: the chords
+        cross, so a < c < b < d counterclockwise, and as (A x B) x (C x D) =
+        det(A, B, D) C - det(A, B, C) D, w is a positive multiple of
+        cross(b - a, d - c), twice the area of the quadrilateral a, c, b, d.
+        """
+        ends = [p.triple for p in self.points]
+        lines = [_cross(ends[a], ends[b]) for a, b in self.chords]
+        points = []
+        for chords in self.crossings:
+            x, y, w = _cross(lines[chords[0]], lines[chords[1]])
+            assert w > 0
+            g = gcd(x, y, w)
+            points.append(InteriorPoint(chords, (x // g, y // g, w // g)))
+        return tuple(points)
 
     @property
     def general_position(self) -> bool:
@@ -123,7 +136,7 @@ class ChordArrangement:
         """One-line summary of the concurrent points, or ``none``."""
         if not self.concurrent:
             return "none"
-        worst = max(len(self.crossings[t]) for t in self.concurrent)
+        worst = max(map(len, self.concurrent))
         return (
             f"{len(self.concurrent)} concurrent intersection point(s) "
             f"(up to {worst} chords through one point)"
@@ -169,20 +182,19 @@ def build_arrangement(points: Iterable[CirclePoint]) -> tuple[CirclePoint, ...]:
     return tuple(ordered)
 
 
+def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The line through two homogeneous points, or the point on two lines."""
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
 def _chord_lines(
     points: SequenceABC[CirclePoint], chords: SequenceABC[tuple[int, int]]
 ) -> tuple[list[int], list[int], list[int]]:
     """Integer line triples (cross products of endpoint triples), gcd-reduced."""
-    lx: list[int] = []
-    ly: list[int] = []
-    lw: list[int] = []
+    lx, ly, lw = [], [], []
     for a, b in chords:
-        x1, y1, w1 = points[a].triple
-        x2, y2, w2 = points[b].triple
-        l0 = y1 * w2 - w1 * y2
-        l1 = w1 * x2 - x1 * w2
-        l2 = x1 * y2 - y1 * x2
-        g = gcd(gcd(abs(l0), abs(l1)), abs(l2))
+        l0, l1, l2 = _cross(points[a].triple, points[b].triple)
+        g = gcd(l0, l1, l2)
         lx.append(l0 // g)
         ly.append(l1 // g)
         lw.append(l2 // g)
@@ -197,9 +209,8 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     kernel, ``count_regions`` and ``count_faces`` always get at least one
     point, all distinct and in angular order.  The kernel tests every chord
     pair without a shared endpoint for a proper crossing by integer
-    orientation signs and returns the ``crossings`` map itself: one entry
-    per crossing point's canonical homogeneous triple, with every chord
-    through it.
+    orientation signs and returns the ``crossings`` themselves: one sorted
+    tuple of every chord through each crossing point.
     """
     points = build_arrangement(points)
     chords = tuple(itertools.combinations(range(len(points)), 2))
@@ -209,7 +220,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     ca = [a for a, _ in chords]
     cb = [b for _, b in chords]
     lx, ly, lw = _chord_lines(points, chords)
-    crossings = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords))
+    crossings = tuple(_kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords)))
 
     # No crossing lies on the circle.  The kernel skips pairs that share an
     # endpoint, and its four sign tests are strict: the endpoints of each
@@ -218,7 +229,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     # The disk is strictly convex, so the open segment between two distinct
     # circle points lies strictly inside it.  Every crossing is therefore an
     # interior point, and the JSON's "on_circle" list stays empty.
-    concurrent = tuple(t for t, through in crossings.items() if len(through) >= 3)
+    concurrent = tuple(through for through in crossings if len(through) >= 3)
     return ChordArrangement(points, chords, crossings, concurrent)
 
 
@@ -236,7 +247,7 @@ def count_regions(arr: ChordArrangement) -> RegionReport:
     """
     m = arr.m
     vertices = m + len(arr.crossings)
-    edges = m + len(arr.chords) + sum(map(len, arr.crossings.values()))
+    edges = m + len(arr.chords) + sum(map(len, arr.crossings))
     regions = edges - vertices + 1
     return RegionReport(
         m=m,
@@ -271,7 +282,7 @@ def prefix_region_counts(arr: ChordArrangement, births: SequenceABC[int]) -> lis
     step = [0] * (m + 1)
     for t in chord_birth:
         step[t] += 1
-    for through in arr.crossings.values():
+    for through in arr.crossings:
         if len(through) == 2:
             a, b = through
             ta, tb = chord_birth[a], chord_birth[b]
@@ -375,13 +386,8 @@ def _prefix_counts(m: int, variant: int, seed: int | None) -> list[int]:
     return counts
 
 
-def _interior_point_json(triple: tuple[int, int, int], chords: tuple[int, ...]) -> dict:
-    x, y, w = triple
-    return {
-        "x": format_rational(Fraction(x, w)),
-        "y": format_rational(Fraction(y, w)),
-        "chords": list(chords),
-    }
+def _interior_point_json(point: InteriorPoint) -> dict:
+    return {"x": format_rational(point.x), "y": format_rational(point.y), "chords": list(point.chords)}
 
 
 def arrangement_to_json_dict(arr: ChordArrangement) -> dict:
@@ -390,14 +396,15 @@ def arrangement_to_json_dict(arr: ChordArrangement) -> dict:
     Rationals are rendered as ``p/q`` strings; point parameters use the
     same form with ``inf`` for the parameter-infinity point.
     """
+    interior = list(map(_interior_point_json, arr.interior_points))
     return {
         "schema_version": 1,
         "m": arr.m,
         "points": [p.parameter_text for p in arr.points],
         "chords": [list(c) for c in arr.chords],
-        "interior_points": [_interior_point_json(*item) for item in arr.crossings.items()],
+        "interior_points": interior,
         "degeneracy": None if arr.general_position else {
-            "concurrent": [_interior_point_json(t, arr.crossings[t]) for t in arr.concurrent],
+            "concurrent": [point for point in interior if len(point["chords"]) >= 3],
             "on_circle": [],
             "summary": arr.describe_degeneracy(),
         },

@@ -23,66 +23,64 @@ ignores.  Proof, with the points in counterclockwise index order:
   point that head for the same circle point would meet twice.
 
 Coordinates are read only for the exact integer key that orders interior
-points along a chord, which circle order alone does not fix.  No
-``Fraction`` is built.  Intended for small m; an oracle against the
-closed-form counts and the Euler route.
+points along a chord, which circle order alone does not fix.  The walk
+computes its own side values s_j(p) = l_j . P_p (chord j's line at circle
+point p).  Chord j meets chord c = (a, b) at |s_j(b)| A + |s_j(a)| B, and
+as W_A, W_B > 0 its place from a to b grows with sa / (sa + sb), where
+sa = |s_j(a)| and sb = |s_j(b)|.  A stop on c is keyed by
+floor(sa 2^shift / (sa + sb)) for one other chord j through it.  With
+2^shift > 4 big^2 (big the largest |s|), ratios with denominators of at
+most 2 big keep their order in their keys.  No ``Fraction`` is built.
+Intended for small m; an oracle against the closed-form counts and the
+Euler route.
 """
 
 from __future__ import annotations
 
-from .arrangement import ChordArrangement
+from .arrangement import ChordArrangement, _cross
 
 
 def count_faces(arr: ChordArrangement) -> int:
     """Number of faces of the arrangement, unbounded face included."""
     m = arr.m
 
-    # Vertex ids: circle points first, then interior points.
-    triples = [p.triple for p in arr.points]
-    triples.extend(arr.crossings)
-
     # Half-edges: (origin vertex, rank), added in twin pairs, so the twin
     # of half-edge he is he ^ 1.
     origins: list[int] = []
     ranks: list[int] = []
 
-    def add_edge(v1: int, r1: int, v2: int, r2: int):
-        origins.extend((v1, v2))
-        ranks.extend((r1, r2))
-
     # Circle arcs, forward from i and backward from j; one point gets a loop.
     for i in range(m):
         j = (i + 1) % m
-        add_edge(i, 2 * i + 1, j, 2 * j)
+        origins += (i, j)
+        ranks += (2 * i + 1, 2 * j)
 
-    # Chord segments: each chord a -> b is split at its interior points.
-    # (Xb Wa - Xa Wb, Yb Wa - Ya Wb) is (b - a) scaled by Wa Wb > 0.
-    #
-    # A stop (X, Y, W) lies at projection N / W along that direction, with
-    # N = X dx + Y dy.  Two distinct stops of one chord have distinct
-    # projections N1/W1 != N2/W2, which then differ by at least 1/(W1 W2),
-    # because N1 W2 - N2 W1 is a nonzero integer.  With 2^shift > W1 W2, the
-    # scaled projections N 2^shift / W differ by more than 1, so their floors
-    # keep their order: an exact integer sort key.
-    shift = 2 * max(w for _, _, w in triples).bit_length()
-    on_chord: list[list[int]] = [[] for _ in arr.chords]
-    for vertex, through in enumerate(arr.crossings.values(), start=m):
+    # Chord segments: each chord a -> b is split at its interior points,
+    # vertex m + k for crossing k, in the order of their keys from a
+    # (module docstring).
+    chords = arr.chords
+    ends = [p.triple for p in arr.points]
+    size = []
+    for a, b in chords:
+        l0, l1, l2 = _cross(ends[a], ends[b])
+        size.append([abs(l0 * x + l1 * y + l2 * w) for x, y, w in ends])
+    big = max(map(max, size), default=0)
+    shift = (4 * big * big).bit_length()
+    stops: list[dict[int, int]] = [{} for _ in chords]
+    for vertex, through in enumerate(arr.crossings, start=m):
+        first = through[0]
         for c in through:
-            on_chord[c].append(vertex)
-    for c, (a, b) in enumerate(arr.chords):
-        xa, ya, wa = triples[a]
-        xb, yb, wb = triples[b]
-        dx, dy = xb * wa - xa * wb, yb * wa - ya * wb
-
-        def along(v: int) -> int:
-            x, y, w = triples[v]
-            return ((x * dx + y * dy) << shift) // w
-
-        chain = [a, *sorted(on_chord[c], key=along), b]
+            a, b = chords[c]
+            sizes = size[first] if c != first else size[through[1]]
+            sa = sizes[a]
+            stops[c][(sa << shift) // (sa + sizes[b])] = vertex
+    for (a, b), at in zip(chords, stops):
+        chain = [a, *map(at.get, sorted(at)), b]
         for v1, v2 in zip(chain, chain[1:]):
-            add_edge(v1, 2 * b, v2, 2 * a)
+            origins += (v1, v2)
+            ranks += (2 * b, 2 * a)
 
-    around: list[list[int]] = [[] for _ in triples]
+    around: list[list[int]] = [[] for _ in range(m + len(arr.crossings))]
     for he, origin in enumerate(origins):
         around[origin].append(he)
 

@@ -626,7 +626,7 @@ class TestVerify:
 
         intersect_pairs = _kernel.intersect_pairs
         monkeypatch.setattr(
-            _kernel, "intersect_pairs", lambda *args: dict(list(intersect_pairs(*args).items())[:-1])
+            _kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1]
         )
         code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
         assert code == 1
@@ -648,7 +648,7 @@ class TestVerify:
         def drop_first_born(*args):
             crossings = intersect_pairs(*args)
             cb = args[7]
-            del crossings[next(t for t, through in crossings.items() if cb[through[-1]] < 4)]
+            crossings.remove(next(through for through in crossings if cb[through[-1]] < 4))
             return crossings
 
         monkeypatch.setattr(_kernel, "intersect_pairs", drop_first_born)

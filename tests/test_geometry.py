@@ -362,40 +362,56 @@ class TestIntersection:
                 ChordArrangement(points, *fields)
 
     def test_kernel_row_ranges_concatenate(self):
-        # Pairs are tested in (i, j) order, so splitting the outer chord
-        # range at any k and extending the first map by the second, uniting
-        # the chords of a repeated point, gives the full map, key order
-        # included.
-        for arr in (hexagon_arrangement(), generic_arrangement(9, seed=7)):
+        # Points come out in (i, j) order of their first pair, so splitting
+        # the outer chord range at any k and extending the first list by the
+        # second, merging two tuples that share two chords (two chords meet
+        # at most once), gives the full list, order included.  The
+        # regular-approx 12-gon has points of 3 and of 6 chords.
+        layouts = [hexagon_arrangement(), generic_arrangement(9, seed=7)]
+        layouts.append(intersect_chords(_regular_approx_points(12)))
+        for arr in layouts:
             args = _kernel_args(arr.points)
             n = len(arr.chords)
             whole = _kernel.intersect_pairs(*args, 0, n)
             assert whole
             for k in range(n + 1):
                 merged = _kernel.intersect_pairs(*args, 0, k)
-                for triple, chords in _kernel.intersect_pairs(*args, k, n).items():
-                    merged[triple] = tuple(sorted({*merged.get(triple, ()), *chords}))
-                assert list(merged.items()) == list(whole.items()), (arr.m, k)
+                for chords in _kernel.intersect_pairs(*args, k, n):
+                    same = [t for t in merged if len(set(t) & set(chords)) >= 2]
+                    if same:
+                        (point,) = same
+                        merged[merged.index(point)] = tuple(sorted({*point, *chords}))
+                    else:
+                        merged.append(chords)
+                assert merged == whole, (arr.m, k)
 
     def test_kernel_matches_four_sign_reference(self):
         # The side bitmasks hoist the same exact signs out of the pair loop,
-        # so the kernel's map is the reference's hits under the merge rule,
-        # key order included, on general-position and degenerate
-        # (concurrent) layouts alike.
+        # and the chord-local keys group the crossings by point.  So the
+        # kernel's list is the reference's chords per canonical triple under
+        # the merge rule, in first-hit order, and the edge triples are its
+        # keys, on general-position and degenerate (concurrent) layouts
+        # alike.  The regular-approx m = 10, 12, 16, 20 and 24 have
+        # off-center concurrent points.
         layouts = [hexagon_arrangement().points]
-        layouts += [_regular_approx_points(m) for m in range(1, 17)]
+        layouts += [_regular_approx_points(m) for m in range(1, 25)]
         layouts += [
             build_arrangement(map(CirclePoint, seeded_parameters(m, seed=seed)))
             for m in (1, 2, 4, 9, 12, 20)
             for seed in range(3)
         ]
+        layouts.append(build_arrangement(map(CirclePoint, seeded_parameters(40, seed=3))))
         for points in layouts:
             args = _kernel_args(points)
             n = len(args[-1])
             expected = _four_sign_reference(*args, 0, n)
+            reference = _merge_hits(expected)
             crossings = _kernel.intersect_pairs(*args, 0, n)
-            assert list(crossings.items()) == list(_merge_hits(expected).items()), len(points)
+            assert crossings == list(reference.values()), len(points)
             assert len(expected) == binomial(len(points), 4), len(points)
+            arr = intersect_chords(points)
+            assert arr.crossings == tuple(crossings), len(points)
+            assert [p.triple for p in arr.interior_points] == list(reference), len(points)
 
     def test_merge_on_concurrent_points(self):
         for m in (8, 10, 12):
@@ -406,12 +422,11 @@ class TestIntersection:
             assert [p.triple for p in arr.interior_points] == list(through), m
             for p in arr.interior_points:
                 assert p.chords == tuple(sorted(through[p.triple])), (m, p)
-            expected = {triple: tuple(sorted(chords)) for triple, chords in through.items()}
+            expected = tuple(tuple(sorted(chords)) for chords in through.values())
             assert arr.crossings == expected, m
-            assert list(arr.crossings) == list(expected), m
-            concurrent = [triple for triple, chords in expected.items() if len(chords) >= 3]
+            concurrent = tuple(chords for chords in expected if len(chords) >= 3)
             assert concurrent, m
-            assert list(arr.concurrent) == concurrent, m
+            assert arr.concurrent == concurrent, m
             assert not arr.general_position
             assert count_faces(arr) == count_regions(arr).regions + 1, m
 
@@ -577,7 +592,8 @@ class TestDegenerateHexagon:
         arr = hexagon_arrangement()
         assert len(arr.interior_points) == 13
         assert not arr.general_position
-        assert arr.concurrent == ((0, 0, 1),)
+        assert arr.concurrent == ((2, 7, 11),)
+        assert [p.triple for p in arr.interior_points if len(p.chords) >= 3] == [(0, 0, 1)]
         assert arr.describe_degeneracy() == (
             "1 concurrent intersection point(s) (up to 3 chords through one point)"
         )
@@ -667,15 +683,13 @@ class TestVerifyAgainstFormula:
         for s in (seed, seed + 1):
             params = seeded_parameters(8, s)
             arr = generic_arrangement(8, seed=s)
-            ends = {i for c in list(arr.crossings.values())[-1] for i in arr.chords[c]}
+            ends = {i for c in arr.crossings[-1] for i in arr.chords[c]}
             found.append(max(params.index(arr.points[i].t) + 1 for i in ends))
         assert found == births
         m, trial = min((b, t) for t, b in enumerate(births))
 
         intersect_pairs = _kernel.intersect_pairs
-        monkeypatch.setattr(
-            _kernel, "intersect_pairs", lambda *args: dict(list(intersect_pairs(*args).items())[:-1])
-        )
+        monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1])
         verdict = verify_against_formula(8, trials=2, seed=seed)
         assert (verdict.passed, verdict.m, verdict.expected) == (False, m, regions_binomial(m))
         assert verdict.counts == tuple(regions_binomial(m) - (b == m) for b in births[: trial + 1])
@@ -779,5 +793,5 @@ class TestCrossingCountInvariant:
         layouts += [intersect_chords(_regular_approx_points(m)) for m in (8, 10, 12)]
         for arr in layouts:
             crossings = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords))
-            pairs = sum(binomial(len(chords), 2) for chords in crossings.values())
+            pairs = sum(binomial(len(chords), 2) for chords in crossings)
             assert pairs == binomial(arr.m, 4), arr.m
