@@ -746,8 +746,9 @@ class TestSerialization:
 
     # sha256 of json.dumps(arrangement_to_json_dict(arr)) for the
     # regular-approx m-gon, m = 1..24.  Those layouts have off-center
-    # concurrent points (47 of them at m = 20) that no CLI command reaches,
-    # so these pins fix each point's triple, chords and order there.
+    # concurrent points (47 concurrent points in all at m = 20) that no CLI
+    # command reaches, so these pins fix each point's triple, chords and
+    # order there.
     REGULAR_APPROX_JSON_SHA256 = [
         "096d516ff0d3dd184e3350ce4806f7b75f7f479df787c25d39240d1095674738",
         "0e35768ec3e431bda15e37768d59f67c3c6ad7dfb28ab0b511f1f42a0ff0a3a9",
