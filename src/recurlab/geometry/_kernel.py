@@ -20,12 +20,29 @@ endpoints, and none of the four sign tests is ever zero.
 Each sign test asks on which side of chord c's line circle point p lies,
 and that depends on (c, p) alone.  So the kernel evaluates the side value
 s_c(p) = ``lx[c]*px[p] + ly[c]*py[p] + lw[c]*pw[p]`` once per (chord,
-circle point), in exact integers, not two to four times per pair.  It
-keeps |s_c(p)|, and the signs as one bitmask per chord: bit p of
-``side[c]`` is set iff s_c(p) > 0 (endpoints get bit 0, but pairs that
-share an endpoint are skipped before any bit is read).  On a circle the four endpoints are in
-convex position, so either pair of tests alone decides a crossing; the
-kernel keeps both, so the test does not rest on that.
+circle point), in exact integers, and keeps |s_c(p)|.  It keeps the signs
+as sets of chords, one integer bitset per circle point or per chord:
+
+- bit c of ``above[p]`` is set iff s_c(p) > 0;
+- bit c of ``ends[p]`` is set iff p is an endpoint of chord c;
+- ``split[i]`` is the XOR of ``ends[p]`` over the points p with
+  s_i(p) > 0, so bit c is set iff exactly one endpoint of chord c has
+  s_i > 0.
+
+Row i = (a, b) then tests all its chords j at once, as the bits of
+``split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b])``.  For a chord j
+that shares no endpoint with i, both of j's endpoints are off line i, so
+"exactly one has s_i > 0" is "they lie strictly on opposite sides of line
+i": bit j of ``split[i]`` is the first pair of sign tests.  Likewise a and b
+are off line j, so bit j of ``above[a] ^ above[b]`` is the second pair.  A
+chord that shares an endpoint with i has s = 0 there, which counts as "not
+above", so the two bitsets no longer mean strict opposite sides: chord
+(a, d) is in ``split[i]`` whenever d is above line i, and meets chord i at
+the circle point a, not inside the disk.  The endpoint mask clears those
+chords.  On a circle the four endpoints are in convex position, so either
+pair of tests alone decides a crossing; the kernel keeps both, so the test
+does not rest on that.  Shifted right by i + 1, bit k of the set is chord
+i + 1 + k, so only chords j > i remain.
 
 A crossing point is named by its chords, from the side values alone.
 Chord j meets chord i = (A, B) at |s_j(B)| A + |s_j(A)| B: the point is on
@@ -41,9 +58,10 @@ and so do their floors: equal keys are exactly equal points.
 The point where the chords S meet is found whole in row min(S), as the
 row and each j with its key, in j order: every other chord of S is larger
 and crosses min(S).  The later rows of S would meet it again, through the
-pairs of S without min(S); those pairs go into a set when the point is
-found, which only happens at concurrent points (3 or more chords), and
-later rows skip them.  No triple, gcd or global dict is needed.
+pairs of S without min(S); those pairs go into a bitset per row when the
+point is found, which only happens at concurrent points (3 or more
+chords), and later rows clear them from their set.  No triple, gcd or
+global dict is needed.
 
 Points come out by row, and within a row in the order their keys were
 first seen: by (min S, second chord of S), the order of their first pair
@@ -55,7 +73,22 @@ one point; so the list of [start, stop) is that of [start, k) followed by
 the tuples of [k, stop) that share at most one chord with any of them.
 """
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, compress
+from operator import xor
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bitset(flags):
+    """The integer whose bit k is ``flags[k]``."""
+    return int(bytes(flags[::-1]).translate(_DIGITS), 2)
+
+
+def _flags(bits):
+    """Byte k is bit k of the integer ``bits`` >= 0, as 0 or 1."""
+    return bin(bits)[:1:-1].encode().translate(_FLAGS)
 
 
 def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
@@ -66,12 +99,20 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
     result is the number of crossing points.
     """
     points = tuple(zip(px, py, pw))
-    side = []
+    ends = [0] * len(points)
+    for c, (a, b) in enumerate(zip(ca, cb)):
+        ends[a] |= 1 << c
+        ends[b] |= 1 << c
+    split = []
     size = []
+    signs = []
     for l0, l1, l2 in zip(lx, ly, lw):
         values = [l0 * x + l1 * y + l2 * w for x, y, w in points]
-        side.append(sum(1 << p for p, s in enumerate(values) if s > 0))
+        positive = [s > 0 for s in values]
+        split.append(reduce(xor, compress(ends, positive), 0))
+        signs.append(positive)
         size.append(list(map(abs, values)))
+    above = [_bitset(column) for column in zip(*signs)]
     big = max(map(max, size), default=0)
     shift = (4 * big * big).bit_length()
 
@@ -79,24 +120,11 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
     later = {}  # row -> chords met there at a point an earlier row found
     n = len(ca)
     for i in range(start, stop):
-        a, b, si = ca[i], cb[i], side[i]
-        skip = later.pop(i, ())
+        a, b = ca[i], cb[i]
+        crossing = split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later.pop(i, 0))
         at = {}
         repeats = []
-        for j in range(i + 1, n):
-            c, d = ca[j], cb[j]
-            if c == a or c == b or d == a or d == b:
-                continue
-            # c and d are circle points off chord i's line (module docstring),
-            # so bit c and bit d of side[i] are their strict signs.
-            if not (si >> c ^ si >> d) & 1:
-                continue
-            # Likewise a and b are off chord j's line.
-            sj = side[j]
-            if not (sj >> a ^ sj >> b) & 1:
-                continue
-            if j in skip:
-                continue
+        for j in compress(range(i + 1, n), _flags(crossing >> i + 1)):
             sizes = size[j]
             sa = sizes[a]
             first = at.setdefault((sa << shift) // (sa + sizes[b]), j)
@@ -110,6 +138,6 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
             through[first].append(j)
         for chords in through.values():
             for x, y in combinations(chords[1:], 2):
-                later.setdefault(x, set()).add(y)
+                later[x] = later.get(x, 0) | 1 << y
             crossings.append(tuple(chords))
     return crossings

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from recurlab.cli import main
+from recurlab.cli import MAX_GEOM_M, main
 
 QUARTIC_IN_M = "(m^4 - 6*m^3 + 23*m^2 - 18*m + 24)/24"
 QUARTIC_IN_N = "(n^4 - 2*n^3 + 11*n^2 + 14*n + 24)/24"
@@ -495,6 +495,29 @@ class TestRegions:
         assert len(counts) == 4
         assert payload["agreement"] is True
         assert "exceeds the geometric cap" in payload["result"]["geometric_note"]
+
+    def test_build_limit_exit_2(self, capsys):
+        # MAX_GEOM_M bounds the build, not --geom-cap: a cap above it runs
+        # while the build stays within it, and an over-cap m builds nothing.
+        assert MAX_GEOM_M >= 40  # regions-large builds m = 40
+        over = MAX_GEOM_M + 1
+        for argv, m in (
+            (["regions", "--m", over, "--method", "geometric", "--geom-cap", over], over),
+            (["regions", "--m", over, "--geom-cap", 1000], over),
+            (["verify", "--max-m", over, "--geom-cap", over], over),
+            (["verify", "--max-m", 1000, "--geom-cap", 1000], 1000),
+        ):
+            code, out, err = run_cli(list(map(str, argv)), capsys)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: m={m} exceeds the geometric build limit ({MAX_GEOM_M} points)\n"
+        for argv in (
+            ["regions", "--m", over],
+            ["regions", "--m", "8", "--method", "geometric", "--geom-cap", "1000"],
+            ["verify", "--max-m", "8", "--geom-cap", "1000", "--trials", "1"],
+            ["verify", "--max-m", "1000", "--geom-cap", "8", "--trials", "1"],
+        ):
+            code, _, err = run_cli(list(map(str, argv)), capsys)
+            assert (code, err) == (0, ""), argv
 
     def test_cap_zero_exit_2(self, capsys):
         code, _, err = run_cli(

@@ -60,7 +60,7 @@ def _kernel_args(points):
 
 
 def _four_sign_reference(px, py, pw, lx, ly, lw, ca, cb, start, stop):
-    """The kernel without its side bitmasks: four sign evaluations per pair."""
+    """The kernel without its sign bitsets: four sign evaluations per pair."""
     hits = []
     for i in range(start, stop):
         a, b = ca[i], cb[i]
@@ -366,28 +366,36 @@ class TestIntersection:
         # the outer chord range at any k and extending the first list by the
         # second, merging two tuples that share two chords (two chords meet
         # at most once), gives the full list, order included.  The
-        # regular-approx 12-gon has points of 3 and of 6 chords.
-        layouts = [hexagon_arrangement(), generic_arrangement(9, seed=7)]
-        layouts.append(intersect_chords(_regular_approx_points(12)))
-        for arr in layouts:
-            args = _kernel_args(arr.points)
-            n = len(arr.chords)
+        # regular-approx 12-gon has points of 3 and of 6 chords.  The seeded
+        # 40-point layout, split at three k only, shifts the row bitsets
+        # past a start > 0 at the regions-large size.
+        layouts = [hexagon_arrangement().points, generic_arrangement(9, seed=7).points]
+        layouts.append(_regular_approx_points(12))
+        layouts.append(build_arrangement(map(CirclePoint, seeded_parameters(40, seed=7))))
+        for points in layouts:
+            args = _kernel_args(points)
+            n = len(args[-1])
             whole = _kernel.intersect_pairs(*args, 0, n)
             assert whole
-            for k in range(n + 1):
+            splits = range(n + 1) if n < 100 else (1, n // 2, n - 1)
+            for k in splits:
                 merged = _kernel.intersect_pairs(*args, 0, k)
+                # Each pair of chords through a point of [0, k) -> its place.
+                # Distinct points of [k, n) share at most one chord, so only
+                # the points of [0, k) need the index.
+                index = {pair: at for at, t in enumerate(merged) for pair in itertools.combinations(t, 2)}
                 for chords in _kernel.intersect_pairs(*args, k, n):
-                    same = [t for t in merged if len(set(t) & set(chords)) >= 2]
+                    same = {index[pair] for pair in itertools.combinations(chords, 2) if pair in index}
                     if same:
-                        (point,) = same
-                        merged[merged.index(point)] = tuple(sorted({*point, *chords}))
+                        (at,) = same
+                        merged[at] = tuple(sorted({*merged[at], *chords}))
                     else:
                         merged.append(chords)
-                assert merged == whole, (arr.m, k)
+                assert merged == whole, (len(points), k)
 
     def test_kernel_matches_four_sign_reference(self):
-        # The side bitmasks hoist the same exact signs out of the pair loop,
-        # and the chord-local keys group the crossings by point.  So the
+        # The row bitsets evaluate the same exact signs for all chords at
+        # once, and the chord-local keys group the crossings by point.  So the
         # kernel's list is the reference's chords per canonical triple under
         # the merge rule, in first-hit order, and the edge triples are its
         # keys, on general-position and degenerate (concurrent) layouts
@@ -401,6 +409,12 @@ class TestIntersection:
             for seed in range(3)
         ]
         layouts.append(build_arrangement(map(CirclePoint, seeded_parameters(40, seed=3))))
+        # verify's unseeded family: its 2^i parameters give the largest side
+        # values the CLI builds.
+        layouts += [
+            build_arrangement(map(CirclePoint, generic_parameters(m, variant=variant)))
+            for m, variant in ((15, 0), (15, 1), (25, 0))
+        ]
         for points in layouts:
             args = _kernel_args(points)
             n = len(args[-1])
