@@ -81,7 +81,6 @@ from .moser_formulas import (
 )
 from .recurrence_solver import (
     ClosedForm,
-    ExactMatrix,
     RootMultiplicity,
     characteristic_polynomial,
     gaussian_solve,
@@ -141,7 +140,6 @@ __all__ = [
     "regions_binomial_sum",
     "regions_polynomial",
     "ClosedForm",
-    "ExactMatrix",
     "RootMultiplicity",
     "characteristic_polynomial",
     "gaussian_solve",

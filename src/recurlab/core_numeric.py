@@ -7,7 +7,9 @@ arithmetic with ``int``.  Nothing in this package touches floating point.
 
 ``Polynomial`` is an immutable dense polynomial over ``Rational`` with the
 operations the solvers need: ring arithmetic, exact division, evaluation,
-and composition with a variable shift ``x -> x + s``.
+and composition with a variable shift ``x -> x + s``.  Inside, it is
+integers over one denominator, so all of these run in ``int``; ``Fraction``
+is only at the edges: the constructor, ``coefficients`` and ``evaluate``.
 """
 
 from __future__ import annotations
@@ -60,33 +62,49 @@ def binomial_rising(r: int) -> "Polynomial":
         r=4 -> (n^4 + 10n^3 + 35n^2 + 50n + 24) / 24
 
     These are the coefficient sequences of 1/(1-x)^(r+1), which is what the
-    generating-function route extracts term formulas from.  Requires r >= 1.
+    generating-function route extracts term formulas from.  The product is
+    in integers, divided once by r!.  Requires r >= 1.
     """
     if r < 1:
         raise ValueError(f"binomial_rising requires r >= 1, got {r}")
-    poly = Polynomial.one()
-    for j in range(1, r + 1):
-        poly = poly * Polynomial((j, 1))
-    return poly * Fraction(1, math.factorial(r))
+    num = [1]
+    for j in range(1, r + 1):  # times (n + j)
+        num = [a * j + b for a, b in zip(num + [0], [0] + num)]
+    return Polynomial._make(num, math.factorial(r))
 
 
 class Polynomial:
     """Immutable dense univariate polynomial over ``Rational``.
 
-    Coefficients are stored ascending (index i holds the coefficient of
-    x^i) with trailing zeros stripped, so equal polynomials have equal
-    coefficient tuples.  The zero polynomial stores no coefficients and
-    reports degree ``NEG_INFINITY``, keeping degree comparisons meaningful
-    without special-casing.
+    Stored as integer numerators ``_num`` (ascending, trailing zeros
+    stripped) over one positive denominator ``_den`` that shares no factor
+    with all of them, so equal polynomials have equal representations.  The
+    zero polynomial stores no numerators over 1 and reports degree
+    ``NEG_INFINITY``, keeping degree comparisons meaningful.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        coeffs = [as_rational(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        values = [as_rational(c) for c in coefficients]
+        den = math.lcm(*(v.denominator for v in values))
+        self._set([v.numerator * (den // v.denominator) for v in values], den)
+
+    def _set(self, num: list[int], den: int) -> None:
+        """Store sum num[i] x^i / den (integers, ``den`` nonzero), normalised."""
+        while num and not num[-1]:
+            num.pop()
+        common = math.gcd(den, *num) * (-1 if den < 0 else 1)
+        if common != 1:
+            num, den = [c // common for c in num], den // common
+        object.__setattr__(self, "_num", tuple(num))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _make(cls, num: list[int], den: int) -> "Polynomial":
+        poly = object.__new__(cls)
+        poly._set(num, den)
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -113,58 +131,61 @@ class Polynomial:
     @property
     def coefficients(self) -> tuple[Rational, ...]:
         """Ascending coefficient tuple, trailing zeros stripped."""
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._num)
+
+    @property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """``(nums, den)``: coefficient i is nums[i] / den, with den as in the class."""
+        return self._num, self._den
 
     @property
     def degree(self):
         """Degree as an int, or ``NEG_INFINITY`` for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self._num) - 1 if self._num else NEG_INFINITY
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def coefficient(self, i: int) -> Rational:
         """Coefficient of x^i (0 beyond the stored degree)."""
         if i < 0:
             raise ValueError(f"coefficient index must be >= 0, got {i}")
-        return self._coeffs[i] if i < len(self._coeffs) else Fraction(0)
+        return Fraction(self._num[i], self._den) if i < len(self._num) else Fraction(0)
 
     # -- ring arithmetic ----------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        den = math.lcm(self._den, other._den)
+        a = [c * (den // self._den) for c in self._num]
+        b = [c * (den // other._den) for c in other._num]
         if len(a) < len(b):
             a, b = b, a
-        merged = list(a)
         for i, c in enumerate(b):
-            merged[i] += c
-        return Polynomial(merged)
+            a[i] += c
+        return Polynomial._make(a, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self._coeffs))
+        return Polynomial._make([-c for c in self._num], self._den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self + (-other) if isinstance(other, Polynomial) else NotImplemented
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero()
-            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-            for i, a in enumerate(self._coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            a, b = self._num, other._num
+            out = [0] * max(len(a) + len(b) - 1, 0)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+            return Polynomial._make(out, self._den * other._den)
         if isinstance(other, (Fraction, int)):
             scalar = as_rational(other)
-            return Polynomial(tuple(c * scalar for c in self._coeffs))
+            num = [c * scalar.numerator for c in self._num]
+            return Polynomial._make(num, self._den * scalar.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -178,58 +199,68 @@ class Polynomial:
         return result
 
     def __divmod__(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division over the rationals: quotient and remainder."""
+        """Exact long division over the rationals: quotient and remainder.
+
+        Pseudo-division in integers, keeping scale * self's numerators =
+        quot * b + rem, with b the divisor's numerators and lead its last.
+        """
         if not isinstance(divisor, Polynomial):
             return NotImplemented
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        remainder = list(self._coeffs)
-        dlen = len(divisor._coeffs)
-        lead = divisor._coeffs[-1]
-        quotient = [Fraction(0)] * max(len(remainder) - dlen + 1, 0)
-        for i in range(len(remainder) - dlen, -1, -1):
-            factor = remainder[i + dlen - 1] / lead
-            quotient[i] = factor
-            if factor:
-                for j, c in enumerate(divisor._coeffs):
-                    remainder[i + j] -= factor * c
-        return Polynomial(quotient), Polynomial(remainder)
+        rem, b, lead = list(self._num), divisor._num, divisor._num[-1]
+        quot, scale = [0] * max(len(rem) - len(b) + 1, 0), 1
+        for i in range(len(quot) - 1, -1, -1):
+            rem, quot, scale = [c * lead for c in rem], [c * lead for c in quot], scale * lead
+            quot[i] = factor = rem[i + len(b) - 1] // lead
+            for j, c in enumerate(b, i):
+                rem[j] -= factor * c
+        # self = quot * (divisor's den / (scale den)) * divisor + rem / (scale den).
+        den = scale * self._den
+        return Polynomial._make([c * divisor._den for c in quot], den), Polynomial._make(rem, den)
 
     # -- evaluation and composition -----------------------------------
 
     def evaluate(self, value: RationalLike) -> Rational:
-        """Evaluate at an exact point by Horner's rule."""
+        """Evaluate at p/q: sum num_i p^i q^(d-i) by integer Horner, over den q^d."""
         point = as_rational(value)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * point + c
-        return acc
+        p, q = point.numerator, point.denominator
+        acc, scale = 0, 1
+        for c in reversed(self._num):
+            acc, scale = acc * p + c * scale, scale * q
+        return Fraction(acc * q, self._den * scale)  # scale is q^(d+1)
 
     def compose_shift(self, shift: RationalLike) -> "Polynomial":
-        """The polynomial q with q(x) = self(x + shift).
+        """The polynomial q with q(x) = self(x + shift), by an integer Taylor shift.
 
-        Horner's rule applied with the linear polynomial (x + shift) in
-        place of the evaluation point, so the result is exact and costs
-        O(degree^2) coefficient operations.
+        With shift = p/q, self(x + p/q) = h(q x + p) / (den q^d) for the
+        integer h(z) = sum num_i q^(d-i) z^i.  Horner's scheme shifts h by p
+        in O(d^2) additions (von zur Gathen & Gerhard 1997, "Fast algorithms
+        for Taylor shifts"); w = q x then scales coefficient j by q^j.
         """
-        step = Polynomial((as_rational(shift), 1))
-        acc = Polynomial.zero()
-        for c in reversed(self._coeffs):
-            acc = acc * step + Polynomial.constant(c)
-        return acc
+        d = len(self._num) - 1
+        if d < 1:
+            return self
+        point = as_rational(shift)
+        p, q = point.numerator, point.denominator
+        h = [c * q ** (d - i) for i, c in enumerate(self._num)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                h[j] += p * h[j + 1]
+        return Polynomial._make([c * q**j for j, c in enumerate(h)], self._den * q**d)
 
     # -- comparisons / hashing / display -------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash(self.coefficients)
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self._coeffs)!r})"
+        return f"Polynomial({list(self.coefficients)!r})"
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -290,7 +321,7 @@ def format_polynomial(poly: Polynomial, variable: str = "n") -> str:
     """
     if poly.is_zero:
         return "0"
-    scaled, denominator = clear_denominators(poly.coefficients)
+    scaled, denominator = poly.integer_form
     monomials = ["", variable] + [f"{variable}^{k}" for k in range(2, poly.degree + 1)]
     text = format_signed_terms(reversed(list(zip(scaled, monomials))))
     if denominator == 1:

@@ -170,7 +170,6 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
     shares with the characteristic-polynomial route.
     """
     d = rec.order
-    ascending = tuple(reversed(rec.coefficients))  # c_0 .. c_d
     chi = characteristic_polynomial(rec)
     roots, residual = rational_roots(chi)
     if residual.degree >= 1:
@@ -181,12 +180,10 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
         )
     factors = [(rm.root, rm.multiplicity) for rm in roots if rm.root != 0]
 
-    init_poly = Polynomial.zero()
-    for k in range(1, d + 1):
-        if ascending[k] == 0:
-            continue
-        prefix = Polynomial(rec.initial_conditions[:k])
-        init_poly = init_poly + ascending[k] * (Polynomial.monomial(d - k) * prefix)
+    # N_init is D(x) (a_0 + ... + a_(d-1) x^(d-1)) cut after x^(d-1), and
+    # D(x) = sum_k c_k x^(d-k) is the stored (c_d, ..., c_0) read ascending.
+    product = Polynomial(rec.coefficients) * Polynomial(rec.initial_conditions)
+    init_poly = Polynomial(product.coefficients[:d])
 
     rhs = rec.rhs
     if rhs.is_zero:

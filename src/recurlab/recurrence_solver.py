@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence as SequenceABC
+from typing import Sequence as SequenceABC
 
 from .core_numeric import (
     Polynomial,
@@ -34,7 +34,6 @@ from .core_numeric import (
     binomial,
     clear_denominators,
     format_polynomial,
-    format_rational,
 )
 from .difference_engine import LinearRecurrence
 from .errors import SingularMatrixError, UnsupportedRootsError
@@ -51,30 +50,6 @@ class RootMultiplicity:
         object.__setattr__(self, "root", as_rational(self.root))
         if self.multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """A rectangular matrix of exact rationals."""
-
-    rows: tuple[tuple[Rational, ...], ...]
-
-    def __post_init__(self):
-        rows = tuple(tuple(as_rational(x) for x in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(rows[0])
-        if width == 0 or any(len(row) != width for row in rows):
-            raise ValueError("matrix rows must be non-empty and equal length")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[RationalLike]]) -> "ExactMatrix":
-        return cls(tuple(tuple(row) for row in rows))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
 
 
 @dataclass(frozen=True)
@@ -164,27 +139,16 @@ def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
 
 def _divisors(n: int) -> list[int]:
     """Sorted positive divisors of n >= 1."""
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return sorted({*small, *(n // i for i in small)})
 
 
-def _deflate(poly: Polynomial, root: Rational) -> Polynomial:
-    """Exact synthetic division of ``poly`` by (x - root); the root must divide."""
-    descending = list(reversed(poly.coefficients))
-    out = [descending[0]]
-    for c in descending[1:-1]:
-        out.append(c + root * out[-1])
-    remainder = descending[-1] + root * out[-1]
-    if remainder != 0:
-        raise ValueError(f"{root} is not a root; synthetic division leaves {remainder}")
-    return Polynomial(tuple(reversed(out)))
+def _deflate(ints: list[int], p: int, q: int) -> list[int]:
+    """``ints`` (ascending) divided by (q x - p), integral by Gauss's lemma."""
+    out = [ints[-1] // q]
+    for c in reversed(ints[1:-1]):
+        out.append((c + p * out[-1]) // q)
+    return out[::-1]
 
 
 def rational_roots(poly: Polynomial) -> tuple[list[RootMultiplicity], Polynomial]:
@@ -192,74 +156,73 @@ def rational_roots(poly: Polynomial) -> tuple[list[RootMultiplicity], Polynomial
 
     Uses the rational-root theorem on the primitive integer form of the
     polynomial: every rational root p/q (lowest terms) has p dividing the
-    constant term and q dividing the leading coefficient.  Each candidate
-    is divided out repeatedly by synthetic division, so multiplicities are
-    exact.  The residual polynomial has no rational roots; a residual of
-    degree >= 1 means the input does not factor completely over Q.
+    constant term and q dividing the leading coefficient.  A candidate is a
+    root when sum c_i p^i q^(d-i) = 0, and each root is divided out
+    repeatedly as (q x - p) in integers, so multiplicities are exact.  The
+    residual, the input over (x - r) for each root r counted, has no
+    rational roots; a residual of degree >= 1 means the input does not
+    factor completely over Q.
 
     Roots are returned sorted ascending.  Multiplicities plus the residual
     degree always account for the full degree of the input.
     """
     if poly.is_zero:
         raise ValueError("cannot extract roots of the zero polynomial")
-    work = poly
-    roots: list[RootMultiplicity] = []
+    ints, denominator = poly.integer_form
+    zero_mult = next(i for i, c in enumerate(ints) if c)
+    content = math.gcd(*ints)
+    work = [c // content for c in ints[zero_mult:]]
+    lost = content  # dividing by q x - p, not x - p/q, leaves out a q each time
+    roots = [RootMultiplicity(Fraction(0), zero_mult)] if zero_mult else []
 
-    zero_mult = 0
-    while not work.is_zero and work.coefficient(0) == 0:
-        work = Polynomial(work.coefficients[1:])
-        zero_mult += 1
-    if zero_mult:
-        roots.append(RootMultiplicity(Fraction(0), zero_mult))
-
-    if work.degree >= 1:
-        ints, _ = clear_denominators(work.coefficients)
-        content = math.gcd(*ints)
-        constant = abs(ints[0]) // content
-        leading = abs(ints[-1]) // content
-        candidates = sorted(
-            {
-                sign * Fraction(p, q)
-                for p in _divisors(constant)
-                for q in _divisors(leading)
-                for sign in (1, -1)
-            }
-        )
-        for candidate in candidates:
-            if work.degree < 1:
+    pairs = []
+    if len(work) >= 2:
+        pairs = [(p, q) for p in _divisors(abs(work[0])) for q in _divisors(abs(work[-1]))]
+    for candidate in sorted({sign * Fraction(p, q) for p, q in pairs for sign in (1, -1)}):
+        p, q = candidate.numerator, candidate.denominator
+        multiplicity = 0
+        while len(work) >= 2:
+            acc, scale = 0, 1
+            for c in reversed(work):
+                acc, scale = acc * p + c * scale, scale * q
+            if acc:
                 break
-            multiplicity = 0
-            while work.degree >= 1 and work.evaluate(candidate) == 0:
-                work = _deflate(work, candidate)
-                multiplicity += 1
-            if multiplicity:
-                roots.append(RootMultiplicity(candidate, multiplicity))
+            work = _deflate(work, p, q)
+            lost *= q
+            multiplicity += 1
+        if multiplicity:
+            roots.append(RootMultiplicity(candidate, multiplicity))
 
     roots.sort(key=lambda rm: rm.root)
-    return roots, work
+    return roots, Polynomial(Fraction(c * lost, denominator) for c in work)
 
 
-def gaussian_solve(matrix: ExactMatrix, rhs: SequenceABC[RationalLike]) -> list[Rational]:
+def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> list[Rational]:
     """Solve a square exact linear system by fraction-free elimination.
 
-    Each augmented row is scaled to integers by the lcm of its denominators
-    and eliminated by Bareiss's rule: each update is divided exactly by the
+    ``rows`` lists the matrix's rows of ``int``s or ``Fraction``s.  Each
+    augmented row is scaled to integers by the lcm of its denominators and
+    eliminated by Bareiss's rule: each update is divided exactly by the
     previous pivot, since by Sylvester's identity every entry is a minor.
-    ``Fraction`` appears only in back-substitution.  Pivoting picks the
-    first row with a nonzero entry in the current column.  Raises
-    SingularMatrixError (carrying the achieved rank) when the system has
-    no unique solution.
+    Pivoting picks the first row with a nonzero entry in the current column.
+    The last pivot D is the determinant, so by Cramer's rule each D x_i is
+    an integer: back-substitution finds them by exact division, and
+    ``Fraction`` appears once per unknown.  Raises SingularMatrixError
+    (carrying the achieved rank) when the system has no unique solution.
     """
-    n_rows, n_cols = matrix.shape
-    if n_rows != n_cols:
-        raise ValueError(f"need a square system, got shape {matrix.shape}")
-    if len(rhs) != n_rows:
-        raise ValueError(f"right-hand side length {len(rhs)} != {n_rows}")
+    n = len(rows)
+    widths = {len(row) for row in rows}
+    if widths != {n}:
+        raise ValueError(f"need a square system, got {n} rows of lengths {sorted(widths)}")
+    if len(rhs) != n:
+        raise ValueError(f"right-hand side length {len(rhs)} != {n}")
 
-    n = n_rows
-    aug = [clear_denominators(row + (as_rational(b),))[0] for row, b in zip(matrix.rows, rhs)]
-    rank = 0
-    previous = 1
+    aug = []
+    for row, b in zip(rows, rhs):
+        if not all(isinstance(x, (int, Fraction)) for x in row):
+            raise TypeError("matrix entries must be Fraction or int")
+        aug.append(clear_denominators([*row, as_rational(b)])[0])
+    rank, previous = 0, 1
     for col in range(n):
         pivot_row = next((r for r in range(rank, n) if aug[r][col] != 0), None)
         if pivot_row is None:
@@ -280,13 +243,12 @@ def gaussian_solve(matrix: ExactMatrix, rhs: SequenceABC[RationalLike]) -> list[
             f"system is singular (rank {rank} of {n}); no unique solution", rank=rank
         )
 
-    solution = [Fraction(0)] * n
+    scaled = [0] * n  # previous * x_i
     for i in range(n - 1, -1, -1):
-        acc = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            acc -= aug[i][j] * solution[j]
-        solution[i] = acc / aug[i][i]
-    return solution
+        row = aug[i]
+        acc = previous * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
+        scaled[i] = acc // row[i]
+    return [Fraction(v, previous) for v in scaled]
 
 
 def particular_solution(
@@ -313,11 +275,9 @@ def particular_solution(
         return Polynomial.zero(), shift
 
     degree = rhs.degree
-    ascending = tuple(reversed(rec.coefficients))  # c_0 .. c_d
-    mu = [
-        sum(c_k * k**t for k, c_k in enumerate(ascending))
-        for t in range(shift + degree + 1)
-    ]
+    # c_0 .. c_d as integers over L: the moments of L * c give amplitudes / L.
+    ascending, scale = clear_denominators(tuple(reversed(rec.coefficients)))
+    mu = [sum(c_k * k**t for k, c_k in enumerate(ascending)) for t in range(shift + degree + 1)]
     # mu_0 .. mu_(s-1) vanish and mu_s does not exactly when 1 is a root of
     # multiplicity s; anything else means the roots misstate it.
     assert not any(mu[:shift]) and mu[shift], "roots misstate the multiplicity of root 1"
@@ -329,7 +289,7 @@ def particular_solution(
             for i in range(q + 1, degree + 1)
         )
         amplitudes[q] = acc / (binomial(shift + q, q) * mu[shift])
-    return Polynomial((0,) * shift + tuple(amplitudes)), shift
+    return Polynomial((0,) * shift + tuple(amplitudes)) * scale, shift
 
 
 def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
@@ -371,7 +331,7 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
         rows.append([n**j * r**n for r, (_, j) in zip(scaled_roots, basis)])
         target.append((rec.initial_conditions[n] - particular.evaluate(n)) * scale**n)
     try:
-        amplitudes = gaussian_solve(ExactMatrix.from_rows(rows), target)
+        amplitudes = gaussian_solve(rows, target)
     except SingularMatrixError as exc:  # fundamental system: cannot happen
         raise AssertionError("initial-condition system cannot be singular") from exc
 

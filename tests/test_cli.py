@@ -8,10 +8,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from recurlab.cli import MAX_GEOM_M, main
+from recurlab import Sequence, build_difference_table, format_rational, predict_next
+from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, main
 
 QUARTIC_IN_M = "(m^4 - 6*m^3 + 23*m^2 - 18*m + 24)/24"
 QUARTIC_IN_N = "(n^4 - 2*n^3 + 11*n^2 + 14*n + 24)/24"
@@ -274,6 +276,54 @@ class TestTable:
     def test_moser_needs_two_terms(self, capsys):
         code, _, err = run_cli(["table", "--moser", "1"], capsys)
         assert code == 2
+
+    def test_moser_term_limit_exit_2(self, capsys, monkeypatch):
+        # Over the limit nothing is built: the terms are never computed.
+        def never(n):
+            raise AssertionError(f"moser_terms({n}) called over the limit")
+
+        monkeypatch.setattr("recurlab.cli.moser_terms", never)
+        for command in ("table", "solve"):
+            for n in (MAX_MOSER_N + 1, 10**40):
+                code, out, err = run_cli([command, f"--moser={n}", "--json"], capsys)
+                assert (code, out) == (2, ""), (command, n)
+                assert err == f"error: --moser {n} exceeds the term limit ({MAX_MOSER_N} terms)\n"
+
+    @pytest.mark.parametrize(
+        "seq, max_depth",
+        [
+            ("1,2,4,8,16", 4),  # no certified row; the last row holds one cell
+            ("1/3,2/5", None),  # two terms: one-cell last row
+            (PIN_RATIONAL[len("--seq="):], None),  # rational cells, certified depth and next
+            ("1,2,4,8,16,31", None),  # integer cells, certified depth and next
+            (PIN_MIXED_SIGN[len("--seq="):], 2),  # --max-depth stops above the constant row
+        ],
+    )
+    def test_json_streams_as_json_dumps_lays_out(self, seq, max_depth, capsys):
+        # The rows are written one at a time; the bytes must be those of the
+        # whole envelope through json.dumps(indent=2) plus print's newline.
+        terms = [Fraction(t) for t in seq.split(",")]
+        table = build_difference_table(Sequence(tuple(terms)), max_depth)
+        depth = table.constant_depth
+        envelope = {
+            "schema_version": 1,
+            "command": "table",
+            "inputs": {"source": "seq", "terms": [format_rational(t) for t in terms]},
+            "method_tags": ["differences"],
+            "result": {
+                "rows": [
+                    [format_rational(Fraction(v, table.denominator)) for v in row]
+                    for row in table.rows
+                ],
+                "constant_depth": depth,
+                "next": None if depth is None else format_rational(predict_next(table)),
+            },
+            "agreement": None,
+        }
+        argv = ["table", "--seq=" + seq, "--json"]
+        if max_depth is not None:
+            argv += ["--max-depth", str(max_depth)]
+        assert run_cli(argv, capsys) == (0, json.dumps(envelope, indent=2) + "\n", "")
 
 
 class TestSolve:

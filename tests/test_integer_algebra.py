@@ -1,32 +1,40 @@
-"""The integer difference table and fraction-free elimination against the
-``Fraction`` versions they replaced.
+"""The integer algebra against the ``Fraction`` versions it replaced.
 
-``_reference_build_difference_table`` and ``_reference_gaussian_solve`` are
-the earlier implementations, copied verbatim apart from the reference
-table returning ``(rows, constant_depth)`` in place of a
-``DifferenceTable``.  They difference and eliminate in ``Fraction`` cells,
-so they share no integer scaling and no pivot division with the code under
-test.
+``_reference_build_difference_table``, ``_reference_gaussian_solve``,
+``_ReferencePolynomial``, ``_reference_binomial_rising`` and
+``_reference_rational_roots`` (with its ``_reference_divisors`` and
+``_reference_deflate``) are the earlier implementations, copied verbatim
+apart from their names, the reference table returning
+``(rows, constant_depth)`` in place of a ``DifferenceTable``, the reference
+elimination taking the row lists that replaced ``ExactMatrix``, and the
+reference polynomial leaving out ``__str__``.  They work in ``Fraction``
+cells, so they share no integer scaling, gcd normalisation, pivot division
+or Taylor shift with the code under test.
 """
 
 import math
 from fractions import Fraction
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import (
-    ExactMatrix,
+    NEG_INFINITY,
     Polynomial,
+    Rational,
+    RootMultiplicity,
     Sequence,
     SingularMatrixError,
+    binomial_rising,
     build_difference_table,
     gaussian_solve,
     infer_recurrence,
     predict_next,
+    rational_roots,
 )
-from recurlab.core_numeric import as_rational
+from recurlab.core_numeric import RationalLike, as_rational, clear_denominators
 
 
 def _reference_is_constant(row):
@@ -65,7 +73,7 @@ def _reference_build_difference_table(seq, max_depth=None):
     return tuple(rows), depth
 
 
-def _reference_gaussian_solve(matrix, rhs):
+def _reference_gaussian_solve(rows, rhs):
     """Solve a square exact linear system by elimination with exact pivots.
 
     Pivoting picks the first row with a nonzero entry in the current
@@ -73,14 +81,15 @@ def _reference_gaussian_solve(matrix, rhs):
     SingularMatrixError (carrying the achieved rank) when the system has
     no unique solution.
     """
-    n_rows, n_cols = matrix.shape
+    shape = (len(rows), len(rows[0]))
+    n_rows, n_cols = shape
     if n_rows != n_cols:
-        raise ValueError(f"need a square system, got shape {matrix.shape}")
+        raise ValueError(f"need a square system, got shape {shape}")
     if len(rhs) != n_rows:
         raise ValueError(f"right-hand side length {len(rhs)} != {n_rows}")
 
     n = n_rows
-    aug = [list(row) + [as_rational(rhs[i])] for i, row in enumerate(matrix.rows)]
+    aug = [[as_rational(x) for x in row] + [as_rational(rhs[i])] for i, row in enumerate(rows)]
     rank = 0
     for col in range(n):
         pivot_row = next((r for r in range(rank, n) if aug[r][col] != 0), None)
@@ -106,6 +115,265 @@ def _reference_gaussian_solve(matrix, rhs):
             acc -= aug[i][j] * solution[j]
         solution[i] = acc / aug[i][i]
     return solution
+
+
+class _ReferencePolynomial:
+    """Immutable dense univariate polynomial over ``Rational``.
+
+    Coefficients are stored ascending (index i holds the coefficient of
+    x^i) with trailing zeros stripped, so equal polynomials have equal
+    coefficient tuples.  The zero polynomial stores no coefficients and
+    reports degree ``NEG_INFINITY``, keeping degree comparisons meaningful
+    without special-casing.
+    """
+
+    __slots__ = ("_coeffs",)
+
+    def __init__(self, coefficients: Iterable[RationalLike] = ()):
+        coeffs = [as_rational(c) for c in coefficients]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "_coeffs", tuple(coeffs))
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def zero(cls) -> "_ReferencePolynomial":
+        return cls(())
+
+    @classmethod
+    def one(cls) -> "_ReferencePolynomial":
+        return cls((1,))
+
+    @classmethod
+    def constant(cls, value: RationalLike) -> "_ReferencePolynomial":
+        return cls((as_rational(value),))
+
+    @classmethod
+    def monomial(cls, degree: int, coefficient: RationalLike = 1) -> "_ReferencePolynomial":
+        if degree < 0:
+            raise ValueError(f"monomial degree must be >= 0, got {degree}")
+        return cls((0,) * degree + (as_rational(coefficient),))
+
+    # -- structure ----------------------------------------------------
+
+    @property
+    def coefficients(self) -> tuple[Rational, ...]:
+        """Ascending coefficient tuple, trailing zeros stripped."""
+        return self._coeffs
+
+    @property
+    def degree(self):
+        """Degree as an int, or ``NEG_INFINITY`` for the zero polynomial."""
+        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._coeffs
+
+    def coefficient(self, i: int) -> Rational:
+        """Coefficient of x^i (0 beyond the stored degree)."""
+        if i < 0:
+            raise ValueError(f"coefficient index must be >= 0, got {i}")
+        return self._coeffs[i] if i < len(self._coeffs) else Fraction(0)
+
+    # -- ring arithmetic ----------------------------------------------
+
+    def __add__(self, other: "_ReferencePolynomial") -> "_ReferencePolynomial":
+        if not isinstance(other, _ReferencePolynomial):
+            return NotImplemented
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        merged = list(a)
+        for i, c in enumerate(b):
+            merged[i] += c
+        return _ReferencePolynomial(merged)
+
+    def __neg__(self) -> "_ReferencePolynomial":
+        return _ReferencePolynomial(tuple(-c for c in self._coeffs))
+
+    def __sub__(self, other: "_ReferencePolynomial") -> "_ReferencePolynomial":
+        if not isinstance(other, _ReferencePolynomial):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other) -> "_ReferencePolynomial":
+        if isinstance(other, _ReferencePolynomial):
+            if self.is_zero or other.is_zero:
+                return _ReferencePolynomial.zero()
+            out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
+            for i, a in enumerate(self._coeffs):
+                if a == 0:
+                    continue
+                for j, b in enumerate(other._coeffs):
+                    out[i + j] += a * b
+            return _ReferencePolynomial(out)
+        if isinstance(other, (Fraction, int)):
+            scalar = as_rational(other)
+            return _ReferencePolynomial(tuple(c * scalar for c in self._coeffs))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> "_ReferencePolynomial":
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"polynomial exponent must be an int >= 0, got {exponent}")
+        result = _ReferencePolynomial.one()
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __divmod__(self, divisor: "_ReferencePolynomial") -> tuple["_ReferencePolynomial", "_ReferencePolynomial"]:
+        """Exact long division over the rationals: quotient and remainder."""
+        if not isinstance(divisor, _ReferencePolynomial):
+            return NotImplemented
+        if divisor.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        remainder = list(self._coeffs)
+        dlen = len(divisor._coeffs)
+        lead = divisor._coeffs[-1]
+        quotient = [Fraction(0)] * max(len(remainder) - dlen + 1, 0)
+        for i in range(len(remainder) - dlen, -1, -1):
+            factor = remainder[i + dlen - 1] / lead
+            quotient[i] = factor
+            if factor:
+                for j, c in enumerate(divisor._coeffs):
+                    remainder[i + j] -= factor * c
+        return _ReferencePolynomial(quotient), _ReferencePolynomial(remainder)
+
+    # -- evaluation and composition -----------------------------------
+
+    def evaluate(self, value: RationalLike) -> Rational:
+        """Evaluate at an exact point by Horner's rule."""
+        point = as_rational(value)
+        acc = Fraction(0)
+        for c in reversed(self._coeffs):
+            acc = acc * point + c
+        return acc
+
+    def compose_shift(self, shift: RationalLike) -> "_ReferencePolynomial":
+        """The polynomial q with q(x) = self(x + shift).
+
+        Horner's rule applied with the linear polynomial (x + shift) in
+        place of the evaluation point, so the result is exact and costs
+        O(degree^2) coefficient operations.
+        """
+        step = _ReferencePolynomial((as_rational(shift), 1))
+        acc = _ReferencePolynomial.zero()
+        for c in reversed(self._coeffs):
+            acc = acc * step + _ReferencePolynomial.constant(c)
+        return acc
+
+    # -- comparisons / hashing / display -------------------------------
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _ReferencePolynomial):
+            return self._coeffs == other._coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._coeffs)
+
+    def __repr__(self) -> str:
+        return f"_ReferencePolynomial({list(self._coeffs)!r})"
+
+
+def _reference_binomial_rising(r: int) -> "_ReferencePolynomial":
+    """The degree-``r`` polynomial ``p`` with ``p(n) = C(n + r, r)``.
+
+    Built as (n+1)(n+2)···(n+r) / r!, so for example::
+
+        r=1 -> n + 1
+        r=2 -> (n^2 + 3n + 2) / 2
+        r=4 -> (n^4 + 10n^3 + 35n^2 + 50n + 24) / 24
+
+    These are the coefficient sequences of 1/(1-x)^(r+1), which is what the
+    generating-function route extracts term formulas from.  Requires r >= 1.
+    """
+    if r < 1:
+        raise ValueError(f"binomial_rising requires r >= 1, got {r}")
+    poly = _ReferencePolynomial.one()
+    for j in range(1, r + 1):
+        poly = poly * _ReferencePolynomial((j, 1))
+    return poly * Fraction(1, math.factorial(r))
+
+
+def _reference_divisors(n: int) -> list[int]:
+    """Sorted positive divisors of n >= 1."""
+    small, large = [], []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            small.append(i)
+            if i != n // i:
+                large.append(n // i)
+        i += 1
+    return small + large[::-1]
+
+
+def _reference_deflate(poly: _ReferencePolynomial, root: Rational) -> _ReferencePolynomial:
+    """Exact synthetic division of ``poly`` by (x - root); the root must divide."""
+    descending = list(reversed(poly.coefficients))
+    out = [descending[0]]
+    for c in descending[1:-1]:
+        out.append(c + root * out[-1])
+    remainder = descending[-1] + root * out[-1]
+    if remainder != 0:
+        raise ValueError(f"{root} is not a root; synthetic division leaves {remainder}")
+    return _ReferencePolynomial(tuple(reversed(out)))
+
+
+def _reference_rational_roots(poly: _ReferencePolynomial) -> tuple[list[RootMultiplicity], _ReferencePolynomial]:
+    """All rational roots with multiplicities, plus the unfactored residual.
+
+    Uses the rational-root theorem on the primitive integer form of the
+    polynomial: every rational root p/q (lowest terms) has p dividing the
+    constant term and q dividing the leading coefficient.  Each candidate
+    is divided out repeatedly by synthetic division, so multiplicities are
+    exact.  The residual polynomial has no rational roots; a residual of
+    degree >= 1 means the input does not factor completely over Q.
+
+    Roots are returned sorted ascending.  Multiplicities plus the residual
+    degree always account for the full degree of the input.
+    """
+    if poly.is_zero:
+        raise ValueError("cannot extract roots of the zero polynomial")
+    work = poly
+    roots: list[RootMultiplicity] = []
+
+    zero_mult = 0
+    while not work.is_zero and work.coefficient(0) == 0:
+        work = _ReferencePolynomial(work.coefficients[1:])
+        zero_mult += 1
+    if zero_mult:
+        roots.append(RootMultiplicity(Fraction(0), zero_mult))
+
+    if work.degree >= 1:
+        ints, _ = clear_denominators(work.coefficients)
+        content = math.gcd(*ints)
+        constant = abs(ints[0]) // content
+        leading = abs(ints[-1]) // content
+        candidates = sorted(
+            {
+                sign * Fraction(p, q)
+                for p in _reference_divisors(constant)
+                for q in _reference_divisors(leading)
+                for sign in (1, -1)
+            }
+        )
+        for candidate in candidates:
+            if work.degree < 1:
+                break
+            multiplicity = 0
+            while work.degree >= 1 and work.evaluate(candidate) == 0:
+                work = _reference_deflate(work, candidate)
+                multiplicity += 1
+            if multiplicity:
+                roots.append(RootMultiplicity(candidate, multiplicity))
+
+    roots.sort(key=lambda rm: rm.root)
+    return roots, work
 
 
 # Mixed-sign rationals; integers are the denominator-1 case.
@@ -148,7 +416,7 @@ def systems(draw):
         # when any other row has a nonzero entry there.
         rows[0][0] = Fraction(0)
     rhs = draw(st.lists(scalars, min_size=n, max_size=n))
-    return ExactMatrix.from_rows(rows), rhs
+    return rows, rhs
 
 
 class TestIntegerTable:
@@ -197,7 +465,7 @@ class TestFractionFreeElimination:
     def test_skipped_column_then_exact_division(self):
         # Column 0 has no pivot and is skipped, so the pivots sit off the
         # diagonal and the last update divides by the previous pivot 2.
-        matrix = ExactMatrix.from_rows([[0, 2, 3], [0, 4, 7], [0, 6, 5]])
+        matrix = [[0, 2, 3], [0, 4, 7], [0, 6, 5]]
         with pytest.raises(SingularMatrixError) as new:
             gaussian_solve(matrix, [1, 2, 3])
         with pytest.raises(SingularMatrixError) as ref:
@@ -206,6 +474,108 @@ class TestFractionFreeElimination:
 
     def test_vandermonde_order_32(self):
         # The charpoly initial-condition system at order 32, rational rhs.
-        matrix = ExactMatrix.from_rows([[n**j for j in range(32)] for n in range(32)])
+        matrix = [[n**j for j in range(32)] for n in range(32)]
         rhs = [Fraction((-1) ** n * (n * n + 1), 7 + n) for n in range(32)]
         assert gaussian_solve(matrix, rhs) == _reference_gaussian_solve(matrix, rhs)
+
+
+polys = st.lists(scalars, max_size=7)
+
+
+def assert_same(new, ref):
+    """``new`` is ``ref`` in canonical integer form, equal in value and hash."""
+    num, den = new.integer_form
+    assert den > 0 and math.gcd(den, *num) == 1 and (not num or num[-1] != 0)
+    assert new.coefficients == ref.coefficients
+    assert all(type(c) is Fraction for c in new.coefficients)
+    assert new.degree == ref.degree
+    assert new == Polynomial(ref.coefficients)
+    assert hash(new) == hash(ref)
+
+
+class TestIntegerPolynomial:
+    @given(polys, polys, scalars)
+    @settings(max_examples=300, deadline=None)
+    def test_ring_operations_match_reference(self, a, b, c):
+        p, q, rp, rq = Polynomial(a), Polynomial(b), _ReferencePolynomial(a), _ReferencePolynomial(b)
+        assert_same(p, rp)
+        assert_same(p + q, rp + rq)
+        assert_same(p - q, rp - rq)
+        assert_same(-p, -rp)
+        assert_same(p * q, rp * rq)
+        for scalar in (c, c.numerator, 0):
+            assert_same(p * scalar, rp * scalar)
+            assert_same(scalar * p, scalar * rp)
+        assert (p == q) == (rp == rq)
+        assert (p - p).is_zero and (p - p).integer_form == ((), 1)
+
+    @given(polys, st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_power_matches_reference(self, a, exponent):
+        assert_same(Polynomial(a) ** exponent, _ReferencePolynomial(a) ** exponent)
+
+    @given(polys, polys)
+    @settings(max_examples=300, deadline=None)
+    def test_divmod_matches_reference(self, a, b):
+        p, q, rp, rq = Polynomial(a), Polynomial(b), _ReferencePolynomial(a), _ReferencePolynomial(b)
+        if rq.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                divmod(p, q)
+            return
+        (quotient, remainder), (ref_quotient, ref_remainder) = divmod(p, q), divmod(rp, rq)
+        assert_same(quotient, ref_quotient)
+        assert_same(remainder, ref_remainder)
+
+    @given(polys, scalars)
+    @settings(max_examples=300, deadline=None)
+    def test_evaluate_and_compose_shift_match_reference(self, a, point):
+        p, rp = Polynomial(a), _ReferencePolynomial(a)
+        value = p.evaluate(point)
+        assert type(value) is Fraction and value == rp.evaluate(point)
+        assert p.evaluate(point.numerator) == rp.evaluate(point.numerator)
+        assert_same(p.compose_shift(point), rp.compose_shift(point))
+        assert_same(p.compose_shift(point.numerator), rp.compose_shift(point.numerator))
+
+    def test_binomial_rising_matches_reference(self):
+        for r in range(1, 25):
+            assert_same(binomial_rising(r), _reference_binomial_rising(r))
+
+    def test_edges_unchanged(self):
+        zero = Polynomial.zero()
+        assert zero.degree == NEG_INFINITY and zero.coefficients == ()
+        assert zero.evaluate(Fraction(3, 7)) == 0 and zero.compose_shift(5) == zero
+        assert repr(Polynomial((Fraction(1, 2), 1))) == "Polynomial([Fraction(1, 2), Fraction(1, 1)])"
+        with pytest.raises(TypeError):
+            Polynomial((1, 0.5))
+        with pytest.raises(TypeError):
+            Polynomial((1, 2)) * 0.5
+
+
+@st.composite
+def factored(draw):
+    """c * prod (q x - p)^m over distinct roots p/q, times an optional irreducible part."""
+    roots = draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 4)), max_size=3))
+    poly = _ReferencePolynomial.constant(draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)])))
+    for p, q in roots:
+        poly = poly * _ReferencePolynomial((-p, q)) ** draw(st.integers(1, 3))
+    extra = draw(st.sampled_from([(), (1, 0, 1), (-2, 0, 1), (1, 1, 1), (3, 0, 0, 2)]))
+    if extra:
+        poly = poly * _ReferencePolynomial(extra)
+    return poly
+
+
+class TestIntegerRationalRoots:
+    @given(factored())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, ref_poly):
+        roots, residual = rational_roots(Polynomial(ref_poly.coefficients))
+        ref_roots, ref_residual = _reference_rational_roots(ref_poly)
+        assert roots == ref_roots
+        assert_same(residual, ref_residual)
+
+    def test_errors_unchanged(self):
+        with pytest.raises(ValueError) as new:
+            rational_roots(Polynomial.zero())
+        with pytest.raises(ValueError) as ref:
+            _reference_rational_roots(_ReferencePolynomial.zero())
+        assert str(new.value) == str(ref.value)

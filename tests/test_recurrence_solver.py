@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from recurlab import (
     ClosedForm,
-    ExactMatrix,
     LinearRecurrence,
     Polynomial,
     RootMultiplicity,
@@ -116,28 +115,37 @@ class TestRationalRoots:
 class TestGaussianSolve:
     def test_three_by_three_quartic_fit(self):
         # The system that pins the quartic's n^2, n^3, n^4-free corrections.
-        matrix = ExactMatrix.from_rows([[1, 1, 1], [2, 4, 8], [3, 9, 27]])
+        matrix = [[1, 1, 1], [2, 4, 8], [3, 9, 27]]
         rhs = [F(23, 24), F(56, 24), F(87, 24)]
         assert gaussian_solve(matrix, rhs) == [F(14, 24), F(11, 24), F(-2, 24)]
 
     def test_identity(self):
-        matrix = ExactMatrix.from_rows([[1, 0], [0, 1]])
+        matrix = [[1, 0], [0, 1]]
         assert gaussian_solve(matrix, [F(3), F(4)]) == [3, 4]
 
     def test_pivot_swap_needed(self):
-        matrix = ExactMatrix.from_rows([[0, 1], [1, 0]])
+        matrix = [[0, 1], [1, 0]]
         assert gaussian_solve(matrix, [F(5), F(6)]) == [6, 5]
 
     def test_singular_reports_rank(self):
-        matrix = ExactMatrix.from_rows([[1, 1], [2, 2]])
+        matrix = [[1, 1], [2, 2]]
         with pytest.raises(SingularMatrixError) as exc_info:
             gaussian_solve(matrix, [F(1), F(2)])
         assert exc_info.value.rank == 1
 
     def test_non_square_rejected(self):
-        matrix = ExactMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-        with pytest.raises(ValueError):
-            gaussian_solve(matrix, [F(1), F(2)])
+        for matrix in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], []):
+            with pytest.raises(ValueError, match="need a square system"):
+                gaussian_solve(matrix, [F(1), F(2)])
+
+    def test_wrong_rhs_length_rejected(self):
+        with pytest.raises(ValueError, match="right-hand side length 3 != 2"):
+            gaussian_solve([[1, 0], [0, 1]], [F(1), F(2), F(3)])
+
+    def test_float_entries_rejected(self):
+        for matrix, rhs in (([[1.5, 0], [0, 1]], [1, 2]), ([[1, 0], [0, 1]], [1, 0.5])):
+            with pytest.raises(TypeError):
+                gaussian_solve(matrix, rhs)
 
     @given(
         st.lists(
@@ -149,12 +157,11 @@ class TestGaussianSolve:
     )
     @settings(max_examples=100)
     def test_solution_satisfies_system(self, rows, rhs):
-        matrix = ExactMatrix.from_rows(rows)
         try:
-            solution = gaussian_solve(matrix, rhs)
+            solution = gaussian_solve(rows, rhs)
         except SingularMatrixError:
             return
-        for row, target in zip(matrix.rows, rhs):
+        for row, target in zip(rows, rhs):
             assert sum(a * x for a, x in zip(row, solution)) == target
 
 

@@ -14,7 +14,6 @@ from fractions import Fraction
 import pytest
 
 from recurlab import (
-    ExactMatrix,
     LinearRecurrence,
     Polynomial,
     RationalFunction,
@@ -54,9 +53,7 @@ def dense_particular_solution(rec, roots):
                 image = image + c_k * monomial.compose_shift(k)
         assert image.degree <= degree
         images.append(image)
-    matrix = ExactMatrix.from_rows(
-        [[img.coefficient(j) for img in images] for j in range(degree + 1)]
-    )
+    matrix = [[img.coefficient(j) for img in images] for j in range(degree + 1)]
     amplitudes = gaussian_solve(matrix, [rhs.coefficient(j) for j in range(degree + 1)])
     particular = Polynomial.zero()
     for i, amplitude in enumerate(amplitudes):
@@ -83,9 +80,7 @@ def dense_partial_fractions(rf):
             if reduced:
                 poly = poly * Polynomial((1, -other_root)) ** reduced
         basis_polys.append(poly)
-    matrix = ExactMatrix.from_rows(
-        [[poly.coefficient(j) for poly in basis_polys] for j in range(total)]
-    )
+    matrix = [[poly.coefficient(j) for poly in basis_polys] for j in range(total)]
     coeffs = gaussian_solve(matrix, [numerator.coefficient(j) for j in range(total)])
     terms = tuple((root, k, coeff) for (root, k), coeff in zip(layout, coeffs))
     return PartialFractionForm(terms=terms, poly_part=poly_part)
