@@ -31,7 +31,6 @@ from .points import (
     antipode_parameter,
     generic_parameters,
     hexagon_parameters,
-    regular_approx_parameters,
     seeded_parameters,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "hexagon_parameters",
     "intersect_chords",
     "prefix_region_counts",
-    "regular_approx_parameters",
     "seeded_parameters",
     "verify_against_formula",
 ]

@@ -22,20 +22,39 @@ ignores.  Proof, with the points in counterclockwise index order:
 - The ranks at one vertex are distinct: two chords through an interior
   point that head for the same circle point would meet twice.
 
+Most vertices need no sort.  Take a crossing (i, j) of two chords, i = (a,
+b) and j = (c, d).  Its four half-edges head for a and b along i and for c
+and d along j.  If a < c < b < d, their ranks are 2a < 2c < 2b < 2d, so
+the rank order is: toward a, toward c, toward b, toward d.  The walk then
+writes the four successor links of that order directly, with no list and
+no sort.  A correct arrangement passes the test at every two-chord
+crossing: chords are listed in lexicographic order, so i < j gives
+a <= c; chords that cross share no endpoint, so a < c; and two chords with
+distinct endpoints on a circle cross exactly when those endpoints
+interleave, so c < b < d.  The walk does not assume it, though.  It sorts
+by rank, as above, at the circle points, at the ``concurrent`` points of 3
+or more chords, and at every two-chord crossing that fails the test.  So
+on any input, a faulty kernel's output included, the walk's answer is
+that of the rank sort at every vertex, and it stays a second opinion.
+
 Coordinates are read only for the exact integer key that orders interior
 points along a chord, which circle order alone does not fix.  The walk
-computes its own side values s_j(p) = l_j . P_p (chord j's line at circle
-point p).  Chord j meets chord c = (a, b) at |s_j(b)| A + |s_j(a)| B, and
-as W_A, W_B > 0 its place from a to b grows with sa / (sa + sb), where
-sa = |s_j(a)| and sb = |s_j(b)|.  A stop on c is keyed by
-floor(sa 2^shift / (sa + sb)) for one other chord j through it.  With
-2^shift > 4 big^2 (big the largest |s|), ratios with denominators of at
-most 2 big keep their order in their keys.  No ``Fraction`` is built.
-Intended for small m; an oracle against the closed-form counts and the
-Euler route.
+computes its own side values s_j(p) = l_j . P_p (chord j's line over its
+gcd, at circle point p).  Chord j meets chord c = (a, b) at
+|s_j(b)| A + |s_j(a)| B, and as W_A, W_B > 0 its place from a to b grows
+with sa / (sa + sb), where sa = |s_j(a)| and sb = |s_j(b)|.  A stop on c
+is keyed by floor(sa 2^shift / (sa + sb)) for one other chord j through
+it.  With 2^shift > 4 big^2 (big the largest |s|), ratios with
+denominators of at most 2 big keep their order in their keys.  No
+``Fraction`` is built.  Two stops of one chord share a key only if they
+are one point, which a correct arrangement never lists twice.  If that
+happens, the later stop replaces the earlier one on the chord, and every
+crossing takes the sort path.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .arrangement import ChordArrangement, _cross
 
@@ -43,63 +62,111 @@ from .arrangement import ChordArrangement, _cross
 def count_faces(arr: ChordArrangement) -> int:
     """Number of faces of the arrangement, unbounded face included."""
     m = arr.m
-
-    # Half-edges: (origin vertex, rank), added in twin pairs, so the twin
-    # of half-edge he is he ^ 1.
-    origins: list[int] = []
-    ranks: list[int] = []
-
-    # Circle arcs, forward from i and backward from j; one point gets a loop.
-    for i in range(m):
-        j = (i + 1) % m
-        origins += (i, j)
-        ranks += (2 * i + 1, 2 * j)
-
-    # Chord segments: each chord a -> b is split at its interior points,
-    # vertex m + k for crossing k, in the order of their keys from a
-    # (module docstring).
     chords = arr.chords
     ends = [p.triple for p in arr.points]
     size = []
     for a, b in chords:
         l0, l1, l2 = _cross(ends[a], ends[b])
+        g = gcd(l0, l1, l2)
+        l0, l1, l2 = l0 // g, l1 // g, l2 // g
         size.append([abs(l0 * x + l1 * y + l2 * w) for x, y, w in ends])
     big = max(map(max, size), default=0)
     shift = (4 * big * big).bit_length()
+    stops, ring, around = _place_stops(arr, size, shift, True) or _place_stops(arr, size, shift, False)
+
+    # Half-edges come in twin pairs, so the twin of half-edge he is he ^ 1.
+    # Circle arcs, forward from i and backward from j; one point gets a loop.
+    for i in range(m):
+        j = (i + 1) % m
+        around[i].append((2 * i + 1, 2 * i))
+        around[j].append((2 * j, 2 * i + 1))
+
+    # Chord segments: chord a -> b is split at its stops, in key order.  A
+    # segment's half-edges are he at its start, heading for b, and he + 1 at
+    # its end, heading for a.  So at a stop the half-edge toward a is some
+    # odd h, and the one toward b is h + 1.  A direct crossing's ring slot
+    # holds that h.
+    he = 2 * m
+    for (a, b), at in zip(chords, stops):
+        around[a].append((2 * b, he))
+        for stop, h in zip(map(at.__getitem__, sorted(at)), range(he + 1, he + 2 * len(at), 2)):
+            if stop >= 0:
+                ring[stop] = h
+            else:
+                around[~stop] += ((2 * a, h), (2 * b, h + 1))
+        he += 2 * len(at) + 2
+        around[b].append((2 * a, he - 1))
+
+    # Faces are the orbits of succ: succ[he] is the half-edge after
+    # twin(he) = he ^ 1 in rank order around its origin.
+    succ = [0] * he
+    for members in around:
+        order = [h for _, h in sorted(members)]
+        for idx, h in enumerate(order):
+            succ[order[idx - 1] ^ 1] = h
+    # A direct crossing's rank order is (x0, x1, x0 + 1, x1 + 1): toward a,
+    # toward c, toward b, toward d.  x0 and x1 are odd, so x ^ 1 = x - 1 and
+    # (x + 1) ^ 1 = x + 2.
+    slots = iter(ring)
+    for x0, x1 in zip(slots, slots):
+        succ[x1 + 2] = x0
+        succ[x0 - 1] = x1
+        succ[x1 - 1] = x0 + 1
+        succ[x0 + 2] = x1 + 1
+
+    # Count the orbits, marking each visited half-edge by succ = -1.
+    faces = 0
+    for start in range(he):
+        nxt = succ[start]
+        if nxt < 0:
+            continue
+        faces += 1
+        cur = start
+        while nxt >= 0:
+            succ[cur] = -1
+            cur = nxt
+            nxt = succ[cur]
+    return faces
+
+
+def _place_stops(arr: ChordArrangement, size: list[list[int]], shift: int, direct: bool):
+    """The stops of each chord by key, the ring of the direct crossings,
+    and the (rank, half-edge) list of each vertex the walk sorts.
+
+    At the k-th direct crossing, the stop is ring slot 2k on its first chord
+    and 2k + 1 on its second.  At a sorted vertex it is ~v, for its list
+    ``around[v]``; the m circle points come first.  With ``direct`` false,
+    every crossing is sorted.  With ``direct`` true, None is returned if two
+    stops of one chord share a key, since the later one replaced the earlier
+    one and left a ring slot empty.
+    """
+    chords = arr.chords
     stops: list[dict[int, int]] = [{} for _ in chords]
-    for vertex, through in enumerate(arr.crossings, start=m):
+    around: list[list[tuple[int, int]]] = [[] for _ in range(arr.m)]
+    slot = 0
+    placed = 0
+    for through in arr.crossings:
+        if direct and len(through) == 2:
+            i, j = through
+            a, b = chords[i]
+            c, d = chords[j]
+            if a < c < b < d:
+                sizes = size[j]
+                sa = sizes[a]
+                stops[i][(sa << shift) // (sa + sizes[b])] = slot
+                sizes = size[i]
+                sc = sizes[c]
+                stops[j][(sc << shift) // (sc + sizes[d])] = slot + 1
+                slot += 2
+                continue
         first = through[0]
         for c in through:
             a, b = chords[c]
             sizes = size[first] if c != first else size[through[1]]
             sa = sizes[a]
-            stops[c][(sa << shift) // (sa + sizes[b])] = vertex
-    for (a, b), at in zip(chords, stops):
-        chain = [a, *map(at.get, sorted(at)), b]
-        for v1, v2 in zip(chain, chain[1:]):
-            origins += (v1, v2)
-            ranks += (2 * b, 2 * a)
-
-    around: list[list[int]] = [[] for _ in range(m + len(arr.crossings))]
-    for he, origin in enumerate(origins):
-        around[origin].append(he)
-
-    # Faces are the orbits of succ: succ[he] is the half-edge after
-    # twin(he) = he ^ 1 in rank order around its origin.
-    succ = [0] * len(origins)
-    for members in around:
-        members.sort(key=ranks.__getitem__)
-        for idx, he in enumerate(members):
-            succ[members[idx - 1] ^ 1] = he
-
-    visited = [False] * len(origins)
-    faces = 0
-    for he in range(len(origins)):
-        if visited[he]:
-            continue
-        faces += 1
-        cur = he
-        while not visited[cur]:
-            visited[cur] = True
-            cur = succ[cur]
-    return faces
+            stops[c][(sa << shift) // (sa + sizes[b])] = ~len(around)
+        around.append([])
+        placed += len(through)
+    if direct and sum(map(len, stops)) != slot + placed:
+        return None
+    return stops, [0] * slot, around

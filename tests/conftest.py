@@ -6,11 +6,13 @@ implementations they check.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 
 from recurlab import LinearRecurrence, Polynomial, Sequence, build_difference_table, infer_recurrence, moser_terms
+from recurlab.geometry import antipode_parameter
 
 
 def brute_binomial(n: int, k: int) -> int:
@@ -108,3 +110,80 @@ def solver_corpus() -> list[tuple[str, LinearRecurrence]]:
         ),
     ]
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# Rational approximations of pi and tan, for the regular-polygon layout.
+# Everything stays in Fraction; floats never appear.
+# ---------------------------------------------------------------------------
+
+
+def _atan_reciprocal(k: int, terms: int) -> Fraction:
+    """arctan(1/k) by its alternating Taylor series, truncated after ``terms``.
+
+    The series alternates with decreasing magnitude, so the truncation
+    error is below the first omitted term.
+    """
+    x = Fraction(1, k)
+    xx = x * x
+    power = x
+    total = Fraction(0)
+    for i in range(terms):
+        term = power / (2 * i + 1)
+        total += term if i % 2 == 0 else -term
+        power *= xx
+    return total
+
+
+@lru_cache(maxsize=1)
+def _pi_fraction() -> Fraction:
+    """pi as an exact fraction via Machin's formula, accurate beyond 10^-50."""
+    return 16 * _atan_reciprocal(5, 40) - 4 * _atan_reciprocal(239, 12)
+
+
+def _tan_fraction(x: Fraction, depth: int = 30) -> Fraction:
+    """tan(x) by Lambert's continued fraction, exact rational arithmetic.
+
+    tan x = x / (1 - x^2 / (3 - x^2 / (5 - ...))).  For |x| < pi/2 and
+    ``depth`` around 30 the error is far below the 10^-6 granularity the
+    callers round to.
+    """
+    xx = x * x
+    acc = Fraction(2 * depth + 1)
+    for k in range(depth, 0, -1):
+        acc = (2 * k - 1) - xx / acc
+    return x / acc
+
+
+def regular_approx_parameters(m: int) -> list[Fraction | None]:
+    """Rational points near the vertices of a regular m-gon.
+
+    Point k sits at angle 2*pi*k/m, i.e. half-angle parameter
+    t = tan(pi*k/m), computed through the rational pi and tan
+    approximations and rounded with ``Fraction.limit_denominator``.  The
+    parameter is exactly infinity when 2k = m (the vertex at angle pi).
+
+    For even m the second half of the points is generated as the exact
+    antipodes of the first half, so diametrically opposite vertex pairs
+    are exactly opposite.  Consequence: for even m >= 6 the main diagonals
+    all pass through the center exactly, and the layout is degenerate —
+    that is its purpose, as a source of concurrency test cases.  Odd m
+    stays in general position in practice.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    pi = _pi_fraction()
+
+    def vertex_parameter(k: int) -> Fraction | None:
+        if 2 * k == m:
+            return None
+        # Fold pi*k/m into (-pi/2, pi/2); the fold test 2k > m is exact.
+        psi = pi * Fraction(k, m)
+        if 2 * k > m:
+            psi -= pi
+        return _tan_fraction(psi).limit_denominator(10**6)
+
+    if m % 2 == 0:
+        half = [vertex_parameter(k) for k in range(m // 2)]
+        return half + [antipode_parameter(t) for t in half]
+    return [vertex_parameter(k) for k in range(m)]

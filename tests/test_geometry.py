@@ -12,9 +12,11 @@ import itertools
 import json
 import math
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recurlab import (
     DegeneracyBudgetError,
@@ -36,7 +38,6 @@ from recurlab.geometry import (
     generic_parameters,
     hexagon_parameters,
     prefix_region_counts,
-    regular_approx_parameters,
     seeded_parameters,
 )
 from recurlab.geometry import _kernel
@@ -46,7 +47,10 @@ from recurlab.geometry.arrangement import (
     ChordArrangement,
     InteriorPoint,
     _chord_lines,
+    _cross,
 )
+
+from conftest import regular_approx_parameters
 
 F = Fraction
 
@@ -206,9 +210,108 @@ def _reference_count_faces(arr: ChordArrangement) -> int:
     return faces
 
 
+# The face walk before its two-chord crossings wrote their rotation directly:
+# every vertex's half-edges sorted by rank, the direct walk's sort path.
+def _rank_sort_count_faces(arr: ChordArrangement) -> int:
+    """Number of faces of the arrangement, unbounded face included."""
+    m = arr.m
+
+    # Half-edges: (origin vertex, rank), added in twin pairs, so the twin
+    # of half-edge he is he ^ 1.
+    origins: list[int] = []
+    ranks: list[int] = []
+
+    # Circle arcs, forward from i and backward from j; one point gets a loop.
+    for i in range(m):
+        j = (i + 1) % m
+        origins += (i, j)
+        ranks += (2 * i + 1, 2 * j)
+
+    # Chord segments: each chord a -> b is split at its interior points,
+    # vertex m + k for crossing k, in the order of their keys from a
+    # (facewalk's module docstring).
+    chords = arr.chords
+    ends = [p.triple for p in arr.points]
+    size = []
+    for a, b in chords:
+        l0, l1, l2 = _cross(ends[a], ends[b])
+        size.append([abs(l0 * x + l1 * y + l2 * w) for x, y, w in ends])
+    big = max(map(max, size), default=0)
+    shift = (4 * big * big).bit_length()
+    stops: list[dict[int, int]] = [{} for _ in chords]
+    for vertex, through in enumerate(arr.crossings, start=m):
+        first = through[0]
+        for c in through:
+            a, b = chords[c]
+            sizes = size[first] if c != first else size[through[1]]
+            sa = sizes[a]
+            stops[c][(sa << shift) // (sa + sizes[b])] = vertex
+    for (a, b), at in zip(chords, stops):
+        chain = [a, *map(at.get, sorted(at)), b]
+        for v1, v2 in zip(chain, chain[1:]):
+            origins += (v1, v2)
+            ranks += (2 * b, 2 * a)
+
+    around: list[list[int]] = [[] for _ in range(m + len(arr.crossings))]
+    for he, origin in enumerate(origins):
+        around[origin].append(he)
+
+    # Faces are the orbits of succ: succ[he] is the half-edge after
+    # twin(he) = he ^ 1 in rank order around its origin.
+    succ = [0] * len(origins)
+    for members in around:
+        members.sort(key=ranks.__getitem__)
+        for idx, he in enumerate(members):
+            succ[members[idx - 1] ^ 1] = he
+
+    visited = [False] * len(origins)
+    faces = 0
+    for he in range(len(origins)):
+        if visited[he]:
+            continue
+        faces += 1
+        cur = he
+        while not visited[cur]:
+            visited[cur] = True
+            cur = succ[cur]
+    return faces
+
+
 def _regular_approx_points(m):
     """The regular-approx m-gon's points, in angular order."""
     return build_arrangement(map(CirclePoint, regular_approx_parameters(m)))
+
+
+@lru_cache(maxsize=1)
+def _face_walk_corpus():
+    """58 named arrangements, general and degenerate; at m = 24 twelve
+    diameters meet at the center of the regular-approx polygon."""
+    corpus = [("hexagon", hexagon_arrangement())]
+    corpus += [
+        (("regular", m), intersect_chords(_regular_approx_points(m))) for m in range(1, 25)
+    ]
+    corpus += [(("generic", m), generic_arrangement(m)) for m in range(1, 16)]
+    corpus += [
+        (("seeded", m, seed), generic_arrangement(m, seed=seed))
+        for m in (5, 12, 20)
+        for seed in range(6)
+    ]
+    return tuple(corpus)
+
+
+@st.composite
+def antipodal_layouts(draw):
+    """Random parameters t with their antipodes -1/t, and sometimes their
+    mirror images -t and 1/t too, in a random birth order."""
+    base = draw(st.lists(st.fractions(-9, 9, max_denominator=9), min_size=2, max_size=3, unique=True))
+    mirrored = draw(st.booleans())
+    params = []
+    for t in base:
+        for u in (t, -t) if mirrored else (t,):
+            for v in (u, antipode_parameter(u)):
+                if v not in params:
+                    params.append(v)
+    return draw(st.permutations(params))
 
 
 class TestCirclePoint:
@@ -556,22 +659,36 @@ class TestFaceWalk:
 
     def test_rotation_matches_angle_sort_reference(self):
         # The circle-order rotation against the exact angle sort, on general
-        # and degenerate layouts; at m = 24 twelve diameters meet at the
-        # center of the regular-approx polygon.
-        corpus = [("hexagon", hexagon_arrangement())]
-        corpus += [
-            (("regular", m), intersect_chords(_regular_approx_points(m))) for m in range(1, 25)
-        ]
-        corpus += [(("generic", m), generic_arrangement(m)) for m in range(1, 16)]
-        corpus += [
-            (("seeded", m, seed), generic_arrangement(m, seed=seed))
-            for m in (5, 12, 20)
-            for seed in range(6)
-        ]
+        # and degenerate layouts.
+        corpus = _face_walk_corpus()
+        assert len(corpus) == 58
         assert max(len(p.chords) for p in corpus[24][1].interior_points) == 12
         for name, arr in corpus:
             faces = count_faces(arr)
             assert faces == _reference_count_faces(arr) == count_regions(arr).regions + 1, name
+
+    def test_direct_ring_matches_rank_sort_on_faulty_crossings(self):
+        # Where the walk writes a crossing's ring directly, the ring is the
+        # rank sort's order, and every other vertex is still sorted.  So on
+        # any crossings, a faulty kernel's included, the walk counts what
+        # the rank-sort walk counts.  Faults: one crossing dropped, one
+        # listed twice (two stops of a chord with one key: every vertex is
+        # sorted), and one pair of chords that do not interleave added,
+        # nested or sharing an endpoint.
+        for name, arr in _face_walk_corpus():
+            assert count_faces(arr) == _rank_sort_count_faces(arr), name
+            crossings = arr.crossings
+            faulty = []
+            if crossings:
+                k = len(crossings) // 2
+                faulty += [crossings[:k] + crossings[k + 1 :], crossings + crossings[k : k + 1]]
+            if arr.m >= 4:
+                index = {chord: c for c, chord in enumerate(arr.chords)}
+                for pair in (((0, 3), (1, 2)), ((0, 1), (0, 2))):
+                    faulty.append(crossings + (tuple(map(index.get, pair)),))
+            for wrong in faulty:
+                bad = dataclasses.replace(arr, crossings=wrong)
+                assert count_faces(bad) == _rank_sort_count_faces(bad), name
 
     def test_reads_only_integer_triples(self, monkeypatch):
         # The walk works on the homogeneous triples alone: the rational
@@ -810,3 +927,60 @@ class TestCrossingCountInvariant:
             crossings = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords))
             pairs = sum(binomial(len(chords), 2) for chords in crossings)
             assert pairs == binomial(arr.m, 4), arr.m
+
+
+class TestNearDegenerateLayouts:
+    """Distinct crossings very close together, where a rounded oracle fails.
+
+    One point of the degenerate hexagon or regular-approx polygon is moved
+    by 10^-k, which splits a concurrent point into near-concurrent ones; the
+    antipodal layouts have concurrent points at and off the center.  Each
+    needs the exact keys' bound 2^shift > 4 big^2, in the kernel and in the
+    walk alike.
+    """
+
+    MOVES = (3, 6, 10, 20, 40, 80)
+
+    @staticmethod
+    def _check(points):
+        """The kernel against the four-sign reference, both face walks
+        against Euler, and the crossing pairs against C(m, 4)."""
+        args = _kernel_args(points)
+        reference = _merge_hits(_four_sign_reference(*args, 0, len(args[-1])))
+        arr = intersect_chords(points)
+        assert arr.crossings == tuple(reference.values())
+        assert sum(binomial(len(through), 2) for through in arr.crossings) == binomial(arr.m, 4)
+        faces = count_regions(arr).regions + 1
+        assert count_faces(arr) == _reference_count_faces(arr) == _rank_sort_count_faces(arr) == faces
+        return arr
+
+    def test_moved_hexagon(self):
+        # 1/2 -> 1/2 + 10^-k breaks the center's triple point into three
+        # crossings, all within about 10^-k of each other.
+        for k in self.MOVES:
+            params = [t + F(1, 10**k) if t == F(1, 2) else t for t in hexagon_parameters()]
+            arr = self._check(build_arrangement(map(CirclePoint, params)))
+            assert arr.general_position, k
+            assert len(arr.crossings) == 15, k
+            assert count_faces(arr) == 32, k
+
+    def test_moved_regular_approx(self):
+        # Point 1 moves off its diameter; the other diameters still meet
+        # at the center, next to the moved one's crossings.
+        for m in (6, 8, 10, 12):
+            params = regular_approx_parameters(m)
+            for k in self.MOVES:
+                moved = params[:1] + [params[1] + F(1, 10**k)] + params[2:]
+                arr = self._check(build_arrangement(map(CirclePoint, moved)))
+                assert (m == 6) == arr.general_position, (m, k)
+
+    @given(antipodal_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_antipodal_layouts(self, params):
+        points = [CirclePoint(t) for t in params]
+        arr = self._check(build_arrangement(points))
+        birth = {p: i for i, p in enumerate(points, 1)}
+        per_prefix = [
+            count_regions(intersect_chords(points[:k])).regions for k in range(1, len(points) + 1)
+        ]
+        assert prefix_region_counts(arr, [birth[p] for p in arr.points]) == per_prefix
