@@ -35,7 +35,6 @@ from .core_numeric import (
 from .difference_engine import (
     DifferenceTable,
     LinearRecurrence,
-    Sequence,
     build_difference_table,
     infer_recurrence,
     iterate_recurrence,
@@ -54,7 +53,6 @@ from .genfunc_solver import (
     build_ogf,
     extract_coefficient_formula,
     partial_fractions,
-    series_expand,
 )
 from .geometry import (
     ChordArrangement,
@@ -81,7 +79,6 @@ from .moser_formulas import (
 )
 from .recurrence_solver import (
     ClosedForm,
-    RootMultiplicity,
     characteristic_polynomial,
     gaussian_solve,
     particular_solution,
@@ -104,7 +101,6 @@ __all__ = [
     "parse_rational",
     "DifferenceTable",
     "LinearRecurrence",
-    "Sequence",
     "build_difference_table",
     "infer_recurrence",
     "iterate_recurrence",
@@ -119,7 +115,6 @@ __all__ = [
     "build_ogf",
     "extract_coefficient_formula",
     "partial_fractions",
-    "series_expand",
     "ChordArrangement",
     "CirclePoint",
     "GeometricVerdict",
@@ -140,7 +135,6 @@ __all__ = [
     "regions_binomial_sum",
     "regions_polynomial",
     "ClosedForm",
-    "RootMultiplicity",
     "characteristic_polynomial",
     "gaussian_solve",
     "particular_solution",

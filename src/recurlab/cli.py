@@ -29,7 +29,6 @@ from json.encoder import encode_basestring_ascii as json_string
 from .core_numeric import format_polynomial, format_quotient, format_rational, parse_rational
 from .difference_engine import (
     LinearRecurrence,
-    Sequence,
     build_difference_table,
     infer_recurrence,
     iterate_recurrence,
@@ -71,6 +70,9 @@ MAX_GEOM_M = 60
 # Most terms --moser may ask for; time and memory grow linearly: `table --moser
 # N --json` took 0.44 s and 73 MB peak RSS at N = 100,000, 1.0 s and 190 MB at 300,000.
 MAX_MOSER_N = 100_000
+# Largest verify --max-m; its symbolic sweeps are linear in it: `verify --max-m
+# N` took 0.8 s and 17 MB peak RSS in process at N = 100,000, 2.5 s at 300,000.
+MAX_VERIFY_M = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +128,7 @@ def _recurrence_json(rec: LinearRecurrence) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_sequence(args) -> tuple[Sequence, dict]:
+def _resolve_sequence(args) -> tuple[tuple[Fraction, ...], dict]:
     provided = [
         (name, value)
         for name, value in (("seq", args.seq), ("file", args.file), ("moser", args.moser))
@@ -153,7 +155,7 @@ def _resolve_sequence(args) -> tuple[Sequence, dict]:
             raise ValueError(f"--moser {value} exceeds the term limit ({MAX_MOSER_N} terms)")
         terms = [Fraction(v) for v in moser_terms(value)]
     inputs = {"source": source, "terms": [format_rational(t) for t in terms]}
-    return Sequence(tuple(terms)), inputs
+    return tuple(terms), inputs
 
 
 def _geometry_cap(args) -> int:
@@ -385,8 +387,7 @@ def _verify_checks(args, cap: int) -> list[dict]:
 
     # 2. Recurrence pipeline on the region sequence: infer from 7 terms,
     #    solve by both routes, compare against the closed formula.
-    seq = Sequence(tuple(Fraction(v) for v in moser_terms(7)))
-    rec = infer_recurrence(build_difference_table(seq))
+    rec = infer_recurrence(build_difference_table(moser_terms(7)))
     charpoly_form, genfunc_form = _solve_forms(rec, ["charpoly", "genfunc"])
     add(
         "solver-routes-agree",
@@ -446,6 +447,8 @@ def _verify_checks(args, cap: int) -> list[dict]:
 def cmd_verify(args) -> int:
     if args.max_m < 1:
         raise ValueError(f"--max-m must be >= 1, got {args.max_m}")
+    if args.max_m > MAX_VERIFY_M:
+        raise ValueError(f"--max-m {args.max_m} exceeds the sweep limit ({MAX_VERIFY_M})")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     cap = _geometry_cap(args)

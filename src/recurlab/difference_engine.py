@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterator
+from typing import Iterable
 
 from .core_numeric import (
     Polynomial,
     Rational,
+    RationalLike,
     as_rational,
     binomial,
     clear_denominators,
@@ -32,25 +33,6 @@ from .core_numeric import (
     format_signed_terms,
 )
 from .errors import NoConstantRowError
-
-
-@dataclass(frozen=True)
-class Sequence:
-    """A finite exact sequence; term i has index i."""
-
-    terms: tuple[Rational, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(as_rational(t) for t in self.terms))
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[Rational]:
-        return iter(self.terms)
-
-    def __getitem__(self, i: int) -> Rational:
-        return self.terms[i]
 
 
 @dataclass(frozen=True)
@@ -117,13 +99,16 @@ def _is_constant(row: tuple[int, ...]) -> bool:
     return len(row) >= 2 and row.count(row[0]) == len(row)
 
 
-def build_difference_table(seq: Sequence, max_depth: int | None = None) -> DifferenceTable:
-    """Difference the sequence until a row is certified constant.
+def build_difference_table(
+    terms: Iterable[RationalLike], max_depth: int | None = None
+) -> DifferenceTable:
+    """Difference the terms (term i has index i) until a row is certified constant.
 
     Stops at the first constant row, at ``max_depth``, or when the next row
     would be empty — whichever comes first.  ``max_depth`` defaults to
-    ``len(seq) - 2``, the deepest row that can still hold two entries.
-    The terms are scaled once by their common denominator and the rows are
+    ``len(terms) - 2``, the deepest row that can still hold two entries.
+    The terms must be ``int`` or ``Fraction`` (a float raises TypeError);
+    they are scaled once by their common denominator and the rows are
     differenced in integers.
 
     Examples::
@@ -132,14 +117,15 @@ def build_difference_table(seq: Sequence, max_depth: int | None = None) -> Diffe
         (5, 5, 5, 5)         -> constant_depth 0
         (1, 2, 4, 8, 16)     -> constant_depth None (no certified row)
     """
-    if len(seq) < 2:
-        raise ValueError(f"need at least 2 terms to difference, got {len(seq)}")
+    terms = tuple(map(as_rational, terms))
+    if len(terms) < 2:
+        raise ValueError(f"need at least 2 terms to difference, got {len(terms)}")
     if max_depth is None:
-        max_depth = max(1, len(seq) - 2)
+        max_depth = max(1, len(terms) - 2)
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
 
-    numerators, denominator = clear_denominators(seq.terms)
+    numerators, denominator = clear_denominators(terms)
     rows = [tuple(numerators)]
     depth: int | None = 0 if _is_constant(rows[0]) else None
     while depth is None and len(rows) - 1 < max_depth and len(rows[-1]) >= 2:
@@ -199,7 +185,7 @@ def infer_recurrence(table: DifferenceTable) -> LinearRecurrence:
     )
 
 
-def iterate_recurrence(rec: LinearRecurrence, count: int) -> Sequence:
+def iterate_recurrence(rec: LinearRecurrence, count: int) -> tuple[Rational, ...]:
     """First ``count`` terms generated forward from the initial conditions.
 
     Rearranges the recurrence as
@@ -215,4 +201,4 @@ def iterate_recurrence(rec: LinearRecurrence, count: int) -> Sequence:
         for i in range(1, d + 1):
             nxt -= rec.coefficients[i] * terms[n + d - i]
         terms.append(nxt)
-    return Sequence(tuple(terms))
+    return tuple(terms)

@@ -17,9 +17,9 @@ polynomial solver:
    with [x^n] 1/(1 - r x)^k = C(n + k - 1, k - 1) r^n, yielding a
    ClosedForm tagged "genfunc".
 
-``series_expand`` provides the ground truth the decomposition is checked
-against: exact power-series coefficients straight from the rational
-function.
+``RationalFunction.series`` provides the ground truth the decomposition
+is checked against: exact power-series coefficients straight from the
+rational function.
 
 The route shares no solver with the characteristic-polynomial route.  It
 does share ``characteristic_polynomial`` and ``rational_roots``: both
@@ -38,7 +38,7 @@ from .core_numeric import (
     binomial,
     format_polynomial,
 )
-from .difference_engine import LinearRecurrence, Sequence
+from .difference_engine import LinearRecurrence
 from .errors import UnsupportedRootsError
 from .recurrence_solver import ClosedForm, characteristic_polynomial, rational_roots
 
@@ -178,7 +178,7 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
             f"roots: {format_polynomial(residual, 'r')}",
             residual=residual,
         )
-    factors = [(rm.root, rm.multiplicity) for rm in roots if rm.root != 0]
+    factors = list(roots.items())  # RationalFunction drops a root-0 factor
 
     # N_init is D(x) (a_0 + ... + a_(d-1) x^(d-1)) cut after x^(d-1), and
     # D(x) = sum_k c_k x^(d-k) is the stored (c_d, ..., c_0) read ascending.
@@ -254,8 +254,3 @@ def extract_coefficient_formula(pf: PartialFractionForm) -> ClosedForm:
         grouped[root] = current + coeff * rising[power - 1]
     terms = tuple((root, poly) for root, poly in grouped.items())
     return ClosedForm(terms=terms, method="genfunc")
-
-
-def series_expand(rf: RationalFunction, depth: int) -> Sequence:
-    """First ``depth`` series coefficients of ``rf`` as an exact Sequence."""
-    return Sequence(tuple(rf.series(depth)))

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence as SequenceABC
 
 from .core_numeric import (
     Polynomial,
@@ -40,25 +39,12 @@ from .errors import SingularMatrixError, UnsupportedRootsError
 
 
 @dataclass(frozen=True)
-class RootMultiplicity:
-    """A rational root together with its multiplicity (>= 1)."""
-
-    root: Rational
-    multiplicity: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "root", as_rational(self.root))
-        if self.multiplicity < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.multiplicity}")
-
-
-@dataclass(frozen=True)
 class ClosedForm:
     """An exponential-polynomial closed form sum_i p_i(n) * r_i^n.
 
     ``terms`` pairs each distinct root with its polynomial coefficient;
     zero polynomials are dropped and roots are sorted, so two closed forms
-    describe the same function exactly when their normalized terms match.
+    describe the same function exactly when their terms are equal.
     ``variable_offset`` records how the formula's variable relates to the
     0-based sequence index n: the formula is written in v = n + offset.
     ``method`` tags which solver produced it ("charpoly" or "genfunc").
@@ -87,16 +73,9 @@ class ClosedForm:
             total += poly.evaluate(v) * root**v
         return total
 
-    def normalized_terms(self) -> dict[Rational, tuple[Rational, ...]]:
-        """Map root -> ascending polynomial coefficients, for comparisons."""
-        return {root: poly.coefficients for root, poly in self.terms}
-
     def agrees_with(self, other: "ClosedForm") -> bool:
         """True when both describe the same function of the same variable."""
-        return (
-            self.variable_offset == other.variable_offset
-            and self.normalized_terms() == other.normalized_terms()
-        )
+        return self.variable_offset == other.variable_offset and self.terms == other.terms
 
     def polynomial_form(self) -> Polynomial | None:
         """The closed form as a plain polynomial, or None if any root != 1."""
@@ -151,8 +130,8 @@ def _deflate(ints: list[int], p: int, q: int) -> list[int]:
     return out[::-1]
 
 
-def rational_roots(poly: Polynomial) -> tuple[list[RootMultiplicity], Polynomial]:
-    """All rational roots with multiplicities, plus the unfactored residual.
+def rational_roots(poly: Polynomial) -> tuple[dict[Rational, int], Polynomial]:
+    """All rational roots as {root: multiplicity}, plus the unfactored residual.
 
     Uses the rational-root theorem on the primitive integer form of the
     polynomial: every rational root p/q (lowest terms) has p dividing the
@@ -163,8 +142,8 @@ def rational_roots(poly: Polynomial) -> tuple[list[RootMultiplicity], Polynomial
     rational roots; a residual of degree >= 1 means the input does not
     factor completely over Q.
 
-    Roots are returned sorted ascending.  Multiplicities plus the residual
-    degree always account for the full degree of the input.
+    The roots are listed in ascending order.  Multiplicities plus the
+    residual degree always account for the full degree of the input.
     """
     if poly.is_zero:
         raise ValueError("cannot extract roots of the zero polynomial")
@@ -173,7 +152,7 @@ def rational_roots(poly: Polynomial) -> tuple[list[RootMultiplicity], Polynomial
     content = math.gcd(*ints)
     work = [c // content for c in ints[zero_mult:]]
     lost = content  # dividing by q x - p, not x - p/q, leaves out a q each time
-    roots = [RootMultiplicity(Fraction(0), zero_mult)] if zero_mult else []
+    roots = {Fraction(0): zero_mult} if zero_mult else {}
 
     pairs = []
     if len(work) >= 2:
@@ -191,10 +170,9 @@ def rational_roots(poly: Polynomial) -> tuple[list[RootMultiplicity], Polynomial
             lost *= q
             multiplicity += 1
         if multiplicity:
-            roots.append(RootMultiplicity(candidate, multiplicity))
+            roots[candidate] = multiplicity
 
-    roots.sort(key=lambda rm: rm.root)
-    return roots, Polynomial(Fraction(c * lost, denominator) for c in work)
+    return dict(sorted(roots.items())), Polynomial(Fraction(c * lost, denominator) for c in work)
 
 
 def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> list[Rational]:
@@ -251,9 +229,7 @@ def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> l
     return [Fraction(v, previous) for v in scaled]
 
 
-def particular_solution(
-    rec: LinearRecurrence, roots: SequenceABC[RootMultiplicity]
-) -> tuple[Polynomial, int]:
+def particular_solution(rec: LinearRecurrence, roots: dict[Rational, int]) -> tuple[Polynomial, int]:
     """Particular solution for a polynomial right-hand side, with its shift.
 
     With s the multiplicity of the characteristic root 1 and e the degree
@@ -270,7 +246,7 @@ def particular_solution(
     Returns (p, s).  A zero right-hand side returns (0, s).
     """
     rhs = rec.rhs
-    shift = next((rm.multiplicity for rm in roots if rm.root == 1), 0)
+    shift = roots.get(1, 0)
     if rhs.is_zero:
         return Polynomial.zero(), shift
 
@@ -309,17 +285,16 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
             f"roots: {format_polynomial(residual, 'r')}",
             residual=residual,
         )
-    for rm in roots:
-        if rm.root == 0:
-            raise UnsupportedRootsError(
-                "characteristic root 0 (vanishing trailing coefficient): the "
-                "recurrence is degenerate and has no exponential-polynomial basis",
-                residual=Polynomial((0, 1)),
-            )
+    if 0 in roots:
+        raise UnsupportedRootsError(
+            "characteristic root 0 (vanishing trailing coefficient): the "
+            "recurrence is degenerate and has no exponential-polynomial basis",
+            residual=Polynomial((0, 1)),
+        )
 
     particular, _ = particular_solution(rec, roots)
     d = rec.order
-    basis = [(rm.root, j) for rm in roots for j in range(rm.multiplicity)]
+    basis = [(root, j) for root, multiplicity in roots.items() for j in range(multiplicity)]
     assert len(basis) == d, "root multiplicities must sum to the order"
 
     # Row n is scaled by scale^n, which keeps the solution and makes every
@@ -339,9 +314,9 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     # coefficients; the particular solution belongs to root 1.
     polys = {Fraction(1): particular}
     start = 0
-    for rm in roots:
-        stop = start + rm.multiplicity
-        polys[rm.root] = Polynomial(amplitudes[start:stop]) + polys.get(rm.root, Polynomial.zero())
+    for root, multiplicity in roots.items():
+        stop = start + multiplicity
+        polys[root] = Polynomial(amplitudes[start:stop]) + polys.get(root, Polynomial.zero())
         start = stop
     return ClosedForm(terms=tuple(polys.items()), method="charpoly")
 

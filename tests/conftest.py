@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from recurlab import LinearRecurrence, Polynomial, Sequence, build_difference_table, infer_recurrence, moser_terms
+from recurlab import LinearRecurrence, Polynomial, build_difference_table, infer_recurrence, moser_terms
 from recurlab.geometry import antipode_parameter
 
 
@@ -30,8 +30,7 @@ def brute_regions(m: int) -> int:
 @pytest.fixture(scope="session")
 def moser_recurrence() -> LinearRecurrence:
     """The order-4 recurrence inferred from the first 7 region counts."""
-    seq = Sequence(tuple(Fraction(v) for v in moser_terms(7)))
-    return infer_recurrence(build_difference_table(seq))
+    return infer_recurrence(build_difference_table(moser_terms(7)))
 
 
 def solver_corpus() -> list[tuple[str, LinearRecurrence]]:

@@ -13,7 +13,6 @@ from fractions import Fraction
 from recurlab import (
     LinearRecurrence,
     Polynomial,
-    Sequence,
     binomial,
     build_difference_table,
     count_faces,
@@ -35,7 +34,6 @@ from recurlab.genfunc_solver import (
     build_ogf,
     extract_coefficient_formula,
     partial_fractions,
-    series_expand,
 )
 from recurlab.geometry import generic_arrangement
 
@@ -65,8 +63,7 @@ def criterion(number: int, label: str, budget: float | None = None):
 
 
 def region_recurrence(n_terms: int = 7) -> LinearRecurrence:
-    seq = Sequence(tuple(F(v) for v in moser_terms(n_terms)))
-    return infer_recurrence(build_difference_table(seq))
+    return infer_recurrence(build_difference_table(moser_terms(n_terms)))
 
 
 def test_criterion_1_reference_table_all_symbolic_methods():
@@ -142,7 +139,7 @@ def test_criterion_4_generating_function_route():
         )
         # Final values, not just the structure: the series reproduces the
         # reference counts term by term.
-        assert list(series_expand(rf, 7)) == [F(v) for v in REFERENCE_COUNTS]
+        assert rf.series(7) == [F(v) for v in REFERENCE_COUNTS]
 
 
 def test_criterion_5_oracle_equivalence_sweep():
@@ -261,7 +258,7 @@ def test_criterion_9_property_suites():
 
         # [x^n] 1/(1-x)^r == C(n+r-1, n) for r <= 6, n <= 40.
         for r in range(1, 7):
-            series = list(series_expand(RationalFunction(Polynomial.one(), ((F(1), r),)), 41))
+            series = RationalFunction(Polynomial.one(), ((F(1), r),)).series(41)
             for n in range(41):
                 assert series[n] == binomial(n + r - 1, n), (r, n)
 
@@ -273,8 +270,7 @@ def test_criterion_9_property_suites():
             coeffs[-1] = coeffs[-1] if coeffs[-1] != 0 else F(1)
             poly = Polynomial(coeffs)
             length = degree + 4
-            seq = Sequence(tuple(poly.evaluate(n) for n in range(length)))
-            rec = infer_recurrence(build_difference_table(seq))
+            rec = infer_recurrence(build_difference_table(poly.evaluate(n) for n in range(length)))
             total = length + 10
             regenerated = iterate_recurrence(rec, total)
             for n in range(total):

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from recurlab import Sequence, build_difference_table, format_rational, predict_next
-from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, main
+from recurlab import build_difference_table, format_rational, predict_next
+from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, MAX_VERIFY_M, main
+from recurlab.geometry import arrangement as arrangement_module
+from recurlab.geometry import hexagon_parameters
 
 QUARTIC_IN_M = "(m^4 - 6*m^3 + 23*m^2 - 18*m + 24)/24"
 QUARTIC_IN_N = "(n^4 - 2*n^3 + 11*n^2 + 14*n + 24)/24"
@@ -249,6 +251,14 @@ class TestTable:
         assert code == 0
         assert payload["result"]["next"] == "99/1"
 
+    @pytest.mark.parametrize("text", ["", "# no terms\n\n#  1, 2, 3\n"])
+    def test_empty_file_exit_2(self, text, tmp_path, capsys):
+        path = tmp_path / "seq.txt"
+        path.write_text(text)
+        code, out, err = run_cli(["table", "--file", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: no terms found in {path}\n"
+
     def test_malformed_sequence_exit_2(self, capsys):
         code, out, err = run_cli(["table", "--seq", "1,,2"], capsys)
         assert code == 2
@@ -303,7 +313,7 @@ class TestTable:
         # The rows are written one at a time; the bytes must be those of the
         # whole envelope through json.dumps(indent=2) plus print's newline.
         terms = [Fraction(t) for t in seq.split(",")]
-        table = build_difference_table(Sequence(tuple(terms)), max_depth)
+        table = build_difference_table(terms, max_depth)
         depth = table.constant_depth
         envelope = {
             "schema_version": 1,
@@ -569,6 +579,17 @@ class TestRegions:
             code, _, err = run_cli(list(map(str, argv)), capsys)
             assert (code, err) == (0, ""), argv
 
+    def test_degeneracy_budget_exit_4(self, capsys, monkeypatch):
+        # Every candidate layout is the degenerate hexagon, so the retries
+        # run out and main maps DegeneracyBudgetError to exit 4.
+        def degenerate(m, variant=0, attempt=0):
+            return hexagon_parameters()
+
+        monkeypatch.setattr(arrangement_module, "generic_parameters", degenerate)
+        code, out, err = run_cli(["regions", "--m", "6", "--method", "geometric"], capsys)
+        assert (code, out) == (4, "")
+        assert err == "error: no general-position layout for m=6 within 16 attempts\n"
+
     def test_cap_zero_exit_2(self, capsys):
         code, _, err = run_cli(
             ["regions", "--m", "4", "--method", "geometric", "--geom-cap", "0"], capsys
@@ -735,6 +756,25 @@ class TestVerify:
     def test_invalid_arguments(self, capsys):
         assert run_cli(["verify", "--max-m", "0"], capsys)[0] == 2
         assert run_cli(["verify", "--trials", "0"], capsys)[0] == 2
+
+    def test_sweep_limit_exit_2(self, capsys, monkeypatch):
+        # The limit is checked before any sweep: stub the checks, so the
+        # largest allowed --max-m passes at once and anything above exits 2.
+        swept = []
+
+        def no_checks(args, cap):
+            swept.append(args.max_m)
+            return []
+
+        monkeypatch.setattr("recurlab.cli._verify_checks", no_checks)
+        assert run_cli(["verify", f"--max-m={MAX_VERIFY_M}"], capsys) == (
+            0, "verdict: all checks passed\n", ""
+        )
+        for n in (MAX_VERIFY_M + 1, 10**40):
+            code, out, err = run_cli(["verify", f"--max-m={n}", "--json"], capsys)
+            assert (code, out) == (2, ""), n
+            assert err == f"error: --max-m {n} exceeds the sweep limit ({MAX_VERIFY_M})\n"
+        assert swept == [MAX_VERIFY_M]
 
 
 class TestModuleEntry:

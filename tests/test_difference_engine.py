@@ -16,7 +16,6 @@ from recurlab import (
     LinearRecurrence,
     NoConstantRowError,
     Polynomial,
-    Sequence,
     binomial,
     build_difference_table,
     infer_recurrence,
@@ -27,8 +26,8 @@ from recurlab import (
 from conftest import brute_regions
 
 
-def seq(*values) -> Sequence:
-    return Sequence(tuple(Fraction(v) for v in values))
+def seq(*values) -> tuple[Fraction, ...]:
+    return tuple(Fraction(v) for v in values)
 
 
 class TestBuildTable:
@@ -80,10 +79,17 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             build_difference_table(seq(1, 2), max_depth=0)
 
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            build_difference_table([1.0, 2.0, 3.0])
+
+    def test_any_iterable_of_ints(self):
+        table = build_difference_table(iter([1, 2, 4, 8, 16, 31]))
+        assert table == build_difference_table(seq(1, 2, 4, 8, 16, 31))
+        assert table.constant_depth == 4
+
     def test_rational_entries(self):
-        table = build_difference_table(
-            Sequence((Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)))
-        )
+        table = build_difference_table((Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)))
         assert table.constant_depth == 1
         # Rows are integer numerators over the terms' common denominator.
         assert table.denominator == 2
@@ -200,7 +206,7 @@ class TestIterateRecurrence:
             length = (poly.degree if not poly.is_zero else 0) + 2
             length = max(length, 2) + rng.randrange(0, 4)
             values = [poly.evaluate(i) for i in range(length + 5)]
-            table = build_difference_table(Sequence(tuple(values[:length])))
+            table = build_difference_table(values[:length])
             if table.constant_depth is None:
                 # Possible only when the sample was too short to certify.
                 continue

@@ -22,7 +22,6 @@ from recurlab import (
     extract_coefficient_formula,
     iterate_recurrence,
     partial_fractions,
-    series_expand,
     solve_charpoly,
 )
 
@@ -179,7 +178,7 @@ class TestExtractCoefficientFormula:
         pf = PartialFractionForm(terms=((F(1), 1, F(-1)), (F(2), 1, F(1))))
         form = extract_coefficient_formula(pf)
         # 2^n - 1
-        assert form.normalized_terms() == {F(1): (F(-1),), F(2): (F(1),)}
+        assert form.terms == ((F(1), Polynomial.constant(-1)), (F(2), Polynomial.one()))
 
     def test_higher_pole_gives_binomial_polynomial(self):
         # 1/(1-x)^3 -> C(n+2, 2) = (n^2 + 3n + 2)/2
@@ -211,14 +210,13 @@ class TestExtractCoefficientFormula:
                 assert form.evaluate(n) == series[n], (name, n)
 
 
-class TestSeriesExpand:
-    def test_returns_sequence(self, moser_recurrence):
-        seq = series_expand(build_ogf(moser_recurrence), 7)
-        assert tuple(seq) == (1, 2, 4, 8, 16, 31, 57)
+class TestSeries:
+    def test_region_counts(self, moser_recurrence):
+        assert build_ogf(moser_recurrence).series(7) == [1, 2, 4, 8, 16, 31, 57]
 
     def test_depth_validated(self, moser_recurrence):
         with pytest.raises(ValueError):
-            series_expand(build_ogf(moser_recurrence), 0)
+            build_ogf(moser_recurrence).series(0)
 
 
 class TestBinomialExtractionLemma:

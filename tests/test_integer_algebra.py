@@ -5,7 +5,9 @@
 ``_reference_rational_roots`` (with its ``_reference_divisors`` and
 ``_reference_deflate``) are the earlier implementations, copied verbatim
 apart from their names, the reference table returning
-``(rows, constant_depth)`` in place of a ``DifferenceTable``, the reference
+``(rows, constant_depth)`` in place of a ``DifferenceTable`` and reading a
+plain tuple of terms, the reference root finder returning
+``(root, multiplicity)`` pairs in place of a record class, the reference
 elimination taking the row lists that replaced ``ExactMatrix``, and the
 reference polynomial leaving out ``__str__``.  They work in ``Fraction``
 cells, so they share no integer scaling, gcd normalisation, pivot division
@@ -24,8 +26,6 @@ from recurlab import (
     NEG_INFINITY,
     Polynomial,
     Rational,
-    RootMultiplicity,
-    Sequence,
     SingularMatrixError,
     binomial_rising,
     build_difference_table,
@@ -62,7 +62,7 @@ def _reference_build_difference_table(seq, max_depth=None):
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
 
-    rows = [tuple(seq.terms)]
+    rows = [tuple(seq)]
     depth = 0 if _reference_is_constant(rows[0]) else None
     while depth is None and len(rows) - 1 < max_depth and len(rows[-1]) >= 2:
         current = rows[-1]
@@ -324,7 +324,9 @@ def _reference_deflate(poly: _ReferencePolynomial, root: Rational) -> _Reference
     return _ReferencePolynomial(tuple(reversed(out)))
 
 
-def _reference_rational_roots(poly: _ReferencePolynomial) -> tuple[list[RootMultiplicity], _ReferencePolynomial]:
+def _reference_rational_roots(
+    poly: _ReferencePolynomial,
+) -> tuple[list[tuple[Rational, int]], _ReferencePolynomial]:
     """All rational roots with multiplicities, plus the unfactored residual.
 
     Uses the rational-root theorem on the primitive integer form of the
@@ -340,14 +342,14 @@ def _reference_rational_roots(poly: _ReferencePolynomial) -> tuple[list[RootMult
     if poly.is_zero:
         raise ValueError("cannot extract roots of the zero polynomial")
     work = poly
-    roots: list[RootMultiplicity] = []
+    roots: list[tuple[Rational, int]] = []
 
     zero_mult = 0
     while not work.is_zero and work.coefficient(0) == 0:
         work = _ReferencePolynomial(work.coefficients[1:])
         zero_mult += 1
     if zero_mult:
-        roots.append(RootMultiplicity(Fraction(0), zero_mult))
+        roots.append((Fraction(0), zero_mult))
 
     if work.degree >= 1:
         ints, _ = clear_denominators(work.coefficients)
@@ -370,9 +372,9 @@ def _reference_rational_roots(poly: _ReferencePolynomial) -> tuple[list[RootMult
                 work = _reference_deflate(work, candidate)
                 multiplicity += 1
             if multiplicity:
-                roots.append(RootMultiplicity(candidate, multiplicity))
+                roots.append((candidate, multiplicity))
 
-    roots.sort(key=lambda rm: rm.root)
+    roots.sort(key=lambda rm: rm[0])
     return roots, work
 
 
@@ -392,7 +394,7 @@ def sequences(draw):
         length = draw(st.integers(2, 10))
         terms = [poly.evaluate(i) for i in range(length)]
     max_depth = draw(st.one_of(st.none(), st.integers(1, 12)))
-    return Sequence(tuple(terms)), max_depth
+    return tuple(terms), max_depth
 
 
 @st.composite
@@ -426,7 +428,7 @@ class TestIntegerTable:
         seq, max_depth = case
         table = build_difference_table(seq, max_depth)
         ref_rows, ref_depth = _reference_build_difference_table(seq, max_depth)
-        assert table.denominator == math.lcm(*(t.denominator for t in seq.terms))
+        assert table.denominator == math.lcm(*(t.denominator for t in seq))
         assert all(isinstance(v, int) for row in table.rows for v in row)
         assert tuple(
             tuple(Fraction(v, table.denominator) for v in row) for row in table.rows
@@ -439,7 +441,7 @@ class TestIntegerTable:
             assert rec.rhs == Polynomial.constant(ref_rows[ref_depth][0] if ref_depth else 0)
 
     def test_errors_unchanged(self):
-        for args in ((Sequence((Fraction(1, 3),)),), (Sequence((1, 2)), 0)):
+        for args in (((Fraction(1, 3),),), ((1, 2), 0)):
             with pytest.raises(ValueError) as new:
                 build_difference_table(*args)
             with pytest.raises(ValueError) as ref:
@@ -570,7 +572,7 @@ class TestIntegerRationalRoots:
     def test_matches_reference(self, ref_poly):
         roots, residual = rational_roots(Polynomial(ref_poly.coefficients))
         ref_roots, ref_residual = _reference_rational_roots(ref_poly)
-        assert roots == ref_roots
+        assert list(roots.items()) == ref_roots
         assert_same(residual, ref_residual)
 
     def test_errors_unchanged(self):

@@ -16,7 +16,6 @@ from recurlab import (
     ClosedForm,
     LinearRecurrence,
     Polynomial,
-    RootMultiplicity,
     SingularMatrixError,
     UnsupportedRootsError,
     characteristic_polynomial,
@@ -51,30 +50,30 @@ class TestCharacteristicPolynomial:
 class TestRationalRoots:
     def test_quadruple_root_one(self):
         roots, residual = rational_roots(Polynomial((1, -4, 6, -4, 1)))
-        assert roots == [RootMultiplicity(F(1), 4)]
+        assert list(roots.items()) == [(F(1), 4)]
         assert residual.degree == 0
 
     def test_distinct_integer_roots(self):
         roots, residual = rational_roots(Polynomial((6, -5, 1)))
-        assert roots == [RootMultiplicity(F(2), 1), RootMultiplicity(F(3), 1)]
+        assert list(roots.items()) == [(F(2), 1), (F(3), 1)]
         assert residual.degree == 0
 
     def test_fractional_root(self):
         # (2r - 1)(r + 3) = 2r^2 + 5r - 3
         roots, residual = rational_roots(Polynomial((-3, 5, 2)))
-        assert roots == [RootMultiplicity(F(-3), 1), RootMultiplicity(F(1, 2), 1)]
+        assert list(roots.items()) == [(F(-3), 1), (F(1, 2), 1)]
         assert residual.degree == 0
 
     def test_zero_roots_counted(self):
         # r^3 (r - 2)
         roots, residual = rational_roots(Polynomial((0, 0, 0, -2, 1)))
-        assert roots == [RootMultiplicity(F(0), 3), RootMultiplicity(F(2), 1)]
+        assert list(roots.items()) == [(F(0), 3), (F(2), 1)]
         assert residual.degree == 0
 
     def test_irrational_residual(self):
         # r^2 - r - 1 has golden-ratio roots, no rational ones.
         roots, residual = rational_roots(Polynomial((-1, -1, 1)))
-        assert roots == []
+        assert roots == {}
         assert residual == Polynomial((-1, -1, 1))
 
     def test_mixed_rational_and_irrational(self):
@@ -83,7 +82,7 @@ class TestRationalRoots:
         # factor from it reproduces the input exactly.
         poly = Polynomial((1, -1)) * Polynomial((-2, 0, 1))
         roots, residual = rational_roots(poly)
-        assert roots == [RootMultiplicity(F(1), 1)]
+        assert list(roots.items()) == [(F(1), 1)]
         assert residual == Polynomial((2, 0, -1))
         assert residual * Polynomial((-1, 1)) == poly
 
@@ -105,10 +104,11 @@ class TestRationalRoots:
             poly = poly * Polynomial((-r, 1))
         roots, residual = rational_roots(poly)
         assert residual.degree == 0
-        assert sum(rm.multiplicity for rm in roots) == len(root_values)
+        assert sum(roots.values()) == len(root_values)
+        assert list(roots) == sorted(set(root_values))
         rebuilt = residual
-        for rm in roots:
-            rebuilt = rebuilt * Polynomial((-rm.root, 1)) ** rm.multiplicity
+        for root, multiplicity in roots.items():
+            rebuilt = rebuilt * Polynomial((-root, 1)) ** multiplicity
         assert rebuilt == poly
 
 
@@ -224,7 +224,7 @@ class TestSolveCharpoly:
         rec = LinearRecurrence((F(1), F(-5), F(6)), Polynomial.zero(), (F(2), F(5)))
         form = solve_charpoly(rec)
         # a_n = 2^n + 3^n
-        assert form.normalized_terms() == {F(2): (F(1),), F(3): (F(1),)}
+        assert form.terms == ((F(2), Polynomial.one()), (F(3), Polynomial.one()))
 
     def test_fibonacci_rejected(self):
         rec = LinearRecurrence((F(1), F(-1), F(-1)), Polynomial.zero(), (F(0), F(1)))
@@ -264,6 +264,15 @@ class TestClosedForm:
         a = ClosedForm(terms=((F(1), Polynomial.one()),), method="charpoly")
         b = ClosedForm(terms=((F(1), Polynomial.one()),), method="genfunc", variable_offset=1)
         assert not a.agrees_with(b)
+
+    def test_agreement_on_distinct_roots(self):
+        # Input order and zero polynomials do not matter; a coefficient does.
+        n, one, two = Polynomial((0, 1)), Polynomial.one(), Polynomial((2,))
+        a = ClosedForm(terms=((F(2), one), (F(1), n)), method="charpoly")
+        b = ClosedForm(terms=((F(1), n), (F(3), Polynomial.zero()), (F(2), one)), method="genfunc")
+        c = ClosedForm(terms=((F(1), n), (F(2), two)), method="genfunc")
+        assert a.agrees_with(b) and b.agrees_with(a)
+        assert not a.agrees_with(c) and not c.agrees_with(a)
 
     def test_polynomial_form_none_for_exponentials(self):
         form = ClosedForm(terms=((F(2), Polynomial.one()),), method="charpoly")

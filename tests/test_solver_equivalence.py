@@ -18,7 +18,6 @@ from recurlab import (
     Polynomial,
     RationalFunction,
     PartialFractionForm,
-    RootMultiplicity,
     build_ogf,
     characteristic_polynomial,
     gaussian_solve,
@@ -39,7 +38,7 @@ RANDOM_CASES = 300
 def dense_particular_solution(rec, roots):
     """Undetermined coefficients by composing shifted monomials and elimination."""
     rhs = rec.rhs
-    shift = next((rm.multiplicity for rm in roots if rm.root == 1), 0)
+    shift = roots.get(1, 0)
     if rhs.is_zero:
         return Polynomial.zero(), shift
     degree = rhs.degree
@@ -138,7 +137,7 @@ class TestParticularSolutionMatchesDenseSystem:
     @pytest.mark.parametrize("claimed", [0, 3, 5])
     def test_misstated_multiplicity_of_one_rejected(self, moser_recurrence, claimed):
         # chi = (r - 1)^4; any other multiplicity of 1 must be refused.
-        roots = [RootMultiplicity(F(1), claimed)] if claimed else []
+        roots = {F(1): claimed} if claimed else {}
         with pytest.raises(AssertionError):
             particular_solution(moser_recurrence, roots)
 
@@ -147,7 +146,7 @@ class TestParticularSolutionMatchesDenseSystem:
         chi = Polynomial((-1, 1)) ** 2 * Polynomial((-2, 1))
         rec = LinearRecurrence(tuple(reversed(chi.coefficients)), Polynomial((0, 1)), (F(0),) * 3)
         for claimed in (1, 3):
-            roots = [RootMultiplicity(F(1), claimed), RootMultiplicity(F(2), 1)]
+            roots = {F(1): claimed, F(2): 1}
             with pytest.raises(AssertionError):
                 particular_solution(rec, roots)
 
