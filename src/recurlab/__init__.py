@@ -48,7 +48,6 @@ from .errors import (
     UnsupportedRootsError,
 )
 from .genfunc_solver import (
-    PartialFractionForm,
     RationalFunction,
     build_ogf,
     extract_coefficient_formula,
@@ -110,7 +109,6 @@ __all__ = [
     "RecurlabError",
     "SingularMatrixError",
     "UnsupportedRootsError",
-    "PartialFractionForm",
     "RationalFunction",
     "build_ogf",
     "extract_coefficient_formula",

@@ -6,10 +6,10 @@ lowest terms, positive denominator, zero stored as 0/1, and lossless mixed
 arithmetic with ``int``.  Nothing in this package touches floating point.
 
 ``Polynomial`` is an immutable dense polynomial over ``Rational`` with the
-operations the solvers need: ring arithmetic, exact division, evaluation,
-and composition with a variable shift ``x -> x + s``.  Inside, it is
-integers over one denominator, so all of these run in ``int``; ``Fraction``
-is only at the edges: the constructor, ``coefficients`` and ``evaluate``.
+operations the solvers need: ring arithmetic, evaluation, and composition
+with a variable shift ``x -> x + s``.  Inside, it is integers over one
+denominator, so all of these run in ``int``; ``Fraction`` is only at the
+edges: the constructor, ``coefficients`` and ``evaluate``.
 """
 
 from __future__ import annotations
@@ -197,27 +197,6 @@ class Polynomial:
         for _ in range(exponent):
             result = result * self
         return result
-
-    def __divmod__(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Exact long division over the rationals: quotient and remainder.
-
-        Pseudo-division in integers, keeping scale * self's numerators =
-        quot * b + rem, with b the divisor's numerators and lead its last.
-        """
-        if not isinstance(divisor, Polynomial):
-            return NotImplemented
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem, b, lead = list(self._num), divisor._num, divisor._num[-1]
-        quot, scale = [0] * max(len(rem) - len(b) + 1, 0), 1
-        for i in range(len(quot) - 1, -1, -1):
-            rem, quot, scale = [c * lead for c in rem], [c * lead for c in quot], scale * lead
-            quot[i] = factor = rem[i + len(b) - 1] // lead
-            for j, c in enumerate(b, i):
-                rem[j] -= factor * c
-        # self = quot * (divisor's den / (scale den)) * divisor + rem / (scale den).
-        den = scale * self._den
-        return Polynomial._make([c * divisor._den for c in quot], den), Polynomial._make(rem, den)
 
     # -- evaluation and composition -----------------------------------
 

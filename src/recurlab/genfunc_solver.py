@@ -8,39 +8,33 @@ polynomial solver:
    over n gives f(x) * D(x) = N(x), where D(x) = x^d chi(1/x) factors as
    prod (1 - r_i x)^{m_i} over the characteristic roots, and N collects the
    initial conditions plus the transformed right-hand side.
-2. ``partial_fractions`` decomposes f into sum coeff / (1 - r x)^k (plus a
-   polynomial part when the numerator degree reaches the denominator's)
-   by local expansion at each root: the substitution x = (1 - y)/r turns
-   the factor (1 - r x) into y, and the series in y of what is left gives
-   the coefficients of that root's terms.  No linear system is solved.
-3. ``extract_coefficient_formula`` reads coefficients off each basis term
-   with [x^n] 1/(1 - r x)^k = C(n + k - 1, k - 1) r^n, yielding a
-   ClosedForm tagged "genfunc".
+2. ``partial_fractions`` decomposes the proper f into the terms
+   (r, k, coeff) of sum coeff / (1 - r x)^k by local expansion at each
+   root: the substitution x = (1 - y)/r turns the factor (1 - r x) into
+   y, and the series in y of what is left gives the coefficients of that
+   root's terms.  No linear system is solved.
+3. ``extract_coefficient_formula`` reads coefficients off each term with
+   [x^n] 1/(1 - r x)^k = C(n + k - 1, k - 1) r^n, yielding a ClosedForm
+   tagged "genfunc".
 
 ``RationalFunction.series`` provides the ground truth the decomposition
 is checked against: exact power-series coefficients straight from the
 rational function.
 
 The route shares no solver with the characteristic-polynomial route.  It
-does share ``characteristic_polynomial`` and ``rational_roots``: both
-routes factor chi with the same root finder.
+does share ``characteristic_roots``: both routes factor chi with the same
+root finder, so both accept exactly the recurrences whose characteristic
+roots are all rational and nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_numeric import (
-    Polynomial,
-    Rational,
-    as_rational,
-    binomial,
-    format_polynomial,
-)
+from .core_numeric import Polynomial, Rational, as_rational
 from .difference_engine import LinearRecurrence
-from .errors import UnsupportedRootsError
-from .recurrence_solver import ClosedForm, characteristic_polynomial, rational_roots
+from .recurrence_solver import ClosedForm, characteristic_roots
 
 
 @dataclass(frozen=True)
@@ -105,50 +99,6 @@ class RationalFunction:
         )
 
 
-@dataclass(frozen=True)
-class PartialFractionForm:
-    """sum coeff / (1 - root x)^power, plus an optional polynomial part.
-
-    ``terms`` holds (root, power, coeff) triples sorted by (root, power)
-    with zero coefficients dropped.  ``poly_part`` is nonzero only when the
-    originating rational function was improper (numerator degree >=
-    denominator degree); it contributes finitely many coefficients,
-    poly_part[n] at index n.
-    """
-
-    terms: tuple[tuple[Rational, int, Rational], ...]
-    poly_part: Polynomial = field(default_factory=Polynomial.zero)
-
-    def __post_init__(self):
-        cleaned = []
-        for root, power, coeff in self.terms:
-            root = as_rational(root)
-            coeff = as_rational(coeff)
-            if power < 1:
-                raise ValueError(f"term power must be >= 1, got {power}")
-            if coeff != 0:
-                cleaned.append((root, power, coeff))
-        cleaned.sort(key=lambda t: (t[0], t[1]))
-        object.__setattr__(self, "terms", tuple(cleaned))
-
-    def series(self, depth: int) -> list[Rational]:
-        """Exact series coefficients reconstructed term by term.
-
-        [x^n] coeff/(1 - r x)^p = coeff * C(n + p - 1, p - 1) * r^n, plus
-        the polynomial part's coefficient at n.  Used to verify that a
-        decomposition reproduces its source exactly.
-        """
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        out = []
-        for n in range(depth):
-            value = self.poly_part.coefficient(n)
-            for root, power, coeff in self.terms:
-                value += coeff * binomial(n + power - 1, power - 1) * root**n
-            out.append(value)
-        return out
-
-
 def build_ogf(rec: LinearRecurrence) -> RationalFunction:
     """The ordinary generating function of the recurrence's solution.
 
@@ -156,29 +106,24 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
 
         f(x) * D(x) = x^d * R(x) + N_init(x)
 
-    where D(x) = x^d chi(1/x) = prod (1 - r_i x)^{m_i} over the nonzero
-    characteristic roots, N_init(x) = sum_{k=1..d} c_k x^{d-k}
-    (a_0 + a_1 x + ... + a_{k-1} x^{k-1}) collects the initial-condition
-    boundary terms, and R(x) = sum_n rhs(n) x^n.
+    where D(x) = x^d chi(1/x) = prod (1 - r_i x)^{m_i} over the
+    characteristic roots, N_init(x) = sum_{k=1..d} c_k x^{d-k} (a_0 + a_1 x
+    + ... + a_{k-1} x^{k-1}) collects the initial-condition boundary terms,
+    and R(x) = sum_n rhs(n) x^n.
 
     A polynomial right-hand side of degree e makes R rational with
     denominator (1-x)^{e+1}, and R(x) (1-x)^{e+1} is a polynomial of degree
     at most e, so it equals (sum_{n<=e} rhs(n) x^n) (1-x)^{e+1} truncated
     after x^e.  Clearing denominators yields a fully factored result.
-    Requires all characteristic roots rational.  The roots come from
-    ``characteristic_polynomial`` and ``rational_roots``, which this route
-    shares with the characteristic-polynomial route.
+    The roots come from ``characteristic_roots``, which raises
+    UnsupportedRootsError unless all of them are rational and nonzero.
+
+    The result is proper: with no root 0, D has degree d, so the
+    denominator has degree d + e + 1 and the numerator degree at most d + e
+    (for a zero right-hand side, d and at most d - 1).
     """
     d = rec.order
-    chi = characteristic_polynomial(rec)
-    roots, residual = rational_roots(chi)
-    if residual.degree >= 1:
-        raise UnsupportedRootsError(
-            "characteristic polynomial has an unfactored part with no rational "
-            f"roots: {format_polynomial(residual, 'r')}",
-            residual=residual,
-        )
-    factors = list(roots.items())  # RationalFunction drops a root-0 factor
+    factors = list(characteristic_roots(rec).items())
 
     # N_init is D(x) (a_0 + ... + a_(d-1) x^(d-1)) cut after x^(d-1), and
     # D(x) = sum_k c_k x^(d-k) is the stored (c_d, ..., c_0) read ascending.
@@ -198,23 +143,26 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
     return RationalFunction(numerator, tuple(factors))
 
 
-def partial_fractions(rf: RationalFunction) -> PartialFractionForm:
-    """Decompose into sum coeff/(1 - root x)^k plus a polynomial part.
+def partial_fractions(rf: RationalFunction) -> tuple[tuple[Rational, int, Rational], ...]:
+    """The terms (root, power, coeff) of rf = sum coeff/(1 - root x)^power.
 
-    An improper numerator is first reduced by exact polynomial division.
-    The proper part is then expanded locally at each factor (r, p).  The
-    substitution x = (1 - y)/r turns (1 - r x) into y and every other
-    factor (1 - s x) into ((r - s)/r) (1 - (s/(s - r)) y), so the proper
-    part becomes g(y)/y^p with g = numerator((1 - y)/r) / scale over
-    factors (1 - (s/(s - r)) y), analytic at y = 0.  Its first p series
+    ``rf`` must be proper (numerator degree below the denominator's); an
+    improper one raises ValueError.  Each factor (r, p) is expanded
+    locally.  The substitution x = (1 - y)/r turns (1 - r x) into y and
+    every other factor (1 - s x) into ((r - s)/r) (1 - (s/(s - r)) y), so
+    rf becomes g(y)/y^p with g = numerator((1 - y)/r) / scale over factors
+    (1 - (s/(s - r)) y), analytic at y = 0.  Its first p series
     coefficients g_0 .. g_(p-1) are the coefficients of 1/(1 - r x)^p down
     to 1/(1 - r x).  s -> s/(s - r) is injective and never 0, so the new
-    factors stay distinct.
+    factors stay distinct.  The terms are sorted by (root, power), with
+    zero coefficients dropped.
     """
     numerator = rf.numerator
-    poly_part = Polynomial.zero()
     if not numerator.is_zero and numerator.degree >= rf.denominator_degree:
-        poly_part, numerator = divmod(numerator, rf.denominator_polynomial())
+        raise ValueError(
+            f"need a proper rational function, got numerator degree {numerator.degree} "
+            f"over denominator degree {rf.denominator_degree}"
+        )
 
     terms = []
     for root, power in rf.denominator_factors:
@@ -227,30 +175,24 @@ def partial_fractions(rf: RationalFunction) -> PartialFractionForm:
                 scale *= ((root - other) / root) ** other_power
                 others.append((other / (other - root), other_power))
         local = RationalFunction(at_root.compose_shift(-1) * (1 / scale), tuple(others))
-        terms.extend((root, power - j, coeff) for j, coeff in enumerate(local.series(power)))
-    return PartialFractionForm(terms=tuple(terms), poly_part=poly_part)
+        coeffs = local.series(power)[::-1]  # of 1/(1 - r x)^1 .. 1/(1 - r x)^p
+        terms.extend((root, k, coeff) for k, coeff in enumerate(coeffs, 1) if coeff)
+    return tuple(terms)
 
 
-def extract_coefficient_formula(pf: PartialFractionForm) -> ClosedForm:
-    """Closed form for the series coefficients of a partial-fraction form.
+def extract_coefficient_formula(terms: tuple[tuple[Rational, int, Rational], ...]) -> ClosedForm:
+    """Closed form for the series coefficients of partial-fraction terms.
 
-    Each term coeff/(1 - r x)^p contributes coeff * C(n+p-1, p-1) * r^n.
-    The polynomials rising[k] = C(n+k, k) in n are built once, each from
-    the one before as rising[k-1] * (n+k)/k, so a pole of order p costs
-    O(p^2) and not O(p^3).  Terms sharing a root are summed into one
-    polynomial per root.
-
-    A nonzero polynomial part only affects indices up to its degree and is
-    deliberately not represented: the returned formula is exact for all
-    n > deg(poly_part), and for all n when the part is zero (always the
-    case for the proper rational functions ``build_ogf`` produces).
+    Each term (r, p, coeff), standing for coeff/(1 - r x)^p, contributes
+    coeff * C(n+p-1, p-1) * r^n.  The polynomials rising[k] = C(n+k, k) in
+    n are built once, each from the one before as rising[k-1] * (n+k)/k,
+    so a pole of order p costs O(p^2) and not O(p^3).  ClosedForm sums
+    the terms sharing a root into one polynomial per root.
     """
     rising = [Polynomial.one()]
-    grouped: dict[Rational, Polynomial] = {}
-    for root, power, coeff in pf.terms:
+    summands = []
+    for root, power, coeff in terms:
         for k in range(len(rising), power):
             rising.append(rising[-1] * Polynomial((1, Fraction(1, k))))
-        current = grouped.get(root, Polynomial.zero())
-        grouped[root] = current + coeff * rising[power - 1]
-    terms = tuple((root, poly) for root, poly in grouped.items())
-    return ClosedForm(terms=terms, method="genfunc")
+        summands.append((root, coeff * rising[power - 1]))
+    return ClosedForm(terms=tuple(summands), method="genfunc")

@@ -42,9 +42,10 @@ from .errors import SingularMatrixError, UnsupportedRootsError
 class ClosedForm:
     """An exponential-polynomial closed form sum_i p_i(n) * r_i^n.
 
-    ``terms`` pairs each distinct root with its polynomial coefficient;
-    zero polynomials are dropped and roots are sorted, so two closed forms
-    describe the same function exactly when their terms are equal.
+    ``terms`` pairs each root with its polynomial coefficient.  Entries
+    sharing a root are summed into one, zero polynomials are dropped and
+    roots are sorted, so two closed forms describe the same function
+    exactly when their terms are equal.
     ``variable_offset`` records how the formula's variable relates to the
     0-based sequence index n: the formula is written in v = n + offset.
     ``method`` tags which solver produced it ("charpoly" or "genfunc").
@@ -55,13 +56,12 @@ class ClosedForm:
     variable_offset: int = 0
 
     def __post_init__(self):
-        cleaned = []
+        merged: dict[Rational, Polynomial] = {}
         for root, poly in self.terms:
             root = as_rational(root)
-            if not poly.is_zero:
-                cleaned.append((root, poly))
-        cleaned.sort(key=lambda item: item[0])
-        object.__setattr__(self, "terms", tuple(cleaned))
+            merged[root] = merged[root] + poly if root in merged else poly
+        terms = tuple((root, poly) for root, poly in sorted(merged.items()) if not poly.is_zero)
+        object.__setattr__(self, "terms", terms)
 
     def evaluate(self, n: int) -> Rational:
         """Exact value at sequence index n >= 0 (the formula variable is n + offset)."""
@@ -114,6 +114,29 @@ def characteristic_polynomial(rec: LinearRecurrence) -> Polynomial:
     r^4 - 4r^3 + 6r^2 - 4r + 1.
     """
     return Polynomial(tuple(reversed(rec.coefficients)))
+
+
+def characteristic_roots(rec: LinearRecurrence) -> dict[Rational, int]:
+    """chi's roots as {root: multiplicity}, in ascending order.
+
+    Both solver routes start here, so they share one domain: every root
+    rational and nonzero.  A residual with no rational roots, or a root 0,
+    raises UnsupportedRootsError naming the obstruction.
+    """
+    roots, residual = rational_roots(characteristic_polynomial(rec))
+    if residual.degree >= 1:
+        raise UnsupportedRootsError(
+            "characteristic polynomial has an unfactored part with no rational "
+            f"roots: {format_polynomial(residual, 'r')}",
+            residual=residual,
+        )
+    if 0 in roots:
+        raise UnsupportedRootsError(
+            "characteristic root 0 (vanishing trailing coefficient): the "
+            "recurrence is degenerate and has no exponential-polynomial basis",
+            residual=Polynomial((0, 1)),
+        )
+    return roots
 
 
 def _divisors(n: int) -> list[int]:
@@ -277,21 +300,7 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     elimination (that system is a generalized Vandermonde matrix and is
     never singular for distinct nonzero roots).
     """
-    chi = characteristic_polynomial(rec)
-    roots, residual = rational_roots(chi)
-    if residual.degree >= 1:
-        raise UnsupportedRootsError(
-            "characteristic polynomial has an unfactored part with no rational "
-            f"roots: {format_polynomial(residual, 'r')}",
-            residual=residual,
-        )
-    if 0 in roots:
-        raise UnsupportedRootsError(
-            "characteristic root 0 (vanishing trailing coefficient): the "
-            "recurrence is degenerate and has no exponential-polynomial basis",
-            residual=Polynomial((0, 1)),
-        )
-
+    roots = characteristic_roots(rec)
     particular, _ = particular_solution(rec, roots)
     d = rec.order
     basis = [(root, j) for root, multiplicity in roots.items() for j in range(multiplicity)]
@@ -311,14 +320,13 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
         raise AssertionError("initial-condition system cannot be singular") from exc
 
     # Each root's amplitudes, ascending in j, are its polynomial's
-    # coefficients; the particular solution belongs to root 1.
-    polys = {Fraction(1): particular}
-    start = 0
+    # coefficients; the particular solution belongs to root 1, and
+    # ClosedForm adds it to that root's polynomial.
+    terms, start = [(Fraction(1), particular)], 0
     for root, multiplicity in roots.items():
-        stop = start + multiplicity
-        polys[root] = Polynomial(amplitudes[start:stop]) + polys.get(root, Polynomial.zero())
-        start = stop
-    return ClosedForm(terms=tuple(polys.items()), method="charpoly")
+        terms.append((root, Polynomial(amplitudes[start : start + multiplicity])))
+        start += multiplicity
+    return ClosedForm(terms=tuple(terms), method="charpoly")
 
 
 def to_moser_variable(form: ClosedForm) -> ClosedForm:

@@ -11,7 +11,14 @@ from itertools import combinations
 
 import pytest
 
-from recurlab import LinearRecurrence, Polynomial, build_difference_table, infer_recurrence, moser_terms
+from recurlab import (
+    LinearRecurrence,
+    Polynomial,
+    binomial,
+    build_difference_table,
+    infer_recurrence,
+    moser_terms,
+)
 from recurlab.geometry import antipode_parameter
 
 
@@ -25,6 +32,18 @@ def brute_binomial(n: int, k: int) -> int:
 def brute_regions(m: int) -> int:
     """1 + C(m,2) + C(m,4) with the binomials counted by enumeration."""
     return 1 + brute_binomial(m, 2) + brute_binomial(m, 4)
+
+
+def series_from_terms(terms, depth: int) -> list[Fraction]:
+    """Series coefficients of partial-fraction terms (root, power, coeff).
+
+    [x^n] coeff/(1 - r x)^p = coeff * C(n + p - 1, p - 1) * r^n, summed
+    term by term, so a decomposition can be checked against its source.
+    """
+    return [
+        sum((c * binomial(n + p - 1, p - 1) * r**n for r, p, c in terms), Fraction(0))
+        for n in range(depth)
+    ]
 
 
 @pytest.fixture(scope="session")

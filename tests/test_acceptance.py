@@ -29,13 +29,14 @@ from recurlab import (
     to_moser_variable,
 )
 from recurlab.genfunc_solver import (
-    PartialFractionForm,
     RationalFunction,
     build_ogf,
     extract_coefficient_formula,
     partial_fractions,
 )
 from recurlab.geometry import generic_arrangement
+
+from conftest import series_from_terms
 
 F = Fraction
 
@@ -122,9 +123,8 @@ def test_criterion_4_generating_function_route():
         assert rf.numerator == Polynomial((1, -3, 4, -2, 1))
         assert rf.denominator_factors == ((F(1), 5),)
 
-        pf = partial_fractions(rf)
-        assert pf.poly_part.is_zero
-        assert pf.terms == (
+        terms = partial_fractions(rf)
+        assert terms == (
             (F(1), 1, F(1)),
             (F(1), 2, F(-2)),
             (F(1), 3, F(4)),
@@ -132,7 +132,7 @@ def test_criterion_4_generating_function_route():
             (F(1), 5, F(1)),
         )
 
-        form = extract_coefficient_formula(pf)
+        form = extract_coefficient_formula(terms)
         in_m = to_moser_variable(form)
         assert in_m.polynomial_form() == Polynomial(
             (F(24, 24), F(-18, 24), F(23, 24), F(-6, 24), F(1, 24))
@@ -236,13 +236,10 @@ def test_criterion_8_partial_fraction_identities():
             ),
         ]
         for rf, expected_terms in cases:
-            stated = PartialFractionForm(terms=expected_terms)
             # The identity itself: both sides have the same series.
-            assert stated.series(depth) == rf.series(depth)
+            assert series_from_terms(expected_terms, depth) == rf.series(depth)
             # And the decomposer finds exactly the stated form.
-            computed = partial_fractions(rf)
-            assert computed.terms == stated.terms
-            assert computed.poly_part.is_zero
+            assert partial_fractions(rf) == expected_terms
 
 
 def test_criterion_9_property_suites():

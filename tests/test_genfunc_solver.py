@@ -13,7 +13,6 @@ import pytest
 
 from recurlab import (
     LinearRecurrence,
-    PartialFractionForm,
     Polynomial,
     RationalFunction,
     UnsupportedRootsError,
@@ -25,7 +24,7 @@ from recurlab import (
     solve_charpoly,
 )
 
-from conftest import solver_corpus
+from conftest import series_from_terms, solver_corpus
 
 F = Fraction
 
@@ -107,13 +106,29 @@ class TestBuildOgf:
         with pytest.raises(UnsupportedRootsError):
             build_ogf(rec)
 
+    def test_root_zero_rejected_as_by_charpoly(self):
+        # chi = r^2 - r has the root 0; the sequence 5, 7, 7, ... has no
+        # exponential-polynomial closed form valid from n = 0.
+        rec = LinearRecurrence((F(1), F(-1), F(0)), Polynomial.zero(), (F(5), F(7)))
+        assert list(iterate_recurrence(rec, 4)) == [5, 7, 7, 7]
+        with pytest.raises(UnsupportedRootsError) as charpoly_error:
+            solve_charpoly(rec)
+        with pytest.raises(UnsupportedRootsError) as genfunc_error:
+            build_ogf(rec)
+        assert str(genfunc_error.value) == str(charpoly_error.value)
+        assert "characteristic root 0" in str(genfunc_error.value)
+
+    def test_result_is_proper_on_corpus(self):
+        for name, rec in solver_corpus():
+            rf = build_ogf(rec)
+            assert rf.numerator.degree < rf.denominator_degree, name
+
 
 class TestPartialFractions:
     def test_quartic_over_quintic_pole(self):
         # x^4/(1-x)^5 spreads over all five pole orders.
-        pf = partial_fractions(one_minus_x_power(Polynomial.monomial(4), 5))
-        assert pf.poly_part.is_zero
-        assert pf.terms == (
+        terms = partial_fractions(one_minus_x_power(Polynomial.monomial(4), 5))
+        assert terms == (
             (F(1), 1, F(1)),
             (F(1), 2, F(-4)),
             (F(1), 3, F(6)),
@@ -123,18 +138,17 @@ class TestPartialFractions:
 
     def test_linear_over_quartic_pole(self):
         # -2x/(1-x)^4 = 2/(1-x)^3 - 2/(1-x)^4
-        pf = partial_fractions(one_minus_x_power(Polynomial((0, -2)), 4))
-        assert pf.terms == ((F(1), 3, F(2)), (F(1), 4, F(-2)))
+        terms = partial_fractions(one_minus_x_power(Polynomial((0, -2)), 4))
+        assert terms == ((F(1), 3, F(2)), (F(1), 4, F(-2)))
 
     def test_quadratic_over_quartic_pole(self):
         # 2x^2/(1-x)^4 = 2/(1-x)^2 - 4/(1-x)^3 + 2/(1-x)^4
-        pf = partial_fractions(one_minus_x_power(Polynomial((0, 0, 2)), 4))
-        assert pf.terms == ((F(1), 2, F(2)), (F(1), 3, F(-4)), (F(1), 4, F(2)))
+        terms = partial_fractions(one_minus_x_power(Polynomial((0, 0, 2)), 4))
+        assert terms == ((F(1), 2, F(2)), (F(1), 3, F(-4)), (F(1), 4, F(2)))
 
     def test_region_ogf_decomposition(self, moser_recurrence):
-        pf = partial_fractions(build_ogf(moser_recurrence))
-        assert pf.poly_part.is_zero
-        assert pf.terms == (
+        terms = partial_fractions(build_ogf(moser_recurrence))
+        assert terms == (
             (F(1), 1, F(1)),
             (F(1), 2, F(-2)),
             (F(1), 3, F(4)),
@@ -145,27 +159,27 @@ class TestPartialFractions:
     def test_distinct_roots(self):
         # (2-5x)/((1-2x)(1-3x)) = 1/(1-2x) + 1/(1-3x)
         rf = RationalFunction(Polynomial((2, -5)), ((F(2), 1), (F(3), 1)))
-        pf = partial_fractions(rf)
-        assert pf.terms == ((F(2), 1, F(1)), (F(3), 1, F(1)))
+        assert partial_fractions(rf) == ((F(2), 1, F(1)), (F(3), 1, F(1)))
 
-    def test_improper_fraction_gets_polynomial_part(self):
-        # (5-4x)/(1-x) = 4 + 1/(1-x)
-        rf = RationalFunction(Polynomial((5, -4)), ((F(1), 1),))
-        pf = partial_fractions(rf)
-        assert pf.poly_part == Polynomial.constant(4)
-        assert pf.terms == ((F(1), 1, F(1)),)
+    @pytest.mark.parametrize(
+        "numerator, factors",
+        [
+            ((5, -4), ((F(1), 1),)),  # (5-4x)/(1-x) = 4 + 1/(1-x)
+            ((1, 0, 0, 0, 1), ((F(1), 2),)),
+            ((3, 0, 1), ()),  # a polynomial over the empty product
+        ],
+    )
+    def test_improper_function_rejected(self, numerator, factors):
+        with pytest.raises(ValueError, match="proper"):
+            partial_fractions(RationalFunction(Polynomial(numerator), factors))
+
+    def test_zero_over_empty_product(self):
+        assert partial_fractions(RationalFunction(Polynomial.zero(), ())) == ()
 
     def test_reconstruction_is_exact_on_corpus(self):
         for name, rec in solver_corpus():
             rf = build_ogf(rec)
-            pf = partial_fractions(rf)
-            assert pf.series(60) == rf.series(60), name
-
-    def test_reconstruction_with_poly_part(self):
-        rf = RationalFunction(Polynomial((1, 0, 0, 0, 1)), ((F(1), 2),))
-        pf = partial_fractions(rf)
-        assert not pf.poly_part.is_zero
-        assert pf.series(40) == rf.series(40)
+            assert series_from_terms(partial_fractions(rf), 60) == rf.series(60), name
 
 
 class TestExtractCoefficientFormula:
@@ -175,15 +189,13 @@ class TestExtractCoefficientFormula:
         assert form.polynomial_form() == Polynomial([F(c, 24) for c in (24, 14, 11, -2, 1)])
 
     def test_single_poles(self):
-        pf = PartialFractionForm(terms=((F(1), 1, F(-1)), (F(2), 1, F(1))))
-        form = extract_coefficient_formula(pf)
+        form = extract_coefficient_formula(((F(1), 1, F(-1)), (F(2), 1, F(1))))
         # 2^n - 1
         assert form.terms == ((F(1), Polynomial.constant(-1)), (F(2), Polynomial.one()))
 
     def test_higher_pole_gives_binomial_polynomial(self):
         # 1/(1-x)^3 -> C(n+2, 2) = (n^2 + 3n + 2)/2
-        pf = PartialFractionForm(terms=((F(1), 3, F(1)),))
-        form = extract_coefficient_formula(pf)
+        form = extract_coefficient_formula(((F(1), 3, F(1)),))
         assert form.polynomial_form() == Polynomial((1, F(3, 2), F(1, 2)))
 
     def test_pole_of_order_forty_matches_series(self):
@@ -191,9 +203,8 @@ class TestExtractCoefficientFormula:
         # so the C(n+k, k) polynomials are built up across the whole order.
         terms = [(F(-1), p, F(p)) for p in range(1, 6)]
         terms += [(F(3, 2), p, F(p, 7) - 2) for p in range(1, 41)]
-        pf = PartialFractionForm(terms=tuple(terms))
-        form = extract_coefficient_formula(pf)
-        assert [form.evaluate(n) for n in range(60)] == pf.series(60)
+        form = extract_coefficient_formula(tuple(terms))
+        assert [form.evaluate(n) for n in range(60)] == series_from_terms(terms, 60)
 
     def test_agrees_with_charpoly_route_on_corpus(self):
         for name, rec in solver_corpus():

@@ -9,7 +9,8 @@ apart from their names, the reference table returning
 plain tuple of terms, the reference root finder returning
 ``(root, multiplicity)`` pairs in place of a record class, the reference
 elimination taking the row lists that replaced ``ExactMatrix``, and the
-reference polynomial leaving out ``__str__``.  They work in ``Fraction``
+reference polynomial leaving out ``__str__`` and ``__divmod__`` (the
+library's ``Polynomial`` no longer divides).  They work in ``Fraction``
 cells, so they share no integer scaling, gcd normalisation, pivot division
 or Taylor shift with the code under test.
 """
@@ -223,24 +224,6 @@ class _ReferencePolynomial:
         for _ in range(exponent):
             result = result * self
         return result
-
-    def __divmod__(self, divisor: "_ReferencePolynomial") -> tuple["_ReferencePolynomial", "_ReferencePolynomial"]:
-        """Exact long division over the rationals: quotient and remainder."""
-        if not isinstance(divisor, _ReferencePolynomial):
-            return NotImplemented
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        remainder = list(self._coeffs)
-        dlen = len(divisor._coeffs)
-        lead = divisor._coeffs[-1]
-        quotient = [Fraction(0)] * max(len(remainder) - dlen + 1, 0)
-        for i in range(len(remainder) - dlen, -1, -1):
-            factor = remainder[i + dlen - 1] / lead
-            quotient[i] = factor
-            if factor:
-                for j, c in enumerate(divisor._coeffs):
-                    remainder[i + j] -= factor * c
-        return _ReferencePolynomial(quotient), _ReferencePolynomial(remainder)
 
     # -- evaluation and composition -----------------------------------
 
@@ -515,18 +498,6 @@ class TestIntegerPolynomial:
     @settings(max_examples=100, deadline=None)
     def test_power_matches_reference(self, a, exponent):
         assert_same(Polynomial(a) ** exponent, _ReferencePolynomial(a) ** exponent)
-
-    @given(polys, polys)
-    @settings(max_examples=300, deadline=None)
-    def test_divmod_matches_reference(self, a, b):
-        p, q, rp, rq = Polynomial(a), Polynomial(b), _ReferencePolynomial(a), _ReferencePolynomial(b)
-        if rq.is_zero:
-            with pytest.raises(ZeroDivisionError):
-                divmod(p, q)
-            return
-        (quotient, remainder), (ref_quotient, ref_remainder) = divmod(p, q), divmod(rp, rq)
-        assert_same(quotient, ref_quotient)
-        assert_same(remainder, ref_remainder)
 
     @given(polys, scalars)
     @settings(max_examples=300, deadline=None)

@@ -260,6 +260,17 @@ class TestClosedForm:
         )
         assert form.terms == ((F(1), Polynomial((0, 1))), (F(2), Polynomial.one()))
 
+    def test_entries_sharing_a_root_merged(self):
+        one, n = Polynomial.one(), Polynomial((0, 1))
+        form = ClosedForm(terms=((F(1), one), (F(2), n), (F(1), n)), method="genfunc")
+        assert form.terms == ((F(1), Polynomial((1, 1))), (F(2), n))
+        merged = ClosedForm(terms=((F(1), one), (F(1), n)), method="genfunc")
+        assert merged.polynomial_form() == Polynomial((1, 1))
+        assert merged.agrees_with(ClosedForm(terms=((F(1), Polynomial((1, 1))),), method="charpoly"))
+        # Entries that cancel leave no term for their root.
+        cancelled = ClosedForm(terms=((F(2), n), (F(1), one), (F(2), -n)), method="genfunc")
+        assert cancelled.terms == ((F(1), one),)
+
     def test_agreement_requires_same_offset(self):
         a = ClosedForm(terms=((F(1), Polynomial.one()),), method="charpoly")
         b = ClosedForm(terms=((F(1), Polynomial.one()),), method="genfunc", variable_offset=1)

@@ -16,8 +16,6 @@ import pytest
 from recurlab import (
     LinearRecurrence,
     Polynomial,
-    RationalFunction,
-    PartialFractionForm,
     build_ogf,
     characteristic_polynomial,
     gaussian_solve,
@@ -61,15 +59,8 @@ def dense_particular_solution(rec, roots):
 
 
 def dense_partial_fractions(rf):
-    """Partial fractions from the confluent-Vandermonde system."""
-    den = rf.denominator_polynomial()
+    """Partial-fraction terms of a proper ``rf`` from the confluent-Vandermonde system."""
     total = rf.denominator_degree
-    numerator = rf.numerator
-    poly_part = Polynomial.zero()
-    if not numerator.is_zero and numerator.degree >= total:
-        poly_part, numerator = divmod(numerator, den)
-    if total == 0:
-        return PartialFractionForm(terms=(), poly_part=poly_part)
     layout = [(root, k) for root, power in rf.denominator_factors for k in range(1, power + 1)]
     basis_polys = []
     for root, k in layout:
@@ -80,9 +71,8 @@ def dense_partial_fractions(rf):
                 poly = poly * Polynomial((1, -other_root)) ** reduced
         basis_polys.append(poly)
     matrix = [[poly.coefficient(j) for poly in basis_polys] for j in range(total)]
-    coeffs = gaussian_solve(matrix, [numerator.coefficient(j) for j in range(total)])
-    terms = tuple((root, k, coeff) for (root, k), coeff in zip(layout, coeffs))
-    return PartialFractionForm(terms=terms, poly_part=poly_part)
+    coeffs = gaussian_solve(matrix, [rf.numerator.coefficient(j) for j in range(total)])
+    return tuple((root, k, coeff) for (root, k), coeff in zip(layout, coeffs) if coeff)
 
 
 def random_rational(rng, bound=9, max_denominator=4):
@@ -99,15 +89,6 @@ def random_recurrence(rng):
     order = chi.degree
     initial = tuple(random_rational(rng) for _ in range(order))
     return LinearRecurrence(tuple(reversed(chi.coefficients)), rhs, initial)
-
-
-def improper(rng, rf):
-    """The same denominator over numerator + q * denominator, deg q in 0..2."""
-    q = Polynomial(random_rational(rng) for _ in range(rng.randint(1, 3)))
-    if q.is_zero:
-        q = Polynomial.one()
-    numerator = rf.numerator + q * rf.denominator_polynomial()
-    return RationalFunction(numerator, rf.denominator_factors)
 
 
 def roots_of(rec):
@@ -160,17 +141,5 @@ class TestPartialFractionsMatchDenseSystem:
     def test_random_recurrences(self, random_cases):
         for rec, _, rf in random_cases:
             assert rf.series(40) == list(iterate_recurrence(rec, 40)), rec
+            assert rf.numerator.degree < rf.denominator_degree, rec
             assert partial_fractions(rf) == dense_partial_fractions(rf), rec
-
-    def test_random_improper_numerators(self, random_cases):
-        rng = random.Random(20240607)
-        for rec, _, proper in random_cases:
-            rf = improper(rng, proper)
-            pf = partial_fractions(rf)
-            assert not pf.poly_part.is_zero
-            assert pf == dense_partial_fractions(rf), rec
-
-    def test_no_factors(self):
-        rf = RationalFunction(Polynomial((3, 0, 1)), ())
-        assert partial_fractions(rf) == dense_partial_fractions(rf)
-        assert partial_fractions(rf).poly_part == Polynomial((3, 0, 1))
