@@ -56,8 +56,6 @@ from .genfunc_solver import (
 from .geometry import (
     ChordArrangement,
     CirclePoint,
-    GeometricVerdict,
-    RegionReport,
     build_arrangement,
     count_faces,
     count_regions,
@@ -66,7 +64,6 @@ from .geometry import (
     verify_against_formula,
 )
 from .moser_formulas import (
-    EulerCounts,
     chord_count,
     euler_counts,
     intersection_count,
@@ -115,15 +112,12 @@ __all__ = [
     "partial_fractions",
     "ChordArrangement",
     "CirclePoint",
-    "GeometricVerdict",
-    "RegionReport",
     "build_arrangement",
     "count_faces",
     "count_regions",
     "hexagon_arrangement",
     "intersect_chords",
     "verify_against_formula",
-    "EulerCounts",
     "chord_count",
     "euler_counts",
     "intersection_count",

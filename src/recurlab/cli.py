@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as json_string
 
 from .core_numeric import format_polynomial, format_quotient, format_rational, parse_rational
 from .difference_engine import (
@@ -184,6 +183,7 @@ def cmd_table(args) -> int:
     # Only the printed view is built, not both for _emit: the table can hold
     # tens of thousands of cells.  Its rows go out one at a time, each cell
     # from its integer numerator, laid out as json.dumps(indent=2) would.
+    # A cell holds only digits, "-" and "/", so quoting it needs no escaping.
     if args.json:
         next_text = None if next_term is None else format_rational(next_term)
         result = {"rows": [], "constant_depth": depth, "next": next_text}
@@ -192,8 +192,8 @@ def cmd_table(args) -> int:
         write, den = sys.stdout.write, table.denominator
         write(head + '"rows": [')
         for d, row in enumerate(table.rows):
-            cells = ",\n        ".join(json_string(format_quotient(v, den)) for v in row)
-            write(("," if d else "") + "\n      [\n        " + cells + "\n      ]")
+            cells = '",\n        "'.join(format_quotient(v, den) for v in row)
+            write(("," if d else "") + '\n      [\n        "' + cells + '"\n      ]')
         write("\n    ]" + tail + "\n")
         return EXIT_OK
 
@@ -295,7 +295,7 @@ def cmd_regions(args) -> int:
     if "sum" in wants:
         counts["sum"] = regions_binomial_sum(m)
     if "euler" in wants:
-        counts["euler"] = euler_counts(m).regions
+        counts["euler"] = euler_counts(m)[2]
 
     if "geometric" in wants:
         if m > cap:
@@ -312,13 +312,13 @@ def cmd_regions(args) -> int:
                         seed=None if args.seed is None else args.seed + trial,
                     )
                 reports.append(count_regions(last))
-            counts["geometric"] = reports[0].regions
+            vertices, edges, counts["geometric"] = reports[0]
             geometric_detail = {
                 "trials": len(reports),
-                "counts": [r.regions for r in reports],
-                "vertices": reports[0].vertices,
-                "edges": reports[0].edges,
-                "general_position": reports[0].general_position,
+                "counts": [regions for _, _, regions in reports],
+                "vertices": vertices,
+                "edges": edges,
+                "general_position": last.general_position,
                 "degeneracy": None if last.general_position else last.describe_degeneracy(),
             }
             if args.dump_arrangement:
@@ -373,7 +373,7 @@ def _verify_checks(args, cap: int) -> list[dict]:
             "binomial": regions_binomial(m),
             "polynomial": regions_polynomial(m),
             "sum": regions_binomial_sum(m),
-            "euler": euler_counts(m).regions,
+            "euler": euler_counts(m)[2],
         }
         if len(set(values.values())) != 1:
             mismatch = f"m={m}: {values}"
@@ -428,13 +428,11 @@ def _verify_checks(args, cap: int) -> list[dict]:
 
     # 3. Geometric construction against the closed formula.
     geom_limit = min(max_m, cap)
-    verdict = verify_against_formula(geom_limit, args.trials, seed=args.seed)
+    failure = verify_against_formula(geom_limit, args.trials, seed=args.seed)
     geom_fail = None
-    if not verdict.passed:
-        geom_fail = (
-            f"m={verdict.m}: counted {verdict.counts[-1]}, expected {verdict.expected}, "
-            f"points {verdict.failing_parameters}"
-        )
+    if failure is not None:
+        k, counted, expected, parameters = failure
+        geom_fail = f"m={k}: counted {counted}, expected {expected}, points {parameters}"
     add(
         "geometric-construction",
         f"m=1..{geom_limit}, trials={args.trials}",

@@ -282,8 +282,14 @@ def format_quotient(numerator: int, denominator: int, wire: bool = True) -> str:
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse an integer or ``p/q`` string into an exact ``Rational``."""
+    """Parse an integer, decimal or ``p/q`` string into an exact ``Rational``.
+
+    Exponent notation (``1e5``) is rejected: ``Fraction`` would accept it,
+    and a term like ``1e99999999`` would build an integer of that many digits.
+    """
     try:
+        if "e" in text or "E" in text:
+            raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc

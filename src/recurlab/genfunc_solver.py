@@ -43,8 +43,7 @@ class RationalFunction:
 
     Factors with the same r are merged, r = 0 factors are dropped (they
     equal 1), and factors are sorted by r, so structural equality compares
-    meaningfully.  ``equivalent_to`` checks true equality of the underlying
-    rational functions by cross-multiplication.
+    meaningfully.
     """
 
     numerator: Polynomial
@@ -90,13 +89,6 @@ class RationalFunction:
                 value -= den[k] * out[n - k]
             out.append(value)
         return out
-
-    def equivalent_to(self, other: "RationalFunction") -> bool:
-        """Exact equality as rational functions (cross-multiplied)."""
-        return (
-            self.numerator * other.denominator_polynomial()
-            == other.numerator * self.denominator_polynomial()
-        )
 
 
 def build_ogf(rec: LinearRecurrence) -> RationalFunction:

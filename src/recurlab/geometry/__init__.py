@@ -13,9 +13,7 @@ and the ``interior_points`` view.
 
 from .arrangement import (
     ChordArrangement,
-    GeometricVerdict,
     InteriorPoint,
-    RegionReport,
     arrangement_to_json_dict,
     build_arrangement,
     count_regions,
@@ -28,7 +26,6 @@ from .arrangement import (
 from .facewalk import count_faces
 from .points import (
     CirclePoint,
-    antipode_parameter,
     generic_parameters,
     hexagon_parameters,
     seeded_parameters,
@@ -37,10 +34,7 @@ from .points import (
 __all__ = [
     "ChordArrangement",
     "CirclePoint",
-    "GeometricVerdict",
     "InteriorPoint",
-    "RegionReport",
-    "antipode_parameter",
     "arrangement_to_json_dict",
     "build_arrangement",
     "count_faces",

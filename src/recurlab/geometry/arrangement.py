@@ -143,28 +143,6 @@ class ChordArrangement:
         )
 
 
-@dataclass(frozen=True)
-class RegionReport:
-    """Region count of one arrangement, with the Euler ingredients."""
-
-    m: int
-    vertices: int
-    edges: int
-    regions: int
-    general_position: bool
-
-
-@dataclass(frozen=True)
-class GeometricVerdict:
-    """Outcome of checking constructed counts against the closed form."""
-
-    m: int
-    expected: int
-    counts: tuple[int, ...]
-    passed: bool
-    failing_parameters: tuple[str, ...] | None = None
-
-
 def build_arrangement(points: Iterable[CirclePoint]) -> tuple[CirclePoint, ...]:
     """The given circle points in counterclockwise angular order.
 
@@ -233,8 +211,8 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     return ChordArrangement(points, chords, crossings, concurrent)
 
 
-def count_regions(arr: ChordArrangement) -> RegionReport:
-    """Regions inside the disk by Euler's formula on the exact arrangement.
+def count_regions(arr: ChordArrangement) -> tuple[int, int, int]:
+    """(V, E, regions) of the exact arrangement, by Euler's formula.
 
     V = circle points + interior intersection points.
     E = one arc per circle point, plus each chord split into
@@ -242,20 +220,13 @@ def count_regions(arr: ChordArrangement) -> RegionReport:
         one per chord plus one per (interior point, chord through it).
     regions = E - V + 1.
 
-    Works for degenerate arrangements too — that is the point: a triple
-    point changes V and E and the count drops accordingly.
+    In general position this is ``euler_counts(arr.m)``.  It works for
+    degenerate arrangements too — that is the point: a triple point changes
+    V and E and the count drops accordingly.
     """
-    m = arr.m
-    vertices = m + len(arr.crossings)
-    edges = m + len(arr.chords) + sum(map(len, arr.crossings))
-    regions = edges - vertices + 1
-    return RegionReport(
-        m=m,
-        vertices=vertices,
-        edges=edges,
-        regions=regions,
-        general_position=arr.general_position,
-    )
+    vertices = arr.m + len(arr.crossings)
+    edges = arr.m + len(arr.chords) + sum(map(len, arr.crossings))
+    return vertices, edges, edges - vertices + 1
 
 
 def prefix_region_counts(arr: ChordArrangement, births: SequenceABC[int]) -> list[int]:
@@ -327,7 +298,9 @@ def hexagon_arrangement() -> ChordArrangement:
     return intersect_chords(map(CirclePoint, hexagon_parameters()))
 
 
-def verify_against_formula(m: int, trials: int, *, seed: int | None = None) -> GeometricVerdict:
+def verify_against_formula(
+    m: int, trials: int, *, seed: int | None = None
+) -> tuple[int, int, int, tuple[str, ...]] | None:
     """Compare the constructed region counts of every k = 1..m with
     regions_binomial(k), on ``trials`` distinct general-position layouts.
 
@@ -340,10 +313,10 @@ def verify_against_formula(m: int, trials: int, *, seed: int | None = None) -> G
     falls back to one ``generic_arrangement(k)`` per k, so every layout
     tested is the one ``generic_arrangement(k)`` gives.
 
-    Scanning k in order, then the trials in order, the first mismatch is
-    returned with the counts of the trials up to it and the failing
-    layout's parameters in angular order; on a pass, the verdict is that
-    of k = m.
+    Returns None when every count matches.  Otherwise, scanning k in order,
+    then the trials in order, the first mismatch is returned as
+    ``(k, counted, expected, parameters)``, with the failing layout's
+    parameters in angular order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -354,16 +327,9 @@ def verify_against_formula(m: int, trials: int, *, seed: int | None = None) -> G
         for trial, counts in enumerate(runs):
             if counts[k - 1] != expected:
                 failing = generic_arrangement(k, variant=trial, seed=seeds[trial])
-                return GeometricVerdict(
-                    m=k,
-                    expected=expected,
-                    counts=tuple(c[k - 1] for c in runs[: trial + 1]),
-                    passed=False,
-                    failing_parameters=tuple(p.parameter_text for p in failing.points),
-                )
-    return GeometricVerdict(
-        m=m, expected=regions_binomial(m), counts=tuple(c[-1] for c in runs), passed=True
-    )
+                parameters = tuple(p.parameter_text for p in failing.points)
+                return k, counts[k - 1], expected, parameters
+    return None
 
 
 def _prefix_counts(m: int, variant: int, seed: int | None) -> list[int]:
@@ -378,11 +344,11 @@ def _prefix_counts(m: int, variant: int, seed: int | None) -> list[int]:
     if None in births:
         # generic_arrangement had to retry at m: build each k on its own.
         return [
-            count_regions(generic_arrangement(k, variant=variant, seed=seed)).regions
+            count_regions(generic_arrangement(k, variant=variant, seed=seed))[2]
             for k in range(1, m + 1)
         ]
     counts = prefix_region_counts(arr, births)
-    assert count_regions(arr).regions == counts[-1]
+    assert count_regions(arr)[2] == counts[-1]
     return counts
 
 

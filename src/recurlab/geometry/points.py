@@ -85,18 +85,6 @@ class CirclePoint:
         return f"CirclePoint({self.parameter_text})"
 
 
-def antipode_parameter(t: Fraction | None) -> Fraction | None:
-    """Parameter of the diametrically opposite point: t -> -1/t.
-
-    The poles of the parametrization swap: infinity <-> 0.
-    """
-    if t is None:
-        return Fraction(0)
-    if t == 0:
-        return None
-    return -1 / t
-
-
 def hexagon_parameters() -> list[Fraction | None]:
     """An exactly symmetric hexagon: the canonical degenerate layout.
 

@@ -16,8 +16,6 @@ oracle for the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core_numeric import Polynomial, binomial, binomial_rising
 
 
@@ -86,49 +84,23 @@ def intersection_count(m: int) -> int:
     return binomial(m, 4)
 
 
-@dataclass(frozen=True)
-class EulerCounts:
-    """Vertex/edge/face counts of the chord arrangement on the sphere.
-
-    Faces include the region outside the circle, so the disk is cut into
-    ``faces - 1`` regions.  Euler's identity V - E + F = 2 is enforced at
-    construction.
-    """
-
-    m: int
-    vertices: int
-    edges: int
-    faces: int
-
-    def __post_init__(self):
-        if self.vertices - self.edges + self.faces != 2:
-            raise ValueError(
-                f"Euler identity violated: V={self.vertices} E={self.edges} "
-                f"F={self.faces} gives V-E+F={self.vertices - self.edges + self.faces}"
-            )
-
-    @property
-    def regions(self) -> int:
-        """Regions inside the disk: every face except the outer one."""
-        return self.faces - 1
-
-
-def euler_counts(m: int) -> EulerCounts:
-    """V, E, F of the general-position arrangement, from counting rules.
+def euler_counts(m: int) -> tuple[int, int, int]:
+    """(V, E, regions) of the general-position arrangement, by counting rules.
 
     V: the m circle points plus C(m, 4) interior intersections.
     E: each of the m circle arcs is one edge, and each chord is split into
        one more edge than the interior points on it; summing over chords
        gives C(m, 2) + 2 C(m, 4) chord edges (each interior point splits
        two chords).
-    F: from Euler's formula on the sphere, F = 2 - V + E, so this route
-       never consults the closed form it is checked against.
+    regions: Euler's formula on the sphere gives F = 2 - V + E faces, and
+       all but the one outside the circle lie in the disk, so regions =
+       F - 1 = E - V + 1.  This route never consults the closed form it is
+       checked against.
     """
     _require_positive_m(m)
     vertices = m + binomial(m, 4)
     edges = m + binomial(m, 2) + 2 * binomial(m, 4)
-    faces = 2 - vertices + edges
-    return EulerCounts(m=m, vertices=vertices, edges=edges, faces=faces)
+    return vertices, edges, edges - vertices + 1
 
 
 def moser_terms(count: int) -> list[int]:

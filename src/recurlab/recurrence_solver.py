@@ -252,8 +252,8 @@ def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> l
     return [Fraction(v, previous) for v in scaled]
 
 
-def particular_solution(rec: LinearRecurrence, roots: dict[Rational, int]) -> tuple[Polynomial, int]:
-    """Particular solution for a polynomial right-hand side, with its shift.
+def particular_solution(rec: LinearRecurrence, roots: dict[Rational, int]) -> Polynomial:
+    """Particular solution for a polynomial right-hand side.
 
     With s the multiplicity of the characteristic root 1 and e the degree
     of the right-hand side, the ansatz is p(n) = n^s * q(n) with deg q = e:
@@ -266,12 +266,12 @@ def particular_solution(rec: LinearRecurrence, roots: dict[Rational, int]) -> tu
 
         a_q = (rhs_q - sum_{i>q} a_i C(s+i, q) mu_(s+i-q)) / (C(s+q, q) mu_s)
 
-    Returns (p, s).  A zero right-hand side returns (0, s).
+    A zero right-hand side returns 0.
     """
     rhs = rec.rhs
     shift = roots.get(1, 0)
     if rhs.is_zero:
-        return Polynomial.zero(), shift
+        return Polynomial.zero()
 
     degree = rhs.degree
     # c_0 .. c_d as integers over L: the moments of L * c give amplitudes / L.
@@ -288,7 +288,7 @@ def particular_solution(rec: LinearRecurrence, roots: dict[Rational, int]) -> tu
             for i in range(q + 1, degree + 1)
         )
         amplitudes[q] = acc / (binomial(shift + q, q) * mu[shift])
-    return Polynomial((0,) * shift + tuple(amplitudes)) * scale, shift
+    return Polynomial((0,) * shift + tuple(amplitudes)) * scale
 
 
 def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
@@ -301,7 +301,7 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     never singular for distinct nonzero roots).
     """
     roots = characteristic_roots(rec)
-    particular, _ = particular_solution(rec, roots)
+    particular = particular_solution(rec, roots)
     d = rec.order
     basis = [(root, j) for root, multiplicity in roots.items() for j in range(multiplicity)]
     assert len(basis) == d, "root multiplicities must sum to the order"

@@ -19,7 +19,6 @@ from recurlab import (
     infer_recurrence,
     moser_terms,
 )
-from recurlab.geometry import antipode_parameter
 
 
 def brute_binomial(n: int, k: int) -> int:
@@ -171,6 +170,18 @@ def _tan_fraction(x: Fraction, depth: int = 30) -> Fraction:
     for k in range(depth, 0, -1):
         acc = (2 * k - 1) - xx / acc
     return x / acc
+
+
+def antipode_parameter(t: Fraction | None) -> Fraction | None:
+    """Parameter of the diametrically opposite point: t -> -1/t.
+
+    The poles of the parametrization swap: infinity <-> 0.
+    """
+    if t is None:
+        return Fraction(0)
+    if t == 0:
+        return None
+    return -1 / t
 
 
 def regular_approx_parameters(m: int) -> list[Fraction | None]:

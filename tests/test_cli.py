@@ -270,6 +270,15 @@ class TestTable:
         assert code == 2
         assert "error" in err
 
+    def test_exponent_term_exit_2_at_parse(self, capsys):
+        # Fraction would read 1e99999999 and build a 10^99999999 integer;
+        # 1e5 goes first, so a parser that accepts exponents fails fast.
+        for term in ("1e5", "2E3", "1e99999999"):
+            for command in ("table", "solve"):
+                code, out, err = run_cli([command, f"--seq=1,2,{term}"], capsys)
+                assert (code, out) == (2, ""), (command, term)
+                assert err == f"error: not a rational number: '{term}'\n"
+
     def test_two_sources_exit_2(self, capsys):
         code, _, err = run_cli(["table", "--seq", "1,2", "--moser"], capsys)
         assert code == 2

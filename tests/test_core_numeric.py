@@ -170,6 +170,12 @@ class TestFormatting:
         with pytest.raises(ValueError):
             parse_rational("1/0")
 
+    def test_parse_rational_decimal_and_no_exponent(self):
+        assert parse_rational("1.5") == Fraction(3, 2)
+        for text in ("1e5", "2E3", "1.5e-2", "1e99999999"):
+            with pytest.raises(ValueError, match="not a rational number"):
+                parse_rational(text)
+
     def test_format_polynomial_common_denominator(self):
         quartic = Polynomial([Fraction(c, 24) for c in (24, -18, 23, -6, 1)])
         assert format_polynomial(quartic, "m") == "(m^4 - 6*m^3 + 23*m^2 - 18*m + 24)/24"

@@ -33,6 +33,11 @@ def one_minus_x_power(numerator: Polynomial, power: int) -> RationalFunction:
     return RationalFunction(numerator, ((F(1), power),))
 
 
+def equivalent(a: RationalFunction, b: RationalFunction) -> bool:
+    """Exact equality as rational functions (cross-multiplied)."""
+    return a.numerator * b.denominator_polynomial() == b.numerator * a.denominator_polynomial()
+
+
 class TestRationalFunction:
     def test_factors_merged_and_sorted(self):
         rf = RationalFunction(
@@ -64,8 +69,8 @@ class TestRationalFunction:
         # x^2/(1-x)^2 == (x^2 - x^3)/(1-x)^3
         a = one_minus_x_power(Polynomial((0, 0, 1)), 2)
         b = one_minus_x_power(Polynomial((0, 0, 1, -1)), 3)
-        assert a.equivalent_to(b)
-        assert not a.equivalent_to(one_minus_x_power(Polynomial((0, 0, 1)), 3))
+        assert equivalent(a, b)
+        assert not equivalent(a, one_minus_x_power(Polynomial((0, 0, 1)), 3))
 
 
 class TestBuildOgf:
@@ -81,7 +86,7 @@ class TestBuildOgf:
         expected_numerator = Polynomial.monomial(4) + boundary * Polynomial((1, -1))
         expected = one_minus_x_power(expected_numerator, 5)
         built = build_ogf(moser_recurrence)
-        assert built.equivalent_to(expected)
+        assert equivalent(built, expected)
         assert built.numerator == expected_numerator
 
     def test_series_matches_iteration_on_corpus(self):

@@ -31,7 +31,6 @@ from recurlab import (
 from recurlab.cli import main
 from recurlab.geometry import (
     CirclePoint,
-    antipode_parameter,
     arrangement_to_json_dict,
     build_arrangement,
     generic_arrangement,
@@ -50,7 +49,7 @@ from recurlab.geometry.arrangement import (
     _cross,
 )
 
-from conftest import regular_approx_parameters
+from conftest import antipode_parameter, regular_approx_parameters
 
 F = Fraction
 
@@ -440,7 +439,7 @@ class TestIntersection:
         # same arrangement whatever order the points come in.
         arr = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
         assert [p.parameter_text for p in arr.points] == ["-2/1", "0/1", "1/1", "3/1", "7/1"]
-        assert count_faces(arr) == count_regions(arr).regions + 1 == 17
+        assert count_faces(arr) == count_regions(arr)[2] + 1 == 17
 
     def test_repeated_point_rejected(self):
         with pytest.raises(ValueError, match="duplicate circle point at parameter 1/1"):
@@ -545,7 +544,7 @@ class TestIntersection:
             assert concurrent, m
             assert arr.concurrent == concurrent, m
             assert not arr.general_position
-            assert count_faces(arr) == count_regions(arr).regions + 1, m
+            assert count_faces(arr) == count_regions(arr)[2] + 1, m
 
     def test_count_paths_build_no_interior_points(self, monkeypatch, capsys):
         # The counts, the degeneracy verdict and the CLI read the merge's
@@ -561,7 +560,7 @@ class TestIntersection:
             (hexagon_arrangement(), 30, hexagon_summary),
         ):
             assert arr.general_position is (summary == "none")
-            assert count_regions(arr).regions == regions
+            assert count_regions(arr)[2] == regions
             assert count_faces(arr) == regions + 1
             assert arr.describe_degeneracy() == summary
         assert main(["regions", "--m", "12", "--method", "geometric", "--json"]) == 0
@@ -577,24 +576,30 @@ class TestIntersection:
 
 class TestRegionCounts:
     def test_tiny_cases(self):
-        assert count_regions(generic_arrangement(1)).regions == 1
-        assert count_regions(generic_arrangement(2)).regions == 2
-        assert count_regions(generic_arrangement(3)).regions == 4
+        assert count_regions(generic_arrangement(1)) == (1, 1, 1)
+        assert count_regions(generic_arrangement(2)) == (2, 3, 2)
+        assert count_regions(generic_arrangement(3)) == (3, 6, 4)
 
     def test_matches_formula_up_to_twelve(self):
         for m in range(1, 13):
-            report = count_regions(generic_arrangement(m))
-            assert report.regions == regions_binomial(m), m
-            assert report.general_position
+            arr = generic_arrangement(m)
+            assert count_regions(arr)[2] == regions_binomial(m), m
+            assert arr.general_position
 
     def test_vertices_edges_match_counting_rules(self):
         from recurlab import euler_counts
 
-        for m in range(1, 10):
-            report = count_regions(generic_arrangement(m))
-            expected = euler_counts(m)
-            assert report.vertices == expected.vertices, m
-            assert report.edges == expected.edges, m
+        # The exact construction and the counting rules give the same
+        # (V, E, regions) in general position...
+        for m in range(1, 13):
+            assert count_regions(generic_arrangement(m)) == euler_counts(m), m
+        for seed in (5, 11):
+            for m in (8, 13, 20):
+                assert count_regions(generic_arrangement(m, seed=seed)) == euler_counts(m), (m, seed)
+        # ...and not at the hexagon's triple point: two vertices and three
+        # edges fewer, so one region fewer.
+        assert count_regions(hexagon_arrangement()) == (19, 48, 30)
+        assert euler_counts(6) == (21, 51, 31)
 
 
 class TestPrefixRegionCounts:
@@ -606,7 +611,7 @@ class TestPrefixRegionCounts:
         birth = {p: i for i, p in enumerate(points, 1)}
         counts = prefix_region_counts(arr, [birth[p] for p in arr.points])
         per_prefix = [
-            count_regions(intersect_chords(build_arrangement(points[:k]))).regions
+            count_regions(intersect_chords(build_arrangement(points[:k])))[2]
             for k in range(1, len(points) + 1)
         ]
         return arr, counts, per_prefix
@@ -628,25 +633,25 @@ class TestPrefixRegionCounts:
     def test_last_count_is_count_regions(self):
         arr = hexagon_arrangement()
         for births in ([1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [3, 1, 4, 6, 2, 5]):
-            assert prefix_region_counts(arr, births)[-1] == count_regions(arr).regions == 30
+            assert prefix_region_counts(arr, births)[-1] == count_regions(arr)[2] == 30
 
 
 class TestFaceWalk:
     def test_matches_euler_route_in_general_position(self):
         for m in range(1, 8):
             arr = generic_arrangement(m)
-            assert count_faces(arr) == count_regions(arr).regions + 1, m
+            assert count_faces(arr) == count_regions(arr)[2] + 1, m
         for seed in range(5):
             arr = generic_arrangement(12, seed=seed)
-            assert count_faces(arr) == count_regions(arr).regions + 1 == 563, seed
+            assert count_faces(arr) == count_regions(arr)[2] + 1 == 563, seed
 
     def test_matches_euler_route_on_degenerate_input(self):
         arr = hexagon_arrangement()
-        assert count_faces(arr) == count_regions(arr).regions + 1 == 31
+        assert count_faces(arr) == count_regions(arr)[2] + 1 == 31
         # Four diameters of the regular-approx octagon meet at the center.
         arr = intersect_chords(_regular_approx_points(8))
         assert max(len(p.chords) for p in arr.interior_points) == 4
-        assert count_faces(arr) == count_regions(arr).regions + 1
+        assert count_faces(arr) == count_regions(arr)[2] + 1
 
     def test_empty_arrangement_rejected(self):
         # No arrangement without points reaches count_faces or count_regions.
@@ -655,7 +660,7 @@ class TestFaceWalk:
 
     def test_regular_approx_odd_m(self):
         arr = intersect_chords(_regular_approx_points(7))
-        assert count_faces(arr) == count_regions(arr).regions + 1
+        assert count_faces(arr) == count_regions(arr)[2] + 1
 
     def test_rotation_matches_angle_sort_reference(self):
         # The circle-order rotation against the exact angle sort, on general
@@ -665,7 +670,7 @@ class TestFaceWalk:
         assert max(len(p.chords) for p in corpus[24][1].interior_points) == 12
         for name, arr in corpus:
             faces = count_faces(arr)
-            assert faces == _reference_count_faces(arr) == count_regions(arr).regions + 1, name
+            assert faces == _reference_count_faces(arr) == count_regions(arr)[2] + 1, name
 
     def test_direct_ring_matches_rank_sort_on_faulty_crossings(self):
         # Where the walk writes a crossing's ring directly, the ring is the
@@ -695,7 +700,7 @@ class TestFaceWalk:
         # coordinates of circle and interior points are never read.
         arr = generic_arrangement(6, seed=3)
         hexagon = hexagon_arrangement()
-        expected = count_regions(arr).regions + 1
+        expected = count_regions(arr)[2] + 1
 
         def no_rationals(self):
             raise AssertionError("count_faces read a rational coordinate")
@@ -730,33 +735,30 @@ class TestDegenerateHexagon:
         )
 
     def test_region_count_drops_by_one(self):
-        report = count_regions(hexagon_arrangement())
-        assert (report.vertices, report.edges) == (19, 48)
-        assert report.regions == 30 == regions_binomial(6) - 1
-        assert not report.general_position
+        arr = hexagon_arrangement()
+        vertices, edges, regions = count_regions(arr)
+        assert (vertices, edges) == (19, 48)
+        assert regions == 30 == regions_binomial(6) - 1
+        assert not arr.general_position
 
     def test_regular_approx_six_is_degenerate_too(self):
         arr = intersect_chords(_regular_approx_points(6))
         assert not arr.general_position
-        assert count_regions(arr).regions == 30
+        assert count_regions(arr)[2] == 30
 
 
 class TestVerifyAgainstFormula:
     def test_small_sweep_passes(self):
         for m in (1, 4, 7):
-            verdict = verify_against_formula(m, trials=2)
-            assert verdict.passed
-            assert verdict.counts == (regions_binomial(m),) * 2
-            assert verdict.failing_parameters is None
+            # None: every count of both layouts, for every k = 1..m, matched.
+            assert verify_against_formula(m, trials=2) is None
 
     def test_ten_points_two_layouts(self):
-        verdict = verify_against_formula(10, trials=2)
-        assert verdict.passed
-        assert verdict.expected == 256
+        assert verify_against_formula(10, trials=2) is None
+        assert regions_binomial(10) == 256
 
     def test_seeded_layouts(self):
-        verdict = verify_against_formula(6, trials=2, seed=2026)
-        assert verdict.passed
+        assert verify_against_formula(6, trials=2, seed=2026) is None
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -776,8 +778,8 @@ class TestVerifyAgainstFormula:
 
     def test_one_build_per_trial(self, monkeypatch):
         builds = self._record_builds(monkeypatch)
-        assert verify_against_formula(12, trials=2).passed
-        assert verify_against_formula(8, trials=3, seed=5).passed
+        assert verify_against_formula(12, trials=2) is None
+        assert verify_against_formula(8, trials=3, seed=5) is None
         assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 6), (8, 2, 7)]
 
     def test_retried_layout_falls_back_to_one_build_per_m(self, monkeypatch):
@@ -796,9 +798,8 @@ class TestVerifyAgainstFormula:
 
         monkeypatch.setattr(arrangement_module, "generic_parameters", hexagon_at_six)
         builds = self._record_builds(monkeypatch)
-        verdict = verify_against_formula(6, trials=2)
-        assert verdict.passed
-        assert (verdict.m, verdict.expected, verdict.counts) == (6, 31, (31, 31))
+        # None: both trials counted 31 at m = 6, as at every smaller m.
+        assert verify_against_formula(6, trials=2) is None
         assert builds == [(6, 0, None)] + [(m, 0, None) for m in range(1, 7)] + [(6, 1, None)]
         # births, the 6-point build (0 then 1), the fallback's own 6-point build
         assert attempts == [0, 0, 1, 0, 1]
@@ -821,13 +822,15 @@ class TestVerifyAgainstFormula:
 
         intersect_pairs = _kernel.intersect_pairs
         monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1])
-        verdict = verify_against_formula(8, trials=2, seed=seed)
-        assert (verdict.passed, verdict.m, verdict.expected) == (False, m, regions_binomial(m))
-        assert verdict.counts == tuple(regions_binomial(m) - (b == m) for b in births[: trial + 1])
-        assert verdict.failing_parameters == tuple(
+        k, counted, expected, parameters = verify_against_formula(8, trials=2, seed=seed)
+        assert (k, counted, expected) == (m, regions_binomial(m) - 1, regions_binomial(m))
+        assert parameters == tuple(
             p.parameter_text
             for p in build_arrangement(map(CirclePoint, seeded_parameters(m, seed + trial)))
         )
+        # The trials scanned before the failing one counted m correctly.
+        before = [arrangement_module._prefix_counts(8, t, seed + t)[m - 1] for t in range(trial + 1)]
+        assert before == [regions_binomial(m) - (b == m) for b in births[: trial + 1]]
 
 
 class TestRetryBudget:
@@ -950,7 +953,7 @@ class TestNearDegenerateLayouts:
         arr = intersect_chords(points)
         assert arr.crossings == tuple(reference.values())
         assert sum(binomial(len(through), 2) for through in arr.crossings) == binomial(arr.m, 4)
-        faces = count_regions(arr).regions + 1
+        faces = count_regions(arr)[2] + 1
         assert count_faces(arr) == _reference_count_faces(arr) == _rank_sort_count_faces(arr) == faces
         return arr
 
@@ -981,6 +984,6 @@ class TestNearDegenerateLayouts:
         arr = self._check(build_arrangement(points))
         birth = {p: i for i, p in enumerate(points, 1)}
         per_prefix = [
-            count_regions(intersect_chords(points[:k])).regions for k in range(1, len(points) + 1)
+            count_regions(intersect_chords(points[:k]))[2] for k in range(1, len(points) + 1)
         ]
         assert prefix_region_counts(arr, [birth[p] for p in arr.points]) == per_prefix

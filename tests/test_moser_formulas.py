@@ -8,7 +8,6 @@ the four formula routes are required to agree with them and each other.
 import pytest
 
 from recurlab import (
-    EulerCounts,
     Polynomial,
     Rational,
     chord_count,
@@ -39,7 +38,7 @@ class TestReferenceTable:
 
     def test_euler_route_reproduces_the_table(self):
         for m, expected in REFERENCE_COUNTS.items():
-            assert euler_counts(m).regions == expected
+            assert euler_counts(m)[2] == expected
 
     def test_doubling_breaks_at_six(self):
         assert [regions_binomial(m) for m in range(1, 6)] == [1, 2, 4, 8, 16]
@@ -52,7 +51,7 @@ class TestFormulaEquivalence:
             reference = regions_binomial(m)
             assert regions_polynomial(m) == reference, m
             assert regions_binomial_sum(m) == reference, m
-            assert euler_counts(m).regions == reference, m
+            assert euler_counts(m)[2] == reference, m
 
     def test_binomial_route_matches_enumeration(self):
         for m in range(1, 13):
@@ -107,34 +106,26 @@ class TestCountingHelpers:
 
 
 class TestEulerCounts:
+    # (V, E, regions); the faces on the sphere are regions + 1, the outside.
     def test_four_points(self):
-        counts = euler_counts(4)
-        assert (counts.vertices, counts.edges, counts.faces) == (5, 12, 9)
-        assert counts.regions == 8
+        assert euler_counts(4) == (5, 12, 8)  # 9 faces
 
     def test_single_point(self):
-        counts = euler_counts(1)
-        assert (counts.vertices, counts.edges, counts.faces) == (1, 1, 2)
-        assert counts.regions == 1
+        assert euler_counts(1) == (1, 1, 1)  # 2 faces
 
     def test_six_points(self):
-        counts = euler_counts(6)
-        assert (counts.vertices, counts.edges, counts.faces) == (21, 51, 32)
-
-    def test_identity_enforced_at_construction(self):
-        with pytest.raises(ValueError):
-            EulerCounts(m=3, vertices=3, edges=6, faces=6)
+        assert euler_counts(6) == (21, 51, 31)  # 32 faces
 
     def test_faces_do_not_consult_the_closed_form(self, monkeypatch):
         import recurlab.moser_formulas as moser
 
         monkeypatch.setattr(moser, "regions_binomial", lambda m: 0)
-        assert euler_counts(7).regions == 57
+        assert euler_counts(7)[2] == 57
 
     def test_identity_holds_across_sweep(self):
         for m in range(1, 101):
-            counts = euler_counts(m)
-            assert counts.vertices - counts.edges + counts.faces == 2
+            vertices, edges, regions = euler_counts(m)
+            assert vertices - edges + (regions + 1) == 2
 
 
 class TestValidation:

@@ -38,7 +38,7 @@ def dense_particular_solution(rec, roots):
     rhs = rec.rhs
     shift = roots.get(1, 0)
     if rhs.is_zero:
-        return Polynomial.zero(), shift
+        return Polynomial.zero()
     degree = rhs.degree
     ascending = tuple(reversed(rec.coefficients))
     images = []
@@ -55,7 +55,7 @@ def dense_particular_solution(rec, roots):
     particular = Polynomial.zero()
     for i, amplitude in enumerate(amplitudes):
         particular = particular + Polynomial.monomial(shift + i, amplitude)
-    return particular, shift
+    return particular
 
 
 def dense_partial_fractions(rf):
