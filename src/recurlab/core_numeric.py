@@ -15,6 +15,7 @@ edges: the constructor, ``coefficients`` and ``evaluate``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -286,13 +287,18 @@ def parse_rational(text: str) -> Rational:
 
     Exponent notation (``1e5``) is rejected: ``Fraction`` would accept it,
     and a term like ``1e99999999`` would build an integer of that many digits.
+    A rejected term longer than ``sys.get_int_max_str_digits()`` is named by its length.
     """
     try:
         if "e" in text or "E" in text:
             raise ValueError("exponent notation")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        shown = repr(text)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+        if 0 < limit < len(text):
+            shown = f"a {len(text)}-character term (Python's integer-string limit is {limit} digits)"
+        raise ValueError(f"not a rational number: {shown}") from exc
 
 
 def format_polynomial(poly: Polynomial, variable: str = "n") -> str:

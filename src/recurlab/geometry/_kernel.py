@@ -20,8 +20,9 @@ endpoints, and none of the four sign tests is ever zero.
 Each sign test asks on which side of chord c's line circle point p lies,
 and that depends on (c, p) alone.  So the kernel evaluates the side value
 s_c(p) = ``lx[c]*px[p] + ly[c]*py[p] + lw[c]*pw[p]`` once per (chord,
-circle point), in exact integers, and keeps |s_c(p)|.  It keeps the signs
-as sets of chords, one integer bitset per circle point or per chord:
+circle point), in exact integers, and keeps |s_c(p)| as row c of ``size``,
+a list the caller passes empty and keeps.  It keeps the signs as sets of
+chords, one integer bitset per circle point or per chord:
 
 - bit c of ``above[p]`` is set iff s_c(p) > 0;
 - bit c of ``ends[p]`` is set iff p is an endpoint of chord c;
@@ -91,12 +92,17 @@ def _flags(bits):
     return bin(bits)[:1:-1].encode().translate(_FLAGS)
 
 
-def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
+def key_shift(size):
+    """The least shift with 2^shift > 4 big^2, big the largest |s| in ``size``."""
+    return (4 * max(map(max, size), default=0) ** 2).bit_length()
+
+
+def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
     """Return the sorted chord tuple of every crossing point, ascending.
 
-    A point's tuple holds every chord through it, as far as rows
-    [start, stop) see it (module docstring); over all rows, ``len`` of the
-    result is the number of crossing points.
+    A point's tuple holds every chord through it, as far as rows [start,
+    stop) see it; over all rows, ``len`` of the result is the number of
+    crossing points.  ``size`` gets the |s_c(p)| rows (module docstring).
     """
     points = tuple(zip(px, py, pw))
     ends = [0] * len(points)
@@ -104,7 +110,6 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
         ends[a] |= 1 << c
         ends[b] |= 1 << c
     split = []
-    size = []
     signs = []
     for l0, l1, l2 in zip(lx, ly, lw):
         values = [l0 * x + l1 * y + l2 * w for x, y, w in points]
@@ -113,8 +118,7 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
         signs.append(positive)
         size.append(list(map(abs, values)))
     above = [_bitset(column) for column in zip(*signs)]
-    big = max(map(max, size), default=0)
-    shift = (4 * big * big).bit_length()
+    shift = key_shift(size)
 
     crossings = []
     later = {}  # row -> chords met there at a point an earlier row found

@@ -19,10 +19,6 @@ arrangement's ``concurrent`` points instead of being silently miscounted.
 That makes the oracle sensitive to exactly the degeneracies that break the
 C(m, 4) counting argument.
 
-Interior points are stored once, as the kernel's sorted chord tuple
-through each point, which the counts read.  Canonical integer triples,
-and rational coordinates, are built only for ``interior_points`` and JSON.
-
 ``prefix_region_counts`` reads the count of every prefix of the points (in
 a given birth order) off one arrangement, by the same Euler formula.  The
 layout families are nested, so ``verify_against_formula`` checks m = 1..K
@@ -32,7 +28,7 @@ with one K-point build per trial.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence as SequenceABC
@@ -80,16 +76,20 @@ class ChordArrangement:
     point-index pairs in lexicographic order.  ``crossings`` holds one
     sorted tuple of the indices of all chords through each interior point,
     in ascending order, and ``concurrent`` those of 3 or more chords.
+    ``sides[c][p]`` is the kernel's |s_c(p)|, which the face walk reads;
+    derived from ``points``, it stays out of ``repr`` and comparisons.
 
-    Construction checks the point invariants every count relies on: at
-    least one point, in strictly increasing ``angle_key`` order (so also
-    distinct).  A ValueError names the one that fails.
+    Construction checks the invariants every count relies on: at least one
+    point, in strictly increasing ``angle_key`` order (so also distinct),
+    and one ``sides`` row per chord of one entry per point.  A ValueError
+    names the one that fails.
     """
 
     points: tuple[CirclePoint, ...]
     chords: tuple[tuple[int, int], ...]
     crossings: tuple[tuple[int, ...], ...]
     concurrent: tuple[tuple[int, ...], ...]
+    sides: list[list[int]] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
@@ -97,6 +97,8 @@ class ChordArrangement:
         keys = [p.angle_key for p in self.points]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("arrangement points must be in strictly increasing angular order")
+        if len(self.sides) != len(self.chords) or any(len(row) != len(keys) for row in self.sides):
+            raise ValueError("arrangement sides must hold one row per chord and one entry per point")
 
     @property
     def m(self) -> int:
@@ -198,7 +200,8 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     ca = [a for a, _ in chords]
     cb = [b for _, b in chords]
     lx, ly, lw = _chord_lines(points, chords)
-    crossings = tuple(_kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords)))
+    sides = []
+    crossings = tuple(_kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords), sides))
 
     # No crossing lies on the circle.  The kernel skips pairs that share an
     # endpoint, and its four sign tests are strict: the endpoints of each
@@ -208,7 +211,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     # circle points lies strictly inside it.  Every crossing is therefore an
     # interior point, and the JSON's "on_circle" list stays empty.
     concurrent = tuple(through for through in crossings if len(through) >= 3)
-    return ChordArrangement(points, chords, crossings, concurrent)
+    return ChordArrangement(points, chords, crossings, concurrent, sides)
 
 
 def count_regions(arr: ChordArrangement) -> tuple[int, int, int]:

@@ -37,42 +37,27 @@ or more chords, and at every two-chord crossing that fails the test.  So
 on any input, a faulty kernel's output included, the walk's answer is
 that of the rank sort at every vertex, and it stays a second opinion.
 
-Coordinates are read only for the exact integer key that orders interior
-points along a chord, which circle order alone does not fix.  The walk
-computes its own side values s_j(p) = l_j . P_p (chord j's line over its
-gcd, at circle point p).  Chord j meets chord c = (a, b) at
-|s_j(b)| A + |s_j(a)| B, and as W_A, W_B > 0 its place from a to b grows
-with sa / (sa + sb), where sa = |s_j(a)| and sb = |s_j(b)|.  A stop on c
-is keyed by floor(sa 2^shift / (sa + sb)) for one other chord j through
-it.  With 2^shift > 4 big^2 (big the largest |s|), ratios with
-denominators of at most 2 big keep their order in their keys.  No
-``Fraction`` is built.  Two stops of one chord share a key only if they
-are one point, which a correct arrangement never lists twice.  If that
-happens, the later stop replaces the earlier one on the chord, and every
-crossing takes the sort path.
+Along a chord, the stops are ordered by the kernel's exact integer key,
+from the side values it kept as the arrangement's ``sides``: a stop on
+chord c = (a, b) is keyed by floor(sa 2^shift / (sa + sb)) for one other
+chord j through it, with sa = |s_j(a)|, sb = |s_j(b)| and
+``_kernel.key_shift``.  ``_kernel``'s docstring proves that the keys grow
+from a to b and that equal keys are one point.  No coordinate is read.  If
+a point is listed twice, the later stop replaces the earlier one on the
+chord, and every crossing takes the sort path.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from .arrangement import ChordArrangement, _cross
+from . import _kernel
+from .arrangement import ChordArrangement
 
 
 def count_faces(arr: ChordArrangement) -> int:
     """Number of faces of the arrangement, unbounded face included."""
     m = arr.m
-    chords = arr.chords
-    ends = [p.triple for p in arr.points]
-    size = []
-    for a, b in chords:
-        l0, l1, l2 = _cross(ends[a], ends[b])
-        g = gcd(l0, l1, l2)
-        l0, l1, l2 = l0 // g, l1 // g, l2 // g
-        size.append([abs(l0 * x + l1 * y + l2 * w) for x, y, w in ends])
-    big = max(map(max, size), default=0)
-    shift = (4 * big * big).bit_length()
-    stops, ring, around = _place_stops(arr, size, shift, True) or _place_stops(arr, size, shift, False)
+    shift = _kernel.key_shift(arr.sides)
+    stops, ring, around = _place_stops(arr, shift, True) or _place_stops(arr, shift, False)
 
     # Half-edges come in twin pairs, so the twin of half-edge he is he ^ 1.
     # Circle arcs, forward from i and backward from j; one point gets a loop.
@@ -87,7 +72,7 @@ def count_faces(arr: ChordArrangement) -> int:
     # odd h, and the one toward b is h + 1.  A direct crossing's ring slot
     # holds that h.
     he = 2 * m
-    for (a, b), at in zip(chords, stops):
+    for (a, b), at in zip(arr.chords, stops):
         around[a].append((2 * b, he))
         for stop, h in zip(map(at.__getitem__, sorted(at)), range(he + 1, he + 2 * len(at), 2)):
             if stop >= 0:
@@ -129,7 +114,7 @@ def count_faces(arr: ChordArrangement) -> int:
     return faces
 
 
-def _place_stops(arr: ChordArrangement, size: list[list[int]], shift: int, direct: bool):
+def _place_stops(arr: ChordArrangement, shift: int, direct: bool):
     """The stops of each chord by key, the ring of the direct crossings,
     and the (rank, half-edge) list of each vertex the walk sorts.
 
@@ -141,6 +126,7 @@ def _place_stops(arr: ChordArrangement, size: list[list[int]], shift: int, direc
     one and left a ring slot empty.
     """
     chords = arr.chords
+    size = arr.sides
     stops: list[dict[int, int]] = [{} for _ in chords]
     around: list[list[tuple[int, int]]] = [[] for _ in range(arr.m)]
     slot = 0

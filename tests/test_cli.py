@@ -279,6 +279,25 @@ class TestTable:
                 assert (code, out) == (2, ""), (command, term)
                 assert err == f"error: not a rational number: '{term}'\n"
 
+    def test_term_over_digit_limit_exit_2_with_short_message(self, tmp_path, capsys):
+        # Python converts at most get_int_max_str_digits() digits to an int.
+        # A term at the limit parses; one digit more exits 2 at parse, and
+        # the message gives the term's length and the limit, not the term.
+        limit = sys.get_int_max_str_digits()
+        code, _, err = run_cli(["table", f"--seq=1,2,{'9' * limit}"], capsys)
+        assert (code, err) == (0, "")
+        path = tmp_path / "seq.txt"
+        for digits in (limit + 1, 2 * limit):
+            path.write_text(f"1\n2\n{'9' * digits}\n")
+            for argv in (["table", f"--seq=1,2,{'9' * digits}"], ["solve", "--file", str(path)]):
+                code, out, err = run_cli(argv, capsys)
+                assert (code, out) == (2, ""), (argv[0], digits)
+                assert err == (
+                    f"error: not a rational number: a {digits}-character term "
+                    f"(Python's integer-string limit is {limit} digits)\n"
+                )
+                assert len(err.encode()) < 200
+
     def test_two_sources_exit_2(self, capsys):
         code, _, err = run_cli(["table", "--seq", "1,2", "--moser"], capsys)
         assert code == 2

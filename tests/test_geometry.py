@@ -448,20 +448,34 @@ class TestIntersection:
     def test_hand_built_empty_arrangement_rejected(self):
         # Once counted as one region by count_regions.
         with pytest.raises(ValueError, match="^arrangement needs at least one point$"):
-            ChordArrangement((), (), {}, ())
+            ChordArrangement((), (), {}, (), [])
 
     def test_hand_built_points_out_of_order_rejected(self):
         # A hand-built arrangement must hold its points in strictly
         # increasing angular order, as intersect_chords makes them; the
         # unordered points above once split the face walk from Euler's count.
         built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.chords, built.crossings, built.concurrent)
+        fields = (built.chords, built.crossings, built.concurrent, built.sides)
         assert ChordArrangement(built.points, *fields) == built
         shuffled = tuple(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
         repeated = tuple(CirclePoint(F(t)) for t in (-2, 0, 1, 1, 7))
         for points in (shuffled, repeated, built.points[::-1]):
             with pytest.raises(ValueError, match="strictly increasing angular order"):
                 ChordArrangement(points, *fields)
+
+    def test_hand_built_sides_of_wrong_shape_rejected(self):
+        # The face walk reads sides[c][p] for every chord c and point p, so a
+        # hand-built side table must hold one row per chord and one entry
+        # per point.  It is derived from the points: repr leaves it out.
+        built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
+        fields = (built.points, built.chords, built.crossings, built.concurrent)
+        rows = built.sides
+        assert len(rows) == 10 and {len(row) for row in rows} == {5}
+        assert "sides" not in repr(built)
+        short_row, long_row = rows[:-1] + [rows[-1][:-1]], rows[:-1] + [rows[-1] + [1]]
+        for sides in ([], rows[:-1], rows + rows[:1], short_row, long_row):
+            with pytest.raises(ValueError, match="one row per chord and one entry per point"):
+                ChordArrangement(*fields, sides)
 
     def test_kernel_row_ranges_concatenate(self):
         # Points come out in (i, j) order of their first pair, so splitting
@@ -477,16 +491,16 @@ class TestIntersection:
         for points in layouts:
             args = _kernel_args(points)
             n = len(args[-1])
-            whole = _kernel.intersect_pairs(*args, 0, n)
+            whole = _kernel.intersect_pairs(*args, 0, n, [])
             assert whole
             splits = range(n + 1) if n < 100 else (1, n // 2, n - 1)
             for k in splits:
-                merged = _kernel.intersect_pairs(*args, 0, k)
+                merged = _kernel.intersect_pairs(*args, 0, k, [])
                 # Each pair of chords through a point of [0, k) -> its place.
                 # Distinct points of [k, n) share at most one chord, so only
                 # the points of [0, k) need the index.
                 index = {pair: at for at, t in enumerate(merged) for pair in itertools.combinations(t, 2)}
-                for chords in _kernel.intersect_pairs(*args, k, n):
+                for chords in _kernel.intersect_pairs(*args, k, n, []):
                     same = {index[pair] for pair in itertools.combinations(chords, 2) if pair in index}
                     if same:
                         (at,) = same
@@ -522,11 +536,19 @@ class TestIntersection:
             n = len(args[-1])
             expected = _four_sign_reference(*args, 0, n)
             reference = _merge_hits(expected)
-            crossings = _kernel.intersect_pairs(*args, 0, n)
+            size = []
+            crossings = _kernel.intersect_pairs(*args, 0, n, size)
             assert crossings == list(reference.values()), len(points)
             assert len(expected) == binomial(len(points), 4), len(points)
+            px, py, pw, lx, ly, lw = args[:6]
+            sides = [
+                [abs(l0 * x + l1 * y + l2 * w) for x, y, w in zip(px, py, pw)]
+                for l0, l1, l2 in zip(lx, ly, lw)
+            ]
+            assert size == sides, len(points)
             arr = intersect_chords(points)
             assert arr.crossings == tuple(crossings), len(points)
+            assert arr.sides == sides, len(points)
             assert [p.triple for p in arr.interior_points] == list(reference), len(points)
 
     def test_merge_on_concurrent_points(self):
@@ -695,9 +717,24 @@ class TestFaceWalk:
                 bad = dataclasses.replace(arr, crossings=wrong)
                 assert count_faces(bad) == _rank_sort_count_faces(bad), name
 
+    def test_side_table_fault_splits_walk_from_euler(self):
+        # Euler's count reads the crossings alone; the walk also reads the
+        # kernel's side values, kept as the arrangement's sides.  Scaling
+        # one entry, |s_c(1)| of chord c = (0, 2), by 3 moves c's crossing
+        # along every chord from point 1, and the two counts disagree.
+        arr = generic_arrangement(12, seed=1)
+        c = arr.chords.index((0, 2))
+        sides = [list(row) for row in arr.sides]
+        sides[c][1] *= 3
+        bad = dataclasses.replace(arr, sides=sides)
+        assert count_regions(bad) == count_regions(arr)
+        assert count_faces(arr) == count_regions(arr)[2] + 1 == 563
+        assert count_faces(bad) != count_regions(bad)[2] + 1
+
     def test_reads_only_integer_triples(self, monkeypatch):
-        # The walk works on the homogeneous triples alone: the rational
-        # coordinates of circle and interior points are never read.
+        # The walk works on integers alone, the kernel's side values among
+        # them: the rational coordinates of circle and interior points are
+        # never read.
         arr = generic_arrangement(6, seed=3)
         hexagon = hexagon_arrangement()
         expected = count_regions(arr)[2] + 1
@@ -927,7 +964,7 @@ class TestCrossingCountInvariant:
         layouts = [hexagon_arrangement(), generic_arrangement(6), generic_arrangement(7)]
         layouts += [intersect_chords(_regular_approx_points(m)) for m in (8, 10, 12)]
         for arr in layouts:
-            crossings = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords))
+            crossings = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords), [])
             pairs = sum(binomial(len(chords), 2) for chords in crossings)
             assert pairs == binomial(arr.m, 4), arr.m
 
