@@ -22,7 +22,6 @@ pipeline with JSON and human output.
 """
 
 from .core_numeric import (
-    NEG_INFINITY,
     Polynomial,
     Rational,
     as_rational,
@@ -86,7 +85,6 @@ from .recurrence_solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NEG_INFINITY",
     "Polynomial",
     "Rational",
     "as_rational",

@@ -72,6 +72,10 @@ MAX_MOSER_N = 100_000
 # Largest verify --max-m; its symbolic sweeps are linear in it: `verify --max-m
 # N` took 0.8 s and 17 MB peak RSS in process at N = 100,000, 2.5 s at 300,000.
 MAX_VERIFY_M = 100_000
+# Most --trials for regions or verify; each trial is one more geometric build,
+# so the worst case is MAX_TRIALS builds of MAX_GEOM_M points: `verify --max-m
+# 60 --geom-cap 60 --trials 100` took 26 s and 76 MB peak RSS.
+MAX_TRIALS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,13 @@ def _geometry_cap(args) -> int:
     return cap
 
 
+def _check_trials(args) -> None:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} exceeds the trial limit ({MAX_TRIALS})")
+
+
 def _check_build_size(m: int) -> None:
     if m > MAX_GEOM_M:
         raise ValueError(f"m={m} exceeds the geometric build limit ({MAX_GEOM_M} points)")
@@ -253,8 +264,7 @@ def cmd_regions(args) -> int:
     if m < 1:
         raise ValueError(f"--m must be >= 1, got {m}")
     cap = _geometry_cap(args)
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _check_trials(args)
     if args.degenerate is not None:
         if args.method != "geometric":
             raise ValueError("--degenerate requires --method geometric")
@@ -303,6 +313,7 @@ def cmd_regions(args) -> int:
         else:
             reports = []  # counted as built; only the last layout is kept
             for trial in range(args.trials):
+                last = None  # free the previous layout before the next is built
                 if args.degenerate == "hexagon":
                     last = hexagon_arrangement()
                 else:
@@ -447,8 +458,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--max-m must be >= 1, got {args.max_m}")
     if args.max_m > MAX_VERIFY_M:
         raise ValueError(f"--max-m {args.max_m} exceeds the sweep limit ({MAX_VERIFY_M})")
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    _check_trials(args)
     cap = _geometry_cap(args)
     _check_build_size(min(args.max_m, cap))
     checks = _verify_checks(args, cap)

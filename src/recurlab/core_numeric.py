@@ -23,9 +23,6 @@ Rational = Fraction
 
 RationalLike = Union[Fraction, int]
 
-#: Degree of the zero polynomial — a marker strictly below every int degree.
-NEG_INFINITY = float("-inf")
-
 
 def as_rational(value: RationalLike) -> Rational:
     """Coerce ``value`` to an exact ``Rational``.
@@ -80,8 +77,8 @@ class Polynomial:
     Stored as integer numerators ``_num`` (ascending, trailing zeros
     stripped) over one positive denominator ``_den`` that shares no factor
     with all of them, so equal polynomials have equal representations.  The
-    zero polynomial stores no numerators over 1 and reports degree
-    ``NEG_INFINITY``, keeping degree comparisons meaningful.
+    zero polynomial stores no numerators over 1 and has no degree: test it
+    with ``is_zero`` first.
     """
 
     __slots__ = ("_num", "_den")
@@ -140,9 +137,11 @@ class Polynomial:
         return self._num, self._den
 
     @property
-    def degree(self):
-        """Degree as an int, or ``NEG_INFINITY`` for the zero polynomial."""
-        return len(self._num) - 1 if self._num else NEG_INFINITY
+    def degree(self) -> int:
+        """Degree as an int; raises ValueError on the zero polynomial."""
+        if not self._num:
+            raise ValueError("the zero polynomial has no degree")
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:

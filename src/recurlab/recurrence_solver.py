@@ -12,7 +12,13 @@ The route, entirely in exact rational arithmetic:
    match triangular, so q comes from back-substitution, with no linear
    system.
 4. Fit the homogeneous coefficients to the initial conditions by
-   fraction-free (Bareiss) elimination in integers.
+   fraction-free (Bareiss) elimination in integers, in the binomial basis
+   C(n, j) r^n (Newton's forward-difference form, the basis of Moser's
+   1 + C(m, 2) + C(m, 4)) rather than n^j r^n.  For each root both bases
+   span the same functions, through an invertible triangular change of
+   basis, so the system stays nonsingular and the closed form is the same;
+   for chi = (r - 1)^d, the only shape a difference table infers, the
+   matrix is Pascal's lower unitriangular one and its minors stay small.
 
 Only recurrences whose characteristic roots are all rational and nonzero
 are solvable here; anything else raises UnsupportedRootsError naming the
@@ -291,14 +297,38 @@ def particular_solution(rec: LinearRecurrence, roots: dict[Rational, int]) -> Po
     return Polynomial((0,) * shift + tuple(amplitudes)) * scale
 
 
+def _binomial_basis_polynomial(amplitudes: list[Rational]) -> Polynomial:
+    """The polynomial sum_j a_j C(n, j) for amplitudes a_0 .. a_(k-1).
+
+    With K = (k-1)!, each K C(n, j) = (K / j!) n(n-1)...(n-j+1) is an
+    integer polynomial: the falling factorial's coefficients are the signed
+    Stirling numbers of the first kind, built one factor (n - j) at a time.
+    The sum is then integers over the one denominator K times the
+    amplitudes' common denominator.
+    """
+    scaled, den = clear_denominators(tuple(amplitudes))
+    top = math.factorial(len(scaled) - 1)
+    num = [0] * len(scaled)
+    falling = [1]  # n(n-1)...(n-j+1), ascending
+    for j, a in enumerate(scaled):
+        weight = a * (top // math.factorial(j))
+        for i, c in enumerate(falling):
+            num[i] += weight * c
+        falling = [b - j * c for b, c in zip([0, *falling], [*falling, 0])]
+    return Polynomial._make(num, den * top)
+
+
 def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     """Exact closed form by the characteristic-polynomial route.
 
     Requires every characteristic root to be rational and nonzero.  The
-    homogeneous basis {n^j r^n} is completed with the particular solution,
-    and the basis amplitudes are fitted to the initial conditions by exact
-    elimination (that system is a generalized Vandermonde matrix and is
-    never singular for distinct nonzero roots).
+    homogeneous basis {C(n, j) r^n} is completed with the particular
+    solution, and the basis amplitudes are fitted to the initial conditions
+    by exact elimination.  For each root, C(n, j) is n^j / j! plus lower
+    powers, so this basis and the generalized Vandermonde basis {n^j r^n}
+    differ by an invertible triangular matrix: the system is never singular
+    for distinct nonzero roots.  On the root 1 the matrix is Pascal's
+    triangle, whose minors stay small where those of n^j grow.
     """
     roots = characteristic_roots(rec)
     particular = particular_solution(rec, roots)
@@ -307,24 +337,25 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     assert len(basis) == d, "root multiplicities must sum to the order"
 
     # Row n is scaled by scale^n, which keeps the solution and makes every
-    # entry n^j * (scale * root)^n an integer.
+    # entry C(n, j) * (scale * root)^n an integer.
     scaled_roots, scale = clear_denominators(tuple(root for root, _ in basis))
     rows = []
     target = []
     for n in range(d):
-        rows.append([n**j * r**n for r, (_, j) in zip(scaled_roots, basis)])
+        rows.append([math.comb(n, j) * r**n for r, (_, j) in zip(scaled_roots, basis)])
         target.append((rec.initial_conditions[n] - particular.evaluate(n)) * scale**n)
     try:
         amplitudes = gaussian_solve(rows, target)
     except SingularMatrixError as exc:  # fundamental system: cannot happen
         raise AssertionError("initial-condition system cannot be singular") from exc
 
-    # Each root's amplitudes, ascending in j, are its polynomial's
-    # coefficients; the particular solution belongs to root 1, and
-    # ClosedForm adds it to that root's polynomial.
+    # Each root's amplitudes, ascending in j, weigh C(n, j); the particular
+    # solution belongs to root 1, and ClosedForm adds it to that root's
+    # polynomial.
     terms, start = [(Fraction(1), particular)], 0
     for root, multiplicity in roots.items():
-        terms.append((root, Polynomial(amplitudes[start : start + multiplicity])))
+        poly = _binomial_basis_polynomial(amplitudes[start : start + multiplicity])
+        terms.append((root, poly))
         start += multiplicity
     return ClosedForm(terms=tuple(terms), method="charpoly")
 

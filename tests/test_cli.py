@@ -8,14 +8,15 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from recurlab import build_difference_table, format_rational, predict_next
-from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, MAX_VERIFY_M, main
+from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, MAX_TRIALS, MAX_VERIFY_M, main
 from recurlab.geometry import arrangement as arrangement_module
-from recurlab.geometry import hexagon_parameters
+from recurlab.geometry import hexagon_arrangement, hexagon_parameters
 
 QUARTIC_IN_M = "(m^4 - 6*m^3 + 23*m^2 - 18*m + 24)/24"
 QUARTIC_IN_N = "(n^4 - 2*n^3 + 11*n^2 + 14*n + 24)/24"
@@ -694,6 +695,24 @@ class TestRegions:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_sha256
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
 
+    def test_trials_hold_one_layout_at_a_time(self, capsys, monkeypatch):
+        # Each trial's arrangement is freed before the next is built, so
+        # peak memory is that of one build, whatever --trials says.
+        from recurlab.geometry import generic_arrangement
+
+        held = []
+
+        def tracked(m, variant, seed):
+            assert all(ref() is None for ref in held), f"trial {variant}: a layout is still held"
+            arr = generic_arrangement(m, variant=variant, seed=seed)
+            held.append(weakref.ref(arr))
+            return arr
+
+        monkeypatch.setattr("recurlab.cli.generic_arrangement", tracked)
+        code, out, _ = run_cli(["regions", "--m=8", "--method=geometric", "--trials=3"], capsys)
+        assert code == 0 and "  trials: [99, 99, 99]" in out.splitlines()
+        assert len(held) == 3
+
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
@@ -803,6 +822,34 @@ class TestVerify:
             assert (code, out) == (2, ""), n
             assert err == f"error: --max-m {n} exceeds the sweep limit ({MAX_VERIFY_M})\n"
         assert swept == [MAX_VERIFY_M]
+
+    def test_trial_limit_exit_2(self, capsys, monkeypatch):
+        # Both geometric commands check --trials before any build: stub the
+        # verify checks and the regions build, so the largest allowed count
+        # runs at once and anything above exits 2 with nothing built.
+        built = []
+
+        def no_checks(args, cap):
+            built.append(("verify", args.trials))
+            return []
+
+        def no_build(m, variant, seed):
+            built.append(("regions", variant))
+            return hexagon_arrangement()
+
+        monkeypatch.setattr("recurlab.cli._verify_checks", no_checks)
+        monkeypatch.setattr("recurlab.cli.generic_arrangement", no_build)
+        commands = (["verify"], ["regions", "--m=6", "--method=geometric"])
+        for command in commands:
+            assert run_cli([*command, f"--trials={MAX_TRIALS}"], capsys)[0] == 0
+        assert built == [("verify", MAX_TRIALS)] + [("regions", t) for t in range(MAX_TRIALS)]
+        built.clear()
+        for command in commands:
+            for n in (MAX_TRIALS + 1, 10**40):
+                code, out, err = run_cli([*command, f"--trials={n}", "--json"], capsys)
+                assert (code, out) == (2, ""), (command, n)
+                assert err == f"error: --trials {n} exceeds the trial limit ({MAX_TRIALS})\n"
+        assert built == []
 
 
 class TestModuleEntry:

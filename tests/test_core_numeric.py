@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import (
-    NEG_INFINITY,
     Polynomial,
     as_rational,
     binomial,
@@ -74,8 +73,8 @@ class TestPolynomialStructure:
     def test_zero_polynomial_degree_marker(self):
         zero = Polynomial.zero()
         assert zero.is_zero
-        assert zero.degree == NEG_INFINITY
-        assert zero.degree < 0  # comparable against every real degree
+        with pytest.raises(ValueError, match="zero polynomial has no degree"):
+            zero.degree
 
     def test_trailing_zeros_stripped(self):
         assert Polynomial((1, 2, 0, 0)) == Polynomial((1, 2))

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import (
-    NEG_INFINITY,
     Polynomial,
     Rational,
     SingularMatrixError,
@@ -124,8 +123,7 @@ class _ReferencePolynomial:
     Coefficients are stored ascending (index i holds the coefficient of
     x^i) with trailing zeros stripped, so equal polynomials have equal
     coefficient tuples.  The zero polynomial stores no coefficients and
-    reports degree ``NEG_INFINITY``, keeping degree comparisons meaningful
-    without special-casing.
+    has no degree.
     """
 
     __slots__ = ("_coeffs",)
@@ -164,9 +162,11 @@ class _ReferencePolynomial:
         return self._coeffs
 
     @property
-    def degree(self):
-        """Degree as an int, or ``NEG_INFINITY`` for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+    def degree(self) -> int:
+        """Degree as an int; raises ValueError on the zero polynomial."""
+        if not self._coeffs:
+            raise ValueError("the zero polynomial has no degree")
+        return len(self._coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -473,7 +473,7 @@ def assert_same(new, ref):
     assert den > 0 and math.gcd(den, *num) == 1 and (not num or num[-1] != 0)
     assert new.coefficients == ref.coefficients
     assert all(type(c) is Fraction for c in new.coefficients)
-    assert new.degree == ref.degree
+    assert new.is_zero == ref.is_zero and (new.is_zero or new.degree == ref.degree)
     assert new == Polynomial(ref.coefficients)
     assert hash(new) == hash(ref)
 
@@ -515,7 +515,10 @@ class TestIntegerPolynomial:
 
     def test_edges_unchanged(self):
         zero = Polynomial.zero()
-        assert zero.degree == NEG_INFINITY and zero.coefficients == ()
+        assert zero.coefficients == ()
+        for poly in (zero, _ReferencePolynomial.zero()):
+            with pytest.raises(ValueError, match="zero polynomial has no degree"):
+                poly.degree
         assert zero.evaluate(Fraction(3, 7)) == 0 and zero.compose_shift(5) == zero
         assert repr(Polynomial((Fraction(1, 2), 1))) == "Polynomial([Fraction(1, 2), Fraction(1, 1)])"
         with pytest.raises(TypeError):

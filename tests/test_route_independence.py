@@ -1,11 +1,12 @@
 """Each solver route survives a fault planted in the other route's solver.
 
 The characteristic-polynomial route fits its initial conditions with
-``gaussian_solve``; the generating-function route reads its partial
-fractions off ``RationalFunction.series``.  Neither calls the other's, so
-a broken solver must move only its own route, and ``solve --method both``
-must then report a disagreement (exit 1) instead of two routes agreeing
-on the same wrong answer.
+``gaussian_solve`` and turns the binomial-basis amplitudes into
+polynomials with ``_binomial_basis_polynomial``; the generating-function
+route reads its partial fractions off ``RationalFunction.series``.
+Neither calls the other's, so a broken solver must move only its own
+route, and ``solve --method both`` must then report a disagreement
+(exit 1) instead of two routes agreeing on the same wrong answer.
 """
 
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 import recurlab
 from recurlab import (
+    Polynomial,
     RationalFunction,
     build_ogf,
     extract_coefficient_formula,
@@ -21,6 +23,7 @@ from recurlab import (
     solve_charpoly,
 )
 from recurlab.cli import main
+from recurlab.recurrence_solver import _binomial_basis_polynomial
 
 from conftest import solver_corpus
 
@@ -70,6 +73,19 @@ def broken_series(monkeypatch):
     monkeypatch.setattr(RationalFunction, "series", off_by_one)
 
 
+@pytest.fixture
+def flipped_stirling_sign(monkeypatch):
+    def flipped(amplitudes):
+        # Stirling's s(2, 1) = -1 read as +1: C(n, 2) becomes n(n + 1)/2,
+        # which is the true C(n, 2) plus n.
+        poly = _binomial_basis_polynomial(amplitudes)
+        if len(amplitudes) > 2:
+            poly = poly + Polynomial((0, amplitudes[2]))
+        return poly
+
+    patch_every_binding(monkeypatch, _binomial_basis_polynomial, flipped)
+
+
 def solve_moser_both(capsys):
     code = main(["solve", "--moser", "8", "--method", "both"])
     return code, capsys.readouterr().out
@@ -100,3 +116,23 @@ class TestBrokenSeries:
         code, out = solve_moser_both(capsys)
         assert code == 1
         assert "methods agree: NO" in out.splitlines()
+
+
+class TestFlippedStirlingSign:
+    def test_genfunc_route_unchanged(self, corpus_forms, flipped_stirling_sign):
+        moved = 0
+        for name, rec, charpoly, genfunc in corpus_forms:
+            assert genfunc_form(rec) == genfunc, name
+            moved += not solve_charpoly(rec).agrees_with(charpoly)
+        assert moved
+
+    def test_cli_reports_disagreement(self, flipped_stirling_sign, capsys):
+        code, out = solve_moser_both(capsys)
+        assert code == 1
+        assert "methods agree: NO" in out.splitlines()
+
+    def test_verify_fails_solver_routes_agree(self, flipped_stirling_sign, capsys):
+        code = main(["verify", "--max-m", "12", "--geom-cap", "10"])
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert code == 1
+        assert any(line.startswith("FAIL solver-routes-agree") for line in failed), failed

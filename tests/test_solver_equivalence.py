@@ -6,8 +6,14 @@ to ``gaussian_solve``.  Test-local copies of those dense versions serve as
 references here: on the solver corpus and on seeded random recurrences
 with repeated, negative and fractional roots, both results must be
 identical, not merely equivalent.
+
+``solve_charpoly`` fits its initial conditions in the binomial basis
+C(n, j) r^n and converts each root's amplitudes to a polynomial; that
+conversion is checked against ``math.comb`` directly, and the whole route
+against the generating-function route and forward iteration.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,12 +24,15 @@ from recurlab import (
     Polynomial,
     build_ogf,
     characteristic_polynomial,
+    extract_coefficient_formula,
     gaussian_solve,
     iterate_recurrence,
     particular_solution,
     partial_fractions,
     rational_roots,
+    solve_charpoly,
 )
+from recurlab.recurrence_solver import _binomial_basis_polynomial
 
 from conftest import solver_corpus
 
@@ -143,3 +152,33 @@ class TestPartialFractionsMatchDenseSystem:
             assert rf.series(40) == list(iterate_recurrence(rec, 40)), rec
             assert rf.numerator.degree < rf.denominator_degree, rec
             assert partial_fractions(rf) == dense_partial_fractions(rf), rec
+
+
+class TestBinomialBasis:
+    def test_conversion_matches_comb(self):
+        rng = random.Random(20261019)
+        for length in range(1, 41):
+            amplitudes = [random_rational(rng, bound=99, max_denominator=12) for _ in range(length)]
+            poly = _binomial_basis_polynomial(amplitudes)
+            for n in range(length + 6):
+                expected = sum(a * math.comb(n, j) for j, a in enumerate(amplitudes))
+                assert poly.evaluate(n) == expected, (amplitudes, n)
+
+    def test_resonant_recurrences_match_genfunc_and_iteration(self):
+        # Root 1 is always present, so the polynomial right-hand side
+        # resonates; the other roots are negative, fractional or both, and
+        # every root has multiplicity up to 6.
+        rng = random.Random(20261020)
+        pool = (F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4))
+        for _ in range(40):
+            chi = Polynomial((-1, 1)) ** rng.randint(1, 6)
+            for root in rng.sample(pool, rng.randint(0, 2)):
+                chi = chi * Polynomial((-root, 1)) ** rng.randint(1, 6)
+            lead = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+            rhs = Polynomial([*(random_rational(rng) for _ in range(rng.randint(0, 3))), lead])
+            initial = tuple(random_rational(rng) for _ in range(chi.degree))
+            rec = LinearRecurrence(tuple(reversed(chi.coefficients)), rhs, initial)
+            form = solve_charpoly(rec)
+            genfunc = extract_coefficient_formula(partial_fractions(build_ogf(rec)))
+            assert form.terms == genfunc.terms, rec
+            assert [form.evaluate(n) for n in range(40)] == list(iterate_recurrence(rec, 40)), rec
