@@ -42,14 +42,16 @@ class DifferenceTable:
     ``denominator`` is the lcm of the input terms' denominators (1 for an
     integer sequence), so ``rows[d][i] / denominator`` is the exact entry
     and ``rows[0]`` is the input sequence scaled by it.
-    ``constant_depth`` is the depth of the first row certified constant
-    (>= 2 equal entries), or None if no row could be certified before the
-    table bottomed out or hit its depth limit.
     """
 
     rows: tuple[tuple[int, ...], ...]
-    constant_depth: int | None
     denominator: int
+
+    @property
+    def constant_depth(self) -> int | None:
+        """Depth of the last row when it is certified constant (>= 2 equal
+        entries; the table stops at the first such row), else None."""
+        return len(self.rows) - 1 if self.rows and _is_constant(self.rows[-1]) else None
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,10 @@ def build_difference_table(
 
     numerators, denominator = clear_denominators(terms)
     rows = [tuple(numerators)]
-    depth: int | None = 0 if _is_constant(rows[0]) else None
-    while depth is None and len(rows) - 1 < max_depth and len(rows[-1]) >= 2:
+    while not _is_constant(rows[-1]) and len(rows) - 1 < max_depth and len(rows[-1]) >= 2:
         current = rows[-1]
-        nxt = tuple(map(sub, current[1:], current))
-        rows.append(nxt)
-        if _is_constant(nxt):
-            depth = len(rows) - 1
-    return DifferenceTable(tuple(rows), depth, denominator)
+        rows.append(tuple(map(sub, current[1:], current)))
+    return DifferenceTable(tuple(rows), denominator)
 
 
 def predict_next(table: DifferenceTable) -> Rational:

@@ -72,12 +72,12 @@ class InteriorPoint:
 class ChordArrangement:
     """m circle points, all their chords, and every interior intersection.
 
-    ``points`` are in counterclockwise angular order; ``chords`` lists
-    point-index pairs in lexicographic order.  ``crossings`` holds one
-    sorted tuple of the indices of all chords through each interior point,
-    in ascending order, and ``concurrent`` those of 3 or more chords.
-    ``sides[c][p]`` is the kernel's |s_c(p)|, which the face walk reads;
-    derived from ``points``, it stays out of ``repr`` and comparisons.
+    ``points`` are in counterclockwise angular order.  ``crossings`` holds
+    one sorted tuple of the indices of all chords through each interior
+    point, in ascending order.  ``sides[c][p]`` is the kernel's |s_c(p)|,
+    which the face walk reads; it stays out of ``repr`` and comparisons.
+    ``chords`` (the point-index pairs in lexicographic order) and
+    ``concurrent`` (the crossings of 3 or more chords) are derived.
 
     Construction checks the invariants every count relies on: at least one
     point, in strictly increasing ``angle_key`` order (so also distinct),
@@ -86,9 +86,9 @@ class ChordArrangement:
     """
 
     points: tuple[CirclePoint, ...]
-    chords: tuple[tuple[int, int], ...]
+    chords: tuple[tuple[int, int], ...] = field(init=False)
     crossings: tuple[tuple[int, ...], ...]
-    concurrent: tuple[tuple[int, ...], ...]
+    concurrent: tuple[tuple[int, ...], ...] = field(init=False)
     sides: list[list[int]] = field(repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,6 +97,8 @@ class ChordArrangement:
         keys = [p.angle_key for p in self.points]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("arrangement points must be in strictly increasing angular order")
+        object.__setattr__(self, "chords", tuple(itertools.combinations(range(len(keys)), 2)))
+        object.__setattr__(self, "concurrent", tuple(t for t in self.crossings if len(t) >= 3))
         if len(self.sides) != len(self.chords) or any(len(row) != len(keys) for row in self.sides):
             raise ValueError("arrangement sides must hold one row per chord and one entry per point")
 
@@ -210,8 +212,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     # The disk is strictly convex, so the open segment between two distinct
     # circle points lies strictly inside it.  Every crossing is therefore an
     # interior point, and the JSON's "on_circle" list stays empty.
-    concurrent = tuple(through for through in crossings if len(through) >= 3)
-    return ChordArrangement(points, chords, crossings, concurrent, sides)
+    return ChordArrangement(points, crossings, sides)
 
 
 def count_regions(arr: ChordArrangement) -> tuple[int, int, int]:

@@ -70,9 +70,10 @@ def count_faces(arr: ChordArrangement) -> int:
     # segment's half-edges are he at its start, heading for b, and he + 1 at
     # its end, heading for a.  So at a stop the half-edge toward a is some
     # odd h, and the one toward b is h + 1.  A direct crossing's ring slot
-    # holds that h.
+    # holds that h.  A chord's stops are freed as it is taken.
     he = 2 * m
-    for (a, b), at in zip(arr.chords, stops):
+    for c, (a, b) in enumerate(arr.chords):
+        at, stops[c] = stops[c], None
         around[a].append((2 * b, he))
         for stop, h in zip(map(at.__getitem__, sorted(at)), range(he + 1, he + 2 * len(at), 2)):
             if stop >= 0:

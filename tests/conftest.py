@@ -5,6 +5,7 @@ series recurrences, forward iteration — so they are independent of the
 implementations they check.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -182,6 +183,52 @@ def antipode_parameter(t: Fraction | None) -> Fraction | None:
     if t == 0:
         return None
     return -1 / t
+
+
+def mobius_parameter(t: Fraction | None, a: int, b: int, c: int, d: int) -> Fraction | None:
+    """Image of t under t -> (a t + b)/(c t + d), with None for infinity.
+
+    The circle's parametrization t -> (1 - t^2, 2t, 1 + t^2) is a conic, so
+    with ad - bc != 0 the map extends to a projective map of the plane that
+    fixes the unit circle.  It keeps lines and their concurrency, and the
+    inside of the disk.
+    """
+    if t is None:
+        return Fraction(a, c) if c else None
+    den = c * t + d
+    return (a * t + b) / den if den else None
+
+
+def designed_parameters(
+    sizes: tuple[int, ...], *, seed: int, centered: bool = False, attempt: int = 0
+) -> list[Fraction | None]:
+    """A layout with one designed concurrent point per entry k of ``sizes``.
+
+    Each family is k antipodal pairs (t, -1/t): k diameters through the
+    center.  Each family is then moved by a Möbius map of its own
+    (coefficients in [-50, 50]), which takes its k-fold point anywhere
+    inside the disk; with ``centered``, the first family stays at the
+    center.  A draw that repeats a point is redrawn.  The design fixes
+    which concurrencies exist, not that no other does; a generic draw has
+    none.
+    """
+    rng = random.Random(f"recurlab-designed:{sizes}:{seed}:{centered}:{attempt}")
+    params: list[Fraction | None] = []
+    for i, k in enumerate(sizes):
+        coefficients = (1, 0, 0, 1)
+        while i or not centered:
+            coefficients = tuple(rng.randint(-50, 50) for _ in range(4))
+            a, b, c, d = coefficients
+            if a * d != b * c:
+                break
+        family: list[Fraction | None] = []
+        while len(family) < 2 * k:
+            t = Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+            pair = [mobius_parameter(u, *coefficients) for u in (t, antipode_parameter(t))]
+            if not any(u in params or u in family for u in pair):
+                family += pair
+        params += family
+    return params
 
 
 def regular_approx_parameters(m: int) -> list[Fraction | None]:

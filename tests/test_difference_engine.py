@@ -5,6 +5,7 @@ Ground truth throughout is the defining identity of differencing
 iteration: an inferred recurrence must regenerate its own sequence.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import (
+    DifferenceTable,
     LinearRecurrence,
     NoConstantRowError,
     Polynomial,
@@ -94,6 +96,20 @@ class TestBuildTable:
         # Rows are integer numerators over the terms' common denominator.
         assert table.denominator == 2
         assert table.rows[1] == (2, 2)
+
+    def test_constant_depth_is_read_off_the_rows(self):
+        # The depth is derived from the rows, so a hand-built table cannot
+        # claim a constant row it does not hold.
+        assert [f.name for f in dataclasses.fields(DifferenceTable)] == ["rows", "denominator"]
+        table = DifferenceTable(((1, 2, 4),), 1)
+        assert table.constant_depth is None
+        with pytest.raises(NoConstantRowError):
+            predict_next(table)
+        with pytest.raises(NoConstantRowError):
+            infer_recurrence(table)
+        assert DifferenceTable(((1, 2, 4), (1, 2), (1,)), 1).constant_depth is None
+        assert DifferenceTable(((5, 5),), 1).constant_depth == 0
+        assert DifferenceTable(((1, 2, 4, 7), (1, 2, 3), (1, 1)), 1).constant_depth == 2
 
 
 class TestPredictNext:

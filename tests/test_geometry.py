@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 
@@ -49,7 +50,7 @@ from recurlab.geometry.arrangement import (
     _cross,
 )
 
-from conftest import antipode_parameter, regular_approx_parameters
+from conftest import antipode_parameter, designed_parameters, regular_approx_parameters
 
 F = Fraction
 
@@ -448,14 +449,14 @@ class TestIntersection:
     def test_hand_built_empty_arrangement_rejected(self):
         # Once counted as one region by count_regions.
         with pytest.raises(ValueError, match="^arrangement needs at least one point$"):
-            ChordArrangement((), (), {}, (), [])
+            ChordArrangement((), {}, [])
 
     def test_hand_built_points_out_of_order_rejected(self):
         # A hand-built arrangement must hold its points in strictly
         # increasing angular order, as intersect_chords makes them; the
         # unordered points above once split the face walk from Euler's count.
         built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.chords, built.crossings, built.concurrent, built.sides)
+        fields = (built.crossings, built.sides)
         assert ChordArrangement(built.points, *fields) == built
         shuffled = tuple(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
         repeated = tuple(CirclePoint(F(t)) for t in (-2, 0, 1, 1, 7))
@@ -468,7 +469,7 @@ class TestIntersection:
         # hand-built side table must hold one row per chord and one entry
         # per point.  It is derived from the points: repr leaves it out.
         built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.points, built.chords, built.crossings, built.concurrent)
+        fields = (built.points, built.crossings)
         rows = built.sides
         assert len(rows) == 10 and {len(row) for row in rows} == {5}
         assert "sides" not in repr(built)
@@ -476,6 +477,35 @@ class TestIntersection:
         for sides in ([], rows[:-1], rows + rows[:1], short_row, long_row):
             with pytest.raises(ValueError, match="one row per chord and one entry per point"):
                 ChordArrangement(*fields, sides)
+
+    def test_chords_and_concurrent_are_derived(self):
+        # A record takes only what it cannot work out: the chords follow
+        # from the points and the concurrent points from the crossings, so
+        # neither can be set, and neither can contradict the other fields.
+        settable = [f.name for f in dataclasses.fields(ChordArrangement) if f.init]
+        assert settable == ["points", "crossings", "sides"]
+        arr = hexagon_arrangement()
+        for name, value in (("chords", arr.chords[::-1]), ("concurrent", ())):
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(arr, **{name: value})
+        assert arr.chords == tuple(itertools.combinations(range(6), 2))
+
+    def test_replaced_crossings_keep_their_triple_point(self):
+        # The hexagon's center, chords (2, 7, 11), survives any change to the
+        # other crossings, and dropping it leaves a general-position record.
+        arr = hexagon_arrangement()
+        simple = tuple(through for through in arr.crossings if len(through) == 2)
+        assert len(simple) == 12
+        for crossings in (arr.crossings[::-1], simple[1:] + ((2, 7, 11),), ((2, 7, 11),)):
+            moved = dataclasses.replace(arr, crossings=crossings)
+            assert moved.concurrent == ((2, 7, 11),)
+            assert not moved.general_position
+            assert moved.describe_degeneracy() == arr.describe_degeneracy()
+            assert arrangement_to_json_dict(moved)["general_position"] is False
+        dropped = dataclasses.replace(arr, crossings=simple)
+        assert dropped.concurrent == () and dropped.general_position
+        # One vertex and its three chord edges fewer: 30 - 3 + 1 regions.
+        assert count_regions(dropped) == (18, 45, 28)
 
     def test_kernel_row_ranges_concatenate(self):
         # Points come out in (i, j) order of their first pair, so splitting
@@ -731,6 +761,20 @@ class TestFaceWalk:
         assert count_faces(arr) == count_regions(arr)[2] + 1 == 563
         assert count_faces(bad) != count_regions(bad)[2] + 1
 
+    def test_walk_holds_one_chord_of_stops_at_a_time(self):
+        # Each chord's stop dict is dropped as the chord is taken.  Holding
+        # all of them, the walk's tracemalloc peak was 35.6 MiB on Python
+        # 3.11; one at a time, 20.9-21.6 MiB on Python 3.10-3.13.
+        arr = generic_arrangement(40, seed=1)
+        tracemalloc.start()
+        try:
+            faces = count_faces(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert faces == count_regions(arr)[2] + 1 == 92172
+        assert peak < 28 * 2**20, peak
+
     def test_reads_only_integer_triples(self, monkeypatch):
         # The walk works on integers alone, the kernel's side values among
         # them: the rational coordinates of circle and interior points are
@@ -967,6 +1011,62 @@ class TestCrossingCountInvariant:
             crossings = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords), [])
             pairs = sum(binomial(len(chords), 2) for chords in crossings)
             assert pairs == binomial(arr.m, 4), arr.m
+
+
+class TestDesignedDegeneracy:
+    """Layouts whose concurrency, and so whose region count, is known before
+    the build (``designed_parameters``).
+
+    A k-fold point replaces C(k, 2) simple crossings by one vertex, so the
+    arrangement has f(m) - sum C(k - 1, 2) regions over the designed points,
+    with f(m) = 1 + C(m, 2) + C(m, 4): a count from the design, not from the
+    kernel.
+    """
+
+    ONE_POINT = {(k,): r for k, r in zip(range(2, 9), (8, 30, 96, 250, 552, 1078, 1920))}
+    TWO_POINTS = {(3, 3): 560, (4, 3): 1089, (5, 4): 3205, (6, 6): 10883}
+
+    @staticmethod
+    def _build(sizes, seed, centered):
+        """The designed arrangement.  A draw whose concurrency is not the
+        design's is checked against the four-sign reference, then redrawn,
+        so a kernel fault cannot pass as bad luck."""
+        designed = sorted(k for k in sizes if k >= 3)
+        for attempt in range(4):
+            params = designed_parameters(sizes, seed=seed, centered=centered, attempt=attempt)
+            arr = intersect_chords(map(CirclePoint, params))
+            if sorted(map(len, arr.concurrent)) == designed:
+                return arr
+            args = _kernel_args(arr.points)
+            reference = _merge_hits(_four_sign_reference(*args, 0, len(args[-1])))
+            assert arr.crossings == tuple(reference.values())
+        pytest.fail(f"no draw of {sizes} (seed {seed}) had exactly the designed concurrency")
+
+    def _check(self, layouts):
+        for sizes, regions in layouts.items():
+            m = 2 * sum(sizes)
+            assert regions == regions_binomial(m) - sum(binomial(k - 1, 2) for k in sizes)
+            for seed, centered in ((0, True), (1, False), (2, False)):
+                arr = self._build(sizes, seed, centered)
+                assert arr.m == m
+                assert count_regions(arr)[2] == regions, (sizes, seed)
+                assert count_faces(arr) == regions + 1, (sizes, seed)
+                points = binomial(m, 4) - sum(binomial(k, 2) - 1 for k in sizes)
+                assert len(arr.crossings) == points, (sizes, seed)
+                assert sum(binomial(len(s), 2) for s in arr.crossings) == binomial(m, 4)
+
+    def test_one_designed_point(self):
+        self._check(self.ONE_POINT)
+
+    def test_two_designed_points(self):
+        self._check(self.TWO_POINTS)
+
+    def test_centered_layout_has_its_point_at_the_center(self):
+        arr = self._build((4,), 0, True)
+        (center,) = [p for p in arr.interior_points if len(p.chords) == 4]
+        assert center.triple == (0, 0, 1)
+        moved = self._build((4,), 1, False)
+        assert [p.triple for p in moved.interior_points if len(p.chords) == 4] != [(0, 0, 1)]
 
 
 class TestNearDegenerateLayouts:
