@@ -21,6 +21,7 @@ budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -203,7 +204,10 @@ def cmd_table(args) -> int:
         write, den = sys.stdout.write, table.denominator
         write(head + '"rows": [')
         for d, row in enumerate(table.rows):
-            cells = '",\n        "'.join(format_quotient(v, den) for v in row)
+            if den == 1:
+                cells = '/1",\n        "'.join(map(str, row)) + "/1"
+            else:
+                cells = '",\n        "'.join(format_quotient(v, den) for v in row)
             write(("," if d else "") + '\n      [\n        "' + cells + '"\n      ]')
         write("\n    ]" + tail + "\n")
         return EXIT_OK
@@ -503,7 +507,16 @@ def _add_sequence_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``recurlab`` parser, built once per process on first use.
+
+    Building it runs argparse's help formatter, which reads the terminal
+    size, on each ``add_argument``, and ``main`` may run many times in one
+    process.  Parsing leaves the parser unchanged, so every call shares it.
+    ``main`` looks each subcommand's ``cmd_*`` handler up by name when it
+    runs, so the parser holds no function.
+    """
     parser = argparse.ArgumentParser(
         prog="recurlab",
         description="Exact linear-recurrence inference, solving, and verification.",
@@ -514,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
         "table", help="difference table and next-term prediction"
     )
     _add_sequence_options(table)
-    table.set_defaults(handler=cmd_table)
 
     solve = commands.add_parser(
         "solve", help="infer the recurrence and compute closed forms"
@@ -526,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
         help="solver route(s) to run (default: both, with agreement verdict)",
     )
-    solve.set_defaults(handler=cmd_solve)
 
     regions = commands.add_parser(
         "regions", help="circle-division region count for m points"
@@ -558,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the full arrangement (points, chords, intersections) as JSON",
     )
     regions.add_argument("--json", action="store_true", help="emit a JSON report")
-    regions.set_defaults(handler=cmd_regions)
 
     verify = commands.add_parser("verify", help="run every cross-check")
     verify.add_argument("--max-m", type=int, default=30, help="sweep limit (default 30)")
@@ -573,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"max m for geometric checks (default {DEFAULT_GEOM_CAP})",
     )
     verify.add_argument("--json", action="store_true", help="emit a JSON report")
-    verify.set_defaults(handler=cmd_verify)
 
     return parser
 
@@ -582,7 +591,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()["cmd_" + args.command](args)
     except DegeneracyBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERACY

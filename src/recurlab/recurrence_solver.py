@@ -212,6 +212,12 @@ def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> l
     eliminated by Bareiss's rule: each update is divided exactly by the
     previous pivot, since by Sylvester's identity every entry is a minor.
     Pivoting picks the first row with a nonzero entry in the current column.
+    When a pivot equals the previous one, the update of a column where the
+    pivot row holds 0 is (pivot * x - factor * 0) // pivot = x, so only the
+    pivot row's nonzero columns are updated: the same integers, with less
+    work.  Every pivot of an integer unit lower-triangular system (Pascal's,
+    as ``solve_charpoly`` builds on the root 1) is 1, and its pivot row is
+    0 past the diagonal, so elimination there costs O(n^2), not O(n^3).
     The last pivot D is the determinant, so by Cramer's rule each D x_i is
     an integer: back-substitution finds them by exact division, and
     ``Fraction`` appears once per unknown.  Raises SingularMatrixError
@@ -237,11 +243,14 @@ def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> l
         aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
         top = aug[rank]
         pivot = top[col]
+        columns = range(col + 1, n + 1)
+        if pivot == previous:
+            columns = [c for c in columns if top[c]]
         for r in range(rank + 1, n):
             row = aug[r]
             factor = row[col]
             # Entries at or left of col are never read again; not cleared.
-            for c in range(col + 1, n + 1):
+            for c in columns:
                 row[c] = (pivot * row[c] - factor * top[c]) // previous
         previous = pivot
         rank += 1

@@ -12,9 +12,12 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from recurlab import build_difference_table, format_rational, predict_next
-from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, MAX_TRIALS, MAX_VERIFY_M, main
+from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, MAX_TRIALS, MAX_VERIFY_M, build_parser, main
+from recurlab.core_numeric import format_quotient
 from recurlab.geometry import arrangement as arrangement_module
 from recurlab.geometry import hexagon_arrangement, hexagon_parameters
 
@@ -171,7 +174,10 @@ methods agree: yes
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects its input this way
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -336,6 +342,7 @@ class TestTable:
             (PIN_RATIONAL[len("--seq="):], None),  # rational cells, certified depth and next
             ("1,2,4,8,16,31", None),  # integer cells, certified depth and next
             (PIN_MIXED_SIGN[len("--seq="):], 2),  # --max-depth stops above the constant row
+            ("-3,0,0,5,-7,0", 10),  # negative and zero integer cells; one-cell last row
         ],
     )
     def test_json_streams_as_json_dumps_lays_out(self, seq, max_depth, capsys):
@@ -363,6 +370,21 @@ class TestTable:
         if max_depth is not None:
             argv += ["--max-depth", str(max_depth)]
         assert run_cli(argv, capsys) == (0, json.dumps(envelope, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("seq", ["-3,0,0,5,-7,0", "0,-4", "1/3,-2/3,0,5,-7/2"])
+    def test_human_cells_as_format_quotient(self, seq, capsys):
+        # Integer and rational tables, with negative and zero cells, print
+        # each cell as format_quotient does, down to the one-cell last row.
+        table = build_difference_table([Fraction(t) for t in seq.split(",")], 10)
+        assert len(table.rows[-1]) == 1
+        expected = [
+            ("sequence " if d == 0 else f"depth {d}  ") + ": "
+            + " ".join(format_quotient(v, table.denominator, False) for v in row)
+            for d, row in enumerate(table.rows)
+        ]
+        code, out, err = run_cli(["table", "--seq=" + seq, "--max-depth=10"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[: len(table.rows)] == expected
 
 
 class TestSolve:
@@ -850,6 +872,116 @@ class TestVerify:
                 assert (code, out) == (2, ""), (command, n)
                 assert err == f"error: --trials {n} exceeds the trial limit ({MAX_TRIALS})\n"
         assert built == []
+
+
+class TestParser:
+    # Each outcome once: argparse errors, a ValueError, unsupported
+    # mathematics and three successes.
+    MIXED = (
+        ["frobnicate"],
+        ["table", "--moser", "0"],
+        ["solve", "--seq=1,2,4,8,16"],
+        ["table", "--moser", "--json"],
+        ["verify", "--max-m", "12", "--geom-cap", "10"],
+        ["regions", "--m", "6", "--method", "bogus"],
+        ["regions", "--m", "5", "--method", "binomial", "--json"],
+    )
+
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_shared_parser_answers_as_a_fresh_one(self, capsys, monkeypatch):
+        shared = [run_cli(argv, capsys) for argv in self.MIXED * 2]
+        monkeypatch.setattr("recurlab.cli.build_parser", build_parser.__wrapped__)
+        fresh = [run_cli(argv, capsys) for argv in self.MIXED * 2]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 2, 3, 0, 0, 2, 0] * 2
+
+    def test_handlers_read_patched_names(self, capsys, monkeypatch):
+        # The shared parser holds no handler: a cmd_* or a name it calls,
+        # patched after the parser is built, is what main runs.
+        build_parser()
+        monkeypatch.setattr("recurlab.cli.moser_terms", lambda n: [0] * n)
+        assert run_cli(["table", "--moser=3"], capsys)[1].startswith("sequence : 0 0 0\n")
+        seen = []
+        monkeypatch.setattr("recurlab.cli.cmd_regions", lambda args: seen.append(args.m) or 4)
+        assert run_cli(["regions", "--m=5"], capsys) == (4, "", "")
+        assert seen == [5]
+
+
+# Well-formed terms; the malformed ones are among MALFORMED's tokens.
+TERMS = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.builds("{}/{}".format, st.integers(-50, 50), st.integers(1, 9)),
+)
+# One of these goes into about one argv in five.
+MALFORMED = ["--bogus", "stray", "--m=x", "--trials=1.5", "--seq=1,,2", "--seq=1e5,2",
+             "--seq=1/0,1", "--moser=x", "--max-depth=", "--method=x", "--json=1"]
+
+
+@st.composite
+def sequence_sources(draw):
+    """--seq of free terms or of a polynomial's values, --moser, or both."""
+    kind = draw(st.sampled_from(["terms", "polynomial", "polynomial", "moser", "both"]))
+    argv = []
+    if kind in ("terms", "both"):
+        argv.append("--seq=" + ",".join(draw(st.lists(TERMS, min_size=1, max_size=12))))
+    elif kind == "polynomial":
+        coefficients = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
+        length = draw(st.integers(2, 12))
+        values = (sum(c * n**k for k, c in enumerate(coefficients)) for n in range(length))
+        argv.append("--seq=" + ",".join(map(str, values)))
+    if kind in ("moser", "both"):
+        argv += draw(st.sampled_from([["--moser"], ["--moser=12"], ["--moser=1"]]))
+    return argv
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv over the four subcommands with bounded sizes, some malformed."""
+    command = draw(st.sampled_from(["table", "solve", "regions", "verify"]))
+    argv = [command]
+
+    def maybe(flag, low, high):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(st.integers(low, high))}")
+
+    if command in ("table", "solve"):
+        argv += draw(sequence_sources())
+        maybe("--max-depth", -1, 12)
+        if command == "solve" and draw(st.booleans()):
+            argv.append("--method=" + draw(st.sampled_from(["charpoly", "genfunc", "both"])))
+    else:
+        if command == "regions":
+            argv.append(f"--m={draw(st.integers(-1, 12))}")
+            methods = ["binomial", "polynomial", "sum", "euler", "geometric", "all"]
+            argv.append("--method=" + draw(st.sampled_from(methods)))
+            if draw(st.integers(0, 3)) == 0:
+                argv.append("--degenerate=hexagon")
+        else:
+            maybe("--max-m", -1, 40)
+        maybe("--trials", 0, 3)
+        maybe("--seed", -5, 99)
+        maybe("--geom-cap", 0, 12)
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(MALFORMED)))
+    return argv
+
+
+class TestExitCodeContract:
+    @given(cli_argvs())
+    @settings(
+        max_examples=500,
+        deadline=None,
+        # readouterr() empties the capture after every example.
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_documented_exit_code_and_no_traceback(self, capsys, argv):
+        code, _, err = run_cli(argv, capsys)
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
 
 
 class TestModuleEntry:

@@ -1042,24 +1042,35 @@ class TestDesignedDegeneracy:
             assert arr.crossings == tuple(reference.values())
         pytest.fail(f"no draw of {sizes} (seed {seed}) had exactly the designed concurrency")
 
+    def _check_layout(self, sizes, seed, centered):
+        """Check one designed layout (its concurrency is checked by _build)
+        and return its region count, f(m) - sum C(k - 1, 2)."""
+        m = 2 * sum(sizes)
+        regions = regions_binomial(m) - sum(binomial(k - 1, 2) for k in sizes)
+        arr = self._build(sizes, seed, centered)
+        assert arr.m == m
+        assert count_regions(arr)[2] == regions, (sizes, seed)
+        assert count_faces(arr) == regions + 1, (sizes, seed)
+        points = binomial(m, 4) - sum(binomial(k, 2) - 1 for k in sizes)
+        assert len(arr.crossings) == points, (sizes, seed)
+        assert sum(binomial(len(s), 2) for s in arr.crossings) == binomial(m, 4)
+        return regions
+
     def _check(self, layouts):
         for sizes, regions in layouts.items():
-            m = 2 * sum(sizes)
-            assert regions == regions_binomial(m) - sum(binomial(k - 1, 2) for k in sizes)
             for seed, centered in ((0, True), (1, False), (2, False)):
-                arr = self._build(sizes, seed, centered)
-                assert arr.m == m
-                assert count_regions(arr)[2] == regions, (sizes, seed)
-                assert count_faces(arr) == regions + 1, (sizes, seed)
-                points = binomial(m, 4) - sum(binomial(k, 2) - 1 for k in sizes)
-                assert len(arr.crossings) == points, (sizes, seed)
-                assert sum(binomial(len(s), 2) for s in arr.crossings) == binomial(m, 4)
+                assert self._check_layout(sizes, seed, centered) == regions, (sizes, seed)
 
     def test_one_designed_point(self):
         self._check(self.ONE_POINT)
 
     def test_two_designed_points(self):
         self._check(self.TWO_POINTS)
+
+    @given(st.lists(st.integers(2, 6), min_size=1, max_size=2), st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_designs(self, sizes, seed, centered):
+        self._check_layout(tuple(sizes), seed, centered)
 
     def test_centered_layout_has_its_point_at_the_center(self):
         arr = self._build((4,), 0, True)

@@ -404,6 +404,42 @@ def systems(draw):
     return rows, rhs
 
 
+@st.composite
+def triangular(draw):
+    """Lower-triangular systems, where the pivot row is 0 past the diagonal.
+
+    ``binomial`` is the charpoly route's C(n, j) r^n on one root: Pascal's
+    unit triangle on the root 1 (also after scaling on 1/q), pivots of
+    alternating sign on -1, and growing pivots elsewhere.  ``unit`` has a
+    unit diagonal, so every pivot equals the previous one; ``diagonal``
+    has any diagonal, so pivots differ from the previous one and may be 0.
+    """
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["binomial", "unit", "diagonal"]))
+    if kind == "binomial":
+        root = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]))
+        rows = [[math.comb(i, j) * root**i for j in range(n)] for i in range(n)]
+    else:
+        rows = [[draw(scalars) if j < i else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            rows[i][i] = 1 if kind == "unit" else draw(st.integers(-4, 4))
+    rhs = draw(st.lists(scalars, min_size=n, max_size=n))
+    return rows, rhs
+
+
+def assert_solves_as_reference(matrix, rhs):
+    """Same solution, or the same SingularMatrixError and rank."""
+    try:
+        expected = _reference_gaussian_solve(matrix, rhs)
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError) as new:
+            gaussian_solve(matrix, rhs)
+        assert new.value.rank == exc.rank
+        assert str(new.value) == str(exc)
+    else:
+        assert gaussian_solve(matrix, rhs) == expected
+
+
 class TestIntegerTable:
     @given(sequences())
     @settings(max_examples=200, deadline=None)
@@ -436,16 +472,14 @@ class TestFractionFreeElimination:
     @given(systems())
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, case):
-        matrix, rhs = case
-        try:
-            expected = _reference_gaussian_solve(matrix, rhs)
-        except SingularMatrixError as exc:
-            with pytest.raises(SingularMatrixError) as new:
-                gaussian_solve(matrix, rhs)
-            assert new.value.rank == exc.rank
-            assert str(new.value) == str(exc)
-        else:
-            assert gaussian_solve(matrix, rhs) == expected
+        assert_solves_as_reference(*case)
+
+    @given(triangular())
+    @settings(max_examples=200, deadline=None)
+    def test_triangular_matches_reference(self, case):
+        # A pivot equal to the previous one skips the pivot row's zero
+        # columns; any other pivot must still update them.
+        assert_solves_as_reference(*case)
 
     def test_skipped_column_then_exact_division(self):
         # Column 0 has no pivot and is skipped, so the pivots sit off the
@@ -460,6 +494,12 @@ class TestFractionFreeElimination:
     def test_vandermonde_order_32(self):
         # The charpoly initial-condition system at order 32, rational rhs.
         matrix = [[n**j for j in range(32)] for n in range(32)]
+        rhs = [Fraction((-1) ** n * (n * n + 1), 7 + n) for n in range(32)]
+        assert gaussian_solve(matrix, rhs) == _reference_gaussian_solve(matrix, rhs)
+
+    def test_pascal_order_32(self):
+        # The charpoly route's system on the root 1 at order 32.
+        matrix = [[math.comb(n, j) for j in range(32)] for n in range(32)]
         rhs = [Fraction((-1) ** n * (n * n + 1), 7 + n) for n in range(32)]
         assert gaussian_solve(matrix, rhs) == _reference_gaussian_solve(matrix, rhs)
 
