@@ -46,12 +46,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedRootsError,
 )
-from .genfunc_solver import (
-    RationalFunction,
-    build_ogf,
-    extract_coefficient_formula,
-    partial_fractions,
-)
+from .genfunc_solver import build_ogf, extract_coefficient_formula, ogf_series, partial_fractions
 from .geometry import (
     ChordArrangement,
     CirclePoint,
@@ -104,9 +99,9 @@ __all__ = [
     "RecurlabError",
     "SingularMatrixError",
     "UnsupportedRootsError",
-    "RationalFunction",
     "build_ogf",
     "extract_coefficient_formula",
+    "ogf_series",
     "partial_fractions",
     "ChordArrangement",
     "CirclePoint",

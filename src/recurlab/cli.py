@@ -105,7 +105,7 @@ def _envelope(command: str, inputs: dict, method_tags: list[str], result: dict, 
 def _closed_form_json(form: ClosedForm) -> dict:
     return {
         "method": form.method,
-        "variable": "m" if form.variable_offset == 1 else "n",
+        "variable": "n",
         "terms": [
             {
                 "root": format_rational(root),
@@ -247,7 +247,7 @@ def cmd_solve(args) -> int:
     for form in forms:
         entry = _closed_form_json(form)
         if form.polynomial_form() is not None:
-            entry["display_in_m"] = to_moser_variable(form).describe()
+            entry["display_in_m"] = format_polynomial(to_moser_variable(form), "m")
         forms_json.append(entry)
     result = {"recurrence": _recurrence_json(rec), "closed_forms": forms_json}
     envelope = _envelope("solve", inputs, methods, result, agreement)
@@ -415,8 +415,8 @@ def _verify_checks(args, cap: int) -> list[dict]:
     add(
         "closed-form-matches-quartic",
         "m-variable comparison",
-        in_m.polynomial_form() == expected_poly,
-        f"{in_m.describe()} vs {format_polynomial(expected_poly, 'm')}",
+        in_m == expected_poly,
+        f"{format_polynomial(in_m, 'm')} vs {format_polynomial(expected_poly, 'm')}",
     )
     eval_mismatch = None
     for m in range(1, max_m + 1):

@@ -15,6 +15,7 @@ edges: the constructor, ``coefficients`` and ``evaluate``.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Iterable, Union
@@ -89,10 +90,10 @@ class Polynomial:
         self._set([v.numerator * (den // v.denominator) for v in values], den)
 
     def _set(self, num: list[int], den: int) -> None:
-        """Store sum num[i] x^i / den (integers, ``den`` nonzero), normalised."""
+        """Store sum num[i] x^i / den (integers, ``den`` positive), normalised."""
         while num and not num[-1]:
             num.pop()
-        common = math.gcd(den, *num) * (-1 if den < 0 else 1)
+        common = math.gcd(den, *num)
         if common != 1:
             num, den = [c // common for c in num], den // common
         object.__setattr__(self, "_num", tuple(num))
@@ -281,17 +282,25 @@ def format_quotient(numerator: int, denominator: int, wire: bool = True) -> str:
     return f"{numerator}/1" if wire else str(numerator)
 
 
+_NOT_IN_TERM = re.compile(r"[eE_\s]")
+
+
 def parse_rational(text: str) -> Rational:
     """Parse an integer, decimal or ``p/q`` string into an exact ``Rational``.
 
-    Exponent notation (``1e5``) is rejected: ``Fraction`` would accept it,
-    and a term like ``1e99999999`` would build an integer of that many digits.
+    The stripped term is an optional sign and then digits, digits with one
+    decimal point, or digits ``/`` digits.  Exponent notation (``1e5``) is
+    rejected: ``Fraction`` would accept it, and a term like ``1e99999999``
+    would build an integer of that many digits.  So are ``_`` separators
+    (``1_000``) and whitespace inside the term (``1 /2``), which
+    ``Fraction`` accepts on some Python versions and not on others.
     A rejected term longer than ``sys.get_int_max_str_digits()`` is named by its length.
     """
+    term = text.strip()
     try:
-        if "e" in text or "E" in text:
-            raise ValueError("exponent notation")
-        return Fraction(text.strip())
+        if _NOT_IN_TERM.search(term):
+            raise ValueError("exponent, separator or inner whitespace")
+        return Fraction(term)
     except (ValueError, ZeroDivisionError) as exc:
         shown = repr(text)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7

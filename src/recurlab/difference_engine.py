@@ -86,14 +86,13 @@ class LinearRecurrence:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def describe(self, variable: str = "n") -> str:
+    def describe(self) -> str:
         """Human-readable equation, e.g. ``a[n+4] - 4*a[n+3] + ... + a[n] = 1``."""
         d = self.order
         lhs = format_signed_terms(
-            (c, f"a[{variable}]" if k == d else f"a[{variable}+{d - k}]")
-            for k, c in enumerate(self.coefficients)
+            (c, "a[n]" if k == d else f"a[n+{d - k}]") for k, c in enumerate(self.coefficients)
         )
-        return f"{lhs} = {format_polynomial(self.rhs, variable)}"
+        return f"{lhs} = {format_polynomial(self.rhs)}"
 
 
 def _is_constant(row: tuple[int, ...]) -> bool:

@@ -4,10 +4,12 @@ Independent second route to the same answers as the characteristic-
 polynomial solver:
 
 1. ``build_ogf`` turns a recurrence into the rational function
-   f(x) = sum a_n x^n.  Multiplying the recurrence by x^{n+d} and summing
-   over n gives f(x) * D(x) = N(x), where D(x) = x^d chi(1/x) factors as
-   prod (1 - r_i x)^{m_i} over the characteristic roots, and N collects the
-   initial conditions plus the transformed right-hand side.
+   f(x) = sum a_n x^n, as the pair (numerator, {root: power}) standing
+   for numerator(x) / prod (1 - root x)^power.  Multiplying the
+   recurrence by x^{n+d} and summing over n gives f(x) * D(x) = N(x),
+   where D(x) = x^d chi(1/x) factors as prod (1 - r_i x)^{m_i} over the
+   characteristic roots, and N collects the initial conditions plus the
+   transformed right-hand side.
 2. ``partial_fractions`` decomposes the proper f into the terms
    (r, k, coeff) of sum coeff / (1 - r x)^k by local expansion at each
    root: the substitution x = (1 - y)/r turns the factor (1 - r x) into
@@ -17,9 +19,9 @@ polynomial solver:
    [x^n] 1/(1 - r x)^k = C(n + k - 1, k - 1) r^n, yielding a ClosedForm
    tagged "genfunc".
 
-``RationalFunction.series`` provides the ground truth the decomposition
-is checked against: exact power-series coefficients straight from the
-rational function.
+``ogf_series`` provides the ground truth the decomposition is checked
+against: exact power-series coefficients straight from a (numerator,
+factors) pair.  ``partial_fractions`` reads each local expansion off it.
 
 The route shares no solver with the characteristic-polynomial route.  It
 does share ``characteristic_roots``: both routes factor chi with the same
@@ -29,69 +31,36 @@ roots are all rational and nonzero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_numeric import Polynomial, Rational, as_rational
+from .core_numeric import Polynomial, Rational
 from .difference_engine import LinearRecurrence
 from .recurrence_solver import ClosedForm, characteristic_roots
 
 
-@dataclass(frozen=True)
-class RationalFunction:
-    """numerator(x) / prod (1 - r x)^power, with the denominator kept factored.
+def ogf_series(numerator: Polynomial, factors: dict[Rational, int], depth: int) -> list[Rational]:
+    """First ``depth`` power-series coefficients of numerator / prod (1 - r x)^p.
 
-    Factors with the same r are merged, r = 0 factors are dropped (they
-    equal 1), and factors are sorted by r, so structural equality compares
-    meaningfully.
+    ``factors`` maps each root r to its power p.  The expanded denominator
+    has constant term 1, so solving numerator = series * denominator
+    coefficient by coefficient needs a subtraction per step, no division.
     """
-
-    numerator: Polynomial
-    denominator_factors: tuple[tuple[Rational, int], ...]
-
-    def __post_init__(self):
-        merged: dict[Rational, int] = {}
-        for root, power in self.denominator_factors:
-            root = as_rational(root)
-            if power < 1:
-                raise ValueError(f"factor power must be >= 1, got {power}")
-            if root == 0:
-                continue
-            merged[root] = merged.get(root, 0) + power
-        factors = tuple(sorted(merged.items()))
-        object.__setattr__(self, "denominator_factors", factors)
-
-    def denominator_polynomial(self) -> Polynomial:
-        """The denominator expanded into a polynomial (constant term 1)."""
-        poly = Polynomial.one()
-        for root, power in self.denominator_factors:
-            poly = poly * Polynomial((1, -root)) ** power
-        return poly
-
-    @property
-    def denominator_degree(self) -> int:
-        return sum(power for _, power in self.denominator_factors)
-
-    def series(self, depth: int) -> list[Rational]:
-        """First ``depth`` exact power-series coefficients.
-
-        Solves numerator = series * denominator coefficient by coefficient;
-        the denominator's constant term is 1 by construction, so every step
-        is a subtraction, no division.
-        """
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        den = self.denominator_polynomial().coefficients
-        out: list[Rational] = []
-        for n in range(depth):
-            value = self.numerator.coefficient(n)
-            for k in range(1, min(n, len(den) - 1) + 1):
-                value -= den[k] * out[n - k]
-            out.append(value)
-        return out
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    denominator = Polynomial.one()
+    for root, power in factors.items():
+        denominator = denominator * Polynomial((1, -root)) ** power
+    den = denominator.coefficients
+    out: list[Rational] = []
+    for n in range(depth):
+        value = numerator.coefficient(n)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            value -= den[k] * out[n - k]
+        out.append(value)
+    return out
 
 
-def build_ogf(rec: LinearRecurrence) -> RationalFunction:
+def build_ogf(rec: LinearRecurrence) -> tuple[Polynomial, dict[Rational, int]]:
     """The ordinary generating function of the recurrence's solution.
 
     Multiply sum_k c_k a_{n+k} = rhs(n) by x^{n+d} and sum over n >= 0:
@@ -107,15 +76,16 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
     denominator (1-x)^{e+1}, and R(x) (1-x)^{e+1} is a polynomial of degree
     at most e, so it equals (sum_{n<=e} rhs(n) x^n) (1-x)^{e+1} truncated
     after x^e.  Clearing denominators yields a fully factored result.
-    The roots come from ``characteristic_roots``, which raises
-    UnsupportedRootsError unless all of them are rational and nonzero.
 
-    The result is proper: with no root 0, D has degree d, so the
-    denominator has degree d + e + 1 and the numerator degree at most d + e
-    (for a zero right-hand side, d and at most d - 1).
+    Returns (numerator, factors): ``factors`` is ``characteristic_roots``'
+    ascending {root: multiplicity} dict, with the power of root 1 raised by
+    e + 1.  ``characteristic_roots`` raises UnsupportedRootsError unless
+    every root is rational and nonzero.  The result is proper: the
+    denominator has degree d + e + 1 and the numerator degree at most
+    d + e (for a zero right-hand side, d and at most d - 1).
     """
     d = rec.order
-    factors = list(characteristic_roots(rec).items())
+    factors = characteristic_roots(rec)
 
     # N_init is D(x) (a_0 + ... + a_(d-1) x^(d-1)) cut after x^(d-1), and
     # D(x) = sum_k c_k x^(d-k) is the stored (c_d, ..., c_0) read ascending.
@@ -124,50 +94,55 @@ def build_ogf(rec: LinearRecurrence) -> RationalFunction:
 
     rhs = rec.rhs
     if rhs.is_zero:
-        return RationalFunction(init_poly, tuple(factors))
+        return init_poly, factors
 
     degree = rhs.degree
     one_minus_x = Polynomial((1, -1))
     head = Polynomial(rhs.evaluate(n) for n in range(degree + 1)) * one_minus_x ** (degree + 1)
     forcing = Polynomial(head.coefficients[: degree + 1])
     numerator = Polynomial.monomial(d) * forcing + init_poly * one_minus_x ** (degree + 1)
-    factors.append((Fraction(1), degree + 1))
-    return RationalFunction(numerator, tuple(factors))
+    factors[Fraction(1)] = factors.get(1, 0) + degree + 1
+    return numerator, dict(sorted(factors.items()))
 
 
-def partial_fractions(rf: RationalFunction) -> tuple[tuple[Rational, int, Rational], ...]:
-    """The terms (root, power, coeff) of rf = sum coeff/(1 - root x)^power.
+def partial_fractions(
+    ogf: tuple[Polynomial, dict[Rational, int]],
+) -> tuple[tuple[Rational, int, Rational], ...]:
+    """The terms (root, power, coeff) of f = sum coeff/(1 - root x)^power.
 
-    ``rf`` must be proper (numerator degree below the denominator's); an
-    improper one raises ValueError.  Each factor (r, p) is expanded
-    locally.  The substitution x = (1 - y)/r turns (1 - r x) into y and
-    every other factor (1 - s x) into ((r - s)/r) (1 - (s/(s - r)) y), so
-    rf becomes g(y)/y^p with g = numerator((1 - y)/r) / scale over factors
-    (1 - (s/(s - r)) y), analytic at y = 0.  Its first p series
-    coefficients g_0 .. g_(p-1) are the coefficients of 1/(1 - r x)^p down
-    to 1/(1 - r x).  s -> s/(s - r) is injective and never 0, so the new
-    factors stay distinct.  The terms are sorted by (root, power), with
+    ``ogf`` is a (numerator, {r: p}) pair as ``build_ogf`` returns it, with
+    nonzero roots r.  f must be proper (numerator degree below the
+    denominator's); an improper one raises ValueError.  Each factor (r, p)
+    is expanded locally.  The substitution x = (1 - y)/r turns (1 - r x)
+    into y and every other factor (1 - s x) into ((r - s)/r) (1 - (s/(s -
+    r)) y), so f becomes g(y)/y^p with g = numerator((1 - y)/r) / scale
+    over factors (1 - (s/(s - r)) y), analytic at y = 0.  Its first p
+    series coefficients g_0 .. g_(p-1), read off ``ogf_series``, are the
+    coefficients of 1/(1 - r x)^p down to 1/(1 - r x).  s -> s/(s - r) is
+    injective and never 0, so the new factors stay distinct.  The terms
+    follow the order of the factors, each root's powers ascending, with
     zero coefficients dropped.
     """
-    numerator = rf.numerator
-    if not numerator.is_zero and numerator.degree >= rf.denominator_degree:
+    numerator, factors = ogf
+    degree = sum(factors.values())
+    if not numerator.is_zero and numerator.degree >= degree:
         raise ValueError(
             f"need a proper rational function, got numerator degree {numerator.degree} "
-            f"over denominator degree {rf.denominator_degree}"
+            f"over denominator degree {degree}"
         )
 
     terms = []
-    for root, power in rf.denominator_factors:
+    for root, power in factors.items():
         step = -1 / root
         at_root = Polynomial(c * step**i for i, c in enumerate(numerator.coefficients))
         scale = Fraction(1)
-        others = []
-        for other, other_power in rf.denominator_factors:
+        others = {}
+        for other, other_power in factors.items():
             if other != root:
                 scale *= ((root - other) / root) ** other_power
-                others.append((other / (other - root), other_power))
-        local = RationalFunction(at_root.compose_shift(-1) * (1 / scale), tuple(others))
-        coeffs = local.series(power)[::-1]  # of 1/(1 - r x)^1 .. 1/(1 - r x)^p
+                others[other / (other - root)] = other_power
+        local = at_root.compose_shift(-1) * (1 / scale)
+        coeffs = ogf_series(local, others, power)[::-1]  # of 1/(1 - r x)^1 .. 1/(1 - r x)^p
         terms.extend((root, k, coeff) for k, coeff in enumerate(coeffs, 1) if coeff)
     return tuple(terms)
 

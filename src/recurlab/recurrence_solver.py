@@ -20,6 +20,10 @@ The route, entirely in exact rational arithmetic:
    for chi = (r - 1)^d, the only shape a difference table infers, the
    matrix is Pascal's lower unitriangular one and its minors stay small.
 
+``solve_charpoly`` returns a ``ClosedForm`` in n; ``to_moser_variable``
+turns a polynomial one into the plain ``Polynomial`` in m = n + 1, which
+for the region counts is Moser's polynomial.
+
 Only recurrences whose characteristic roots are all rational and nonzero
 are solvable here; anything else raises UnsupportedRootsError naming the
 obstruction.
@@ -51,15 +55,13 @@ class ClosedForm:
     ``terms`` pairs each root with its polynomial coefficient.  Entries
     sharing a root are summed into one, zero polynomials are dropped and
     roots are sorted, so two closed forms describe the same function
-    exactly when their terms are equal.
-    ``variable_offset`` records how the formula's variable relates to the
-    0-based sequence index n: the formula is written in v = n + offset.
-    ``method`` tags which solver produced it ("charpoly" or "genfunc").
+    exactly when their terms are equal.  The variable is the 0-based
+    sequence index n.  ``method`` tags which solver produced it
+    ("charpoly" or "genfunc").
     """
 
     terms: tuple[tuple[Rational, Polynomial], ...]
     method: str
-    variable_offset: int = 0
 
     def __post_init__(self):
         merged: dict[Rational, Polynomial] = {}
@@ -70,18 +72,17 @@ class ClosedForm:
         object.__setattr__(self, "terms", terms)
 
     def evaluate(self, n: int) -> Rational:
-        """Exact value at sequence index n >= 0 (the formula variable is n + offset)."""
+        """Exact value at sequence index n >= 0."""
         if n < 0:
             raise ValueError(f"index must be >= 0, got {n}")
-        v = n + self.variable_offset
         total = Fraction(0)
         for root, poly in self.terms:
-            total += poly.evaluate(v) * root**v
+            total += poly.evaluate(n) * root**n
         return total
 
     def agrees_with(self, other: "ClosedForm") -> bool:
-        """True when both describe the same function of the same variable."""
-        return self.variable_offset == other.variable_offset and self.terms == other.terms
+        """True when both describe the same function of n."""
+        return self.terms == other.terms
 
     def polynomial_form(self) -> Polynomial | None:
         """The closed form as a plain polynomial, or None if any root != 1."""
@@ -92,18 +93,17 @@ class ClosedForm:
         return None
 
     def describe(self) -> str:
-        """Human-readable formula in the variable implied by the offset."""
-        variable = "m" if self.variable_offset == 1 else "n"
+        """Human-readable formula in n."""
         if not self.terms:
             return "0"
         pieces = []
         for root, poly in self.terms:
-            body = format_polynomial(poly, variable)
+            body = format_polynomial(poly)
             if root == 1:
                 pieces.append(body)
             else:
                 base = f"({root})" if root < 0 or root.denominator != 1 else str(root)
-                factor = f"{base}^{variable}"
+                factor = f"{base}^n"
                 pieces.append(factor if body == "1" else f"({body}) * {factor}")
         # Only a root-1 polynomial can lead with a sign; join it by that sign.
         text = pieces[0]
@@ -207,8 +207,10 @@ def rational_roots(poly: Polynomial) -> tuple[dict[Rational, int], Polynomial]:
 def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> list[Rational]:
     """Solve a square exact linear system by fraction-free elimination.
 
-    ``rows`` lists the matrix's rows of ``int``s or ``Fraction``s.  Each
-    augmented row is scaled to integers by the lcm of its denominators and
+    ``rows`` lists the matrix's rows of ``int``s or ``Fraction``s.  The
+    right-hand side is scaled once by its common denominator R, so the
+    system solves for R x, and each matrix row by the lcm of its own
+    denominators, so an integer row stays as it is.  The augmented rows are
     eliminated by Bareiss's rule: each update is divided exactly by the
     previous pivot, since by Sylvester's identity every entry is a minor.
     Pivoting picks the first row with a nonzero entry in the current column.
@@ -217,10 +219,11 @@ def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> l
     pivot row's nonzero columns are updated: the same integers, with less
     work.  Every pivot of an integer unit lower-triangular system (Pascal's,
     as ``solve_charpoly`` builds on the root 1) is 1, and its pivot row is
-    0 past the diagonal, so elimination there costs O(n^2), not O(n^3).
-    The last pivot D is the determinant, so by Cramer's rule each D x_i is
-    an integer: back-substitution finds them by exact division, and
-    ``Fraction`` appears once per unknown.  Raises SingularMatrixError
+    0 past the diagonal, so elimination there costs O(n^2), not O(n^3),
+    whatever the right-hand side's denominators.  The last pivot D is the
+    determinant, so by Cramer's rule each D R x_i is an integer:
+    back-substitution finds them by exact division, and ``Fraction``
+    appears once per unknown.  Raises SingularMatrixError
     (carrying the achieved rank) when the system has no unique solution.
     """
     n = len(rows)
@@ -230,11 +233,13 @@ def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> l
     if len(rhs) != n:
         raise ValueError(f"right-hand side length {len(rhs)} != {n}")
 
+    targets, common = clear_denominators(tuple(map(as_rational, rhs)))
     aug = []
-    for row, b in zip(rows, rhs):
+    for row, b in zip(rows, targets):
         if not all(isinstance(x, (int, Fraction)) for x in row):
             raise TypeError("matrix entries must be Fraction or int")
-        aug.append(clear_denominators([*row, as_rational(b)])[0])
+        ints, scale = clear_denominators(row)
+        aug.append([*ints, b * scale])
     rank, previous = 0, 1
     for col in range(n):
         pivot_row = next((r for r in range(rank, n) if aug[r][col] != 0), None)
@@ -259,12 +264,12 @@ def gaussian_solve(rows: list[list[RationalLike]], rhs: list[RationalLike]) -> l
             f"system is singular (rank {rank} of {n}); no unique solution", rank=rank
         )
 
-    scaled = [0] * n  # previous * x_i
+    scaled = [0] * n  # previous * common * x_i
     for i in range(n - 1, -1, -1):
         row = aug[i]
         acc = previous * row[n] - sum(row[j] * scaled[j] for j in range(i + 1, n))
         scaled[i] = acc // row[i]
-    return [Fraction(v, previous) for v in scaled]
+    return [Fraction(v, previous * common) for v in scaled]
 
 
 def particular_solution(rec: LinearRecurrence, roots: dict[Rational, int]) -> Polynomial:
@@ -369,21 +374,16 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     return ClosedForm(terms=tuple(terms), method="charpoly")
 
 
-def to_moser_variable(form: ClosedForm) -> ClosedForm:
-    """Rewrite a purely polynomial closed form from index n to m = n + 1.
+def to_moser_variable(form: ClosedForm) -> Polynomial:
+    """A purely polynomial closed form as the polynomial in m = n + 1.
 
     The corpus sequences index regions by the number of circle points m,
     while solvers work in the 0-based index n = m - 1; substituting
-    n = m - 1 gives the conventional presentation.  Raises ValueError for
-    forms with any root other than 1 (the substitution only makes sense
-    for polynomials).
+    n = m - 1 gives the conventional presentation, Moser's polynomial for
+    the region counts.  Raises ValueError for forms with any root other
+    than 1 (the substitution only makes sense for polynomials).
     """
     poly = form.polynomial_form()
     if poly is None:
         raise ValueError("closed form is not purely polynomial; cannot shift variable")
-    shifted = poly.compose_shift(-1)
-    return ClosedForm(
-        terms=((Fraction(1), shifted),),
-        method=form.method,
-        variable_offset=form.variable_offset + 1,
-    )
+    return poly.compose_shift(-1)

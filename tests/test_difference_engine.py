@@ -192,7 +192,6 @@ class TestInferRecurrence:
             order = len(coefficients) - 1
             rec = LinearRecurrence(coefficients, Polynomial(rhs), tuple(range(order)))
             assert rec.describe() == text.format(v="n")
-            assert rec.describe("m") == text.format(v="m")
 
 
 class TestIterateRecurrence:

@@ -1,7 +1,7 @@
 """Generating-function solver route.
 
 Ground truth is the exact power series: a rational function's series (by
-the linear-recursion extraction in ``RationalFunction.series``) must match
+the linear-recursion extraction in ``ogf_series``) must match
 (a) forward iteration of the source recurrence, (b) the reconstruction
 from any partial-fraction decomposition of it, and (c) evaluation of the
 extracted closed form.  All comparisons are exact.
@@ -14,12 +14,12 @@ import pytest
 from recurlab import (
     LinearRecurrence,
     Polynomial,
-    RationalFunction,
     UnsupportedRootsError,
     binomial,
     build_ogf,
     extract_coefficient_formula,
     iterate_recurrence,
+    ogf_series,
     partial_fractions,
     solve_charpoly,
 )
@@ -29,41 +29,59 @@ from conftest import series_from_terms, solver_corpus
 F = Fraction
 
 
-def one_minus_x_power(numerator: Polynomial, power: int) -> RationalFunction:
-    return RationalFunction(numerator, ((F(1), power),))
+def one_minus_x_power(numerator: Polynomial, power: int):
+    return numerator, {F(1): power}
 
 
-def equivalent(a: RationalFunction, b: RationalFunction) -> bool:
-    """Exact equality as rational functions (cross-multiplied)."""
-    return a.numerator * b.denominator_polynomial() == b.numerator * a.denominator_polynomial()
+def denominator_polynomial(factors) -> Polynomial:
+    """prod (1 - r x)^p, expanded."""
+    poly = Polynomial.one()
+    for root, power in factors.items():
+        poly = poly * Polynomial((1, -root)) ** power
+    return poly
+
+
+def equivalent(a, b) -> bool:
+    """Exact equality of two (numerator, factors) rational functions (cross-multiplied)."""
+    return a[0] * denominator_polynomial(b[1]) == b[0] * denominator_polynomial(a[1])
 
 
 class TestRationalFunction:
-    def test_factors_merged_and_sorted(self):
-        rf = RationalFunction(
-            Polynomial.one(), ((F(2), 1), (F(1), 2), (F(2), 3), (F(0), 5))
-        )
-        assert rf.denominator_factors == ((F(1), 2), (F(2), 4))
+    """numerator / prod (1 - r x)^p as a (numerator, {r: p}) pair."""
+
+    def test_factors_merged_and_sorted(self, moser_recurrence):
+        # build_ogf's factors ascend, and the right-hand side's (1 - x)^(e+1)
+        # joins root 1's power, whether chi has the root 1 or not.
+        assert build_ogf(moser_recurrence)[1] == {F(1): 5}
+        # chi = (r - 2)(r - 3) with a constant right-hand side: 1 is new and first.
+        rec = LinearRecurrence((F(1), F(-5), F(6)), Polynomial.constant(2), (F(0), F(1)))
+        factors = build_ogf(rec)[1]
+        assert list(factors.items()) == [(F(1), 1), (F(2), 1), (F(3), 1)]
+        # chi = (r + 1)(r - 1)^2 with right-hand side n: root 1's power 2 + 2.
+        chi = Polynomial((1, 1)) * Polynomial((-1, 1)) ** 2
+        rec = LinearRecurrence(tuple(reversed(chi.coefficients)), Polynomial((0, 1)), (F(0),) * 3)
+        assert list(build_ogf(rec)[1].items()) == [(F(-1), 1), (F(1), 4)]
 
     def test_denominator_polynomial(self):
-        rf = one_minus_x_power(Polynomial.one(), 5)
-        assert rf.denominator_polynomial() == Polynomial((1, -1)) ** 5
+        # ogf_series inverts the same product: its series times (1-x)^5 is 1.
+        numerator, factors = one_minus_x_power(Polynomial.one(), 5)
+        assert denominator_polynomial(factors) == Polynomial((1, -1)) ** 5
+        series = ogf_series(numerator, factors, 12)
+        product = Polynomial(series) * Polynomial((1, -1)) ** 5
+        assert product.coefficients[:12] == (1,) + (0,) * 11
 
     def test_geometric_series(self):
-        rf = RationalFunction(Polynomial.one(), ((F(1), 1),))
-        assert rf.series(5) == [1, 1, 1, 1, 1]
-        rf2 = RationalFunction(Polynomial.one(), ((F(2), 1),))
-        assert rf2.series(5) == [1, 2, 4, 8, 16]
+        assert ogf_series(Polynomial.one(), {F(1): 1}, 5) == [1, 1, 1, 1, 1]
+        assert ogf_series(Polynomial.one(), {F(2): 1}, 5) == [1, 2, 4, 8, 16]
 
     def test_shifted_series(self):
-        rf = RationalFunction(Polynomial.monomial(4), ((F(1), 1),))
-        assert rf.series(6) == [0, 0, 0, 0, 1, 1]
+        assert ogf_series(Polynomial.monomial(4), {F(1): 1}, 6) == [0, 0, 0, 0, 1, 1]
 
     def test_binomial_coefficient_series(self):
         # 1/(1-x)^(r+1) has coefficients C(n+r, r).
         for r in range(0, 5):
             rf = one_minus_x_power(Polynomial.one(), r + 1)
-            assert rf.series(12) == [binomial(n + r, r) for n in range(12)]
+            assert ogf_series(*rf, 12) == [binomial(n + r, r) for n in range(12)]
 
     def test_equivalent_to_cross_multiplies(self):
         # x^2/(1-x)^2 == (x^2 - x^3)/(1-x)^3
@@ -75,9 +93,9 @@ class TestRationalFunction:
 
 class TestBuildOgf:
     def test_region_recurrence(self, moser_recurrence):
-        rf = build_ogf(moser_recurrence)
-        assert rf.denominator_factors == ((F(1), 5),)
-        assert rf.numerator == Polynomial((1, -3, 4, -2, 1))
+        numerator, factors = build_ogf(moser_recurrence)
+        assert factors == {F(1): 5}
+        assert numerator == Polynomial((1, -3, 4, -2, 1))
 
     def test_region_recurrence_against_boundary_assembly(self, moser_recurrence):
         # Independent assembly: f * (1-x)^4 = x^4/(1-x) + (initial-condition
@@ -87,24 +105,23 @@ class TestBuildOgf:
         expected = one_minus_x_power(expected_numerator, 5)
         built = build_ogf(moser_recurrence)
         assert equivalent(built, expected)
-        assert built.numerator == expected_numerator
+        assert built[0] == expected_numerator
 
     def test_series_matches_iteration_on_corpus(self):
         for name, rec in solver_corpus():
-            rf = build_ogf(rec)
-            assert rf.series(60) == list(iterate_recurrence(rec, 60)), name
+            assert ogf_series(*build_ogf(rec), 60) == list(iterate_recurrence(rec, 60)), name
 
     def test_distinct_roots_factored(self):
         rec = LinearRecurrence((F(1), F(-5), F(6)), Polynomial.zero(), (F(2), F(5)))
-        rf = build_ogf(rec)
-        assert rf.denominator_factors == ((F(2), 1), (F(3), 1))
-        assert rf.numerator == Polynomial((2, -5))
+        numerator, factors = build_ogf(rec)
+        assert list(factors.items()) == [(F(2), 1), (F(3), 1)]
+        assert numerator == Polynomial((2, -5))
 
     def test_forcing_adds_root_one_factor(self):
         rec = LinearRecurrence((F(1), F(-2)), Polynomial.constant(1), (F(0),))
         rf = build_ogf(rec)
-        assert rf.denominator_factors == ((F(1), 1), (F(2), 1))
-        assert rf.series(8) == [2**n - 1 for n in range(8)]
+        assert list(rf[1].items()) == [(F(1), 1), (F(2), 1)]
+        assert ogf_series(*rf, 8) == [2**n - 1 for n in range(8)]
 
     def test_irrational_roots_rejected(self):
         rec = LinearRecurrence((F(1), F(-1), F(-1)), Polynomial.zero(), (F(0), F(1)))
@@ -125,8 +142,8 @@ class TestBuildOgf:
 
     def test_result_is_proper_on_corpus(self):
         for name, rec in solver_corpus():
-            rf = build_ogf(rec)
-            assert rf.numerator.degree < rf.denominator_degree, name
+            numerator, factors = build_ogf(rec)
+            assert numerator.degree < sum(factors.values()), name
 
 
 class TestPartialFractions:
@@ -163,28 +180,28 @@ class TestPartialFractions:
 
     def test_distinct_roots(self):
         # (2-5x)/((1-2x)(1-3x)) = 1/(1-2x) + 1/(1-3x)
-        rf = RationalFunction(Polynomial((2, -5)), ((F(2), 1), (F(3), 1)))
+        rf = (Polynomial((2, -5)), {F(2): 1, F(3): 1})
         assert partial_fractions(rf) == ((F(2), 1, F(1)), (F(3), 1, F(1)))
 
     @pytest.mark.parametrize(
         "numerator, factors",
         [
-            ((5, -4), ((F(1), 1),)),  # (5-4x)/(1-x) = 4 + 1/(1-x)
-            ((1, 0, 0, 0, 1), ((F(1), 2),)),
-            ((3, 0, 1), ()),  # a polynomial over the empty product
+            ((5, -4), {F(1): 1}),  # (5-4x)/(1-x) = 4 + 1/(1-x)
+            ((1, 0, 0, 0, 1), {F(1): 2}),
+            ((3, 0, 1), {}),  # a polynomial over the empty product
         ],
     )
     def test_improper_function_rejected(self, numerator, factors):
         with pytest.raises(ValueError, match="proper"):
-            partial_fractions(RationalFunction(Polynomial(numerator), factors))
+            partial_fractions((Polynomial(numerator), factors))
 
     def test_zero_over_empty_product(self):
-        assert partial_fractions(RationalFunction(Polynomial.zero(), ())) == ()
+        assert partial_fractions((Polynomial.zero(), {})) == ()
 
     def test_reconstruction_is_exact_on_corpus(self):
         for name, rec in solver_corpus():
             rf = build_ogf(rec)
-            assert series_from_terms(partial_fractions(rf), 60) == rf.series(60), name
+            assert series_from_terms(partial_fractions(rf), 60) == ogf_series(*rf, 60), name
 
 
 class TestExtractCoefficientFormula:
@@ -221,18 +238,18 @@ class TestExtractCoefficientFormula:
         for name, rec in solver_corpus():
             rf = build_ogf(rec)
             form = extract_coefficient_formula(partial_fractions(rf))
-            series = rf.series(50)
+            series = ogf_series(*rf, 50)
             for n in range(50):
                 assert form.evaluate(n) == series[n], (name, n)
 
 
 class TestSeries:
     def test_region_counts(self, moser_recurrence):
-        assert build_ogf(moser_recurrence).series(7) == [1, 2, 4, 8, 16, 31, 57]
+        assert ogf_series(*build_ogf(moser_recurrence), 7) == [1, 2, 4, 8, 16, 31, 57]
 
     def test_depth_validated(self, moser_recurrence):
         with pytest.raises(ValueError):
-            build_ogf(moser_recurrence).series(0)
+            ogf_series(*build_ogf(moser_recurrence), 0)
 
 
 class TestBinomialExtractionLemma:
@@ -240,6 +257,6 @@ class TestBinomialExtractionLemma:
         # [x^n] 1/(1-x)^(r+1) == C(n+r, r) for r <= 6, n <= 40, exactly.
         for r in range(0, 7):
             rf = one_minus_x_power(Polynomial.one(), r + 1)
-            series = rf.series(41)
+            series = ogf_series(*rf, 41)
             for n in range(41):
                 assert series[n] == binomial(n + r, r), (r, n)

@@ -21,6 +21,7 @@ from recurlab import (
     characteristic_polynomial,
     gaussian_solve,
     iterate_recurrence,
+    moser_polynomial,
     particular_solution,
     rational_roots,
     solve_charpoly,
@@ -271,11 +272,6 @@ class TestClosedForm:
         cancelled = ClosedForm(terms=((F(2), n), (F(1), one), (F(2), -n)), method="genfunc")
         assert cancelled.terms == ((F(1), one),)
 
-    def test_agreement_requires_same_offset(self):
-        a = ClosedForm(terms=((F(1), Polynomial.one()),), method="charpoly")
-        b = ClosedForm(terms=((F(1), Polynomial.one()),), method="genfunc", variable_offset=1)
-        assert not a.agrees_with(b)
-
     def test_agreement_on_distinct_roots(self):
         # Input order and zero polynomials do not matter; a coefficient does.
         n, one, two = Polynomial((0, 1)), Polynomial.one(), Polynomial((2,))
@@ -296,7 +292,7 @@ class TestClosedForm:
 
     def test_describe_text_is_pinned(self):
         # Literal text: every root shape (integer, negative, fractional, 1),
-        # polynomial and constant coefficients, in both variables.
+        # polynomial and constant coefficients.
         P = Polynomial
         cases = [
             (
@@ -319,25 +315,25 @@ class TestClosedForm:
             (((F(2), P.zero()),), "0"),
         ]
         for terms, text in cases:
-            for offset, v in ((0, "n"), (1, "m")):
-                form = ClosedForm(terms=terms, method="charpoly", variable_offset=offset)
-                assert form.describe() == text.format(v=v)
+            form = ClosedForm(terms=terms, method="charpoly")
+            assert form.describe() == text.format(v="n")
 
 
 class TestToMoserVariable:
     def test_region_quartic(self, moser_recurrence):
-        form = to_moser_variable(solve_charpoly(moser_recurrence))
-        assert form.variable_offset == 1
+        poly = to_moser_variable(solve_charpoly(moser_recurrence))
         expected = Polynomial([F(c, 24) for c in (24, -18, 23, -6, 1)])
-        assert form.polynomial_form() == expected
-        # Evaluation is index-consistent: index n = m - 1 still feeds n.
+        assert poly == expected
+        # The polynomial in m at m is the closed form in n at n = m - 1.
         for m in range(1, 30):
-            assert form.evaluate(m - 1) == solve_charpoly(moser_recurrence).evaluate(m - 1)
+            assert poly.evaluate(m) == solve_charpoly(moser_recurrence).evaluate(m - 1)
+
+    def test_region_recurrence_gives_moser_polynomial(self, moser_recurrence):
+        assert to_moser_variable(solve_charpoly(moser_recurrence)) == moser_polynomial()
 
     def test_constant_form_unchanged(self):
         form = ClosedForm(terms=((F(1), Polynomial.constant(9)),), method="charpoly")
-        shifted = to_moser_variable(form)
-        assert shifted.polynomial_form() == Polynomial.constant(9)
+        assert to_moser_variable(form) == Polynomial.constant(9)
 
     def test_exponential_rejected(self):
         form = ClosedForm(terms=((F(2), Polynomial.one()),), method="charpoly")

@@ -3,7 +3,7 @@
 The characteristic-polynomial route fits its initial conditions with
 ``gaussian_solve`` and turns the binomial-basis amplitudes into
 polynomials with ``_binomial_basis_polynomial``; the generating-function
-route reads its partial fractions off ``RationalFunction.series``.
+route reads its partial fractions off ``ogf_series``.
 Neither calls the other's, so a broken solver must move only its own
 route, and ``solve --method both`` must then report a disagreement
 (exit 1) instead of two routes agreeing on the same wrong answer.
@@ -16,9 +16,9 @@ import pytest
 import recurlab
 from recurlab import (
     Polynomial,
-    RationalFunction,
     build_ogf,
     extract_coefficient_formula,
+    ogf_series,
     partial_fractions,
     solve_charpoly,
 )
@@ -65,12 +65,10 @@ def broken_gaussian_solve(monkeypatch):
 
 @pytest.fixture
 def broken_series(monkeypatch):
-    original = RationalFunction.series
+    def off_by_one(numerator, factors, depth):
+        return [x + 1 for x in ogf_series(numerator, factors, depth)]
 
-    def off_by_one(self, depth):
-        return [x + 1 for x in original(self, depth)]
-
-    monkeypatch.setattr(RationalFunction, "series", off_by_one)
+    patch_every_binding(monkeypatch, ogf_series, off_by_one)
 
 
 @pytest.fixture
@@ -96,7 +94,7 @@ class TestBrokenGaussianSolve:
         for name, rec, charpoly, genfunc in corpus_forms:
             form = genfunc_form(rec)
             assert form == genfunc, name
-            series = build_ogf(rec).series(DEPTH)
+            series = ogf_series(*build_ogf(rec), DEPTH)
             assert [form.evaluate(n) for n in range(DEPTH)] == series, name
             assert not solve_charpoly(rec).agrees_with(charpoly), name
 

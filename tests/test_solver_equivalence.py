@@ -27,6 +27,7 @@ from recurlab import (
     extract_coefficient_formula,
     gaussian_solve,
     iterate_recurrence,
+    ogf_series,
     particular_solution,
     partial_fractions,
     rational_roots,
@@ -68,19 +69,21 @@ def dense_particular_solution(rec, roots):
 
 
 def dense_partial_fractions(rf):
-    """Partial-fraction terms of a proper ``rf`` from the confluent-Vandermonde system."""
-    total = rf.denominator_degree
-    layout = [(root, k) for root, power in rf.denominator_factors for k in range(1, power + 1)]
+    """Partial-fraction terms of a proper (numerator, factors) ``rf`` from the
+    confluent-Vandermonde system."""
+    numerator, factors = rf
+    total = sum(factors.values())
+    layout = [(root, k) for root, power in factors.items() for k in range(1, power + 1)]
     basis_polys = []
     for root, k in layout:
         poly = Polynomial.one()
-        for other_root, power in rf.denominator_factors:
+        for other_root, power in factors.items():
             reduced = power - k if other_root == root else power
             if reduced:
                 poly = poly * Polynomial((1, -other_root)) ** reduced
         basis_polys.append(poly)
     matrix = [[poly.coefficient(j) for poly in basis_polys] for j in range(total)]
-    coeffs = gaussian_solve(matrix, [rf.numerator.coefficient(j) for j in range(total)])
+    coeffs = gaussian_solve(matrix, [numerator.coefficient(j) for j in range(total)])
     return tuple((root, k, coeff) for (root, k), coeff in zip(layout, coeffs) if coeff)
 
 
@@ -149,8 +152,8 @@ class TestPartialFractionsMatchDenseSystem:
 
     def test_random_recurrences(self, random_cases):
         for rec, _, rf in random_cases:
-            assert rf.series(40) == list(iterate_recurrence(rec, 40)), rec
-            assert rf.numerator.degree < rf.denominator_degree, rec
+            assert ogf_series(*rf, 40) == list(iterate_recurrence(rec, 40)), rec
+            assert rf[0].degree < sum(rf[1].values()), rec
             assert partial_fractions(rf) == dense_partial_fractions(rf), rec
 
 

@@ -27,7 +27,6 @@ def polynomial_expr(poly, variable):
 
 
 def closed_form_expr(form):
-    assert form.variable_offset == 0
     return sympy.Add(*(polynomial_expr(poly, n) * exact(root) ** n for root, poly in form.terms))
 
 
@@ -59,6 +58,7 @@ def test_rsolve_matches_both_routes(name, rec):
 @pytest.mark.parametrize("name, rec", solver_corpus(), ids=[name for name, _ in solver_corpus()])
 def test_partial_fractions_match_apart(name, rec):
     rf = build_ogf(rec)
-    denominator = sympy.Mul(*((1 - exact(r) * x) ** p for r, p in rf.denominator_factors))
-    expected = sympy.apart(polynomial_expr(rf.numerator, x) / denominator, x)
+    numerator, factors = rf
+    denominator = sympy.Mul(*((1 - exact(r) * x) ** p for r, p in factors.items()))
+    expected = sympy.apart(polynomial_expr(numerator, x) / denominator, x)
     assert [(exact(r), p, exact(c)) for r, p, c in partial_fractions(rf)] == apart_terms(expected), name
