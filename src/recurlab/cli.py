@@ -443,7 +443,7 @@ def _verify_checks(args, cap: int) -> list[dict]:
 
     # 3. Geometric construction against the closed formula.
     geom_limit = min(max_m, cap)
-    failure = verify_against_formula(geom_limit, args.trials, seed=args.seed)
+    failure = verify_against_formula(moser_terms(geom_limit), args.trials, seed=args.seed)
     geom_fail = None
     if failure is not None:
         k, counted, expected, parameters = failure

@@ -22,7 +22,7 @@ C(m, 4) counting argument.
 ``prefix_region_counts`` reads the count of every prefix of the points (in
 a given birth order) off one arrangement, by the same Euler formula.  The
 layout families are nested, so ``verify_against_formula`` checks m = 1..K
-with one K-point build per trial.
+with one K-point build per trial, against formula values its caller passes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Iterable, Sequence as SequenceABC
 
 from ..core_numeric import Rational, format_rational
 from ..errors import DegeneracyBudgetError
-from ..moser_formulas import regions_binomial
 from . import _kernel
 from .points import (
     CirclePoint,
@@ -303,41 +302,36 @@ def hexagon_arrangement() -> ChordArrangement:
 
 
 def verify_against_formula(
-    m: int, trials: int, *, seed: int | None = None
+    expected: SequenceABC[int], trials: int, *, seed: int | None = None
 ) -> tuple[int, int, int, tuple[str, ...]] | None:
-    """Compare the constructed region counts of every k = 1..m with
-    regions_binomial(k), on ``trials`` distinct general-position layouts.
+    """Check the region count built for each k = 1..m, m = len(expected),
+    against ``expected[k - 1]``, the caller's formula values, on ``trials``
+    distinct general-position layouts.
 
     Both layout families are nested: the k-point layout is the first k
-    parameters of the m-point one.  So each trial builds one arrangement,
-    of m points, and reads every prefix's count off it with
-    ``prefix_region_counts``; ``count_regions`` of the whole arrangement
-    cross-checks the last of them.  Layout diversity comes from the variant
-    index (or seed offset).  If the m-point layout needed a retry, the trial
-    falls back to one ``generic_arrangement(k)`` per k, so every layout
-    tested is the one ``generic_arrangement(k)`` gives.
+    parameters of the m-point one.  So each trial builds one m-point
+    arrangement and reads every prefix's count off it with
+    ``prefix_region_counts``; ``count_regions`` cross-checks the last one.
+    Trials differ by variant index (or seed offset).  A trial whose m-point
+    layout needed a retry falls back to one ``generic_arrangement(k)`` per k.
 
-    Returns None when every count matches.  Otherwise, scanning k in order,
-    then the trials in order, the first mismatch is returned as
-    ``(k, counted, expected, parameters)``, with the failing layout's
-    parameters in angular order.
+    Returns None when every count matches, else the first trial's mismatch at
+    the smallest failing k as ``(k, counted, expected, parameters)``, with
+    the parameters of the layout that was counted, in angular order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    seeds = [None if seed is None else seed + trial for trial in range(trials)]
-    runs = [_prefix_counts(m, trial, s) for trial, s in enumerate(seeds)]
-    for k in range(1, m + 1):
-        expected = regions_binomial(k)
-        for trial, counts in enumerate(runs):
-            if counts[k - 1] != expected:
-                failing = generic_arrangement(k, variant=trial, seed=seeds[trial])
-                parameters = tuple(p.parameter_text for p in failing.points)
-                return k, counts[k - 1], expected, parameters
-    return None
+    failure = None
+    for trial in range(trials):
+        found = _first_mismatch(expected, trial, None if seed is None else seed + trial)
+        if found is not None and (failure is None or found[0] < failure[0]):
+            failure = found
+    return failure
 
 
-def _prefix_counts(m: int, variant: int, seed: int | None) -> list[int]:
-    """Region counts of ``generic_arrangement(k, variant=, seed=)`` for k = 1..m."""
+def _first_mismatch(expected: SequenceABC[int], variant: int, seed: int | None) -> tuple | None:
+    """One trial's first mismatch, or None; its arrangement dies on return."""
+    m = len(expected)
     if seed is None:
         params = generic_parameters(m, variant=variant)
     else:
@@ -347,13 +341,19 @@ def _prefix_counts(m: int, variant: int, seed: int | None) -> list[int]:
     births = [birth.get(p.t) for p in arr.points]
     if None in births:
         # generic_arrangement had to retry at m: build each k on its own.
-        return [
-            count_regions(generic_arrangement(k, variant=variant, seed=seed))[2]
-            for k in range(1, m + 1)
-        ]
+        for k in range(1, m + 1):
+            arr = generic_arrangement(k, variant=variant, seed=seed)
+            counted = count_regions(arr)[2]
+            if counted != expected[k - 1]:
+                return k, counted, expected[k - 1], tuple(p.parameter_text for p in arr.points)
+        return None
     counts = prefix_region_counts(arr, births)
     assert count_regions(arr)[2] == counts[-1]
-    return counts
+    for k, (counted, want) in enumerate(zip(counts, expected), 1):
+        if counted != want:
+            parameters = tuple(p.parameter_text for p, b in zip(arr.points, births) if b <= k)
+            return k, counted, want, parameters
+    return None
 
 
 def _interior_point_json(point: InteriorPoint) -> dict:

@@ -6,14 +6,17 @@ against the combinatorial formulas.  The degenerate hexagon pins the
 oracle's sensitivity: a single triple point must change the counts.
 """
 
+import ast
 import dataclasses
 import hashlib
 import itertools
 import json
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +29,11 @@ from recurlab import (
     count_regions,
     hexagon_arrangement,
     intersect_chords,
+    moser_terms,
     regions_binomial,
     verify_against_formula,
 )
+from recurlab import moser_formulas
 from recurlab.cli import main
 from recurlab.geometry import (
     CirclePoint,
@@ -832,18 +837,54 @@ class TestVerifyAgainstFormula:
     def test_small_sweep_passes(self):
         for m in (1, 4, 7):
             # None: every count of both layouts, for every k = 1..m, matched.
-            assert verify_against_formula(m, trials=2) is None
+            assert verify_against_formula(moser_terms(m), trials=2) is None
 
     def test_ten_points_two_layouts(self):
-        assert verify_against_formula(10, trials=2) is None
+        assert verify_against_formula(moser_terms(10), trials=2) is None
         assert regions_binomial(10) == 256
 
     def test_seeded_layouts(self):
-        assert verify_against_formula(6, trials=2, seed=2026) is None
+        assert verify_against_formula(moser_terms(6), trials=2, seed=2026) is None
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            verify_against_formula(5, trials=0)
+            verify_against_formula(moser_terms(5), trials=0)
+
+    def test_geometry_imports_no_formula(self):
+        # The counts are checked against the formulas, so the geometry must
+        # not reach them.  Importing recurlab loads moser_formulas anyway, so
+        # this reads the import statements instead of sys.modules.
+        formulas = {"moser_formulas"} | {
+            name for name, value in vars(moser_formulas).items()
+            if getattr(value, "__module__", None) == moser_formulas.__name__
+        }
+        paths = sorted(Path(arrangement_module.__file__).parent.glob("*.py"))
+        assert {"arrangement.py", "points.py"} <= {path.name for path in paths}
+        found = []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = (node.module or "").split(".") + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [part for a in node.names for part in a.name.split(".")]
+                else:
+                    continue
+                found += [(path.name, node.lineno) for name in names if name in formulas]
+        assert found == []
+
+    def test_planted_wrong_expectation_is_reported(self):
+        # The geometry counts f(6) = 31 whatever it is told: an expectation
+        # of 32 fails at k=6, on trial 0, with the 6-prefix of its layout.
+        expected = moser_terms(8)
+        expected[5] = 32
+        generic = ("1/1", "2/1", "4/1", "8/1", "16/1", "32/1")
+        assert verify_against_formula(expected, trials=2) == (6, 31, 32, generic)
+        prefix = seeded_parameters(8, 3)[:6]
+        seeded = build_arrangement(map(CirclePoint, prefix))
+        assert [p.t for p in seeded] != prefix
+        assert verify_against_formula(expected, trials=2, seed=3) == (
+            6, 31, 32, tuple(p.parameter_text for p in seeded)
+        )
 
     @staticmethod
     def _record_builds(monkeypatch):
@@ -859,11 +900,35 @@ class TestVerifyAgainstFormula:
 
     def test_one_build_per_trial(self, monkeypatch):
         builds = self._record_builds(monkeypatch)
-        assert verify_against_formula(12, trials=2) is None
-        assert verify_against_formula(8, trials=3, seed=5) is None
+        assert verify_against_formula(moser_terms(12), trials=2) is None
+        assert verify_against_formula(moser_terms(8), trials=3, seed=5) is None
         assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 6), (8, 2, 7)]
 
-    def test_retried_layout_falls_back_to_one_build_per_m(self, monkeypatch):
+    def test_mismatch_reuses_the_counted_build(self, monkeypatch):
+        # A dropped crossing fails both trials at m=6 with seed 3.  The
+        # reported layout is read off the build that was counted, with no
+        # rebuild at m=6, and each trial's arrangement is freed before the
+        # next trial builds.
+        intersect_pairs = _kernel.intersect_pairs
+        monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1])
+        builds = self._record_builds(monkeypatch)
+        recording = arrangement_module.generic_arrangement
+        held = []
+
+        def tracked(m, *, variant=0, seed=None):
+            assert all(ref() is None for ref in held), f"trial {variant}: a layout is still held"
+            arr = recording(m, variant=variant, seed=seed)
+            held.append(weakref.ref(arr))
+            return arr
+
+        monkeypatch.setattr(arrangement_module, "generic_arrangement", tracked)
+        k, counted, expected, _ = verify_against_formula(moser_terms(8), trials=2, seed=3)
+        assert (k, counted, expected) == (6, 30, 31)
+        assert builds == [(8, 0, 3), (8, 1, 4)]
+        assert len(held) == 2
+
+    @staticmethod
+    def _hexagon_at_six(monkeypatch):
         # Make trial 0's attempt-0 layout at m=6 the degenerate hexagon.  The
         # 6-point build then retries, its points are not the attempt-0 ones,
         # and that trial is checked with one generic_arrangement per m.
@@ -878,12 +943,28 @@ class TestVerifyAgainstFormula:
             return parameters(m, variant=variant, attempt=attempt)
 
         monkeypatch.setattr(arrangement_module, "generic_parameters", hexagon_at_six)
+        return attempts
+
+    def test_retried_layout_falls_back_to_one_build_per_m(self, monkeypatch):
+        attempts = self._hexagon_at_six(monkeypatch)
         builds = self._record_builds(monkeypatch)
         # None: both trials counted 31 at m = 6, as at every smaller m.
-        assert verify_against_formula(6, trials=2) is None
+        assert verify_against_formula(moser_terms(6), trials=2) is None
         assert builds == [(6, 0, None)] + [(m, 0, None) for m in range(1, 7)] + [(6, 1, None)]
         # births, the 6-point build (0 then 1), the fallback's own 6-point build
         assert attempts == [0, 0, 1, 0, 1]
+
+    def test_retried_layout_reports_its_mismatch(self, monkeypatch):
+        # The fallback's mismatches carry the layout each k's own build
+        # counted: at m=6, the retried one, not the hexagon.
+        self._hexagon_at_six(monkeypatch)
+        expected = moser_terms(6)
+        expected[2] += 1
+        assert verify_against_formula(expected, trials=2) == (3, 4, 5, ("1/1", "2/1", "4/1"))
+        expected = moser_terms(6)
+        expected[5] += 1
+        retried = ("5/4", "13/6", "33/8", "81/10", "193/12", "449/14")
+        assert verify_against_formula(expected, trials=2) == (6, 31, 32, retried)
 
     @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7])])
     def test_failing_prefix_is_the_dropped_crossings_birth(self, monkeypatch, seed, births):
@@ -903,14 +984,19 @@ class TestVerifyAgainstFormula:
 
         intersect_pairs = _kernel.intersect_pairs
         monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1])
-        k, counted, expected, parameters = verify_against_formula(8, trials=2, seed=seed)
+        k, counted, expected, parameters = verify_against_formula(moser_terms(8), trials=2, seed=seed)
         assert (k, counted, expected) == (m, regions_binomial(m) - 1, regions_binomial(m))
         assert parameters == tuple(
             p.parameter_text
             for p in build_arrangement(map(CirclePoint, seeded_parameters(m, seed + trial)))
         )
         # The trials scanned before the failing one counted m correctly.
-        before = [arrangement_module._prefix_counts(8, t, seed + t)[m - 1] for t in range(trial + 1)]
+        before = []
+        for t in range(trial + 1):
+            params = seeded_parameters(8, seed + t)
+            arr = generic_arrangement(8, seed=seed + t)
+            counts = prefix_region_counts(arr, [params.index(p.t) + 1 for p in arr.points])
+            before.append(counts[m - 1])
         assert before == [regions_binomial(m) - (b == m) for b in births[: trial + 1]]
 
 
