@@ -43,7 +43,9 @@ the circle point a, not inside the disk.  The endpoint mask clears those
 chords.  On a circle the four endpoints are in convex position, so either
 pair of tests alone decides a crossing; the kernel keeps both, so the test
 does not rest on that.  Shifted right by i + 1, bit k of the set is chord
-i + 1 + k, so only chords j > i remain.
+i + 1 + k, so only chords j > i remain.  The row takes them from one tuple
+of chord indices, made once per call, so that a crossing costs only its pair:
+a range makes a new int for each index above 256, one per crossing.
 
 A crossing point is named by its chords, from the side values alone.
 Chord j meets chord i = (A, B) at |s_j(B)| A + |s_j(A)| B: the point is on
@@ -75,7 +77,7 @@ the tuples of [k, stop) that share at most one chord with any of them.
 """
 
 from functools import reduce
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 from operator import xor
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -122,20 +124,20 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
 
     crossings = []
     later = {}  # row -> chords met there at a point an earlier row found
-    n = len(ca)
+    ids = tuple(range(len(ca)))
     for i in range(start, stop):
         a, b = ca[i], cb[i]
         crossing = split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later.pop(i, 0))
         at = {}
         repeats = []
-        for j in compress(range(i + 1, n), _flags(crossing >> i + 1)):
+        for j in compress(ids[i + 1:], _flags(crossing >> i + 1)):
             sizes = size[j]
             sa = sizes[a]
             first = at.setdefault((sa << shift) // (sa + sizes[b]), j)
             if first != j:
                 repeats.append((first, j))
         if not repeats:
-            crossings.extend([(i, j) for j in at.values()])
+            crossings += zip(repeat(i), at.values())
             continue
         through = {j: [i, j] for j in at.values()}
         for first, j in repeats:
