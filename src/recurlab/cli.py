@@ -64,8 +64,8 @@ EXIT_DEGENERACY = 4
 DEFAULT_GEOM_CAP = 15
 # Most points one geometric build may have, whatever --geom-cap says.  Its
 # time and memory grow as C(m, 4) crossings: `regions --method geometric`
-# took 0.7 s and 71 MB peak RSS at m = 60, 2.2 s and 193 MB at m = 80
-# (Python 3.11, 2-CPU x86-64 host).
+# took 0.21 s and 24 MB peak RSS at m = 60, and the same build and count of
+# 80 points 0.54 s and 31 MB (Python 3.11, 2-CPU x86-64 host).
 MAX_GEOM_M = 60
 # Most terms --moser may ask for; time and memory grow linearly: `table --moser
 # N --json` took 0.44 s and 73 MB peak RSS at N = 100,000, 1.0 s and 190 MB at 300,000.
@@ -75,7 +75,7 @@ MAX_MOSER_N = 100_000
 MAX_VERIFY_M = 100_000
 # Most --trials for regions or verify; each trial is one more geometric build,
 # so the worst case is MAX_TRIALS builds of MAX_GEOM_M points: `verify --max-m
-# 60 --geom-cap 60 --trials 100` took 26 s and 76 MB peak RSS.
+# 60 --geom-cap 60 --trials 100` took 17 s and 25 MB peak RSS.
 MAX_TRIALS = 100
 
 

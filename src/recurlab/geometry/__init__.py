@@ -4,11 +4,14 @@ Everything here is integer/rational arithmetic on homogeneous coordinates;
 there is no floating point and hence no epsilon anywhere.  An arrangement
 is built in one step: ``intersect_chords`` orders distinct circle points by
 angle (with ``build_arrangement``) and turns them into a complete
-``ChordArrangement``, whose ``crossings`` hold the sorted chords through
-each interior intersection.  The chord-pair crossing kernel (``_kernel``)
-is plain Python over integer homogeneous triples; it names each crossing
-by its chords, and the integer triple of a point is built only for JSON
-and the ``interior_points`` view.
+``ChordArrangement``.  The chord-pair crossing kernel (``_kernel``) is
+plain Python over integer homogeneous triples.  It names each crossing by
+its chords: per chord, a bitset of the later chords it meets at a point of
+two chords (the arrangement's ``pairs``), and a sorted chord tuple per
+point of three or more (its ``concurrent``).  Every count reads those
+directly.  The tuple of each point is built only by the ``crossings``
+view, and its integer triple only for JSON and the ``interior_points``
+view.
 """
 
 from .arrangement import (

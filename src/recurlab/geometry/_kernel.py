@@ -44,8 +44,8 @@ chords.  On a circle the four endpoints are in convex position, so either
 pair of tests alone decides a crossing; the kernel keeps both, so the test
 does not rest on that.  Shifted right by i + 1, bit k of the set is chord
 i + 1 + k, so only chords j > i remain.  The row takes them from one tuple
-of chord indices, made once per call, so that a crossing costs only its pair:
-a range makes a new int for each index above 256, one per crossing.
+of chord indices, made once per call, so that no crossing makes an int of
+its own: a range makes a new int for each index above 256, one per crossing.
 
 A crossing point is named by its chords, from the side values alone.
 Chord j meets chord i = (A, B) at |s_j(B)| A + |s_j(A)| B: the point is on
@@ -66,18 +66,22 @@ point is found, which only happens at concurrent points (3 or more
 chords), and later rows clear them from their set.  No triple, gcd or
 global dict is needed.
 
-Points come out by row, and within a row in the order their keys were
-first seen: by (min S, second chord of S), the order of their first pair
-in (i, j) order.  Two chords meet at most once, so no two points share
-their first two chords, and that is ascending tuple order.  Rows [start,
-k) and [k, stop) see a point with min(S) < k twice: whole, then as its
-chords from k on, if two or more.  Two tuples that share two chords are
-one point; so the list of [start, stop) is that of [start, k) followed by
-the tuples of [k, stop) that share at most one chord with any of them.
+The row's set, less the chords of its concurrent points, is then exactly
+its points of two chords, and the kernel returns it as it is, with no
+tuple per crossing.  The concurrent points come out as sorted chord
+tuples, by row and then by second chord: ascending tuple order, since two
+chords meet at most once.
+
+Rows [start, k) and [k, stop) see a point with min(S) < k twice: whole,
+then as its chords from k on, if two or more: a bit of the lower one's row
+when two, a concurrent tuple when more.  So the result of [start, stop) is
+that of [start, k) followed by that of [k, stop), less what shares two
+chords with a concurrent point of [start, k): those bits cleared, those
+tuples dropped.
 """
 
 from functools import reduce
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 from operator import xor
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -94,17 +98,26 @@ def _flags(bits):
     return bin(bits)[:1:-1].encode().translate(_FLAGS)
 
 
+def partners(items, i, row):
+    """The items after index i whose bit is set in ``row``: bit k is item
+    i + 1 + k, as in the kernel's row bitsets."""
+    return compress(items[i + 1:], _flags(row))
+
+
 def key_shift(size):
     """The least shift with 2^shift > 4 big^2, big the largest |s| in ``size``."""
     return (4 * max(map(max, size), default=0) ** 2).bit_length()
 
 
 def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
-    """Return the sorted chord tuple of every crossing point, ascending.
+    """Return the crossings of rows [start, stop) as ``(pairs, concurrent)``.
 
-    A point's tuple holds every chord through it, as far as rows [start,
-    stop) see it; over all rows, ``len`` of the result is the number of
-    crossing points.  ``size`` gets the |s_c(p)| rows (module docstring).
+    ``pairs[i - start]`` is row i's bitset of the points of exactly two
+    chords: bit k is set iff chord i + 1 + k meets chord i there.
+    ``concurrent`` holds the sorted chord tuple of each point of 3 or more
+    chords, ascending.  A point is named by one of them, as far as rows
+    [start, stop) see it.  ``size`` gets the |s_c(p)| rows (module
+    docstring).
     """
     points = tuple(zip(px, py, pw))
     ends = [0] * len(points)
@@ -122,28 +135,31 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
     above = [_bitset(column) for column in zip(*signs)]
     shift = key_shift(size)
 
-    crossings = []
+    pairs = []
+    concurrent = []
     later = {}  # row -> chords met there at a point an earlier row found
     ids = tuple(range(len(ca)))
     for i in range(start, stop):
         a, b = ca[i], cb[i]
-        crossing = split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later.pop(i, 0))
+        row = (split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later.pop(i, 0))) >> i + 1
         at = {}
         repeats = []
-        for j in compress(ids[i + 1:], _flags(crossing >> i + 1)):
+        for j in partners(ids, i, row):
             sizes = size[j]
             sa = sizes[a]
             first = at.setdefault((sa << shift) // (sa + sizes[b]), j)
             if first != j:
                 repeats.append((first, j))
-        if not repeats:
-            crossings += zip(repeat(i), at.values())
-            continue
-        through = {j: [i, j] for j in at.values()}
-        for first, j in repeats:
-            through[first].append(j)
-        for chords in through.values():
-            for x, y in combinations(chords[1:], 2):
-                later[x] = later.get(x, 0) | 1 << y
-            crossings.append(tuple(chords))
-    return crossings
+        if repeats:
+            through = {}
+            for first, j in repeats:
+                through.setdefault(first, [i, first]).append(j)
+            for first in sorted(through):
+                chords = through[first]
+                for x, y in combinations(chords[1:], 2):
+                    later[x] = later.get(x, 0) | 1 << y
+                for j in chords[1:]:
+                    row ^= 1 << j - i - 1
+                concurrent.append(tuple(chords))
+        pairs.append(row)
+    return pairs, concurrent

@@ -71,23 +71,27 @@ class InteriorPoint:
 class ChordArrangement:
     """m circle points, all their chords, and every interior intersection.
 
-    ``points`` are in counterclockwise angular order.  ``crossings`` holds
-    one sorted tuple of the indices of all chords through each interior
-    point, in ascending order.  ``sides[c][p]`` is the kernel's |s_c(p)|,
-    which the face walk reads; it stays out of ``repr`` and comparisons.
-    ``chords`` (the point-index pairs in lexicographic order) and
-    ``concurrent`` (the crossings of 3 or more chords) are derived.
+    ``points`` are in counterclockwise angular order.  The interior points
+    are kept as the kernel finds them: ``pairs[i]`` is the bitset of the
+    points where exactly two chords meet on chord i, bit k set iff chord
+    i + 1 + k is the other one, and ``concurrent`` holds the sorted tuple
+    of the chords through each point of 3 or more chords, ascending.
+    ``crossings`` lists them all as tuples.  ``sides[c][p]`` is the
+    kernel's |s_c(p)|, which the face walk reads; it stays out of ``repr``
+    and comparisons.  ``chords`` (the point-index pairs in lexicographic
+    order) is derived.
 
     Construction checks the invariants every count relies on: at least one
     point, in strictly increasing ``angle_key`` order (so also distinct),
-    and one ``sides`` row per chord of one entry per point.  A ValueError
-    names the one that fails.
+    one ``pairs`` row per chord with no bit past the last chord, and one
+    ``sides`` row per chord of one entry per point.  A ValueError names the
+    one that fails.
     """
 
     points: tuple[CirclePoint, ...]
     chords: tuple[tuple[int, int], ...] = field(init=False)
-    crossings: tuple[tuple[int, ...], ...]
-    concurrent: tuple[tuple[int, ...], ...] = field(init=False)
+    pairs: list[int]
+    concurrent: tuple[tuple[int, ...], ...]
     sides: list[list[int]] = field(repr=False, compare=False)
 
     def __post_init__(self):
@@ -97,13 +101,23 @@ class ChordArrangement:
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("arrangement points must be in strictly increasing angular order")
         object.__setattr__(self, "chords", tuple(itertools.combinations(range(len(keys)), 2)))
-        object.__setattr__(self, "concurrent", tuple(t for t in self.crossings if len(t) >= 3))
-        if len(self.sides) != len(self.chords) or any(len(row) != len(keys) for row in self.sides):
+        n = len(self.chords)
+        if len(self.pairs) != n or any(row >> n - 1 - i for i, row in enumerate(self.pairs)):
+            raise ValueError("arrangement pairs must hold one row per chord, of later chords only")
+        if len(self.sides) != n or any(len(row) != len(keys) for row in self.sides):
             raise ValueError("arrangement sides must hold one row per chord and one entry per point")
 
     @property
     def m(self) -> int:
         return len(self.points)
+
+    @property
+    def crossings(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted chords through each interior point, in ascending
+        order, built anew on each access.  No count reads it."""
+        ids = range(len(self.pairs))
+        simple = [(i, j) for i, row in enumerate(self.pairs) for j in _kernel.partners(ids, i, row)]
+        return tuple(sorted(simple + list(self.concurrent)))
 
     @property
     def interior_points(self) -> tuple[InteriorPoint, ...]:
@@ -190,8 +204,8 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     kernel, ``count_regions`` and ``count_faces`` always get at least one
     point, all distinct and in angular order.  The kernel tests every chord
     pair without a shared endpoint for a proper crossing by integer
-    orientation signs and returns the ``crossings`` themselves: one sorted
-    tuple of every chord through each crossing point.
+    orientation signs, and its row bitsets and concurrent points are the
+    arrangement's ``pairs`` and ``concurrent`` as they come.
     """
     points = build_arrangement(points)
     chords = tuple(itertools.combinations(range(len(points)), 2))
@@ -202,7 +216,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     cb = [b for _, b in chords]
     lx, ly, lw = _chord_lines(points, chords)
     sides = []
-    crossings = tuple(_kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords), sides))
+    pairs, concurrent = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords), sides)
 
     # No crossing lies on the circle.  The kernel skips pairs that share an
     # endpoint, and its four sign tests are strict: the endpoints of each
@@ -211,7 +225,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     # The disk is strictly convex, so the open segment between two distinct
     # circle points lies strictly inside it.  Every crossing is therefore an
     # interior point, and the JSON's "on_circle" list stays empty.
-    return ChordArrangement(points, crossings, sides)
+    return ChordArrangement(points, pairs, tuple(concurrent), sides)
 
 
 def count_regions(arr: ChordArrangement) -> tuple[int, int, int]:
@@ -222,13 +236,16 @@ def count_regions(arr: ChordArrangement) -> tuple[int, int, int]:
         (1 + interior points on it) edges; summed over the chords, that is
         one per chord plus one per (interior point, chord through it).
     regions = E - V + 1.
+    With P the bits of ``pairs`` (the points of two chords), V = m + P +
+    len(concurrent) and E = m + C(m, 2) + 2P + the concurrent points' sizes.
 
     In general position this is ``euler_counts(arr.m)``.  It works for
     degenerate arrangements too — that is the point: a triple point changes
     V and E and the count drops accordingly.
     """
-    vertices = arr.m + len(arr.crossings)
-    edges = arr.m + len(arr.chords) + sum(map(len, arr.crossings))
+    simple = sum(map(int.bit_count, arr.pairs))
+    vertices = arr.m + simple + len(arr.concurrent)
+    edges = arr.m + len(arr.chords) + 2 * simple + sum(map(len, arr.concurrent))
     return vertices, edges, edges - vertices + 1
 
 
@@ -256,14 +273,13 @@ def prefix_region_counts(arr: ChordArrangement, births: SequenceABC[int]) -> lis
     step = [0] * (m + 1)
     for t in chord_birth:
         step[t] += 1
-    for through in arr.crossings:
-        if len(through) == 2:
-            a, b = through
-            ta, tb = chord_birth[a], chord_birth[b]
-            step[ta if ta > tb else tb] += 1
-        else:
-            for t in sorted([chord_birth[c] for c in through])[1:]:
-                step[t] += 1
+    for i, row in enumerate(arr.pairs):
+        ti = chord_birth[i]
+        for t in _kernel.partners(chord_birth, i, row):
+            step[t if t > ti else ti] += 1
+    for through in arr.concurrent:
+        for t in sorted([chord_birth[c] for c in through])[1:]:
+            step[t] += 1
     counts = []
     regions = 1
     for k in range(1, m + 1):

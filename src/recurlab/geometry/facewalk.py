@@ -33,7 +33,9 @@ a <= c; chords that cross share no endpoint, so a < c; and two chords with
 distinct endpoints on a circle cross exactly when those endpoints
 interleave, so c < b < d.  The walk does not assume it, though.  It sorts
 by rank, as above, at the circle points, at the ``concurrent`` points of 3
-or more chords, and at every two-chord crossing that fails the test.  So
+or more chords, and at every two-chord crossing that fails the test.  It
+reads the two-chord crossings off the arrangement's row bitsets,
+``pairs``, as the kernel does, with no tuple per crossing.  So
 on any input, a faulty kernel's output included, the walk's answer is
 that of the rank sort at every vertex, and it stays a second opinion.
 
@@ -132,20 +134,23 @@ def _place_stops(arr: ChordArrangement, shift: int, direct: bool):
     around: list[list[tuple[int, int]]] = [[] for _ in range(arr.m)]
     slot = 0
     placed = 0
-    for through in arr.crossings:
-        if direct and len(through) == 2:
-            i, j = through
-            a, b = chords[i]
-            c, d = chords[j]
-            if a < c < b < d:
-                sizes = size[j]
+    # Each chord's index, endpoints, side row and stops, for its partners.
+    chord_rows = tuple(zip(range(len(chords)), chords, size, stops))
+    sorted_pairs = []
+    for i, row in enumerate(arr.pairs):
+        a, b = chords[i]
+        on_i, sizes_i = stops[i], size[i]
+        for j, (c, d), sizes, on_j in _kernel.partners(chord_rows, i, row):
+            if direct and a < c < b < d:
                 sa = sizes[a]
-                stops[i][(sa << shift) // (sa + sizes[b])] = slot
-                sizes = size[i]
-                sc = sizes[c]
-                stops[j][(sc << shift) // (sc + sizes[d])] = slot + 1
+                on_i[(sa << shift) // (sa + sizes[b])] = slot
+                sc = sizes_i[c]
+                on_j[(sc << shift) // (sc + sizes_i[d])] = slot + 1
                 slot += 2
-                continue
+            else:
+                sorted_pairs.append((i, j))
+    sorted_pairs += arr.concurrent
+    for through in sorted_pairs:
         first = through[0]
         for c in through:
             a, b = chords[c]

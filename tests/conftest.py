@@ -263,3 +263,40 @@ def regular_approx_parameters(m: int) -> list[Fraction | None]:
         half = [vertex_parameter(k) for k in range(m // 2)]
         return half + [antipode_parameter(t) for t in half]
     return [vertex_parameter(k) for k in range(m)]
+
+
+def kernel_crossings(result, start: int = 0) -> list[tuple[int, ...]]:
+    """The kernel's ``(pairs, concurrent)`` of rows from ``start`` as one
+    ascending list of chord tuples: (i, j) for bit j - i - 1 of row i, and
+    the concurrent tuples.  Reads each bit by a shift, not as the kernel
+    does."""
+    pairs, concurrent = result
+    simple = [
+        (i, i + 1 + k)
+        for i, row in enumerate(pairs, start)
+        for k in range(row.bit_length())
+        if row >> k & 1
+    ]
+    return sorted(simple + list(concurrent))
+
+
+def drop_last_crossing(result):
+    """The kernel's result with its last crossing in ascending order taken
+    out, in place: the top bit of its last nonzero row, which must come
+    after every concurrent point."""
+    before = kernel_crossings(result)
+    pairs, concurrent = result
+    i = max(i for i, row in enumerate(pairs) if row)
+    pairs[i] ^= 1 << pairs[i].bit_length() - 1
+    assert kernel_crossings(result) == before[:-1]
+    return result
+
+
+def drop_first_born(result, cb):
+    """The kernel's result with the first crossing, in ascending order,
+    whose last chord ends before circle point 4 taken out, in place."""
+    before = kernel_crossings(result)
+    i, j = next(through for through in before if cb[through[-1]] < 4)
+    result[0][i] ^= 1 << j - i - 1
+    assert kernel_crossings(result) == [t for t in before if t != (i, j)]
+    return result

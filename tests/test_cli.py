@@ -21,6 +21,8 @@ from recurlab.core_numeric import format_quotient
 from recurlab.geometry import arrangement as arrangement_module
 from recurlab.geometry import hexagon_arrangement, hexagon_parameters
 
+from conftest import drop_first_born, drop_last_crossing
+
 QUARTIC_IN_M = "(m^4 - 6*m^3 + 23*m^2 - 18*m + 24)/24"
 QUARTIC_IN_N = "(n^4 - 2*n^3 + 11*n^2 + 14*n + 24)/24"
 
@@ -789,7 +791,7 @@ class TestVerify:
 
         intersect_pairs = _kernel.intersect_pairs
         monkeypatch.setattr(
-            _kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1]
+            _kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args))
         )
         code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
         assert code == 1
@@ -807,14 +809,9 @@ class TestVerify:
         from recurlab.geometry import _kernel
 
         intersect_pairs = _kernel.intersect_pairs
-
-        def drop_first_born(*args):
-            crossings = intersect_pairs(*args)
-            cb = args[7]
-            crossings.remove(next(through for through in crossings if cb[through[-1]] < 4))
-            return crossings
-
-        monkeypatch.setattr(_kernel, "intersect_pairs", drop_first_born)
+        monkeypatch.setattr(
+            _kernel, "intersect_pairs", lambda *args: drop_first_born(intersect_pairs(*args), args[7])
+        )
         code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
         assert code == 1
         assert (

@@ -17,6 +17,7 @@ import weakref
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from recurlab.geometry import (
 )
 from recurlab.geometry import _kernel
 from recurlab.geometry import arrangement as arrangement_module
+from recurlab.geometry import facewalk as facewalk_module
 from recurlab.geometry.arrangement import (
     RETRY_BUDGET,
     ChordArrangement,
@@ -55,7 +57,13 @@ from recurlab.geometry.arrangement import (
     _cross,
 )
 
-from conftest import antipode_parameter, designed_parameters, regular_approx_parameters
+from conftest import (
+    antipode_parameter,
+    designed_parameters,
+    drop_last_crossing,
+    kernel_crossings,
+    regular_approx_parameters,
+)
 
 F = Fraction
 
@@ -93,6 +101,22 @@ def _four_sign_reference(px, py, pw, lx, ly, lw, ca, cb, start, stop):
             g = math.gcd(x, y, w)
             hits.append((i, j, x // g, y // g, w // g))
     return hits
+
+
+def _with_crossings(arr, crossings):
+    """``arr`` with the given chord tuples as its crossings: a pair as a bit
+    of its row, a point of 3 or more chords, or a pair listed again, as a
+    concurrent tuple."""
+    pairs = [0] * len(arr.chords)
+    concurrent = []
+    for through in crossings:
+        i, j = through[:2]
+        bit = 1 << j - i - 1
+        if len(through) == 2 and not pairs[i] & bit:
+            pairs[i] |= bit
+        else:
+            concurrent.append(through)
+    return dataclasses.replace(arr, pairs=pairs, concurrent=tuple(concurrent))
 
 
 def _merge_hits(hits):
@@ -282,6 +306,74 @@ def _rank_sort_count_faces(arr: ChordArrangement) -> int:
     return faces
 
 
+# The counts as they were when the arrangement held one chord tuple per
+# crossing point: each reads the ascending tuples of ``arr.crossings``.
+def _tuple_count_regions(arr: ChordArrangement) -> tuple[int, int, int]:
+    """(V, E, regions): V = m + points, E = m + C(m, 2) + chords through them."""
+    vertices = arr.m + len(arr.crossings)
+    edges = arr.m + len(arr.chords) + sum(map(len, arr.crossings))
+    return vertices, edges, edges - vertices + 1
+
+
+def _tuple_prefix_region_counts(arr: ChordArrangement, births) -> list[int]:
+    """Regions of every prefix: each chord adds 1, and so does every chord
+    through a crossing but its earliest-born one."""
+    chord_birth = [max(births[a], births[b]) for a, b in arr.chords]
+    step = [0] * (arr.m + 1)
+    for t in chord_birth:
+        step[t] += 1
+    for through in arr.crossings:
+        if len(through) == 2:
+            a, b = through
+            ta, tb = chord_birth[a], chord_birth[b]
+            step[ta if ta > tb else tb] += 1
+        else:
+            for t in sorted([chord_birth[c] for c in through])[1:]:
+                step[t] += 1
+    return list(itertools.accumulate(step[1:], initial=1))[1:]
+
+
+def _tuple_place_stops(arr: ChordArrangement, shift: int, direct: bool):
+    """``facewalk._place_stops`` over the crossing tuples, in their order."""
+    chords = arr.chords
+    size = arr.sides
+    stops: list[dict[int, int]] = [{} for _ in chords]
+    around: list[list[tuple[int, int]]] = [[] for _ in range(arr.m)]
+    slot = 0
+    placed = 0
+    for through in arr.crossings:
+        if direct and len(through) == 2:
+            i, j = through
+            a, b = chords[i]
+            c, d = chords[j]
+            if a < c < b < d:
+                sizes = size[j]
+                sa = sizes[a]
+                stops[i][(sa << shift) // (sa + sizes[b])] = slot
+                sizes = size[i]
+                sc = sizes[c]
+                stops[j][(sc << shift) // (sc + sizes[d])] = slot + 1
+                slot += 2
+                continue
+        first = through[0]
+        for c in through:
+            a, b = chords[c]
+            sizes = size[first] if c != first else size[through[1]]
+            sa = sizes[a]
+            stops[c][(sa << shift) // (sa + sizes[b])] = ~len(around)
+        around.append([])
+        placed += len(through)
+    if direct and sum(map(len, stops)) != slot + placed:
+        return None
+    return stops, [0] * slot, around
+
+
+def _tuple_count_faces(arr: ChordArrangement) -> int:
+    """``count_faces`` with its stops placed from the crossing tuples."""
+    with mock.patch.object(facewalk_module, "_place_stops", _tuple_place_stops):
+        return count_faces(arr)
+
+
 def _regular_approx_points(m):
     """The regular-approx m-gon's points, in angular order."""
     return build_arrangement(map(CirclePoint, regular_approx_parameters(m)))
@@ -454,14 +546,14 @@ class TestIntersection:
     def test_hand_built_empty_arrangement_rejected(self):
         # Once counted as one region by count_regions.
         with pytest.raises(ValueError, match="^arrangement needs at least one point$"):
-            ChordArrangement((), {}, [])
+            ChordArrangement((), [], (), [])
 
     def test_hand_built_points_out_of_order_rejected(self):
         # A hand-built arrangement must hold its points in strictly
         # increasing angular order, as intersect_chords makes them; the
         # unordered points above once split the face walk from Euler's count.
         built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.crossings, built.sides)
+        fields = (built.pairs, built.concurrent, built.sides)
         assert ChordArrangement(built.points, *fields) == built
         shuffled = tuple(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
         repeated = tuple(CirclePoint(F(t)) for t in (-2, 0, 1, 1, 7))
@@ -474,7 +566,7 @@ class TestIntersection:
         # hand-built side table must hold one row per chord and one entry
         # per point.  It is derived from the points: repr leaves it out.
         built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.points, built.crossings)
+        fields = (built.points, built.pairs, built.concurrent)
         rows = built.sides
         assert len(rows) == 10 and {len(row) for row in rows} == {5}
         assert "sides" not in repr(built)
@@ -483,17 +575,35 @@ class TestIntersection:
             with pytest.raises(ValueError, match="one row per chord and one entry per point"):
                 ChordArrangement(*fields, sides)
 
-    def test_chords_and_concurrent_are_derived(self):
+    def test_hand_built_pairs_of_wrong_shape_rejected(self):
+        # Every count reads pairs[i] as the chords after chord i, so a
+        # hand-built record must hold one row per chord, and no row a bit
+        # past the last chord.
+        built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
+        rows = built.pairs
+        assert len(rows) == 10 and sum(map(int.bit_count, rows)) == 5
+        last = [0] * 9 + [1]
+        past = rows[:3] + [rows[3] | 1 << 6] + rows[4:]
+        for pairs in ([], rows[:-1], rows + [0], last, past):
+            with pytest.raises(ValueError, match="one row per chord, of later chords only"):
+                ChordArrangement(built.points, pairs, built.concurrent, built.sides)
+        assert ChordArrangement(built.points, rows[:3] + [rows[3] | 1 << 5] + rows[4:], (), built.sides)
+
+    def test_chords_and_crossings_are_derived(self):
         # A record takes only what it cannot work out: the chords follow
-        # from the points and the concurrent points from the crossings, so
-        # neither can be set, and neither can contradict the other fields.
+        # from the points, and the crossings list from the pairs and the
+        # concurrent points, so neither can be set, and neither can
+        # contradict the other fields.
         settable = [f.name for f in dataclasses.fields(ChordArrangement) if f.init]
-        assert settable == ["points", "crossings", "sides"]
+        assert settable == ["points", "pairs", "concurrent", "sides"]
         arr = hexagon_arrangement()
-        for name, value in (("chords", arr.chords[::-1]), ("concurrent", ())):
-            with pytest.raises(ValueError, match=name):
-                dataclasses.replace(arr, **{name: value})
+        with pytest.raises(ValueError, match="chords"):
+            dataclasses.replace(arr, chords=arr.chords[::-1])
+        with pytest.raises(TypeError, match="crossings"):
+            dataclasses.replace(arr, crossings=())
         assert arr.chords == tuple(itertools.combinations(range(6), 2))
+        moved = dataclasses.replace(arr, pairs=[0] * 15)
+        assert moved.crossings == arr.concurrent == ((2, 7, 11),)
 
     def test_replaced_crossings_keep_their_triple_point(self):
         # The hexagon's center, chords (2, 7, 11), survives any change to the
@@ -501,25 +611,34 @@ class TestIntersection:
         arr = hexagon_arrangement()
         simple = tuple(through for through in arr.crossings if len(through) == 2)
         assert len(simple) == 12
-        for crossings in (arr.crossings[::-1], simple[1:] + ((2, 7, 11),), ((2, 7, 11),)):
-            moved = dataclasses.replace(arr, crossings=crossings)
+        assert arr.concurrent == ((2, 7, 11),)
+        i, j = simple[0]
+        first_dropped = list(arr.pairs)
+        first_dropped[i] ^= 1 << j - i - 1
+        for pairs, crossings in ((first_dropped, simple[1:] + ((2, 7, 11),)), ([0] * 15, ((2, 7, 11),))):
+            moved = dataclasses.replace(arr, pairs=pairs)
+            assert moved.crossings == tuple(sorted(crossings))
             assert moved.concurrent == ((2, 7, 11),)
             assert not moved.general_position
             assert moved.describe_degeneracy() == arr.describe_degeneracy()
             assert arrangement_to_json_dict(moved)["general_position"] is False
-        dropped = dataclasses.replace(arr, crossings=simple)
+        dropped = dataclasses.replace(arr, concurrent=())
+        assert dropped.crossings == simple
         assert dropped.concurrent == () and dropped.general_position
         # One vertex and its three chord edges fewer: 30 - 3 + 1 regions.
         assert count_regions(dropped) == (18, 45, 28)
 
     def test_kernel_row_ranges_concatenate(self):
-        # Points come out in (i, j) order of their first pair, so splitting
-        # the outer chord range at any k and extending the first list by the
-        # second, merging two tuples that share two chords (two chords meet
-        # at most once), gives the full list, order included.  The
-        # regular-approx 12-gon has points of 3 and of 6 chords.  The seeded
-        # 40-point layout, split at three k only, shifts the row bitsets
-        # past a start > 0 at the regions-large size.
+        # Rows [0, k) and [k, n) see a point of [0, k) again as its chords
+        # from k on, when two or more: a pair bit, or a concurrent tuple.
+        # Two chords meet at most once, so splitting the outer chord range
+        # at any k, concatenating the rows and the concurrent points, and
+        # dropping from the second part what shares two chords with a point
+        # of the first (after checking that it is that point's chords from
+        # k on), gives the full result, order included.  The regular-approx
+        # 12-gon has points of 3 and of 6 chords.  The seeded 40-point
+        # layout, split at three k only, shifts the row bitsets past a
+        # start > 0 at the regions-large size.
         layouts = [hexagon_arrangement().points, generic_arrangement(9, seed=7).points]
         layouts.append(_regular_approx_points(12))
         layouts.append(build_arrangement(map(CirclePoint, seeded_parameters(40, seed=7))))
@@ -527,30 +646,41 @@ class TestIntersection:
             args = _kernel_args(points)
             n = len(args[-1])
             whole = _kernel.intersect_pairs(*args, 0, n, [])
-            assert whole
+            assert any(whole[0])
             splits = range(n + 1) if n < 100 else (1, n // 2, n - 1)
             for k in splits:
-                merged = _kernel.intersect_pairs(*args, 0, k, [])
-                # Each pair of chords through a point of [0, k) -> its place.
+                pairs, concurrent = _kernel.intersect_pairs(*args, 0, k, [])
+                assert len(pairs) == k
+                # Each pair of chords through a point of [0, k) -> its chords.
                 # Distinct points of [k, n) share at most one chord, so only
-                # the points of [0, k) need the index.
-                index = {pair: at for at, t in enumerate(merged) for pair in itertools.combinations(t, 2)}
-                for chords in _kernel.intersect_pairs(*args, k, n, []):
+                # the points of [0, k) need the index; pair bits of [0, k)
+                # are points of their own, so only the concurrent ones.
+                index = {pair: t for t in concurrent for pair in itertools.combinations(t, 2)}
+                tail = kernel_crossings(_kernel.intersect_pairs(*args, k, n, []), k)
+                rest = []
+                for chords in tail:
                     same = {index[pair] for pair in itertools.combinations(chords, 2) if pair in index}
                     if same:
-                        (at,) = same
-                        merged[at] = tuple(sorted({*merged[at], *chords}))
+                        (point,) = same
+                        assert chords == tuple(c for c in point if c >= k), (len(points), k)
                     else:
-                        merged.append(chords)
-                assert merged == whole, (len(points), k)
+                        rest.append(chords)
+                rows = [0] * (n - k)
+                for chords in rest:
+                    if len(chords) == 2:
+                        i, j = chords
+                        rows[i - k] |= 1 << j - i - 1
+                    else:
+                        concurrent.append(chords)
+                assert (pairs + rows, concurrent) == whole, (len(points), k)
 
     def test_kernel_matches_four_sign_reference(self):
         # The row bitsets evaluate the same exact signs for all chords at
         # once, and the chord-local keys group the crossings by point.  So the
-        # kernel's list is the reference's chords per canonical triple under
-        # the merge rule, in first-hit order, and the edge triples are its
-        # keys, on general-position and degenerate (concurrent) layouts
-        # alike.  The regular-approx m = 10, 12, 16, 20 and 24 have
+        # kernel's pair bits and concurrent tuples, listed in ascending
+        # order, are the reference's chords per canonical triple under the
+        # merge rule, in first-hit order, and the edge triples are its keys,
+        # on general-position and degenerate (concurrent) layouts alike.  The regular-approx m = 10, 12, 16, 20 and 24 have
         # off-center concurrent points.
         layouts = [hexagon_arrangement().points]
         layouts += [_regular_approx_points(m) for m in range(1, 25)]
@@ -572,7 +702,10 @@ class TestIntersection:
             expected = _four_sign_reference(*args, 0, n)
             reference = _merge_hits(expected)
             size = []
-            crossings = _kernel.intersect_pairs(*args, 0, n, size)
+            pairs, concurrent = _kernel.intersect_pairs(*args, 0, n, size)
+            assert len(pairs) == n, len(points)
+            assert all(len(chords) >= 3 for chords in concurrent), len(points)
+            crossings = kernel_crossings((pairs, concurrent))
             assert crossings == list(reference.values()), len(points)
             assert len(expected) == binomial(len(points), 4), len(points)
             px, py, pw, lx, ly, lw = args[:6]
@@ -582,6 +715,7 @@ class TestIntersection:
             ]
             assert size == sides, len(points)
             arr = intersect_chords(points)
+            assert (arr.pairs, arr.concurrent) == (pairs, tuple(concurrent)), len(points)
             assert arr.crossings == tuple(crossings), len(points)
             assert arr.sides == sides, len(points)
             assert [p.triple for p in arr.interior_points] == list(reference), len(points)
@@ -604,8 +738,8 @@ class TestIntersection:
             assert count_faces(arr) == count_regions(arr)[2] + 1, m
 
     def test_count_paths_build_no_interior_points(self, monkeypatch, capsys):
-        # The counts, the degeneracy verdict and the CLI read the merge's
-        # crossings dict; only the interior_points view builds InteriorPoints.
+        # The counts, the degeneracy verdict and the CLI read the kernel's
+        # bitsets; only the interior_points view builds InteriorPoints.
         class Forbidden:
             def __init__(self, *args):
                 raise AssertionError("an InteriorPoint was built")
@@ -632,9 +766,12 @@ class TestIntersection:
 
     def test_crossing_holds_no_int_of_its_own(self):
         # Each row takes its partner chords from one tuple of chord indices,
-        # so a crossing allocates only its pair.  When each crossing held a
-        # fresh int for a partner above 256, the build's tracemalloc peak was
-        # 9.84-10.15 MiB on Python 3.10-3.13; sharing them, 7.67-7.68 MiB.
+        # and the arrangement keeps the kernel's row bitsets, so a crossing
+        # allocates nothing of its own: not an int, nor a tuple.  The build's
+        # tracemalloc peak was 9.84-10.15 MiB on Python 3.10-3.13 when each
+        # crossing held a fresh int for a partner above 256, 7.67-7.70 MiB
+        # when each held a tuple of its pair, and is 1.82-1.86 MiB with the
+        # bitsets.
         tracemalloc.start()
         try:
             arr = generic_arrangement(40, seed=1)
@@ -642,7 +779,7 @@ class TestIntersection:
         finally:
             tracemalloc.stop()
         assert len(arr.crossings) == binomial(40, 4)
-        assert peak < 8.5 * 2**20, peak
+        assert peak < 2.5 * 2**20, peak
 
 
 class TestRegionCounts:
@@ -763,7 +900,8 @@ class TestFaceWalk:
                 for pair in (((0, 3), (1, 2)), ((0, 1), (0, 2))):
                     faulty.append(crossings + (tuple(map(index.get, pair)),))
             for wrong in faulty:
-                bad = dataclasses.replace(arr, crossings=wrong)
+                bad = _with_crossings(arr, wrong)
+                assert bad.crossings == tuple(sorted(wrong)), name
                 assert count_faces(bad) == _rank_sort_count_faces(bad), name
 
     def test_side_table_fault_splits_walk_from_euler(self):
@@ -924,7 +1062,7 @@ class TestVerifyAgainstFormula:
         # rebuild at m=6, and each trial's arrangement is freed before the
         # next trial builds.
         intersect_pairs = _kernel.intersect_pairs
-        monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1])
+        monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args)))
         builds = self._record_builds(monkeypatch)
         recording = arrangement_module.generic_arrangement
         held = []
@@ -997,7 +1135,7 @@ class TestVerifyAgainstFormula:
         m, trial = min((b, t) for t, b in enumerate(births))
 
         intersect_pairs = _kernel.intersect_pairs
-        monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: intersect_pairs(*args)[:-1])
+        monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args)))
         k, counted, expected, parameters = verify_against_formula(moser_terms(8), trials=2, seed=seed)
         assert (k, counted, expected) == (m, regions_binomial(m) - 1, regions_binomial(m))
         assert parameters == tuple(
@@ -1108,8 +1246,8 @@ class TestCrossingCountInvariant:
         layouts = [hexagon_arrangement(), generic_arrangement(6), generic_arrangement(7)]
         layouts += [intersect_chords(_regular_approx_points(m)) for m in (8, 10, 12)]
         for arr in layouts:
-            crossings = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords), [])
-            pairs = sum(binomial(len(chords), 2) for chords in crossings)
+            result = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords), [])
+            pairs = sum(binomial(len(chords), 2) for chords in kernel_crossings(result))
             assert pairs == binomial(arr.m, 4), arr.m
 
 
@@ -1235,3 +1373,86 @@ class TestNearDegenerateLayouts:
             count_regions(intersect_chords(points[:k]))[2] for k in range(1, len(points) + 1)
         ]
         assert prefix_region_counts(arr, [birth[p] for p in arr.points]) == per_prefix
+
+
+@st.composite
+def bitset_layouts(draw):
+    """A seeded layout of up to 25 points, a designed layout (its draws
+    have concurrent points), or the hexagon, with a random birth order."""
+    kind = draw(st.sampled_from(["seeded", "designed", "hexagon"]))
+    if kind == "seeded":
+        params = seeded_parameters(draw(st.integers(1, 25)), seed=draw(st.integers(0, 10**6)))
+    elif kind == "designed":
+        sizes = tuple(draw(st.lists(st.integers(3, 5), min_size=1, max_size=2)))
+        params = designed_parameters(sizes, seed=draw(st.integers(0, 10**6)), centered=draw(st.booleans()))
+    else:
+        params = hexagon_parameters()
+    return draw(st.permutations(params))
+
+
+class TestCrossingBitsets:
+    """The arrangement keeps the kernel's row bitsets and concurrent tuples;
+    the crossing tuples are built only when ``crossings`` is read."""
+
+    @given(bitset_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_the_tuple_algorithms(self, params):
+        # The materialized crossings are the four-sign reference's, and
+        # every count over the bitsets is that of the tuple algorithms.
+        points = [CirclePoint(t) for t in params]
+        arr = intersect_chords(points)
+        args = _kernel_args(arr.points)
+        reference = _merge_hits(_four_sign_reference(*args, 0, len(args[-1])))
+        assert arr.crossings == tuple(reference.values())
+        birth = {p: i for i, p in enumerate(points, 1)}
+        births = [birth[p] for p in arr.points]
+        assert count_regions(arr) == _tuple_count_regions(arr)
+        assert prefix_region_counts(arr, births) == _tuple_prefix_region_counts(arr, births)
+        assert count_faces(arr) == _tuple_count_faces(arr) == count_regions(arr)[2] + 1
+
+    def test_count_paths_build_no_crossing_tuples(self, monkeypatch, capsys):
+        # Euler's count, the prefix counts, the face walk, the degeneracy
+        # verdict and the CLI's regions and verify read the bitsets; only
+        # the crossings view, for JSON and library callers, builds tuples.
+        def forbidden(self):
+            raise AssertionError("crossing tuples were built")
+
+        monkeypatch.setattr(ChordArrangement, "crossings", property(forbidden))
+        hexagon_summary = "1 concurrent intersection point(s) (up to 3 chords through one point)"
+        for arr, regions, summary in (
+            (generic_arrangement(12, seed=3), 562, "none"),
+            (hexagon_arrangement(), 30, hexagon_summary),
+        ):
+            assert arr.describe_degeneracy() == summary
+            assert count_regions(arr)[2] == regions
+            assert prefix_region_counts(arr, range(1, arr.m + 1))[-1] == regions
+            assert count_faces(arr) == regions + 1
+        for argv in (
+            ["regions", "--m", "12", "--method", "geometric", "--json"],
+            ["regions", "--m", "6", "--method", "geometric", "--degenerate", "hexagon"],
+            ["verify", "--max-m", "12", "--geom-cap", "10"],
+        ):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        with pytest.raises(AssertionError, match="crossing tuples were built"):
+            hexagon_arrangement().interior_points
+
+    def test_concurrent_pair_left_in_its_row_is_counted(self, monkeypatch):
+        # A kernel that finds a concurrent point but leaves its pairs in the
+        # row's bitset lists each of them twice: the hexagon's center adds
+        # two vertices and four edges, 32 regions instead of 30, and the
+        # face walk no longer agrees.
+        intersect_pairs = _kernel.intersect_pairs
+
+        def pairs_kept(*args):
+            pairs, concurrent = intersect_pairs(*args)
+            for first, *rest in concurrent:
+                for j in rest:
+                    pairs[first] |= 1 << j - first - 1
+            return pairs, concurrent
+
+        monkeypatch.setattr(_kernel, "intersect_pairs", pairs_kept)
+        arr = hexagon_arrangement()
+        assert arr.crossings.count((2, 7)) == 1 and (2, 7, 11) in arr.crossings
+        assert count_regions(arr) == (21, 52, 32)
+        assert count_faces(arr) != count_regions(arr)[2] + 1
