@@ -73,9 +73,9 @@ MAX_MOSER_N = 100_000
 # Largest verify --max-m; its symbolic sweeps are linear in it: `verify --max-m
 # N` took 0.8 s and 17 MB peak RSS in process at N = 100,000, 2.5 s at 300,000.
 MAX_VERIFY_M = 100_000
-# Most --trials for regions or verify; each trial is one more geometric build,
-# so the worst case is MAX_TRIALS builds of MAX_GEOM_M points: `verify --max-m
-# 60 --geom-cap 60 --trials 100` took 17 s and 25 MB peak RSS.
+# Most --trials for regions or verify; each trial, retried or not, is one more
+# counted build, so the worst case is MAX_TRIALS builds of MAX_GEOM_M points:
+# `verify --max-m 60 --geom-cap 60 --trials 100` took 17 s and 25 MB peak RSS.
 MAX_TRIALS = 100
 
 

@@ -4,8 +4,8 @@ The brute-force geometric oracle.  ``intersect_chords`` takes m circle
 points in any order, puts them in angular order with ``build_arrangement``
 (which rejects a repeated point), draws all C(m, 2) chords between them and
 finds every interior intersection point in exact integer arithmetic, giving
-a complete ``ChordArrangement``.  ``count_regions`` then counts regions via
-Euler's formula
+a complete ``ChordArrangement``, which also keeps the order the points
+were given in.  ``count_regions`` then counts regions via Euler's formula
 
     regions inside the disk = E - V + 1
 
@@ -19,8 +19,8 @@ arrangement's ``concurrent`` points instead of being silently miscounted.
 That makes the oracle sensitive to exactly the degeneracies that break the
 C(m, 4) counting argument.
 
-``prefix_region_counts`` reads the count of every prefix of the points (in
-a given birth order) off one arrangement, by the same Euler formula.  The
+``prefix_region_counts`` reads the count of every prefix of the points, in
+the order given, off one arrangement, by the same Euler formula.  The
 layout families are nested, so ``verify_against_formula`` checks m = 1..K
 with one K-point build per trial, against formula values its caller passes.
 """
@@ -71,7 +71,9 @@ class InteriorPoint:
 class ChordArrangement:
     """m circle points, all their chords, and every interior intersection.
 
-    ``points`` are in counterclockwise angular order.  The interior points
+    ``points`` are in counterclockwise angular order, and ``births[i]`` is
+    the 1-based position of ``points[i]`` in the order the points were
+    given, which ``prefix_region_counts`` reads.  The interior points
     are kept as the kernel finds them: ``pairs[i]`` is the bitset of the
     points where exactly two chords meet on chord i, bit k set iff chord
     i + 1 + k is the other one, and ``concurrent`` holds the sorted tuple
@@ -83,12 +85,13 @@ class ChordArrangement:
 
     Construction checks the invariants every count relies on: at least one
     point, in strictly increasing ``angle_key`` order (so also distinct),
-    one ``pairs`` row per chord with no bit past the last chord, and one
-    ``sides`` row per chord of one entry per point.  A ValueError names the
-    one that fails.
+    ``births`` a permutation of 1..m, one ``pairs`` row per chord with no
+    bit past the last chord, and one ``sides`` row per chord of one entry
+    per point.  A ValueError names the one that fails.
     """
 
     points: tuple[CirclePoint, ...]
+    births: tuple[int, ...]
     chords: tuple[tuple[int, int], ...] = field(init=False)
     pairs: list[int]
     concurrent: tuple[tuple[int, ...], ...]
@@ -100,6 +103,8 @@ class ChordArrangement:
         keys = [p.angle_key for p in self.points]
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("arrangement points must be in strictly increasing angular order")
+        if sorted(self.births) != list(range(1, len(keys) + 1)):
+            raise ValueError("arrangement births must be a permutation of 1..m")
         object.__setattr__(self, "chords", tuple(itertools.combinations(range(len(keys)), 2)))
         n = len(self.chords)
         if len(self.pairs) != n or any(row >> n - 1 - i for i, row in enumerate(self.pairs)):
@@ -200,14 +205,17 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     """The complete arrangement of all chords between ``points``, exactly.
 
     ``points`` may come in any order: ``build_arrangement`` sorts them by
-    angle.  A repeated point or an empty input raises ValueError, so the
-    kernel, ``count_regions`` and ``count_faces`` always get at least one
-    point, all distinct and in angular order.  The kernel tests every chord
-    pair without a shared endpoint for a proper crossing by integer
-    orientation signs, and its row bitsets and concurrent points are the
-    arrangement's ``pairs`` and ``concurrent`` as they come.
+    angle, and ``births`` keeps each one's position in the given order.  A
+    repeated point or an empty input raises ValueError, so the kernel,
+    ``count_regions`` and ``count_faces`` always get at least one point,
+    all distinct and in angular order.  The kernel tests every chord pair
+    without a shared endpoint for a proper crossing by integer orientation
+    signs, and its row bitsets and concurrent points are the arrangement's
+    ``pairs`` and ``concurrent`` as they come.
     """
-    points = build_arrangement(points)
+    given = list(points)
+    points = build_arrangement(given)
+    position = {p: i for i, p in enumerate(given, 1)}
     chords = tuple(itertools.combinations(range(len(points)), 2))
     px = [p.triple[0] for p in points]
     py = [p.triple[1] for p in points]
@@ -225,7 +233,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     # The disk is strictly convex, so the open segment between two distinct
     # circle points lies strictly inside it.  Every crossing is therefore an
     # interior point, and the JSON's "on_circle" list stays empty.
-    return ChordArrangement(points, pairs, tuple(concurrent), sides)
+    return ChordArrangement(points, tuple(position[p] for p in points), pairs, tuple(concurrent), sides)
 
 
 def count_regions(arr: ChordArrangement) -> tuple[int, int, int]:
@@ -249,14 +257,15 @@ def count_regions(arr: ChordArrangement) -> tuple[int, int, int]:
     return vertices, edges, edges - vertices + 1
 
 
-def prefix_region_counts(arr: ChordArrangement, births: SequenceABC[int]) -> list[int]:
+def prefix_region_counts(arr: ChordArrangement) -> list[int]:
     """Regions of every prefix of the arrangement, by Euler's formula.
 
-    ``births[i]`` is the 1-based time at which ``arr.points[i]`` is added,
-    a permutation of 1..m.  Entry k - 1 of the result counts the regions of
-    the chords among the first k points alone.  A chord is born with its
-    later endpoint and a crossing point with its second chord; each chord
-    born after that adds one more edge at the point.  So, for each k,
+    The points are added in the order they were given: ``arr.births[i]``
+    is the time at which ``arr.points[i]`` is added.  Entry k - 1 of the
+    result counts the regions of the chords among the first k points
+    alone.  A chord is born with its later endpoint and a crossing point
+    with its second chord; each chord born after that adds one more edge
+    at the point.  So, for each k,
 
         V_k = k + (crossing points born by k),
         E_k = k + sum over chords born by k of (1 + points on it by k),
@@ -264,7 +273,7 @@ def prefix_region_counts(arr: ChordArrangement, births: SequenceABC[int]) -> lis
     and regions_k = E_k - V_k + 1.  No general position is assumed: a
     point where several chords meet is one vertex at every k.
     """
-    m = arr.m
+    m, births = arr.m, arr.births
     chord_birth = [max(births[a], births[b]) for a, b in arr.chords]
     # step[k] is what the k-th point adds to E - V.  The point and its arc
     # cancel; each new chord adds one edge, each new crossing one vertex and
@@ -297,8 +306,6 @@ def generic_arrangement(m: int, *, variant: int = 0, seed: int | None = None) ->
     families, but checked anyway) is retried with a deterministic
     perturbation, up to ``RETRY_BUDGET`` attempts.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     for attempt in range(RETRY_BUDGET):
         if seed is None:
             params = generic_parameters(m, variant=variant, attempt=attempt)
@@ -328,12 +335,11 @@ def verify_against_formula(
     parameters of the m-point one.  So each trial builds one m-point
     arrangement and reads every prefix's count off it with
     ``prefix_region_counts``; ``count_regions`` cross-checks the last one.
-    Trials differ by variant index (or seed offset).  A trial whose m-point
-    layout needed a retry falls back to one ``generic_arrangement(k)`` per k.
+    Trials differ by variant index (or seed offset).
 
     Returns None when every count matches, else the first trial's mismatch at
     the smallest failing k as ``(k, counted, expected, parameters)``, with
-    the parameters of the layout that was counted, in angular order.
+    the parameters of the k-prefix that was counted, in angular order.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -346,28 +352,20 @@ def verify_against_formula(
 
 
 def _first_mismatch(expected: SequenceABC[int], variant: int, seed: int | None) -> tuple | None:
-    """One trial's first mismatch, or None; its arrangement dies on return."""
-    m = len(expected)
-    if seed is None:
-        params = generic_parameters(m, variant=variant)
-    else:
-        params = seeded_parameters(m, seed=seed)
-    birth = {t: i for i, t in enumerate(params, 1)}
-    arr = generic_arrangement(m, variant=variant, seed=seed)
-    births = [birth.get(p.t) for p in arr.points]
-    if None in births:
-        # generic_arrangement had to retry at m: build each k on its own.
-        for k in range(1, m + 1):
-            arr = generic_arrangement(k, variant=variant, seed=seed)
-            counted = count_regions(arr)[2]
-            if counted != expected[k - 1]:
-                return k, counted, expected[k - 1], tuple(p.parameter_text for p in arr.points)
-        return None
-    counts = prefix_region_counts(arr, births)
+    """One trial's first mismatch, or None; its arrangement dies on return.
+
+    The trial is one build, whichever attempt its layout took:
+    ``generic_parameters`` and ``seeded_parameters`` give nested lists for
+    every attempt, so the first k points given are that attempt's k-point
+    layout, and every prefix of a general-position layout is in general
+    position too.  A retried layout is read like any other.
+    """
+    arr = generic_arrangement(len(expected), variant=variant, seed=seed)
+    counts = prefix_region_counts(arr)
     assert count_regions(arr)[2] == counts[-1]
     for k, (counted, want) in enumerate(zip(counts, expected), 1):
         if counted != want:
-            parameters = tuple(p.parameter_text for p, b in zip(arr.points, births) if b <= k)
+            parameters = tuple(p.parameter_text for p, b in zip(arr.points, arr.births) if b <= k)
             return k, counted, want, parameters
     return None
 

@@ -477,6 +477,12 @@ class TestPlacement:
         b = generic_arrangement(5, variant=1).points
         assert {p.triple for p in a} != {p.triple for p in b}
 
+    def test_empty_layout_rejected(self):
+        # Both parameter families check m themselves.
+        for kwargs in ({}, {"seed": 1}):
+            with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+                generic_arrangement(0, **kwargs)
+
     def test_seeded_reproducible(self):
         assert seeded_parameters(8, seed=42) == seeded_parameters(8, seed=42)
         assert seeded_parameters(8, seed=42) != seeded_parameters(8, seed=43)
@@ -546,14 +552,14 @@ class TestIntersection:
     def test_hand_built_empty_arrangement_rejected(self):
         # Once counted as one region by count_regions.
         with pytest.raises(ValueError, match="^arrangement needs at least one point$"):
-            ChordArrangement((), [], (), [])
+            ChordArrangement((), (), [], (), [])
 
     def test_hand_built_points_out_of_order_rejected(self):
         # A hand-built arrangement must hold its points in strictly
         # increasing angular order, as intersect_chords makes them; the
         # unordered points above once split the face walk from Euler's count.
         built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.pairs, built.concurrent, built.sides)
+        fields = (built.births, built.pairs, built.concurrent, built.sides)
         assert ChordArrangement(built.points, *fields) == built
         shuffled = tuple(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
         repeated = tuple(CirclePoint(F(t)) for t in (-2, 0, 1, 1, 7))
@@ -566,7 +572,7 @@ class TestIntersection:
         # hand-built side table must hold one row per chord and one entry
         # per point.  It is derived from the points: repr leaves it out.
         built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.points, built.pairs, built.concurrent)
+        fields = (built.points, built.births, built.pairs, built.concurrent)
         rows = built.sides
         assert len(rows) == 10 and {len(row) for row in rows} == {5}
         assert "sides" not in repr(built)
@@ -586,8 +592,22 @@ class TestIntersection:
         past = rows[:3] + [rows[3] | 1 << 6] + rows[4:]
         for pairs in ([], rows[:-1], rows + [0], last, past):
             with pytest.raises(ValueError, match="one row per chord, of later chords only"):
-                ChordArrangement(built.points, pairs, built.concurrent, built.sides)
-        assert ChordArrangement(built.points, rows[:3] + [rows[3] | 1 << 5] + rows[4:], (), built.sides)
+                ChordArrangement(built.points, built.births, pairs, built.concurrent, built.sides)
+        kept = rows[:3] + [rows[3] | 1 << 5] + rows[4:]
+        assert ChordArrangement(built.points, built.births, kept, (), built.sides)
+
+    def test_hand_built_births_rejected(self):
+        # prefix_region_counts reads births[i] as the time point i is added,
+        # so a hand-built record must hold a permutation of 1..m.  Births are
+        # compared and shown like the points, and stay out of the JSON.
+        built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
+        assert built.births == (4, 2, 3, 1, 5)
+        assert "births=(4, 2, 3, 1, 5)" in repr(built)
+        assert dataclasses.replace(built, births=(1, 2, 3, 4, 5)) != built
+        assert "births" not in arrangement_to_json_dict(built)
+        for births in ((4, 2, 3, 3, 5), (4, 2, 3, 1, 6), (4, 2, 3, 1), (4, 2, 3, 1, 5, 6)):
+            with pytest.raises(ValueError, match=r"births must be a permutation of 1\.\.m"):
+                dataclasses.replace(built, births=births)
 
     def test_chords_and_crossings_are_derived(self):
         # A record takes only what it cannot work out: the chords follow
@@ -595,7 +615,7 @@ class TestIntersection:
         # concurrent points, so neither can be set, and neither can
         # contradict the other fields.
         settable = [f.name for f in dataclasses.fields(ChordArrangement) if f.init]
-        assert settable == ["points", "pairs", "concurrent", "sides"]
+        assert settable == ["points", "births", "pairs", "concurrent", "sides"]
         arr = hexagon_arrangement()
         with pytest.raises(ValueError, match="chords"):
             dataclasses.replace(arr, chords=arr.chords[::-1])
@@ -815,13 +835,9 @@ class TestPrefixRegionCounts:
     def _both_ways(params):
         """Prefix counts off one build, and count_regions of each prefix built alone."""
         points = [CirclePoint(t) for t in params]
-        arr = intersect_chords(build_arrangement(points))
-        birth = {p: i for i, p in enumerate(points, 1)}
-        counts = prefix_region_counts(arr, [birth[p] for p in arr.points])
-        per_prefix = [
-            count_regions(intersect_chords(build_arrangement(points[:k])))[2]
-            for k in range(1, len(points) + 1)
-        ]
+        arr = intersect_chords(points)
+        counts = prefix_region_counts(arr)
+        per_prefix = [count_regions(intersect_chords(points[:k]))[2] for k in range(1, len(points) + 1)]
         return arr, counts, per_prefix
 
     def test_matches_per_prefix_builds_on_degenerate_layouts(self):
@@ -839,9 +855,13 @@ class TestPrefixRegionCounts:
             assert counts == per_prefix == [regions_binomial(k) for k in range(1, 17)], seed
 
     def test_last_count_is_count_regions(self):
-        arr = hexagon_arrangement()
-        for births in ([1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [3, 1, 4, 6, 2, 5]):
-            assert prefix_region_counts(arr, births)[-1] == count_regions(arr)[2] == 30
+        # The hexagon's parameters in angular order, given so that the
+        # point at angular index i is the births[i]-th one.
+        params = sorted(hexagon_parameters(), key=lambda t: CirclePoint(t).angle_key)
+        for births in ((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1), (3, 1, 4, 6, 2, 5)):
+            arr = intersect_chords(CirclePoint(params[i]) for i in sorted(range(6), key=births.__getitem__))
+            assert arr.births == births
+            assert prefix_region_counts(arr)[-1] == count_regions(arr)[2] == 30
 
 
 class TestFaceWalk:
@@ -1082,8 +1102,8 @@ class TestVerifyAgainstFormula:
     @staticmethod
     def _hexagon_at_six(monkeypatch):
         # Make trial 0's attempt-0 layout at m=6 the degenerate hexagon.  The
-        # 6-point build then retries, its points are not the attempt-0 ones,
-        # and that trial is checked with one generic_arrangement per m.
+        # 6-point build then retries, and the trial reads every prefix off
+        # the retried layout, like any other.
         attempts = []
         parameters = arrangement_module.generic_parameters
 
@@ -1097,26 +1117,39 @@ class TestVerifyAgainstFormula:
         monkeypatch.setattr(arrangement_module, "generic_parameters", hexagon_at_six)
         return attempts
 
-    def test_retried_layout_falls_back_to_one_build_per_m(self, monkeypatch):
+    def test_retried_layout_is_one_build(self, monkeypatch):
         attempts = self._hexagon_at_six(monkeypatch)
         builds = self._record_builds(monkeypatch)
         # None: both trials counted 31 at m = 6, as at every smaller m.
         assert verify_against_formula(moser_terms(6), trials=2) is None
-        assert builds == [(6, 0, None)] + [(m, 0, None) for m in range(1, 7)] + [(6, 1, None)]
-        # births, the 6-point build (0 then 1), the fallback's own 6-point build
-        assert attempts == [0, 0, 1, 0, 1]
+        assert builds == [(6, 0, None), (6, 1, None)]
+        # The 6-point build's hexagon, then its retry; no draw of its own.
+        assert attempts == [0, 1]
 
     def test_retried_layout_reports_its_mismatch(self, monkeypatch):
-        # The fallback's mismatches carry the layout each k's own build
-        # counted: at m=6, the retried one, not the hexagon.
+        # Mismatches carry the prefix of the layout that was counted: the
+        # retried one, not the hexagon, at every k.
         self._hexagon_at_six(monkeypatch)
         expected = moser_terms(6)
         expected[2] += 1
-        assert verify_against_formula(expected, trials=2) == (3, 4, 5, ("1/1", "2/1", "4/1"))
+        assert verify_against_formula(expected, trials=2) == (3, 4, 5, ("5/4", "13/6", "33/8"))
         expected = moser_terms(6)
         expected[5] += 1
         retried = ("5/4", "13/6", "33/8", "81/10", "193/12", "449/14")
         assert verify_against_formula(expected, trials=2) == (6, 31, 32, retried)
+
+    def test_seeded_trial_draws_once(self, monkeypatch):
+        # Each trial's parameters are drawn once, by its one build.
+        draws = []
+        draw = arrangement_module.seeded_parameters
+
+        def recording(m, seed, attempt=0):
+            draws.append((m, seed, attempt))
+            return draw(m, seed=seed, attempt=attempt)
+
+        monkeypatch.setattr(arrangement_module, "seeded_parameters", recording)
+        assert verify_against_formula(moser_terms(12), trials=2, seed=3) is None
+        assert draws == [(12, 3, 0), (12, 4, 0)]
 
     @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7])])
     def test_failing_prefix_is_the_dropped_crossings_birth(self, monkeypatch, seed, births):
@@ -1129,8 +1162,9 @@ class TestVerifyAgainstFormula:
         for s in (seed, seed + 1):
             params = seeded_parameters(8, s)
             arr = generic_arrangement(8, seed=s)
+            assert arr.births == tuple(params.index(p.t) + 1 for p in arr.points)
             ends = {i for c in arr.crossings[-1] for i in arr.chords[c]}
-            found.append(max(params.index(arr.points[i].t) + 1 for i in ends))
+            found.append(max(arr.births[i] for i in ends))
         assert found == births
         m, trial = min((b, t) for t, b in enumerate(births))
 
@@ -1143,12 +1177,7 @@ class TestVerifyAgainstFormula:
             for p in build_arrangement(map(CirclePoint, seeded_parameters(m, seed + trial)))
         )
         # The trials scanned before the failing one counted m correctly.
-        before = []
-        for t in range(trial + 1):
-            params = seeded_parameters(8, seed + t)
-            arr = generic_arrangement(8, seed=seed + t)
-            counts = prefix_region_counts(arr, [params.index(p.t) + 1 for p in arr.points])
-            before.append(counts[m - 1])
+        before = [prefix_region_counts(generic_arrangement(8, seed=seed + t))[m - 1] for t in range(trial + 1)]
         assert before == [regions_binomial(m) - (b == m) for b in births[: trial + 1]]
 
 
@@ -1334,9 +1363,9 @@ class TestNearDegenerateLayouts:
     def _check(points):
         """The kernel against the four-sign reference, both face walks
         against Euler, and the crossing pairs against C(m, 4)."""
-        args = _kernel_args(points)
-        reference = _merge_hits(_four_sign_reference(*args, 0, len(args[-1])))
         arr = intersect_chords(points)
+        args = _kernel_args(arr.points)
+        reference = _merge_hits(_four_sign_reference(*args, 0, len(args[-1])))
         assert arr.crossings == tuple(reference.values())
         assert sum(binomial(len(through), 2) for through in arr.crossings) == binomial(arr.m, 4)
         faces = count_regions(arr)[2] + 1
@@ -1367,12 +1396,11 @@ class TestNearDegenerateLayouts:
     @settings(max_examples=40, deadline=None)
     def test_antipodal_layouts(self, params):
         points = [CirclePoint(t) for t in params]
-        arr = self._check(build_arrangement(points))
-        birth = {p: i for i, p in enumerate(points, 1)}
+        arr = self._check(points)
         per_prefix = [
             count_regions(intersect_chords(points[:k]))[2] for k in range(1, len(points) + 1)
         ]
-        assert prefix_region_counts(arr, [birth[p] for p in arr.points]) == per_prefix
+        assert prefix_region_counts(arr) == per_prefix
 
 
 @st.composite
@@ -1406,8 +1434,9 @@ class TestCrossingBitsets:
         assert arr.crossings == tuple(reference.values())
         birth = {p: i for i, p in enumerate(points, 1)}
         births = [birth[p] for p in arr.points]
+        assert arr.births == tuple(births)
         assert count_regions(arr) == _tuple_count_regions(arr)
-        assert prefix_region_counts(arr, births) == _tuple_prefix_region_counts(arr, births)
+        assert prefix_region_counts(arr) == _tuple_prefix_region_counts(arr, births)
         assert count_faces(arr) == _tuple_count_faces(arr) == count_regions(arr)[2] + 1
 
     def test_count_paths_build_no_crossing_tuples(self, monkeypatch, capsys):
@@ -1425,7 +1454,7 @@ class TestCrossingBitsets:
         ):
             assert arr.describe_degeneracy() == summary
             assert count_regions(arr)[2] == regions
-            assert prefix_region_counts(arr, range(1, arr.m + 1))[-1] == regions
+            assert prefix_region_counts(arr)[-1] == regions
             assert count_faces(arr) == regions + 1
         for argv in (
             ["regions", "--m", "12", "--method", "geometric", "--json"],
