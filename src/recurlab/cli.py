@@ -143,7 +143,7 @@ def _resolve_sequence(args) -> tuple[tuple[Fraction, ...], dict]:
     source, value = provided[0]
     if source == "seq":
         tokens = [tok.strip() for tok in value.split(",")]
-        if any(tok == "" for tok in tokens) or not tokens:
+        if "" in tokens:
             raise ValueError(f"malformed sequence: {value!r}")
         terms = [parse_rational(tok) for tok in tokens]
     elif source == "file":
@@ -321,11 +321,7 @@ def cmd_regions(args) -> int:
                 if args.degenerate == "hexagon":
                     last = hexagon_arrangement()
                 else:
-                    last = generic_arrangement(
-                        m,
-                        variant=trial,
-                        seed=None if args.seed is None else args.seed + trial,
-                    )
+                    last = generic_arrangement(m, trial=trial, seed=args.seed)
                 reports.append(count_regions(last))
             vertices, edges, counts["geometric"] = reports[0]
             geometric_detail = {

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence as SequenceABC
 
-from ..core_numeric import Rational, format_rational
+from ..core_numeric import format_quotient
 from ..errors import DegeneracyBudgetError
 from . import _kernel
 from .points import (
@@ -57,14 +56,6 @@ class InteriorPoint:
 
     chords: tuple[int, ...]
     triple: tuple[int, int, int]
-
-    @property
-    def x(self) -> Rational:
-        return Fraction(self.triple[0], self.triple[2])
-
-    @property
-    def y(self) -> Rational:
-        return Fraction(self.triple[1], self.triple[2])
 
 
 @dataclass(frozen=True)
@@ -297,20 +288,20 @@ def prefix_region_counts(arr: ChordArrangement) -> list[int]:
     return counts
 
 
-def generic_arrangement(m: int, *, variant: int = 0, seed: int | None = None) -> ChordArrangement:
+def generic_arrangement(m: int, *, trial: int = 0, seed: int | None = None) -> ChordArrangement:
     """A fully intersected general-position arrangement of m points.
 
-    Candidate layouts come from ``seeded_parameters`` when a seed is given,
-    else from ``generic_parameters`` with the given variant.  Each candidate
-    is checked exactly; a degenerate one (never observed for these
-    families, but checked anyway) is retried with a deterministic
-    perturbation, up to ``RETRY_BUDGET`` attempts.
+    Trial t's candidate layouts come from ``generic_parameters`` with
+    variant t when no seed is given, else from ``seeded_parameters`` with
+    seed ``seed + t``.  Each candidate is checked exactly; a degenerate one
+    (never observed for these families, but checked anyway) is retried with
+    a deterministic perturbation, up to ``RETRY_BUDGET`` attempts.
     """
     for attempt in range(RETRY_BUDGET):
         if seed is None:
-            params = generic_parameters(m, variant=variant, attempt=attempt)
+            params = generic_parameters(m, variant=trial, attempt=attempt)
         else:
-            params = seeded_parameters(m, seed=seed, attempt=attempt)
+            params = seeded_parameters(m, seed=seed + trial, attempt=attempt)
         arr = intersect_chords(map(CirclePoint, params))
         if arr.general_position:
             return arr
@@ -335,7 +326,7 @@ def verify_against_formula(
     parameters of the m-point one.  So each trial builds one m-point
     arrangement and reads every prefix's count off it with
     ``prefix_region_counts``; ``count_regions`` cross-checks the last one.
-    Trials differ by variant index (or seed offset).
+    Trial t builds ``generic_arrangement(m, trial=t, seed=seed)``.
 
     Returns None when every count matches, else the first trial's mismatch at
     the smallest failing k as ``(k, counted, expected, parameters)``, with
@@ -345,13 +336,13 @@ def verify_against_formula(
         raise ValueError(f"trials must be >= 1, got {trials}")
     failure = None
     for trial in range(trials):
-        found = _first_mismatch(expected, trial, None if seed is None else seed + trial)
+        found = _first_mismatch(expected, trial, seed)
         if found is not None and (failure is None or found[0] < failure[0]):
             failure = found
     return failure
 
 
-def _first_mismatch(expected: SequenceABC[int], variant: int, seed: int | None) -> tuple | None:
+def _first_mismatch(expected: SequenceABC[int], trial: int, seed: int | None) -> tuple | None:
     """One trial's first mismatch, or None; its arrangement dies on return.
 
     The trial is one build, whichever attempt its layout took:
@@ -360,7 +351,7 @@ def _first_mismatch(expected: SequenceABC[int], variant: int, seed: int | None) 
     layout, and every prefix of a general-position layout is in general
     position too.  A retried layout is read like any other.
     """
-    arr = generic_arrangement(len(expected), variant=variant, seed=seed)
+    arr = generic_arrangement(len(expected), trial=trial, seed=seed)
     counts = prefix_region_counts(arr)
     assert count_regions(arr)[2] == counts[-1]
     for k, (counted, want) in enumerate(zip(counts, expected), 1):
@@ -371,7 +362,8 @@ def _first_mismatch(expected: SequenceABC[int], variant: int, seed: int | None) 
 
 
 def _interior_point_json(point: InteriorPoint) -> dict:
-    return {"x": format_rational(point.x), "y": format_rational(point.y), "chords": list(point.chords)}
+    x, y, w = point.triple
+    return {"x": format_quotient(x, w), "y": format_quotient(y, w), "chords": list(point.chords)}
 
 
 def arrangement_to_json_dict(arr: ChordArrangement) -> dict:

@@ -29,9 +29,9 @@ class CirclePoint:
     """A point on the unit circle with exact rational coordinates.
 
     Construct with a finite rational parameter or ``None`` for the point
-    at parameter infinity, (-1, 0).  Instances are immutable; equality and
-    hashing use the canonical homogeneous triple, and the rational
-    coordinates ``x``/``y`` are derived from it on each access.
+    at parameter infinity, (-1, 0).  Instances are immutable and hold only
+    the parameter and the canonical homogeneous triple (X, Y, W), the point
+    (X/W, Y/W); equality and hashing use the triple.
     """
 
     __slots__ = ("t", "triple")
@@ -50,14 +50,6 @@ class CirclePoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("CirclePoint is immutable")
-
-    @property
-    def x(self) -> Rational:
-        return Fraction(self.triple[0], self.triple[2])
-
-    @property
-    def y(self) -> Rational:
-        return Fraction(self.triple[1], self.triple[2])
 
     @property
     def parameter_text(self) -> str:

@@ -174,12 +174,12 @@ def test_criterion_6_geometric_verification():
     ):
         for m in range(1, 13):
             layouts = []
-            for variant in (0, 1):
-                arr = generic_arrangement(m, variant=variant)
-                assert arr.general_position, (m, variant)
+            for trial in (0, 1):
+                arr = generic_arrangement(m, trial=trial)
+                assert arr.general_position, (m, trial)
                 vertices = m + binomial(m, 4)
                 edges = m + binomial(m, 2) + 2 * binomial(m, 4)
-                assert count_regions(arr) == (vertices, edges, regions_binomial(m)), (m, variant)
+                assert count_regions(arr) == (vertices, edges, regions_binomial(m)), (m, trial)
                 layouts.append({p.triple for p in arr.points})
             assert layouts[0] != layouts[1], f"layouts for m={m} must differ"
 
@@ -199,7 +199,7 @@ def test_criterion_7_degeneracy_sensitivity():
 
         triple_points = [p for p in arr.interior_points if len(p.chords) == 3]
         assert len(triple_points) == 1
-        assert (triple_points[0].x, triple_points[0].y) == (0, 0)
+        assert triple_points[0].triple == (0, 0, 1)
 
 
 def test_criterion_8_partial_fraction_identities():

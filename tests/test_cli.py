@@ -719,6 +719,15 @@ class TestRegions:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == dump_sha256
         assert hashlib.sha256(out.encode()).hexdigest() == out_sha256
 
+    def test_seeded_trials_step_the_seed(self, tmp_path, capsys):
+        # Trial t of a seeded run is the layout of seed + t, so the second
+        # trial of seed 5, which is the one dumped, is seed 6's first.
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, extra in zip(paths, (["--seed", "5", "--trials", "2"], ["--seed", "6"])):
+            argv = ["regions", "--m", "12", "--method", "geometric", *extra]
+            assert run_cli([*argv, "--dump-arrangement", str(path)], capsys)[0] == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_trials_hold_one_layout_at_a_time(self, capsys, monkeypatch):
         # Each trial's arrangement is freed before the next is built, so
         # peak memory is that of one build, whatever --trials says.
@@ -726,9 +735,9 @@ class TestRegions:
 
         held = []
 
-        def tracked(m, variant, seed):
-            assert all(ref() is None for ref in held), f"trial {variant}: a layout is still held"
-            arr = generic_arrangement(m, variant=variant, seed=seed)
+        def tracked(m, trial, seed):
+            assert all(ref() is None for ref in held), f"trial {trial}: a layout is still held"
+            arr = generic_arrangement(m, trial=trial, seed=seed)
             held.append(weakref.ref(arr))
             return arr
 
@@ -852,8 +861,8 @@ class TestVerify:
             built.append(("verify", args.trials))
             return []
 
-        def no_build(m, variant, seed):
-            built.append(("regions", variant))
+        def no_build(m, trial, seed):
+            built.append(("regions", trial))
             return hexagon_arrangement()
 
         monkeypatch.setattr("recurlab.cli._verify_checks", no_checks)

@@ -411,10 +411,24 @@ def antipodal_layouts(draw):
     return draw(st.permutations(params))
 
 
+def imports_of(path, names):
+    """(file name, line) of each import statement in ``path`` that names a
+    module or a binding in ``names``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported = (node.module or "").split(".") + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported = [part for a in node.names for part in a.name.split(".")]
+        else:
+            continue
+        found += [(path.name, node.lineno) for name in imported if name in names]
+    return found
+
+
 class TestCirclePoint:
     def test_parametrization_samples(self):
         p = CirclePoint(F(1, 2))
-        assert (p.x, p.y) == (F(3, 5), F(4, 5))
         assert p.triple == (3, 4, 5)
         assert CirclePoint(F(0)).triple == (1, 0, 1)
         assert CirclePoint(F(1)).triple == (0, 1, 1)
@@ -423,10 +437,8 @@ class TestCirclePoint:
     def test_all_points_on_unit_circle(self):
         params = [None, F(0), F(1), F(-1), F(1, 2), F(-7, 3), F(22, 7), F(1000003, 17)]
         for t in params:
-            p = CirclePoint(t)
-            assert p.x * p.x + p.y * p.y == 1, t
-            x, y, w = p.triple
-            assert x * x + y * y == w * w
+            x, y, w = CirclePoint(t).triple
+            assert x * x + y * y == w * w, t
             assert w > 0
 
     def test_triple_is_canonical(self):
@@ -448,12 +460,15 @@ class TestCirclePoint:
     def test_immutable(self):
         p = CirclePoint(F(1))
         with pytest.raises(AttributeError):
+            p.triple = (1, 0, 1)
+        with pytest.raises(AttributeError):
             p.x = F(0)
 
     def test_stores_only_parameter_and_triple(self):
         assert CirclePoint.__slots__ == ("t", "triple")
         p = CirclePoint(F(-7, 3))
-        assert (p.x, p.y) == (F(-20, 29), F(-21, 29))
+        assert p.triple == (-20, -21, 29)
+        assert not hasattr(p, "x") and not hasattr(p, "y")
 
     def test_antipode(self):
         assert antipode_parameter(F(2)) == F(-1, 2)
@@ -461,9 +476,8 @@ class TestCirclePoint:
         assert antipode_parameter(F(0)) is None
         # Antipodal points have exactly opposite coordinates.
         for t in (F(2), F(-1, 3), F(0), None):
-            p = CirclePoint(t)
-            q = CirclePoint(antipode_parameter(t))
-            assert (q.x, q.y) == (-p.x, -p.y)
+            x, y, w = CirclePoint(t).triple
+            assert CirclePoint(antipode_parameter(t)).triple == (-x, -y, w)
 
 
 class TestPlacement:
@@ -473,9 +487,19 @@ class TestPlacement:
         assert [p.angle_key for p in points] == sorted(p.angle_key for p in points)
 
     def test_generic_variants_differ(self):
-        a = generic_arrangement(5, variant=0).points
-        b = generic_arrangement(5, variant=1).points
+        a = generic_arrangement(5, trial=0).points
+        b = generic_arrangement(5, trial=1).points
         assert {p.triple for p in a} != {p.triple for p in b}
+
+    def test_trial_picks_the_layout(self):
+        # Trial t is the generic family's variant t, or the draw of seed
+        # seed + t; the points come in the order the parameters give them.
+        def given_order(arr):
+            return [arr.points[arr.births.index(k)].t for k in range(1, arr.m + 1)]
+
+        for t in range(3):
+            assert given_order(generic_arrangement(9, trial=t, seed=4)) == seeded_parameters(9, 4 + t)
+            assert given_order(generic_arrangement(9, trial=t)) == generic_parameters(9, variant=t)
 
     def test_empty_layout_rejected(self):
         # Both parameter families check m themselves.
@@ -496,14 +520,15 @@ class TestPlacement:
             points = _regular_approx_points(m)
             assert len(points) == m
             for p in points:
-                assert p.x**2 + p.y**2 == 1
+                x, y, w = p.triple
+                assert x**2 + y**2 == w**2
 
     def test_regular_approx_even_m_has_exact_antipodes(self):
         params = regular_approx_parameters(8)
         pts = [CirclePoint(t) for t in params]
         for k in range(4):
-            p, q = pts[k], pts[k + 4]
-            assert (q.x, q.y) == (-p.x, -p.y)
+            x, y, w = pts[k].triple
+            assert pts[k + 4].triple == (-x, -y, w)
 
     def test_square_parameters_are_exact(self):
         # tan of quarter-circle angles rounds to exactly 0, 1, inf, -1.
@@ -782,7 +807,10 @@ class TestIntersection:
     def test_interior_point_stores_only_its_triple(self):
         assert [f.name for f in dataclasses.fields(InteriorPoint)] == ["chords", "triple"]
         point = InteriorPoint(chords=(0, 5), triple=(-3, 4, 10))
-        assert (point.x, point.y) == (F(-3, 10), F(2, 5))
+        assert point.triple == (-3, 4, 10)
+        assert not hasattr(point, "x") and not hasattr(point, "y")
+        # The dump's x and y are the triple's quotients in lowest terms.
+        assert arrangement_module._interior_point_json(point) == {"x": "-3/10", "y": "2/5", "chords": [0, 5]}
 
     def test_crossing_holds_no_int_of_its_own(self):
         # Each row takes its partner chords from one tuple of chord indices,
@@ -952,22 +980,27 @@ class TestFaceWalk:
         assert faces == count_regions(arr)[2] + 1 == 92172
         assert peak < 28 * 2**20, peak
 
-    def test_reads_only_integer_triples(self, monkeypatch):
-        # The walk works on integers alone, the kernel's side values among
-        # them: the rational coordinates of circle and interior points are
-        # never read.
+    def test_geometry_imports_no_fraction(self):
+        # The build, the counts and the walk work on integer triples alone,
+        # the kernel's side values among them: their modules bind nothing
+        # from fractions, neither by import statement nor in their namespace.
+        import fractions
+
+        banned = {"fractions"} | {
+            name for name, value in vars(fractions).items()
+            if getattr(value, "__module__", None) == fractions.__name__
+        }
+        found = []
+        for module in (arrangement_module, facewalk_module, _kernel):
+            found += imports_of(Path(module.__file__), banned)
+            found += [
+                (module.__name__, name) for name, value in vars(module).items()
+                if value is fractions or getattr(value, "__module__", None) == fractions.__name__
+            ]
+        assert found == []
         arr = generic_arrangement(6, seed=3)
-        hexagon = hexagon_arrangement()
-        expected = count_regions(arr)[2] + 1
-
-        def no_rationals(self):
-            raise AssertionError("count_faces read a rational coordinate")
-
-        for cls in (CirclePoint, InteriorPoint):
-            monkeypatch.setattr(cls, "x", property(no_rationals))
-            monkeypatch.setattr(cls, "y", property(no_rationals))
-        assert count_faces(arr) == expected
-        assert count_faces(hexagon) == 31
+        assert count_faces(arr) == count_regions(arr)[2] + 1
+        assert count_faces(hexagon_arrangement()) == 31
 
 
 class TestDegenerateHexagon:
@@ -979,8 +1012,8 @@ class TestDegenerateHexagon:
         # Those three chords are exactly the main diagonals (antipodal pairs).
         for chord_index in center[0].chords:
             a, b = arr.chords[chord_index]
-            pa, pb = arr.points[a], arr.points[b]
-            assert (pa.x, pa.y) == (-pb.x, -pb.y)
+            x, y, w = arr.points[a].triple
+            assert arr.points[b].triple == (-x, -y, w)
 
     def test_thirteen_interior_points(self):
         arr = hexagon_arrangement()
@@ -1032,17 +1065,7 @@ class TestVerifyAgainstFormula:
         }
         paths = sorted(Path(arrangement_module.__file__).parent.glob("*.py"))
         assert {"arrangement.py", "points.py"} <= {path.name for path in paths}
-        found = []
-        for path in paths:
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.ImportFrom):
-                    names = (node.module or "").split(".") + [a.name for a in node.names]
-                elif isinstance(node, ast.Import):
-                    names = [part for a in node.names for part in a.name.split(".")]
-                else:
-                    continue
-                found += [(path.name, node.lineno) for name in names if name in formulas]
-        assert found == []
+        assert [found for path in paths for found in imports_of(path, formulas)] == []
 
     def test_planted_wrong_expectation_is_reported(self):
         # The geometry counts f(6) = 31 whatever it is told: an expectation
@@ -1063,9 +1086,9 @@ class TestVerifyAgainstFormula:
         builds = []
         build = arrangement_module.generic_arrangement
 
-        def recording(m, *, variant=0, seed=None):
-            builds.append((m, variant, seed))
-            return build(m, variant=variant, seed=seed)
+        def recording(m, *, trial=0, seed=None):
+            builds.append((m, trial, seed))
+            return build(m, trial=trial, seed=seed)
 
         monkeypatch.setattr(arrangement_module, "generic_arrangement", recording)
         return builds
@@ -1074,7 +1097,7 @@ class TestVerifyAgainstFormula:
         builds = self._record_builds(monkeypatch)
         assert verify_against_formula(moser_terms(12), trials=2) is None
         assert verify_against_formula(moser_terms(8), trials=3, seed=5) is None
-        assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 6), (8, 2, 7)]
+        assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 5), (8, 2, 5)]
 
     def test_mismatch_reuses_the_counted_build(self, monkeypatch):
         # A dropped crossing fails both trials at m=6 with seed 3.  The
@@ -1087,16 +1110,16 @@ class TestVerifyAgainstFormula:
         recording = arrangement_module.generic_arrangement
         held = []
 
-        def tracked(m, *, variant=0, seed=None):
-            assert all(ref() is None for ref in held), f"trial {variant}: a layout is still held"
-            arr = recording(m, variant=variant, seed=seed)
+        def tracked(m, *, trial=0, seed=None):
+            assert all(ref() is None for ref in held), f"trial {trial}: a layout is still held"
+            arr = recording(m, trial=trial, seed=seed)
             held.append(weakref.ref(arr))
             return arr
 
         monkeypatch.setattr(arrangement_module, "generic_arrangement", tracked)
         k, counted, expected, _ = verify_against_formula(moser_terms(8), trials=2, seed=3)
         assert (k, counted, expected) == (6, 30, 31)
-        assert builds == [(8, 0, 3), (8, 1, 4)]
+        assert builds == [(8, 0, 3), (8, 1, 3)]
         assert len(held) == 2
 
     @staticmethod
