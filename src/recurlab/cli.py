@@ -15,7 +15,7 @@ stable shape (``schema_version`` 1) in which every exact rational is a
 ``"p/q"`` string.  Exit codes: 0 success/agreement, 1 verification
 disagreement, 2 malformed input, 3 unsupported mathematics (no constant
 difference row, irrational/zero characteristic roots), 4 degeneracy retry
-budget exhausted.
+budget of a seeded layout exhausted.
 """
 
 from __future__ import annotations
@@ -438,8 +438,12 @@ def _verify_checks(args, cap: int) -> list[dict]:
     )
 
     # 3. Geometric construction against the closed formula.
+    #    Each trial is one build, freed before the next; the smallest k is
+    #    reported, from the first trial that fails there.
     geom_limit = min(max_m, cap)
-    failure = verify_against_formula(moser_terms(geom_limit), args.trials, seed=args.seed)
+    formula = moser_terms(geom_limit)
+    found = (verify_against_formula(formula, trial=t, seed=args.seed) for t in range(args.trials))
+    failure = min((f for f in found if f is not None), key=lambda f: f[0], default=None)
     geom_fail = None
     if failure is not None:
         k, counted, expected, parameters = failure

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core_numeric import Polynomial, Rational
+from .core_numeric import Polynomial, Rational, as_rational
 from .difference_engine import LinearRecurrence
 from .recurrence_solver import ClosedForm, characteristic_roots
 
@@ -111,9 +111,9 @@ def partial_fractions(
     """The terms (root, power, coeff) of f = sum coeff/(1 - root x)^power.
 
     ``ogf`` is a (numerator, {r: p}) pair as ``build_ogf`` returns it, with
-    nonzero roots r.  f must be proper (numerator degree below the
-    denominator's); an improper one raises ValueError.  Each factor (r, p)
-    is expanded locally.  The substitution x = (1 - y)/r turns (1 - r x)
+    nonzero roots r, each an ``int`` or a ``Fraction``.  f must be proper
+    (numerator degree below the denominator's); an improper one raises
+    ValueError.  Each factor (r, p) is expanded locally.  The substitution x = (1 - y)/r turns (1 - r x)
     into y and every other factor (1 - s x) into ((r - s)/r) (1 - (s/(s -
     r)) y), so f becomes g(y)/y^p with g = numerator((1 - y)/r) / scale
     over factors (1 - (s/(s - r)) y), analytic at y = 0.  Its first p
@@ -124,6 +124,7 @@ def partial_fractions(
     zero coefficients dropped.
     """
     numerator, factors = ogf
+    factors = {as_rational(root): power for root, power in factors.items()}
     degree = sum(factors.values())
     if not numerator.is_zero and numerator.degree >= degree:
         raise ValueError(

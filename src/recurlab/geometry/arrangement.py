@@ -21,8 +21,11 @@ C(m, 4) counting argument.
 
 ``prefix_region_counts`` reads the count of every prefix of the points, in
 the order given, off one arrangement, by the same Euler formula.  The
-layout families are nested, so ``verify_against_formula`` checks m = 1..K
-with one K-point build per trial, against formula values its caller passes.
+layout families are nested, so one call of ``verify_against_formula`` is
+one trial: a single K-point build checked for m = 1..K against formula
+values its caller passes.  ``generic_arrangement`` builds the unseeded
+family once, as it is proven to be in general position, and redraws a
+seeded layout that turns out degenerate.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .points import (
     seeded_parameters,
 )
 
-# Candidate layouts generic_arrangement tries before giving up.
+# Seeded draws generic_arrangement tries for one trial before giving up.
 RETRY_BUDGET = 16
 
 
@@ -291,18 +294,19 @@ def prefix_region_counts(arr: ChordArrangement) -> list[int]:
 def generic_arrangement(m: int, *, trial: int = 0, seed: int | None = None) -> ChordArrangement:
     """A fully intersected general-position arrangement of m points.
 
-    Trial t's candidate layouts come from ``generic_parameters`` with
-    variant t when no seed is given, else from ``seeded_parameters`` with
-    seed ``seed + t``.  Each candidate is checked exactly; a degenerate one
-    (never observed for these families, but checked anyway) is retried with
-    a deterministic perturbation, up to ``RETRY_BUDGET`` attempts.
+    Trial t's layout is ``generic_parameters`` with variant t when no seed
+    is given, built once: that family has no triple point (its docstring
+    gives the proof, checked up to m = 60), which the build asserts.  With
+    a seed it is ``seeded_parameters`` with seed ``seed + t``; a degenerate
+    draw (never observed, but checked exactly) is redrawn with the next
+    attempt, and DegeneracyBudgetError is raised after ``RETRY_BUDGET``.
     """
+    if seed is None:
+        arr = intersect_chords(map(CirclePoint, generic_parameters(m, variant=trial)))
+        assert arr.general_position, f"generic layout m={m}, variant {trial} has a triple point"
+        return arr
     for attempt in range(RETRY_BUDGET):
-        if seed is None:
-            params = generic_parameters(m, variant=trial, attempt=attempt)
-        else:
-            params = seeded_parameters(m, seed=seed + trial, attempt=attempt)
-        arr = intersect_chords(map(CirclePoint, params))
+        arr = intersect_chords(map(CirclePoint, seeded_parameters(m, seed=seed + trial, attempt=attempt)))
         if arr.general_position:
             return arr
     raise DegeneracyBudgetError(
@@ -316,40 +320,21 @@ def hexagon_arrangement() -> ChordArrangement:
 
 
 def verify_against_formula(
-    expected: SequenceABC[int], trials: int, *, seed: int | None = None
+    expected: SequenceABC[int], *, trial: int = 0, seed: int | None = None
 ) -> tuple[int, int, int, tuple[str, ...]] | None:
-    """Check the region count built for each k = 1..m, m = len(expected),
-    against ``expected[k - 1]``, the caller's formula values, on ``trials``
-    distinct general-position layouts.
+    """Check trial ``trial``'s region count for each k = 1..m, m =
+    len(expected), against ``expected[k - 1]``, the caller's formula values.
 
     Both layout families are nested: the k-point layout is the first k
-    parameters of the m-point one.  So each trial builds one m-point
-    arrangement and reads every prefix's count off it with
+    parameters of the m-point one, whichever attempt a seeded draw took.
+    So the trial is one m-point build, ``generic_arrangement(m,
+    trial=trial, seed=seed)``, and every prefix's count is read off it with
     ``prefix_region_counts``; ``count_regions`` cross-checks the last one.
-    Trial t builds ``generic_arrangement(m, trial=t, seed=seed)``.
+    The arrangement dies on return.
 
-    Returns None when every count matches, else the first trial's mismatch at
-    the smallest failing k as ``(k, counted, expected, parameters)``, with
-    the parameters of the k-prefix that was counted, in angular order.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    failure = None
-    for trial in range(trials):
-        found = _first_mismatch(expected, trial, seed)
-        if found is not None and (failure is None or found[0] < failure[0]):
-            failure = found
-    return failure
-
-
-def _first_mismatch(expected: SequenceABC[int], trial: int, seed: int | None) -> tuple | None:
-    """One trial's first mismatch, or None; its arrangement dies on return.
-
-    The trial is one build, whichever attempt its layout took:
-    ``generic_parameters`` and ``seeded_parameters`` give nested lists for
-    every attempt, so the first k points given are that attempt's k-point
-    layout, and every prefix of a general-position layout is in general
-    position too.  A retried layout is read like any other.
+    Returns None when every count matches, else the mismatch at the
+    smallest failing k as ``(k, counted, expected, parameters)``, with the
+    parameters of the k-prefix that was counted, in angular order.
     """
     arr = generic_arrangement(len(expected), trial=trial, seed=seed)
     counts = prefix_region_counts(arr)

@@ -14,6 +14,11 @@ Each point also carries integer homogeneous coordinates (X, Y, W) with
 x = X/W, y = Y/W, gcd = 1 and W > 0 — the representation the intersection
 kernels and all orientation tests work on, keeping the geometry entirely
 in integer arithmetic.
+
+Two layout families place m points: ``generic_parameters``, proven free of
+triple points up to m = 60, and ``seeded_parameters``, a pseudo-random
+draw whose general position is checked per build, and redrawn with the
+next ``attempt`` when it fails.
 """
 
 from __future__ import annotations
@@ -95,24 +100,22 @@ def hexagon_parameters() -> list[Fraction | None]:
     ]
 
 
-def generic_parameters(m: int, variant: int = 0, attempt: int = 0) -> list[Fraction]:
-    """A deterministic general-position candidate layout.
+def generic_parameters(m: int, variant: int = 0) -> list[Fraction]:
+    """A deterministic layout in general position: t_i = 2^i + variant.
 
-    Base parameters t_i = 2^i + variant give distinct points with no
-    intended symmetry; distinct ``variant`` values give distinct layouts
-    for repeated verification runs.  ``attempt`` > 0 adds a small
-    deterministic perturbation, used by the placement retry loop in the
-    (never yet observed) event a candidate layout turns out degenerate.
+    Distinct ``variant`` values give distinct layouts for repeated
+    verification runs.  No three chords meet at one interior point.
+    Three such chords would have six endpoints, paired (0, 3), (1, 4),
+    (2, 5) in angular order, and the chord through parameters a and b is
+    the vector (ab, a + b, 1); the chords meet at one point only when their
+    three vectors are dependent.  Shifting every parameter by ``variant``
+    maps those vectors by one unimodular matrix, so it keeps each
+    determinant, and for t_i = 2^i an exhaustive check finds none that is 0
+    up to m = 60 (``tests/conftest.py``, ``pairing_determinants``).
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    params = []
-    for i in range(m):
-        t = Fraction(2**i + variant)
-        if attempt:
-            t += Fraction(attempt, (attempt + 1) * (i + 2))
-        params.append(t)
-    return params
+    return [Fraction(2**i + variant) for i in range(m)]
 
 
 def seeded_parameters(m: int, seed: int, attempt: int = 0) -> list[Fraction]:
@@ -120,7 +123,8 @@ def seeded_parameters(m: int, seed: int, attempt: int = 0) -> list[Fraction]:
 
     Draws numerator/denominator pairs from a seeded PRNG, rejecting
     duplicates, so layouts vary with the seed while runs stay
-    deterministic.
+    deterministic.  ``attempt`` gives another draw for the same seed, for
+    ``generic_arrangement`` to take when a draw is degenerate.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

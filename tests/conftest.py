@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -300,3 +301,75 @@ def drop_first_born(result, cb):
     result[0][i] ^= 1 << j - i - 1
     assert kernel_crossings(result) == [t for t in before if t != (i, j)]
     return result
+
+
+# ---------------------------------------------------------------------------
+# A crossing oracle read off the circle parameters alone.  On the unit circle
+# x = (1 - t^2)/(1 + t^2), y = 2t/(1 + t^2), the chord through parameters a
+# and b is the line x(1 - ab) + y(a + b) = 1 + ab, that is the vector
+# (ab, a + b, 1).  The lines through a point cut the circle in the pairs of
+# one involution A tt' + B(t + t') + C = 0 (Coxeter, "Projective Geometry",
+# involutions on a conic), and for two chords that involution is the cross
+# product of their vectors.  No point triple, line, side value or key of
+# the library is read.
+# ---------------------------------------------------------------------------
+
+
+def chord_vector(s, t) -> tuple[int, int, int]:
+    """The chord through circle parameters s and t (None for infinity), as
+    (p_s p_t, p_s q_t + p_t q_s, q_s q_t) with s = p_s/q_s, t = p_t/q_t and
+    infinity = 1/0: q_s q_t (st, s + t, 1) when both are finite."""
+    ps, qs = (1, 0) if s is None else (s.numerator, s.denominator)
+    pt, qt = (1, 0) if t is None else (t.numerator, t.denominator)
+    return ps * pt, ps * qt + pt * qs, qs * qt
+
+
+def _vector_cross(u, v):
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def involution_crossings(params) -> list[tuple[int, ...]]:
+    """The crossings of all chords between circle points with parameters
+    ``params``, given in angular order, as ascending chord tuples, chords
+    numbered as the point-index pairs in lexicographic order.
+
+    Two chords with four distinct endpoints cross inside the disk exactly
+    when their involution (A, B, C) is elliptic, A C > B^2: their lines
+    then meet strictly inside the circle, where each line is its chord.
+    The gcd-reduced (A, B, C) with A > 0 names the crossing point, so the
+    chords through one point share it.
+    """
+    chords = list(combinations(range(len(params)), 2))
+    vectors = [chord_vector(params[a], params[b]) for a, b in chords]
+    through: dict[tuple[int, int, int], set[int]] = {}
+    for (i, (a, b)), (j, (c, d)) in combinations(enumerate(chords), 2):
+        if a == c or a == d or b == c or b == d:
+            continue
+        A, B, C = _vector_cross(vectors[i], vectors[j])
+        if A * C > B * B:
+            g = gcd(A, B, C) if A > 0 else -gcd(A, B, C)
+            through.setdefault((A // g, B // g, C // g), set()).update((i, j))
+    return sorted(tuple(sorted(chords)) for chords in through.values())
+
+
+def pairing_determinants(params):
+    """det(v(t0, t3), v(t1, t4), v(t2, t5)) for every six-subset t0 < ... <
+    t5 of the finite, ascending ``params``, as a generator, v the chord
+    vector.
+
+    Three chords through one interior point cross pairwise, so their six
+    endpoints are distinct and, in angular order, paired (0, 3), (1, 4),
+    (2, 5): the only pairing of six points on a circle in which all three
+    chords cross.  Their lines meet at one point exactly when their vectors
+    are dependent.  So a layout has no triple point when no determinant
+    yielded here is 0.  The subsets come grouped by (t0, t1, t3, t4), whose
+    two vectors' cross product is dotted with every v(t2, t5).
+    """
+    n = len(params)
+    v = [[chord_vector(s, t) for t in params] for s in params]
+    for i0, i1, i3, i4 in combinations(range(n), 4):
+        if i3 - i1 < 2:
+            continue
+        c0, c1, c2 = _vector_cross(v[i0][i3], v[i1][i4])
+        for i2 in range(i1 + 1, i3):
+            yield from (c0 * x + c1 * y + c2 * z for x, y, z in v[i2][i4 + 1:])

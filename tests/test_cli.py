@@ -15,11 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from recurlab import build_difference_table, format_rational, predict_next
+from recurlab import build_difference_table, format_rational, predict_next, regions_binomial
 from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, MAX_TRIALS, MAX_VERIFY_M, build_parser, main
 from recurlab.core_numeric import format_quotient
 from recurlab.geometry import arrangement as arrangement_module
-from recurlab.geometry import hexagon_arrangement, hexagon_parameters
+from recurlab.geometry import (
+    CirclePoint,
+    build_arrangement,
+    hexagon_arrangement,
+    hexagon_parameters,
+    seeded_parameters,
+)
 
 from conftest import drop_first_born, drop_last_crossing
 
@@ -633,13 +639,14 @@ class TestRegions:
             assert (code, err) == (0, ""), argv
 
     def test_degeneracy_budget_exit_4(self, capsys, monkeypatch):
-        # Every candidate layout is the degenerate hexagon, so the retries
-        # run out and main maps DegeneracyBudgetError to exit 4.
-        def degenerate(m, variant=0, attempt=0):
+        # Every seeded draw is the degenerate hexagon, so the retries run
+        # out and main maps DegeneracyBudgetError to exit 4.
+        def degenerate(m, seed, attempt=0):
             return hexagon_parameters()
 
-        monkeypatch.setattr(arrangement_module, "generic_parameters", degenerate)
-        code, out, err = run_cli(["regions", "--m", "6", "--method", "geometric"], capsys)
+        monkeypatch.setattr(arrangement_module, "seeded_parameters", degenerate)
+        argv = ["regions", "--m", "6", "--method", "geometric", "--seed", "1"]
+        code, out, err = run_cli(argv, capsys)
         assert (code, out) == (4, "")
         assert err == "error: no general-position layout for m=6 within 16 attempts\n"
 
@@ -796,12 +803,7 @@ class TestVerify:
         # (exit 1), not look like a degenerate layout (exit 4).  Each trial
         # builds one 10-point arrangement, and the kernel's last crossing
         # there involves the last point, so the first failing prefix is m=10.
-        from recurlab.geometry import _kernel
-
-        intersect_pairs = _kernel.intersect_pairs
-        monkeypatch.setattr(
-            _kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args))
-        )
+        self._drop_last_crossing(monkeypatch)
         code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
         assert code == 1
         points = ", ".join(f"'{2**i}/1'" for i in range(10))
@@ -827,6 +829,76 @@ class TestVerify:
             "FAIL geometric-construction [m=1..10, trials=2]: "
             "m=4: counted 7, expected 8, points ('1/1', '2/1', '4/1', '8/1')\n"
         ) in out
+
+    @staticmethod
+    def _drop_last_crossing(monkeypatch):
+        from recurlab.geometry import _kernel
+
+        intersect_pairs = _kernel.intersect_pairs
+        monkeypatch.setattr(
+            _kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args))
+        )
+
+    @staticmethod
+    def _track_builds(monkeypatch):
+        """Record each trial's build, and check that no earlier trial's
+        arrangement is alive when the next one is built."""
+        build = arrangement_module.generic_arrangement
+        builds, held = [], []
+
+        def tracked(m, *, trial=0, seed=None):
+            assert all(ref() is None for ref in held), f"trial {trial}: a layout is still held"
+            arr = build(m, trial=trial, seed=seed)
+            builds.append((m, trial, seed))
+            held.append(weakref.ref(arr))
+            return arr
+
+        monkeypatch.setattr(arrangement_module, "generic_arrangement", tracked)
+        return builds
+
+    @staticmethod
+    def _seeded_prefix(k, seed):
+        return tuple(p.parameter_text for p in build_arrangement(map(CirclePoint, seeded_parameters(k, seed))))
+
+    def test_one_build_per_trial_each_freed(self, capsys, monkeypatch):
+        # Peak memory is that of one build, whatever --trials says.
+        builds = self._track_builds(monkeypatch)
+        assert run_cli(["verify", "--max-m=12", "--geom-cap=12"], capsys)[0] == 0
+        assert run_cli(["verify", "--max-m=8", "--geom-cap=8", "--trials=3", "--seed=5"], capsys)[0] == 0
+        assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 5), (8, 2, 5)]
+
+    def test_mismatch_is_read_off_the_counted_build(self, capsys, monkeypatch):
+        # A dropped crossing fails both trials at m=6 with seed 3.  The
+        # reported points are trial 0's 6-prefix, read off its 8-point
+        # build: nothing is rebuilt at m=6 to report them.
+        self._drop_last_crossing(monkeypatch)
+        builds = self._track_builds(monkeypatch)
+        code, out, _ = run_cli(["verify", "--max-m=8", "--geom-cap=8", "--seed=3"], capsys)
+        assert code == 1
+        assert f"m=6: counted 30, expected 31, points {self._seeded_prefix(6, 3)}" in out
+        assert builds == [(8, 0, 3), (8, 1, 3)]
+
+    @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7]), (7, [8, 7, 7])])
+    def test_smallest_failing_k_across_trials(self, capsys, monkeypatch, seed, births):
+        # Dropping the kernel's last crossing fails trial t first at
+        # births[t] (test_geometry's TestVerifyAgainstFormula pins these).
+        # The smallest k is reported, from the first trial that fails there.
+        # Seed 3: both trials fail at m=6, and trial 0 is reported, not the
+        # last trial on the tie.  Seed 7: trial 1 fails at m=7 before trial 0
+        # does at m=8, so neither the largest k nor the first failing trial
+        # is reported; with three trials, trials 1 and 2 tie at m=7.
+        self._drop_last_crossing(monkeypatch)
+        trials, m = len(births), min(births)
+        trial = births.index(m)
+        assert len({self._seeded_prefix(m, seed + t) for t in range(trials)}) == trials
+        argv = ["verify", "--max-m=8", "--geom-cap=8", f"--trials={trials}", f"--seed={seed}"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 1
+        assert (
+            f"FAIL geometric-construction [m=1..8, trials={trials}]: m={m}: counted "
+            f"{regions_binomial(m) - 1}, expected {regions_binomial(m)}, "
+            f"points {self._seeded_prefix(m, seed + trial)}"
+        ) in out.splitlines()
 
     def test_invalid_arguments(self, capsys):
         assert run_cli(["verify", "--max-m", "0"], capsys)[0] == 2

@@ -183,6 +183,14 @@ class TestPartialFractions:
         rf = (Polynomial((2, -5)), {F(2): 1, F(3): 1})
         assert partial_fractions(rf) == ((F(2), 1, F(1)), (F(3), 1, F(1)))
 
+    def test_int_roots(self):
+        # 1/((1-2x)(1-x)) = 2/(1-2x) - 1/(1-x) and 1/(1-x)^2, with the roots
+        # given as ints: each is taken as an exact rational, never a float.
+        for factors, terms in (({2: 1, 1: 1}, ((2, 1, 2), (1, 1, -1))), ({1: 2}, ((1, 2, 1),))):
+            found = partial_fractions((Polynomial((1,)), factors))
+            assert found == terms
+            assert all(type(value) is F for term in found for value in (term[0], term[2]))
+
     @pytest.mark.parametrize(
         "numerator, factors",
         [

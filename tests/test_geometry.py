@@ -14,6 +14,7 @@ import json
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from pathlib import Path
@@ -61,7 +62,9 @@ from conftest import (
     antipode_parameter,
     designed_parameters,
     drop_last_crossing,
+    involution_crossings,
     kernel_crossings,
+    pairing_determinants,
     regular_approx_parameters,
 )
 
@@ -1039,21 +1042,24 @@ class TestDegenerateHexagon:
 
 
 class TestVerifyAgainstFormula:
+    """One call is one trial: one build, checked at every k and freed on
+    return.  ``verify`` takes the smallest k over its trials
+    (``tests/test_cli.py``, ``TestVerify``)."""
+
     def test_small_sweep_passes(self):
         for m in (1, 4, 7):
-            # None: every count of both layouts, for every k = 1..m, matched.
-            assert verify_against_formula(moser_terms(m), trials=2) is None
+            for trial in (0, 1):
+                # None: every count of the layout, for every k = 1..m, matched.
+                assert verify_against_formula(moser_terms(m), trial=trial) is None
 
     def test_ten_points_two_layouts(self):
-        assert verify_against_formula(moser_terms(10), trials=2) is None
+        for trial in (0, 1):
+            assert verify_against_formula(moser_terms(10), trial=trial) is None
         assert regions_binomial(10) == 256
 
     def test_seeded_layouts(self):
-        assert verify_against_formula(moser_terms(6), trials=2, seed=2026) is None
-
-    def test_trials_validated(self):
-        with pytest.raises(ValueError):
-            verify_against_formula(moser_terms(5), trials=0)
+        for trial in (0, 1):
+            assert verify_against_formula(moser_terms(6), trial=trial, seed=2026) is None
 
     def test_geometry_imports_no_formula(self):
         # The counts are checked against the formulas, so the geometry must
@@ -1069,15 +1075,17 @@ class TestVerifyAgainstFormula:
 
     def test_planted_wrong_expectation_is_reported(self):
         # The geometry counts f(6) = 31 whatever it is told: an expectation
-        # of 32 fails at k=6, on trial 0, with the 6-prefix of its layout.
+        # of 32 fails at k=6, with the 6-prefix of the trial's layout.
         expected = moser_terms(8)
         expected[5] = 32
         generic = ("1/1", "2/1", "4/1", "8/1", "16/1", "32/1")
-        assert verify_against_formula(expected, trials=2) == (6, 31, 32, generic)
+        assert verify_against_formula(expected) == (6, 31, 32, generic)
+        variant = ("2/1", "3/1", "5/1", "9/1", "17/1", "33/1")
+        assert verify_against_formula(expected, trial=1) == (6, 31, 32, variant)
         prefix = seeded_parameters(8, 3)[:6]
         seeded = build_arrangement(map(CirclePoint, prefix))
         assert [p.t for p in seeded] != prefix
-        assert verify_against_formula(expected, trials=2, seed=3) == (
+        assert verify_against_formula(expected, seed=3) == (
             6, 31, 32, tuple(p.parameter_text for p in seeded)
         )
 
@@ -1095,15 +1103,16 @@ class TestVerifyAgainstFormula:
 
     def test_one_build_per_trial(self, monkeypatch):
         builds = self._record_builds(monkeypatch)
-        assert verify_against_formula(moser_terms(12), trials=2) is None
-        assert verify_against_formula(moser_terms(8), trials=3, seed=5) is None
+        for trial in (0, 1):
+            assert verify_against_formula(moser_terms(12), trial=trial) is None
+        for trial in (0, 1, 2):
+            assert verify_against_formula(moser_terms(8), trial=trial, seed=5) is None
         assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 5), (8, 2, 5)]
 
     def test_mismatch_reuses_the_counted_build(self, monkeypatch):
         # A dropped crossing fails both trials at m=6 with seed 3.  The
         # reported layout is read off the build that was counted, with no
-        # rebuild at m=6, and each trial's arrangement is freed before the
-        # next trial builds.
+        # rebuild at m=6, and the arrangement is freed when the call returns.
         intersect_pairs = _kernel.intersect_pairs
         monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args)))
         builds = self._record_builds(monkeypatch)
@@ -1111,55 +1120,62 @@ class TestVerifyAgainstFormula:
         held = []
 
         def tracked(m, *, trial=0, seed=None):
-            assert all(ref() is None for ref in held), f"trial {trial}: a layout is still held"
             arr = recording(m, trial=trial, seed=seed)
             held.append(weakref.ref(arr))
             return arr
 
         monkeypatch.setattr(arrangement_module, "generic_arrangement", tracked)
-        k, counted, expected, _ = verify_against_formula(moser_terms(8), trials=2, seed=3)
-        assert (k, counted, expected) == (6, 30, 31)
+        for trial in (0, 1):
+            k, counted, expected, _ = verify_against_formula(moser_terms(8), trial=trial, seed=3)
+            assert (k, counted, expected) == (6, 30, 31)
+            assert held[-1]() is None, f"trial {trial}: the layout outlived the call"
         assert builds == [(8, 0, 3), (8, 1, 3)]
-        assert len(held) == 2
 
-    @staticmethod
-    def _hexagon_at_six(monkeypatch):
-        # Make trial 0's attempt-0 layout at m=6 the degenerate hexagon.  The
-        # 6-point build then retries, and the trial reads every prefix off
-        # the retried layout, like any other.
+    SEED = 11
+
+    @classmethod
+    def _hexagon_at_six(cls, monkeypatch):
+        # Make the first draw of trial 0's 6-point layout the degenerate
+        # hexagon.  The build then redraws, and the trial reads every prefix
+        # off the redrawn layout, like any other.
         attempts = []
-        parameters = arrangement_module.generic_parameters
+        parameters = arrangement_module.seeded_parameters
 
-        def hexagon_at_six(m, variant=0, attempt=0):
-            if (m, variant) == (6, 0):
+        def hexagon_at_six(m, seed, attempt=0):
+            if (m, seed) == (6, cls.SEED):
                 attempts.append(attempt)
                 if attempt == 0:
                     return hexagon_parameters()
-            return parameters(m, variant=variant, attempt=attempt)
+            return parameters(m, seed=seed, attempt=attempt)
 
-        monkeypatch.setattr(arrangement_module, "generic_parameters", hexagon_at_six)
+        monkeypatch.setattr(arrangement_module, "seeded_parameters", hexagon_at_six)
         return attempts
 
     def test_retried_layout_is_one_build(self, monkeypatch):
         attempts = self._hexagon_at_six(monkeypatch)
         builds = self._record_builds(monkeypatch)
-        # None: both trials counted 31 at m = 6, as at every smaller m.
-        assert verify_against_formula(moser_terms(6), trials=2) is None
-        assert builds == [(6, 0, None), (6, 1, None)]
-        # The 6-point build's hexagon, then its retry; no draw of its own.
+        for trial in (0, 1):
+            # None: the trial counted 31 at m = 6, as at every smaller m.
+            assert verify_against_formula(moser_terms(6), trial=trial, seed=self.SEED) is None
+        assert builds == [(6, 0, self.SEED), (6, 1, self.SEED)]
+        # The 6-point build's hexagon, then its redraw; no draw of its own.
         assert attempts == [0, 1]
 
     def test_retried_layout_reports_its_mismatch(self, monkeypatch):
         # Mismatches carry the prefix of the layout that was counted: the
-        # retried one, not the hexagon, at every k.
+        # redrawn one, not the hexagon, at every k.
         self._hexagon_at_six(monkeypatch)
-        expected = moser_terms(6)
-        expected[2] += 1
-        assert verify_against_formula(expected, trials=2) == (3, 4, 5, ("5/4", "13/6", "33/8"))
-        expected = moser_terms(6)
-        expected[5] += 1
-        retried = ("5/4", "13/6", "33/8", "81/10", "193/12", "449/14")
-        assert verify_against_formula(expected, trials=2) == (6, 31, 32, retried)
+        redrawn = seeded_parameters(6, self.SEED, attempt=1)
+        assert None not in redrawn and redrawn[:3] != seeded_parameters(3, self.SEED)
+
+        def prefix(k):
+            return tuple(p.parameter_text for p in build_arrangement(map(CirclePoint, redrawn[:k])))
+
+        for k in (3, 6):
+            expected = moser_terms(6)
+            expected[k - 1] += 1
+            found = (k, regions_binomial(k), regions_binomial(k) + 1, prefix(k))
+            assert verify_against_formula(expected, seed=self.SEED) == found
 
     def test_seeded_trial_draws_once(self, monkeypatch):
         # Each trial's parameters are drawn once, by its one build.
@@ -1171,55 +1187,98 @@ class TestVerifyAgainstFormula:
             return draw(m, seed=seed, attempt=attempt)
 
         monkeypatch.setattr(arrangement_module, "seeded_parameters", recording)
-        assert verify_against_formula(moser_terms(12), trials=2, seed=3) is None
+        for trial in (0, 1):
+            assert verify_against_formula(moser_terms(12), trial=trial, seed=3) is None
         assert draws == [(12, 3, 0), (12, 4, 0)]
 
-    @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7])])
+    @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7, 7])])
     def test_failing_prefix_is_the_dropped_crossings_birth(self, monkeypatch, seed, births):
         # Seeded parameters are not in angular order, so this checks the
-        # birth bookkeeping: dropping the kernel's last crossing fails first
-        # at the prefix that holds all four of its chords' endpoints.  With
-        # seed 3 both trials first fail at m=6 and trial 0 is reported; with
-        # seed 7, trial 1 fails at m=7, before trial 0 does at m=8.
+        # birth bookkeeping: dropping the kernel's last crossing fails a
+        # trial first at the prefix that holds all four of its chords'
+        # endpoints.
         found = []
-        for s in (seed, seed + 1):
+        for s in range(seed, seed + len(births)):
             params = seeded_parameters(8, s)
             arr = generic_arrangement(8, seed=s)
             assert arr.births == tuple(params.index(p.t) + 1 for p in arr.points)
             ends = {i for c in arr.crossings[-1] for i in arr.chords[c]}
             found.append(max(arr.births[i] for i in ends))
         assert found == births
-        m, trial = min((b, t) for t, b in enumerate(births))
 
         intersect_pairs = _kernel.intersect_pairs
         monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args)))
-        k, counted, expected, parameters = verify_against_formula(moser_terms(8), trials=2, seed=seed)
-        assert (k, counted, expected) == (m, regions_binomial(m) - 1, regions_binomial(m))
-        assert parameters == tuple(
-            p.parameter_text
-            for p in build_arrangement(map(CirclePoint, seeded_parameters(m, seed + trial)))
-        )
-        # The trials scanned before the failing one counted m correctly.
-        before = [prefix_region_counts(generic_arrangement(8, seed=seed + t))[m - 1] for t in range(trial + 1)]
-        assert before == [regions_binomial(m) - (b == m) for b in births[: trial + 1]]
+        for trial, m in enumerate(births):
+            k, counted, expected, parameters = verify_against_formula(moser_terms(8), trial=trial, seed=seed)
+            assert (k, counted, expected) == (m, regions_binomial(m) - 1, regions_binomial(m))
+            assert parameters == tuple(
+                p.parameter_text
+                for p in build_arrangement(map(CirclePoint, seeded_parameters(m, seed + trial)))
+            )
 
 
 class TestRetryBudget:
     def test_exhaustion_raises(self, monkeypatch):
-        # Degeneracy is never hit by the generic family, so exercise the
-        # budget by forcing every candidate layout to be the degenerate
-        # hexagon, and record the attempt index of each candidate.
+        # Degeneracy is never hit by the seeded family, so exercise the
+        # budget by forcing every draw to be the degenerate hexagon, and
+        # record the attempt index of each draw.
         attempts = []
 
-        def degenerate(m, variant=0, attempt=0):
+        def degenerate(m, seed, attempt=0):
             attempts.append(attempt)
             return hexagon_parameters()
 
-        monkeypatch.setattr(arrangement_module, "generic_parameters", degenerate)
+        monkeypatch.setattr(arrangement_module, "seeded_parameters", degenerate)
         with pytest.raises(DegeneracyBudgetError, match="within 16 attempts"):
-            generic_arrangement(6)
+            generic_arrangement(6, seed=0)
         assert RETRY_BUDGET == 16
         assert attempts == list(range(16))
+
+    def test_unseeded_layout_is_built_once(self, monkeypatch):
+        # The unseeded family is proven free of triple points
+        # (TestUnseededGeneralPosition), so it is never redrawn: a triple
+        # point there is a failed assertion after one build, not a retry.
+        calls = []
+
+        def degenerate(m, variant=0):
+            calls.append((m, variant))
+            return hexagon_parameters()
+
+        monkeypatch.setattr(arrangement_module, "generic_parameters", degenerate)
+        with pytest.raises(AssertionError, match="variant 2 has a triple point"):
+            generic_arrangement(6, trial=2)
+        assert calls == [(6, 2)]
+
+
+class TestUnseededGeneralPosition:
+    """``generic_parameters`` has no triple point, proven by exhaustion.
+
+    Three chords through one point are paired (0, 3), (1, 4), (2, 5) on six
+    of the points (``pairing_determinants``), and meet exactly when the
+    determinant of their chord vectors is 0.  Every prefix of the m-point
+    layout is a subset of it, and a variant's vectors are the variant 0
+    ones moved by one unimodular matrix, so checking variant 0 at the
+    largest m covers every trial.  CI runs the same check up to
+    ``MAX_GEOM_M``.
+    """
+
+    def test_no_triple_point_up_to_30(self):
+        dets = Counter(det == 0 for det in pairing_determinants(generic_parameters(30)))
+        assert dets == {False: math.comb(30, 6)} == {False: 593_775}
+
+    def test_variant_keeps_every_determinant(self):
+        base = list(pairing_determinants(generic_parameters(10)))
+        assert len(base) == math.comb(10, 6)
+        for variant in (1, 7, 99):
+            assert list(pairing_determinants(generic_parameters(10, variant=variant))) == base
+
+    def test_a_designed_triple_point_has_determinant_zero(self):
+        # The check sees a triple point: three chords designed through one
+        # point (seed 0's draw is finite) give the six-subset's one zero.
+        params = sorted(designed_parameters((3,), seed=0))
+        assert list(pairing_determinants(params)) == [0]
+        assert intersect_chords(map(CirclePoint, params)).concurrent == ((2, 7, 11),)
+        assert list(pairing_determinants(params[:5] + [params[5] + 1])) != [0]
 
 
 class TestSerialization:
@@ -1424,6 +1483,49 @@ class TestNearDegenerateLayouts:
             count_regions(intersect_chords(points[:k]))[2] for k in range(1, len(points) + 1)
         ]
         assert prefix_region_counts(arr) == per_prefix
+
+
+@st.composite
+def oracle_layouts(draw):
+    """Up to 25 points: seeded, unseeded, designed, near-degenerate (the
+    hexagon or a regular-approx polygon with one point moved by 10^-k) or
+    regular-approx, in a random order."""
+    kind = draw(st.sampled_from(["seeded", "unseeded", "designed", "near-degenerate", "regular-approx"]))
+    m = draw(st.integers(1, 25))
+    if kind == "seeded":
+        params = seeded_parameters(m, seed=draw(st.integers(0, 10**6)))
+    elif kind == "unseeded":
+        params = generic_parameters(m, variant=draw(st.integers(0, 99)))
+    elif kind == "designed":
+        sizes = tuple(draw(st.lists(st.integers(2, 6), min_size=1, max_size=2)))
+        params = designed_parameters(sizes, seed=draw(st.integers(0, 10**6)), centered=draw(st.booleans()))
+    elif kind == "near-degenerate":
+        params = draw(st.sampled_from([hexagon_parameters()] + [regular_approx_parameters(n) for n in (6, 8, 10, 12)]))
+        params = params[:1] + [params[1] + F(1, 10 ** draw(st.sampled_from(TestNearDegenerateLayouts.MOVES)))] + params[2:]
+    else:
+        params = regular_approx_parameters(m)
+    return draw(st.permutations(params))
+
+
+class TestInvolutionOracle:
+    """The kernel's crossings against ``involution_crossings``, which reads
+    only the points' parameters: no triple, line, side value or key of the
+    arrangement, and no index order."""
+
+    @staticmethod
+    def _check(points):
+        arr = intersect_chords(points)
+        assert list(arr.crossings) == involution_crossings([p.t for p in arr.points])
+        return arr
+
+    @given(oracle_layouts())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_kernel(self, params):
+        self._check([CirclePoint(t) for t in params])
+
+    def test_hexagon(self):
+        arr = self._check(map(CirclePoint, hexagon_parameters()))
+        assert (2, 7, 11) in arr.crossings and len(arr.crossings) == 13
 
 
 @st.composite
