@@ -77,6 +77,18 @@ MAX_VERIFY_M = 100_000
 # counted build, so the worst case is MAX_TRIALS builds of MAX_GEOM_M points:
 # `verify --max-m 60 --geom-cap 60 --trials 100` took 17 s and 25 MB peak RSS.
 MAX_TRIALS = 100
+# Fewest points a verify trial builds: checks 2-5 read trial 0's counts, and 7
+# give their depth-4 constant row three equal entries (6 is the least for two).
+_MIN_COUNTED = 7
+
+# The four symbolic region counts, by --method name.  Each looks its function up
+# when it runs, so a wrapper bound in its place (as by perfbench's tracer) runs.
+_SYMBOLIC = {
+    "binomial": lambda m: regions_binomial(m),
+    "polynomial": lambda m: regions_polynomial(m),
+    "sum": lambda m: regions_binomial_sum(m),
+    "euler": lambda m: euler_counts(m)[2],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +289,7 @@ def cmd_regions(args) -> int:
         if args.trials != 1 or args.seed is not None:
             raise ValueError("--degenerate hexagon takes neither --trials nor --seed")
 
-    wants = (
-        ["binomial", "polynomial", "sum", "euler", "geometric"]
-        if args.method == "all"
-        else [args.method]
-    )
+    wants = [*_SYMBOLIC, "geometric"] if args.method == "all" else [args.method]
     over_cap = f"m={m} exceeds the geometric cap ({cap}); raise --geom-cap to force it"
     if "geometric" not in wants:
         if args.trials != 1 or args.seed is not None:
@@ -298,18 +306,8 @@ def cmd_regions(args) -> int:
     elif m <= cap:
         _check_build_size(m)
 
-    counts: dict[str, int] = {}
-    geometric_detail = None
-    geometric_note = None
-
-    if "binomial" in wants:
-        counts["binomial"] = regions_binomial(m)
-    if "polynomial" in wants:
-        counts["polynomial"] = regions_polynomial(m)
-    if "sum" in wants:
-        counts["sum"] = regions_binomial_sum(m)
-    if "euler" in wants:
-        counts["euler"] = euler_counts(m)[2]
+    counts = {name: count(m) for name, count in _SYMBOLIC.items() if name in wants}
+    geometric_detail = geometric_note = None
 
     if "geometric" in wants:
         if m > cap:
@@ -376,74 +374,75 @@ def _verify_checks(args, cap: int) -> list[dict]:
     def add(name: str, scope: str, passed: bool, detail: str = "") -> None:
         checks.append({"name": name, "scope": scope, "passed": passed, "detail": detail})
 
+    # Each trial is one build of K = max(geom_limit, _MIN_COUNTED) points,
+    # freed before the next, whose regions are counted at every k = 1..K and
+    # compared with the closed formula.
+    geom_limit = min(max_m, cap)
+    formula = moser_terms(max(geom_limit, _MIN_COUNTED))
+    trials = [verify_against_formula(formula, trial=t, seed=args.seed) for t in range(args.trials)]
+
     # 1. The four symbolic methods agree (the Euler route counts V and E by
     #    rule and gets F from Euler's formula).
     mismatch = None
     for m in range(1, max_m + 1):
-        values = {
-            "binomial": regions_binomial(m),
-            "polynomial": regions_polynomial(m),
-            "sum": regions_binomial_sum(m),
-            "euler": euler_counts(m)[2],
-        }
+        values = {name: count(m) for name, count in _SYMBOLIC.items()}
         if len(set(values.values())) != 1:
             mismatch = f"m={m}: {values}"
             break
-    add(
-        "symbolic-methods-agree",
-        f"m=1..{max_m}",
-        mismatch is None,
-        mismatch or "binomial = polynomial = sum = euler",
-    )
+    add("symbolic-methods-agree", f"m=1..{max_m}", mismatch is None, mismatch or " = ".join(_SYMBOLIC))
 
-    # 2. Recurrence pipeline on the region sequence: infer from 7 terms,
-    #    solve by both routes, compare against the closed formula.
-    rec = infer_recurrence(build_difference_table(moser_terms(7)))
-    charpoly_form, genfunc_form = _solve_forms(rec, ["charpoly", "genfunc"])
-    add(
-        "solver-routes-agree",
-        "order-4 region recurrence",
-        charpoly_form.agrees_with(genfunc_form),
-        f"charpoly: {charpoly_form.describe()} | genfunc: {genfunc_form.describe()}",
-    )
-    in_m = to_moser_variable(charpoly_form)
-    expected_poly = moser_polynomial()
-    add(
-        "closed-form-matches-quartic",
-        "m-variable comparison",
-        in_m == expected_poly,
-        f"{format_polynomial(in_m, 'm')} vs {format_polynomial(expected_poly, 'm')}",
-    )
-    eval_mismatch = None
-    for m in range(1, max_m + 1):
-        if charpoly_form.evaluate(m - 1) != regions_binomial(m):
-            eval_mismatch = f"m={m}"
-            break
-    add(
-        "closed-form-evaluation",
-        f"m=1..{max_m}",
-        eval_mismatch is None,
-        eval_mismatch or "closed form reproduces the region counts",
-    )
-    iterate_count = max(rec.order, min(max_m, 100))
-    iterated = iterate_recurrence(rec, iterate_count)
-    iterate_ok = all(
-        iterated[i] == regions_binomial(i + 1) for i in range(iterate_count)
-    )
-    add(
-        "forward-iteration",
-        f"m=1..{iterate_count}",
-        iterate_ok,
-        "recurrence iteration reproduces the region counts",
-    )
+    # 2. The paper's derivation, run on trial 0's counted regions: their
+    #    difference table gives the recurrence, both routes solve it, and the
+    #    closed formula is only compared with what comes out.
+    try:
+        rec = infer_recurrence(build_difference_table(trials[0][0]))
+        charpoly_form, genfunc_form = _solve_forms(rec, ["charpoly", "genfunc"])
+    except RecurlabError as exc:
+        for name, scope in (
+            ("solver-routes-agree", "order-4 region recurrence"),
+            ("closed-form-matches-quartic", "m-variable comparison"),
+            ("closed-form-evaluation", f"m=1..{max_m}"),
+            ("forward-iteration", f"m=1..{min(max_m, 100)}"),
+        ):
+            add(name, scope, False, f"counted regions: {exc}")
+    else:
+        add(
+            "solver-routes-agree",
+            "order-4 region recurrence",
+            charpoly_form.agrees_with(genfunc_form),
+            f"charpoly: {charpoly_form.describe()} | genfunc: {genfunc_form.describe()}",
+        )
+        in_m, quartic = to_moser_variable(charpoly_form), moser_polynomial()
+        add(
+            "closed-form-matches-quartic",
+            "m-variable comparison",
+            in_m == quartic,
+            f"{format_polynomial(in_m, 'm')} vs {format_polynomial(quartic, 'm')}",
+        )
+        eval_mismatch = None
+        for m in range(1, max_m + 1):
+            if charpoly_form.evaluate(m - 1) != regions_binomial(m):
+                eval_mismatch = f"m={m}"
+                break
+        add(
+            "closed-form-evaluation",
+            f"m=1..{max_m}",
+            eval_mismatch is None,
+            eval_mismatch or "closed form reproduces the region counts",
+        )
+        iterate_count = max(rec.order, min(max_m, 100))
+        iterated = iterate_recurrence(rec, iterate_count)
+        add(
+            "forward-iteration",
+            f"m=1..{iterate_count}",
+            all(iterated[i] == regions_binomial(i + 1) for i in range(iterate_count)),
+            "recurrence iteration reproduces the region counts",
+        )
 
-    # 3. Geometric construction against the closed formula.
-    #    Each trial is one build, freed before the next; the smallest k is
-    #    reported, from the first trial that fails there.
-    geom_limit = min(max_m, cap)
-    formula = moser_terms(geom_limit)
-    found = (verify_against_formula(formula, trial=t, seed=args.seed) for t in range(args.trials))
-    failure = min((f for f in found if f is not None), key=lambda f: f[0], default=None)
+    # 3. Geometric construction against the closed formula for k <= geom_limit:
+    #    the smallest failing k, from the first trial that fails there.
+    failures = (f for _, f in trials if f is not None and f[0] <= geom_limit)
+    failure = min(failures, key=lambda f: f[0], default=None)
     geom_fail = None
     if failure is not None:
         k, counted, expected, parameters = failure
@@ -464,13 +463,13 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--max-m {args.max_m} exceeds the sweep limit ({MAX_VERIFY_M})")
     _check_trials(args)
     cap = _geometry_cap(args)
-    _check_build_size(min(args.max_m, cap))
+    _check_build_size(max(min(args.max_m, cap), _MIN_COUNTED))
     checks = _verify_checks(args, cap)
     all_passed = all(c["passed"] for c in checks)
 
     result = {"checks": checks, "all_passed": all_passed}
     inputs = {"max_m": args.max_m, "trials": args.trials, "geom_cap": cap}
-    tags = ["binomial", "polynomial", "sum", "euler", "charpoly", "genfunc", "geometric"]
+    tags = [*_SYMBOLIC, "charpoly", "genfunc", "geometric"]
     envelope = _envelope("verify", inputs, tags, result, all_passed)
 
     human = []
@@ -545,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     regions.add_argument("--m", type=int, required=True, help="number of circle points")
     regions.add_argument(
         "--method",
-        choices=["binomial", "polynomial", "sum", "euler", "geometric", "all"],
+        choices=[*_SYMBOLIC, "geometric", "all"],
         default="all",
         help="counting method (default: all, with agreement verdict)",
     )
@@ -573,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run every cross-check")
     verify.add_argument("--max-m", type=int, default=30, help="sweep limit (default 30)")
     verify.add_argument(
-        "--trials", type=int, default=2, help="geometric layouts per m (default 2)"
+        "--trials", type=int, default=2, help="geometric layouts, one build each (default 2)"
     )
     verify.add_argument("--seed", type=int, default=None, help="seeded generic layouts")
     verify.add_argument(

@@ -22,8 +22,8 @@ C(m, 4) counting argument.
 ``prefix_region_counts`` reads the count of every prefix of the points, in
 the order given, off one arrangement, by the same Euler formula.  The
 layout families are nested, so one call of ``verify_against_formula`` is
-one trial: a single K-point build checked for m = 1..K against formula
-values its caller passes.  ``generic_arrangement`` builds the unseeded
+one trial: a single K-point build whose counts for m = 1..K it hands back,
+checked against formula values its caller passes.  ``generic_arrangement`` builds the unseeded
 family once, as it is proven to be in general position, and redraws a
 seeded layout that turns out degenerate.
 """
@@ -321,9 +321,9 @@ def hexagon_arrangement() -> ChordArrangement:
 
 def verify_against_formula(
     expected: SequenceABC[int], *, trial: int = 0, seed: int | None = None
-) -> tuple[int, int, int, tuple[str, ...]] | None:
-    """Check trial ``trial``'s region count for each k = 1..m, m =
-    len(expected), against ``expected[k - 1]``, the caller's formula values.
+) -> tuple[list[int], tuple[int, int, int, tuple[str, ...]] | None]:
+    """Count trial ``trial``'s regions for each k = 1..m, m = len(expected),
+    and check each against ``expected[k - 1]``, the caller's formula values.
 
     Both layout families are nested: the k-point layout is the first k
     parameters of the m-point one, whichever attempt a seeded draw took.
@@ -332,9 +332,10 @@ def verify_against_formula(
     ``prefix_region_counts``; ``count_regions`` cross-checks the last one.
     The arrangement dies on return.
 
-    Returns None when every count matches, else the mismatch at the
-    smallest failing k as ``(k, counted, expected, parameters)``, with the
-    parameters of the k-prefix that was counted, in angular order.
+    Returns ``(counts, mismatch)``: ``counts[k - 1]`` is the counted f(k),
+    and ``mismatch`` is None when every count matches, else the mismatch at
+    the smallest failing k as ``(k, counted, expected, parameters)``, with
+    the parameters of the k-prefix that was counted, in angular order.
     """
     arr = generic_arrangement(len(expected), trial=trial, seed=seed)
     counts = prefix_region_counts(arr)
@@ -342,8 +343,8 @@ def verify_against_formula(
     for k, (counted, want) in enumerate(zip(counts, expected), 1):
         if counted != want:
             parameters = tuple(p.parameter_text for p, b in zip(arr.points, arr.births) if b <= k)
-            return k, counted, want, parameters
-    return None
+            return counts, (k, counted, want, parameters)
+    return counts, None
 
 
 def _interior_point_json(point: InteriorPoint) -> dict:

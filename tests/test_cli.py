@@ -662,6 +662,31 @@ class TestRegions:
         assert payload["result"]["counts"] == {"binomial": 5036}
         assert payload["agreement"] is None
 
+    def test_symbolic_routes_read_patched_names(self, capsys, monkeypatch):
+        # Each route calls its function by name when it runs, so a wrapper
+        # bound in its place after import (as perfbench's tracer binds them)
+        # is what runs, in regions and in verify's check 1.  A geometric-only
+        # run calls none of them.
+        from recurlab import moser_formulas
+
+        calls = []
+        routes = ("regions_binomial", "regions_polynomial", "regions_binomial_sum", "euler_counts")
+        for name in routes:
+            real = getattr(moser_formulas, name)
+            monkeypatch.setattr(
+                f"recurlab.cli.{name}", lambda m, real=real, name=name: calls.append(name) or real(m)
+            )
+        assert run_cli(["regions", "--m=5"], capsys)[0] == 0
+        assert calls == list(routes)
+        calls.clear()
+        assert run_cli(["regions", "--m=5", "--method=sum"], capsys)[0] == 0
+        assert calls == ["regions_binomial_sum"]
+        calls.clear()
+        assert run_cli(["regions", "--m=7", "--method=geometric"], capsys)[0] == 0
+        assert calls == []
+        assert run_cli(["verify", "--max-m=2", "--trials=1"], capsys)[0] == 0
+        assert calls[:8] == list(routes) * 2
+
     def test_human_and_json_same_numbers(self, capsys):
         code_h, out, _ = run_cli(["regions", "--m", "7"], capsys)
         code_j, payload, _ = run_json(["regions", "--m", "7"], capsys)
@@ -803,6 +828,8 @@ class TestVerify:
         # (exit 1), not look like a degenerate layout (exit 4).  Each trial
         # builds one 10-point arrangement, and the kernel's last crossing
         # there involves the last point, so the first failing prefix is m=10.
+        # Trial 0's counts have no constant difference row, so checks 2-5,
+        # which run on them, fail as well (exit 1, not 3).
         self._drop_last_crossing(monkeypatch)
         code, out, _ = run_cli(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
         assert code == 1
@@ -811,6 +838,7 @@ class TestVerify:
             "FAIL geometric-construction [m=1..10, trials=2]: "
             f"m=10: counted 255, expected 256, points ({points})\n"
         ) in out
+        assert self._unsolved_lines(12) == out.splitlines()[1:5]
 
     def test_dropped_early_crossing_fails_at_its_birth(self, capsys, monkeypatch):
         # Drop the crossing of chords (0, 2) and (1, 3).  The generic layouts'
@@ -829,6 +857,80 @@ class TestVerify:
             "FAIL geometric-construction [m=1..10, trials=2]: "
             "m=4: counted 7, expected 8, points ('1/1', '2/1', '4/1', '8/1')\n"
         ) in out
+        assert self._unsolved_lines(12) == out.splitlines()[1:5]
+
+    @staticmethod
+    def _unsolved_lines(max_m):
+        """Checks 2-5 as verify prints them when the counts have no
+        certified constant difference row."""
+        detail = "counted regions: no constant difference row was certified; cannot infer a recurrence"
+        return [
+            f"FAIL solver-routes-agree [order-4 region recurrence]: {detail}",
+            f"FAIL closed-form-matches-quartic [m-variable comparison]: {detail}",
+            f"FAIL closed-form-evaluation [m=1..{max_m}]: {detail}",
+            f"FAIL forward-iteration [m=1..{min(max_m, 100)}]: {detail}",
+        ]
+
+    def test_wrong_formula_value_is_a_disagreement(self, capsys, monkeypatch):
+        # The formula is only compared: one wrong value of it fails the
+        # geometric check (exit 1) and leaves the derivation, which runs on
+        # the counted regions, untouched.  Fed to the difference table, the
+        # same value left no constant row, and verify exited 3.
+        from recurlab.moser_formulas import moser_terms
+
+        def wrong(count):
+            terms = moser_terms(count)
+            terms[5] += 1
+            return terms
+
+        monkeypatch.setattr("recurlab.cli.moser_terms", wrong)
+        code, payload, _ = run_json(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
+        assert code == 1
+        checks = {c["name"]: c for c in payload["result"]["checks"]}
+        assert checks["solver-routes-agree"]["passed"] is True
+        assert checks["solver-routes-agree"]["detail"] == f"charpoly: {QUARTIC_IN_N} | genfunc: {QUARTIC_IN_N}"
+        assert [name for name, c in checks.items() if not c["passed"]] == ["geometric-construction"]
+        assert checks["geometric-construction"]["detail"].startswith("m=6: counted 31, expected 32, points ")
+
+    def test_at_least_seven_points_are_built(self, capsys, monkeypatch):
+        # Checks 2-5 read trial 0's counts, and a trial builds at least 7
+        # points, whatever the geometric scope.
+        builds = self._track_builds(monkeypatch)
+        code, out, _ = run_cli(["verify", "--max-m", "3"], capsys)
+        assert code == 0
+        assert "ok   geometric-construction [m=1..3, trials=2]" in out.splitlines()
+        code, payload, _ = run_json(["verify", "--max-m", "40", "--geom-cap", "4", "--trials", "1"], capsys)
+        assert (code, payload["result"]["checks"][-1]["scope"]) == (0, "m=1..4, trials=1")
+        assert builds == [(7, 0, None), (7, 1, None), (7, 0, None)]
+
+    def test_count_wrong_beyond_the_scope_fails_the_derivation(self, capsys, monkeypatch):
+        # A count wrong only at k = 6 lies outside geometric-construction's
+        # m=1..3 and m=1..4, but it is among the counts checks 2-5 run on.
+        prefix_region_counts = arrangement_module.prefix_region_counts
+
+        def wrong_at_six(arr):
+            counts = prefix_region_counts(arr)
+            counts[5] += 1
+            return counts
+
+        monkeypatch.setattr(arrangement_module, "prefix_region_counts", wrong_at_six)
+        for argv, max_m, scope in (
+            (["--max-m", "3"], 3, "m=1..3, trials=2"),
+            (["--max-m", "40", "--geom-cap", "4", "--trials", "1"], 40, "m=1..4, trials=1"),
+        ):
+            code, out, _ = run_cli(["verify", *argv], capsys)
+            assert code == 1
+            lines = out.splitlines()
+            assert lines[1:5] == self._unsolved_lines(max_m)
+            assert lines[5] == f"ok   geometric-construction [{scope}]"
+
+    def test_build_limit_bounds_the_size_built(self, capsys, monkeypatch):
+        # --max-m 3 builds 7 points, so the limit applies to 7, not 3.
+        monkeypatch.setattr("recurlab.cli.MAX_GEOM_M", 6)
+        code, out, err = run_cli(["verify", "--max-m", "3"], capsys)
+        assert (code, out, err) == (2, "", "error: m=7 exceeds the geometric build limit (6 points)\n")
+        monkeypatch.setattr("recurlab.cli.MAX_GEOM_M", 7)
+        assert run_cli(["verify", "--max-m", "3"], capsys)[0] == 0
 
     @staticmethod
     def _drop_last_crossing(monkeypatch):

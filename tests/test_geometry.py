@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from recurlab import (
     DegeneracyBudgetError,
     binomial,
+    build_difference_table,
     count_faces,
     count_regions,
     hexagon_arrangement,
@@ -1042,24 +1043,24 @@ class TestDegenerateHexagon:
 
 
 class TestVerifyAgainstFormula:
-    """One call is one trial: one build, checked at every k and freed on
-    return.  ``verify`` takes the smallest k over its trials
-    (``tests/test_cli.py``, ``TestVerify``)."""
+    """One call is one trial: one build, counted and checked at every k and
+    freed on return; it hands back ``(counts, mismatch)``.  ``verify`` takes
+    the smallest k over its trials (``tests/test_cli.py``, ``TestVerify``)."""
 
     def test_small_sweep_passes(self):
         for m in (1, 4, 7):
             for trial in (0, 1):
                 # None: every count of the layout, for every k = 1..m, matched.
-                assert verify_against_formula(moser_terms(m), trial=trial) is None
+                assert verify_against_formula(moser_terms(m), trial=trial) == (moser_terms(m), None)
 
     def test_ten_points_two_layouts(self):
         for trial in (0, 1):
-            assert verify_against_formula(moser_terms(10), trial=trial) is None
+            assert verify_against_formula(moser_terms(10), trial=trial) == (moser_terms(10), None)
         assert regions_binomial(10) == 256
 
     def test_seeded_layouts(self):
         for trial in (0, 1):
-            assert verify_against_formula(moser_terms(6), trial=trial, seed=2026) is None
+            assert verify_against_formula(moser_terms(6), trial=trial, seed=2026) == (moser_terms(6), None)
 
     def test_geometry_imports_no_formula(self):
         # The counts are checked against the formulas, so the geometry must
@@ -1076,17 +1077,18 @@ class TestVerifyAgainstFormula:
     def test_planted_wrong_expectation_is_reported(self):
         # The geometry counts f(6) = 31 whatever it is told: an expectation
         # of 32 fails at k=6, with the 6-prefix of the trial's layout.
+        # The counts handed back are the geometry's, not the expectation.
         expected = moser_terms(8)
         expected[5] = 32
         generic = ("1/1", "2/1", "4/1", "8/1", "16/1", "32/1")
-        assert verify_against_formula(expected) == (6, 31, 32, generic)
+        assert verify_against_formula(expected) == (moser_terms(8), (6, 31, 32, generic))
         variant = ("2/1", "3/1", "5/1", "9/1", "17/1", "33/1")
-        assert verify_against_formula(expected, trial=1) == (6, 31, 32, variant)
+        assert verify_against_formula(expected, trial=1) == (moser_terms(8), (6, 31, 32, variant))
         prefix = seeded_parameters(8, 3)[:6]
         seeded = build_arrangement(map(CirclePoint, prefix))
         assert [p.t for p in seeded] != prefix
         assert verify_against_formula(expected, seed=3) == (
-            6, 31, 32, tuple(p.parameter_text for p in seeded)
+            moser_terms(8), (6, 31, 32, tuple(p.parameter_text for p in seeded))
         )
 
     @staticmethod
@@ -1104,9 +1106,9 @@ class TestVerifyAgainstFormula:
     def test_one_build_per_trial(self, monkeypatch):
         builds = self._record_builds(monkeypatch)
         for trial in (0, 1):
-            assert verify_against_formula(moser_terms(12), trial=trial) is None
+            assert verify_against_formula(moser_terms(12), trial=trial) == (moser_terms(12), None)
         for trial in (0, 1, 2):
-            assert verify_against_formula(moser_terms(8), trial=trial, seed=5) is None
+            assert verify_against_formula(moser_terms(8), trial=trial, seed=5) == (moser_terms(8), None)
         assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 5), (8, 2, 5)]
 
     def test_mismatch_reuses_the_counted_build(self, monkeypatch):
@@ -1126,8 +1128,9 @@ class TestVerifyAgainstFormula:
 
         monkeypatch.setattr(arrangement_module, "generic_arrangement", tracked)
         for trial in (0, 1):
-            k, counted, expected, _ = verify_against_formula(moser_terms(8), trial=trial, seed=3)
+            counts, (k, counted, expected, _) = verify_against_formula(moser_terms(8), trial=trial, seed=3)
             assert (k, counted, expected) == (6, 30, 31)
+            assert counts == [f - (i >= 5) for i, f in enumerate(moser_terms(8))]
             assert held[-1]() is None, f"trial {trial}: the layout outlived the call"
         assert builds == [(8, 0, 3), (8, 1, 3)]
 
@@ -1156,7 +1159,7 @@ class TestVerifyAgainstFormula:
         builds = self._record_builds(monkeypatch)
         for trial in (0, 1):
             # None: the trial counted 31 at m = 6, as at every smaller m.
-            assert verify_against_formula(moser_terms(6), trial=trial, seed=self.SEED) is None
+            assert verify_against_formula(moser_terms(6), trial=trial, seed=self.SEED) == (moser_terms(6), None)
         assert builds == [(6, 0, self.SEED), (6, 1, self.SEED)]
         # The 6-point build's hexagon, then its redraw; no draw of its own.
         assert attempts == [0, 1]
@@ -1175,7 +1178,7 @@ class TestVerifyAgainstFormula:
             expected = moser_terms(6)
             expected[k - 1] += 1
             found = (k, regions_binomial(k), regions_binomial(k) + 1, prefix(k))
-            assert verify_against_formula(expected, seed=self.SEED) == found
+            assert verify_against_formula(expected, seed=self.SEED) == (moser_terms(6), found)
 
     def test_seeded_trial_draws_once(self, monkeypatch):
         # Each trial's parameters are drawn once, by its one build.
@@ -1188,7 +1191,7 @@ class TestVerifyAgainstFormula:
 
         monkeypatch.setattr(arrangement_module, "seeded_parameters", recording)
         for trial in (0, 1):
-            assert verify_against_formula(moser_terms(12), trial=trial, seed=3) is None
+            assert verify_against_formula(moser_terms(12), trial=trial, seed=3) == (moser_terms(12), None)
         assert draws == [(12, 3, 0), (12, 4, 0)]
 
     @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7, 7])])
@@ -1209,12 +1212,34 @@ class TestVerifyAgainstFormula:
         intersect_pairs = _kernel.intersect_pairs
         monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args)))
         for trial, m in enumerate(births):
-            k, counted, expected, parameters = verify_against_formula(moser_terms(8), trial=trial, seed=seed)
+            counts, mismatch = verify_against_formula(moser_terms(8), trial=trial, seed=seed)
+            k, counted, expected, parameters = mismatch
             assert (k, counted, expected) == (m, regions_binomial(m) - 1, regions_binomial(m))
+            assert counts == [f - (i >= m - 1) for i, f in enumerate(moser_terms(8))]
             assert parameters == tuple(
                 p.parameter_text
                 for p in build_arrangement(map(CirclePoint, seeded_parameters(m, seed + trial)))
             )
+
+
+class TestCountedDifferenceTable:
+    """Newton's reading of the counted regions' difference table, with no
+    solver: a table whose row 4 is constant gives f(m) = sum over k <= 4 of
+    its leading diagonal's entry k times C(m - 1, k)."""
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("K", [7, 15, 25])
+    def test_constant_row_diagonal_and_newton_sum(self, K, seed):
+        counts, mismatch = verify_against_formula(moser_terms(K), seed=seed)
+        assert mismatch is None
+        table = build_difference_table(counts)
+        assert (table.constant_depth, table.denominator) == (4, 1)
+        assert table.rows[4] == (1,) * (K - 4)
+        diagonal = tuple(row[0] for row in table.rows)
+        assert diagonal == (1, 1, 1, 1, 1)
+        for m, count in enumerate(counts, 1):
+            assert count == sum(d * math.comb(m - 1, k) for k, d in enumerate(diagonal))
+            assert count == sum(math.comb(m - 1, k) for k in range(5))
 
 
 class TestRetryBudget:
