@@ -70,6 +70,13 @@ MAX_GEOM_M = 60
 # Most terms --moser may ask for; time and memory grow linearly: `table --moser
 # N --json` took 0.44 s and 73 MB peak RSS at N = 100,000, 1.0 s and 190 MB at 300,000.
 MAX_MOSER_N = 100_000
+# Most terms `solve --seq` or `--file` may give.  N terms can infer an order
+# N - 3 recurrence, and both routes grow steeply with the order: on n^d with
+# d + 4 terms, `solve --file` took 0.22 s and 27 MB peak RSS at 204 terms, 0.70
+# s and 50 MB at 304, 1.8 s and 95 MB at 404, and 22 s and 668 MB at 804.
+# --moser keeps MAX_MOSER_N: its terms certify order 4 (`solve --moser 100000`
+# took 0.17 s and 54 MB).  Python 3.11, 2-CPU x86-64 host.
+MAX_SOLVE_TERMS = 300
 # Largest verify --max-m; its symbolic sweeps are linear in it: `verify --max-m
 # N` took 0.8 s and 17 MB peak RSS in process at N = 100,000, 2.5 s at 300,000.
 MAX_VERIFY_M = 100_000
@@ -249,6 +256,8 @@ def _solve_forms(rec: LinearRecurrence, methods: list[str]) -> list[ClosedForm]:
 
 def cmd_solve(args) -> int:
     seq, inputs = _resolve_sequence(args)
+    if args.moser is None and len(seq) > MAX_SOLVE_TERMS:
+        raise ValueError(f"solve got {len(seq)} terms, over the term limit ({MAX_SOLVE_TERMS} terms)")
     table = build_difference_table(seq, args.max_depth)
     rec = infer_recurrence(table)
     methods = ["charpoly", "genfunc"] if args.method == "both" else [args.method]

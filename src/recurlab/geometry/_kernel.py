@@ -51,20 +51,29 @@ A crossing point is named by its chords, from the side values alone.
 Chord j meets chord i = (A, B) at |s_j(B)| A + |s_j(A)| B: the point is on
 line i, and s_j of it is 0, as s_j(A) and s_j(B) have opposite signs.  As
 W_A, W_B > 0, its place along the chord grows with sa / (sa + sb), where
-sa = |s_j(A)| and sb = |s_j(B)|, so two chords meet chord i at one point
-exactly when those ratios are equal.  Row i keys chord j by
-floor(sa 2^shift / (sa + sb)), with 2^shift > 4 big^2 and big the largest
-|s|.  Distinct ratios p/q and p'/q' (q, q' <= 2 big) differ by at least
-1/(q q') >= 1/(4 big^2), so scaled by 2^shift they differ by more than 1
-and so do their floors: equal keys are exactly equal points.
+sa = |s_j(A)| and sb = |s_j(B)|, and so with sa / sb: two chords meet
+chord i at one point exactly when those ratios are equal.
 
-The point where the chords S meet is found whole in row min(S), as the
-row and each j with its key, in j order: every other chord of S is larger
+Row i first keys chord j by the one-digit key floor(sa 2^30 / sb).  It is
+a function of sa / sb alone, so the chords through one point share it, and
+chords with distinct one-digit keys meet chord i at distinct points.  Its
+quotient has about 30 + log2(sa / sb) bits, where the exact key's has
+about twice as many bits as big, below.  Only the chords that share a
+one-digit key in a row (a clash) get the exact key
+floor(sa 2^shift / (sa + sb)), with 2^shift > 4 big^2 and big the largest
+|s|; ``key_shift`` gives the shift on the first clash of a call, and a
+call with no clash never computes it.  Distinct ratios p/q and p'/q'
+(q, q' <= 2 big) differ by at least 1/(q q') >= 1/(4 big^2), so scaled by
+2^shift they differ by more than 1 and so do their floors: equal exact
+keys are exactly equal points.
+
+The point where the chords S meet is found whole in row min(S), as the row
+and each j with its exact key, in j order: every other chord of S is larger
 and crosses min(S).  The later rows of S would meet it again, through the
 pairs of S without min(S); those pairs go into a bitset per row when the
-point is found, which only happens at concurrent points (3 or more
-chords), and later rows clear them from their set.  No triple, gcd or
-global dict is needed.
+point is found, which only happens at concurrent points (3 or more chords),
+and later rows clear them from their set.  No triple, gcd or global dict is
+needed.
 
 The row's set, less the chords of its concurrent points, is then exactly
 its points of two chords, and the kernel returns it as it is, with no
@@ -133,7 +142,7 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
         signs.append(positive)
         size.append(list(map(abs, values)))
     above = [_bitset(column) for column in zip(*signs)]
-    shift = key_shift(size)
+    shift = None  # key_shift(size), on the first clash of one-digit keys
 
     pairs = []
     concurrent = []
@@ -143,14 +152,23 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
         a, b = ca[i], cb[i]
         row = (split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later.pop(i, 0))) >> i + 1
         at = {}
-        repeats = []
+        clashes = []
         for j in partners(ids, i, row):
             sizes = size[j]
-            sa = sizes[a]
-            first = at.setdefault((sa << shift) // (sa + sizes[b]), j)
+            first = at.setdefault((sizes[a] << 30) // sizes[b], j)
             if first != j:
-                repeats.append((first, j))
-        if repeats:
+                clashes += first, j
+        if clashes:
+            if shift is None:
+                shift = key_shift(size)
+            exact = {}
+            repeats = []
+            for j in sorted(set(clashes)):
+                sizes = size[j]
+                sa = sizes[a]
+                first = exact.setdefault((sa << shift) // (sa + sizes[b]), j)
+                if first != j:
+                    repeats.append((first, j))
             through = {}
             for first, j in repeats:
                 through.setdefault(first, [i, first]).append(j)

@@ -266,20 +266,31 @@ def prefix_region_counts(arr: ChordArrangement) -> list[int]:
 
     and regions_k = E_k - V_k + 1.  No general position is assumed: a
     point where several chords meet is one vertex at every k.
+
+    Bit c of ``born[t]`` is set iff chord c is born at t.  A point of two
+    chords is born with the later one, so row i's points born at t > ti,
+    its own chord's birth, are the bits of ``born[t] >> i + 1 & row``, and
+    the rest of the row is born at ti: at most m popcounts per row, not one
+    step per crossing.
     """
     m, births = arr.m, arr.births
     chord_birth = [max(births[a], births[b]) for a, b in arr.chords]
+    born = [0] * (m + 1)
+    for c, t in enumerate(chord_birth):
+        born[t] |= 1 << c
     # step[k] is what the k-th point adds to E - V.  The point and its arc
     # cancel; each new chord adds one edge, each new crossing one vertex and
     # two edges, and each later chord through a crossing one edge.  So every
     # chord through a crossing but its earliest-born one adds 1.
-    step = [0] * (m + 1)
-    for t in chord_birth:
-        step[t] += 1
+    step = [chords.bit_count() for chords in born]
     for i, row in enumerate(arr.pairs):
         ti = chord_birth[i]
-        for t in _kernel.partners(chord_birth, i, row):
-            step[t if t > ti else ti] += 1
+        rest = row.bit_count()
+        for t in range(ti + 1, m + 1):
+            later = (born[t] >> i + 1 & row).bit_count()
+            step[t] += later
+            rest -= later
+        step[ti] += rest
     for through in arr.concurrent:
         for t in sorted([chord_birth[c] for c in through])[1:]:
             step[t] += 1

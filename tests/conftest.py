@@ -281,6 +281,26 @@ def kernel_crossings(result, start: int = 0) -> list[tuple[int, ...]]:
     return sorted(simple + list(concurrent))
 
 
+def per_partner_prefix_region_counts(arr) -> list[int]:
+    """``prefix_region_counts`` one step per crossing, reading each row bit
+    by a shift: every chord adds 1 at its birth, every point of two chords
+    1 at the later birth of the two, and every other point 1 at each birth
+    of its chords but the earliest."""
+    chord_birth = [max(arr.births[a], arr.births[b]) for a, b in arr.chords]
+    step = [0] * (arr.m + 1)
+    for t in chord_birth:
+        step[t] += 1
+    for i, j in kernel_crossings((arr.pairs, ())):
+        step[max(chord_birth[i], chord_birth[j])] += 1
+    for through in arr.concurrent:
+        for t in sorted(chord_birth[c] for c in through)[1:]:
+            step[t] += 1
+    counts = [1]
+    for k in range(1, arr.m + 1):
+        counts.append(counts[-1] + step[k])
+    return counts[1:]
+
+
 def drop_last_crossing(result):
     """The kernel's result with its last crossing in ascending order taken
     out, in place: the top bit of its last nonzero row, which must come

@@ -16,7 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from recurlab import build_difference_table, format_rational, predict_next, regions_binomial
-from recurlab.cli import MAX_GEOM_M, MAX_MOSER_N, MAX_TRIALS, MAX_VERIFY_M, build_parser, main
+from recurlab.cli import (
+    MAX_GEOM_M,
+    MAX_MOSER_N,
+    MAX_SOLVE_TERMS,
+    MAX_TRIALS,
+    MAX_VERIFY_M,
+    build_parser,
+    main,
+)
 from recurlab.core_numeric import format_quotient
 from recurlab.geometry import arrangement as arrangement_module
 from recurlab.geometry import (
@@ -341,6 +349,27 @@ class TestTable:
                 code, out, err = run_cli([command, f"--moser={n}", "--json"], capsys)
                 assert (code, out) == (2, ""), (command, n)
                 assert err == f"error: --moser {n} exceeds the term limit ({MAX_MOSER_N} terms)\n"
+
+    def test_solve_term_limit_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Up to the limit a sequence solves; over it, from --seq or --file,
+        # nothing is solved: the difference table is never built.  --moser
+        # keeps its own limit.
+        squares = [n * n for n in range(MAX_SOLVE_TERMS + 1)]
+        code, out, _ = run_cli(["solve", "--seq=" + ",".join(map(str, squares[:-1]))], capsys)
+        assert code == 0 and "methods agree: yes" in out
+        code, _, _ = run_cli(["solve", f"--moser={MAX_SOLVE_TERMS + 1}"], capsys)
+        assert code == 0
+
+        def never(*args):
+            raise AssertionError("a difference table was built over the limit")
+
+        monkeypatch.setattr("recurlab.cli.build_difference_table", never)
+        path = tmp_path / "squares.txt"
+        path.write_text("".join(f"{v}\n" for v in squares))
+        for argv in (["solve", "--seq=" + ",".join(map(str, squares))], ["solve", "--file", str(path), "--json"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: solve got {MAX_SOLVE_TERMS + 1} terms, over the term limit ({MAX_SOLVE_TERMS} terms)\n"
 
     @pytest.mark.parametrize(
         "seq, max_depth",

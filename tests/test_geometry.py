@@ -66,6 +66,7 @@ from conftest import (
     involution_crossings,
     kernel_crossings,
     pairing_determinants,
+    per_partner_prefix_region_counts,
     regular_approx_parameters,
 )
 
@@ -768,6 +769,37 @@ class TestIntersection:
             assert arr.crossings == tuple(crossings), len(points)
             assert arr.sides == sides, len(points)
             assert [p.triple for p in arr.interior_points] == list(reference), len(points)
+
+    def test_one_digit_key_clash_of_distinct_points(self):
+        # A row keys its chords by floor(sa 2^30 / sb) first.  In the
+        # unseeded 40-point layout, 270 of the 780 rows have two chords
+        # that share that key but meet the row's chord at distinct points
+        # (the layout has no triple point): only their exact keys tell
+        # them apart.  The hexagon's and a designed layout's concurrent
+        # points share it too, and their exact keys join them.
+        arr = generic_arrangement(40)
+        crossings = involution_crossings([p.t for p in arr.points])
+        partners = {}
+        for i, j in crossings:
+            partners.setdefault(i, []).append(j)
+
+        def one_digit_keys(i):
+            a, b = arr.chords[i]
+            return [(arr.sides[j][a] << 30) // arr.sides[j][b] for j in partners[i]]
+
+        clash = next(i for i in partners if len(set(one_digit_keys(i))) < len(partners[i]))
+        args = _kernel_args(arr.points)
+        expected = _four_sign_reference(*args, 0, len(args[-1]))
+        assert kernel_crossings((arr.pairs, arr.concurrent)) == list(_merge_hits(expected).values()) == crossings
+        assert arr.general_position and count_regions(arr)[2] == regions_binomial(40)
+        # The clash row alone, in a call of its own, which computes the shift.
+        row = [(i, j) for i, j, *_ in expected if i == clash]
+        assert kernel_crossings(_kernel.intersect_pairs(*args, clash, clash + 1, []), clash) == row
+        hexagon = hexagon_arrangement()
+        assert hexagon.concurrent == ((2, 7, 11),) and count_regions(hexagon)[2] == 30
+        designed = intersect_chords(map(CirclePoint, designed_parameters((4, 3), seed=1)))
+        assert sorted(map(len, designed.concurrent)) == [3, 4] and count_regions(designed)[2] == 1089
+        assert list(designed.crossings) == involution_crossings([p.t for p in designed.points])
 
     def test_merge_on_concurrent_points(self):
         for m in (8, 10, 12):
@@ -1555,17 +1587,21 @@ class TestInvolutionOracle:
 
 @st.composite
 def bitset_layouts(draw):
-    """A seeded layout of up to 25 points, a designed layout (its draws
-    have concurrent points), or the hexagon, with a random birth order."""
-    kind = draw(st.sampled_from(["seeded", "designed", "hexagon"]))
+    """Up to 25 points: seeded, unseeded, designed (its draws have
+    concurrent points) or the hexagon, given in their own order or
+    shuffled, so that births need not follow angular order."""
+    kind = draw(st.sampled_from(["seeded", "unseeded", "designed", "hexagon"]))
+    m = draw(st.integers(1, 25))
     if kind == "seeded":
-        params = seeded_parameters(draw(st.integers(1, 25)), seed=draw(st.integers(0, 10**6)))
+        params = seeded_parameters(m, seed=draw(st.integers(0, 10**6)))
+    elif kind == "unseeded":
+        params = generic_parameters(m, variant=draw(st.integers(0, 99)))
     elif kind == "designed":
         sizes = tuple(draw(st.lists(st.integers(3, 5), min_size=1, max_size=2)))
         params = designed_parameters(sizes, seed=draw(st.integers(0, 10**6)), centered=draw(st.booleans()))
     else:
         params = hexagon_parameters()
-    return draw(st.permutations(params))
+    return draw(st.permutations(params)) if draw(st.booleans()) else params
 
 
 class TestCrossingBitsets:
@@ -1586,7 +1622,9 @@ class TestCrossingBitsets:
         births = [birth[p] for p in arr.points]
         assert arr.births == tuple(births)
         assert count_regions(arr) == _tuple_count_regions(arr)
-        assert prefix_region_counts(arr) == _tuple_prefix_region_counts(arr, births)
+        # The birth-bitset prefix counts against one step per crossing, by
+        # row bit and by tuple.
+        assert prefix_region_counts(arr) == per_partner_prefix_region_counts(arr) == _tuple_prefix_region_counts(arr, births)
         assert count_faces(arr) == _tuple_count_faces(arr) == count_regions(arr)[2] + 1
 
     def test_count_paths_build_no_crossing_tuples(self, monkeypatch, capsys):
