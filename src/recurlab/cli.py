@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -77,6 +78,19 @@ MAX_MOSER_N = 100_000
 # --moser keeps MAX_MOSER_N: its terms certify order 4 (`solve --moser 100000`
 # took 0.17 s and 54 MB).  Python 3.11, 2-CPU x86-64 host.
 MAX_SOLVE_TERMS = 300
+# Most terms `table --seq` or `--file` may give.  The table holds about N^2 / 2
+# cells, and row k of an alternating sequence holds +-2^k, so the cost grows
+# about as N^3 bits: on alternating 0/1 terms `table --seq` took 0.64 s and 84
+# MB peak RSS at 1,200 terms, 1.0 s and 136 MB at 1,500, 4.2 s and 273 MB at
+# 2,000, and 35 s and 1.7 GB at 4,000.  1,200 terms of 2^n take 82 MB.
+MAX_TABLE_TERMS = 1_200
+# Most bytes a --file may hold; a longer file is not read past them.  The
+# 1,200 terms of 2^n take 218,362 bytes, and 300 terms of n^296 181,607.  At
+# the two term limits, terms that fill it cost most: 1,200 alternating terms
+# of 217 digits took `table --file` 2.3 s and 152 MB peak RSS, and 300 terms
+# of 10^270 n^296 + n `solve --file` 1.4 s and 60 MB.  (A --seq argument is
+# at most 128 KiB on Linux.)  Python 3.11, 2-CPU x86-64 host.
+MAX_FILE_BYTES = 262_144
 # Largest verify --max-m; its symbolic sweeps are linear in it: `verify --max-m
 # N` took 0.8 s and 17 MB peak RSS in process at N = 100,000, 2.5 s at 300,000.
 MAX_VERIFY_M = 100_000
@@ -103,11 +117,12 @@ _SYMBOLIC = {
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, envelope: dict, human_lines: list[str]) -> None:
-    if getattr(args, "json", False):
+def _emit(args, envelope: dict, human_lines: list[str]) -> int:
+    if args.json:
         print(json.dumps(envelope, indent=2))
     else:
         print("\n".join(human_lines))
+    return EXIT_DISAGREEMENT if envelope["agreement"] is False else EXIT_OK
 
 
 def _envelope(command: str, inputs: dict, method_tags: list[str], result: dict, agreement) -> dict:
@@ -151,7 +166,13 @@ def _recurrence_json(rec: LinearRecurrence) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_sequence(args) -> tuple[tuple[Fraction, ...], dict]:
+def _resolve_sequence(args, limit: int) -> tuple[tuple[Fraction, ...], dict]:
+    """The terms of the one sequence source given, and their JSON inputs.
+
+    --seq and --file may give at most ``limit`` terms, the command's own
+    limit; --moser has MAX_MOSER_N.  Either is checked before any term is
+    parsed or computed.
+    """
     provided = [
         (name, value)
         for name, value in (("seq", args.seq), ("file", args.file), ("moser", args.moser))
@@ -160,23 +181,30 @@ def _resolve_sequence(args) -> tuple[tuple[Fraction, ...], dict]:
     if len(provided) != 1:
         raise ValueError("provide exactly one of --seq, --file, --moser")
     source, value = provided[0]
-    if source == "seq":
-        tokens = [tok.strip() for tok in value.split(",")]
-        if "" in tokens:
-            raise ValueError(f"malformed sequence: {value!r}")
-        terms = [parse_rational(tok) for tok in tokens]
-    elif source == "file":
-        with open(value, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        terms = [parse_rational(line) for line in lines if line and not line.startswith("#")]
-        if not terms:
-            raise ValueError(f"no terms found in {value}")
-    else:
+    if source == "moser":
         if value < 2:
             raise ValueError(f"--moser needs at least 2 terms, got {value}")
         if value > MAX_MOSER_N:
             raise ValueError(f"--moser {value} exceeds the term limit ({MAX_MOSER_N} terms)")
         terms = [Fraction(v) for v in moser_terms(value)]
+    else:
+        if source == "seq":
+            tokens = [tok.strip() for tok in value.split(",")]
+            if "" in tokens:
+                raise ValueError(f"malformed sequence: {value!r}")
+        else:
+            with open(value, "rb") as handle:
+                data = handle.read(MAX_FILE_BYTES + 1)
+            if len(data) > MAX_FILE_BYTES:
+                raise ValueError(f"{value} is over the file size limit ({MAX_FILE_BYTES} bytes)")
+            # Lines split as iterating a text file splits them: on \n, \r\n or \r.
+            lines = [line.strip() for line in io.StringIO(data.decode("utf-8"), newline=None)]
+            tokens = [line for line in lines if line and not line.startswith("#")]
+            if not tokens:
+                raise ValueError(f"no terms found in {value}")
+        if len(tokens) > limit:
+            raise ValueError(f"{args.command} got {len(tokens)} terms, over the term limit ({limit} terms)")
+        terms = [parse_rational(tok) for tok in tokens]
     inputs = {"source": source, "terms": [format_rational(t) for t in terms]}
     return tuple(terms), inputs
 
@@ -206,7 +234,7 @@ def _check_build_size(m: int) -> None:
 
 
 def cmd_table(args) -> int:
-    seq, inputs = _resolve_sequence(args)
+    seq, inputs = _resolve_sequence(args, MAX_TABLE_TERMS)
     table = build_difference_table(seq, args.max_depth)
     depth = table.constant_depth
     next_term = None if depth is None else predict_next(table)
@@ -255,9 +283,7 @@ def _solve_forms(rec: LinearRecurrence, methods: list[str]) -> list[ClosedForm]:
 
 
 def cmd_solve(args) -> int:
-    seq, inputs = _resolve_sequence(args)
-    if args.moser is None and len(seq) > MAX_SOLVE_TERMS:
-        raise ValueError(f"solve got {len(seq)} terms, over the term limit ({MAX_SOLVE_TERMS} terms)")
+    seq, inputs = _resolve_sequence(args, MAX_SOLVE_TERMS)
     table = build_difference_table(seq, args.max_depth)
     rec = infer_recurrence(table)
     methods = ["charpoly", "genfunc"] if args.method == "both" else [args.method]
@@ -280,8 +306,7 @@ def cmd_solve(args) -> int:
             human.append(f"  in m = n + 1: {entry['display_in_m']}")
     if agreement is not None:
         human.append(f"methods agree: {'yes' if agreement else 'NO'}")
-    _emit(args, envelope, human)
-    return EXIT_OK if agreement in (None, True) else EXIT_DISAGREEMENT
+    return _emit(args, envelope, human)
 
 
 def cmd_regions(args) -> int:
@@ -316,24 +341,24 @@ def cmd_regions(args) -> int:
         _check_build_size(m)
 
     counts = {name: count(m) for name, count in _SYMBOLIC.items() if name in wants}
+    trial_counts = []  # every trial's regions; only the last layout is kept
     geometric_detail = geometric_note = None
 
     if "geometric" in wants:
         if m > cap:
             geometric_note = over_cap
         else:
-            reports = []  # counted as built; only the last layout is kept
             for trial in range(args.trials):
                 last = None  # free the previous layout before the next is built
                 if args.degenerate == "hexagon":
                     last = hexagon_arrangement()
                 else:
                     last = generic_arrangement(m, trial=trial, seed=args.seed)
-                reports.append(count_regions(last))
-            vertices, edges, counts["geometric"] = reports[0]
+                vertices, edges, counts["geometric"] = count_regions(last)
+                trial_counts.append(counts["geometric"])
             geometric_detail = {
-                "trials": len(reports),
-                "counts": [regions for _, _, regions in reports],
+                "trials": args.trials,
+                "counts": trial_counts,
                 "vertices": vertices,
                 "edges": edges,
                 "general_position": last.general_position,
@@ -344,10 +369,10 @@ def cmd_regions(args) -> int:
                     json.dump(arrangement_to_json_dict(last), handle, indent=2)
                     handle.write("\n")
 
-    agreement = None
-    if len(counts) >= 2:
-        values = list(counts.values())
-        agreement = all(v == values[0] for v in values)
+    # Every method's count and every trial's count must be equal.  A lone
+    # method has nothing to agree with, unless its trials differ.
+    agree = len({*counts.values(), *trial_counts}) == 1
+    agreement = None if agree and len(counts) == 1 else agree
 
     result = {
         "m": m,
@@ -372,8 +397,7 @@ def cmd_regions(args) -> int:
         human.append(f"  geometric: {geometric_note}")
     if agreement is not None:
         human.append(f"methods agree: {'yes' if agreement else 'NO'}")
-    _emit(args, envelope, human)
-    return EXIT_OK if agreement in (None, True) else EXIT_DISAGREEMENT
+    return _emit(args, envelope, human)
 
 
 def _verify_checks(args, cap: int) -> list[dict]:
@@ -489,8 +513,7 @@ def cmd_verify(args) -> int:
             line += f": {check['detail']}"
         human.append(line)
     human.append(f"verdict: {'all checks passed' if all_passed else 'DISAGREEMENT found'}")
-    _emit(args, envelope, human)
-    return EXIT_OK if all_passed else EXIT_DISAGREEMENT
+    return _emit(args, envelope, human)
 
 
 # ---------------------------------------------------------------------------

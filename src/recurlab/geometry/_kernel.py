@@ -67,19 +67,19 @@ call with no clash never computes it.  Distinct ratios p/q and p'/q'
 2^shift they differ by more than 1 and so do their floors: equal exact
 keys are exactly equal points.
 
-The point where the chords S meet is found whole in row min(S), as the row
-and each j with its exact key, in j order: every other chord of S is larger
-and crosses min(S).  The later rows of S would meet it again, through the
-pairs of S without min(S); those pairs go into a bitset per row when the
-point is found, which only happens at concurrent points (3 or more chords),
-and later rows clear them from their set.  No triple, gcd or global dict is
-needed.
+The point where the chords S meet is found whole in row min(S): every
+other chord of S is larger and crosses min(S).  The row groups its clashing
+chords by exact key, each group the row and its chords in j order, and a
+group of 3 or more chords is a concurrent point.  Later rows of S would
+meet it again, through the pairs x < y of S without min(S): y is set in
+``later[x]``, a bitset per row, when the point is found, and row x clears
+``later[x]`` from its set.  No triple, gcd or global dict is needed.
 
 The row's set, less the chords of its concurrent points, is then exactly
 its points of two chords, and the kernel returns it as it is, with no
 tuple per crossing.  The concurrent points come out as sorted chord
-tuples, by row and then by second chord: ascending tuple order, since two
-chords meet at most once.
+tuples, by row and then by second chord, the order the groups are made
+in: ascending tuple order, since two chords meet at most once.
 
 Rows [start, k) and [k, stop) see a point with min(S) < k twice: whole,
 then as its chords from k on, if two or more: a bit of the lower one's row
@@ -146,11 +146,11 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
 
     pairs = []
     concurrent = []
-    later = {}  # row -> chords met there at a point an earlier row found
+    later = [0] * len(ca)  # row -> chords met there at a point an earlier row found
     ids = tuple(range(len(ca)))
     for i in range(start, stop):
         a, b = ca[i], cb[i]
-        row = (split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later.pop(i, 0))) >> i + 1
+        row = (split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later[i])) >> i + 1
         at = {}
         clashes = []
         for j in partners(ids, i, row):
@@ -161,21 +161,14 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
         if clashes:
             if shift is None:
                 shift = key_shift(size)
-            exact = {}
-            repeats = []
+            groups = {}  # exact key -> [i, its chords in j order]
             for j in sorted(set(clashes)):
                 sizes = size[j]
                 sa = sizes[a]
-                first = exact.setdefault((sa << shift) // (sa + sizes[b]), j)
-                if first != j:
-                    repeats.append((first, j))
-            through = {}
-            for first, j in repeats:
-                through.setdefault(first, [i, first]).append(j)
-            for first in sorted(through):
-                chords = through[first]
+                groups.setdefault((sa << shift) // (sa + sizes[b]), [i]).append(j)
+            for chords in (group for group in groups.values() if len(group) > 2):
                 for x, y in combinations(chords[1:], 2):
-                    later[x] = later.get(x, 0) | 1 << y
+                    later[x] |= 1 << y
                 for j in chords[1:]:
                     row ^= 1 << j - i - 1
                 concurrent.append(tuple(chords))

@@ -271,7 +271,7 @@ def prefix_region_counts(arr: ChordArrangement) -> list[int]:
     chords is born with the later one, so row i's points born at t > ti,
     its own chord's birth, are the bits of ``born[t] >> i + 1 & row``, and
     the rest of the row is born at ti: at most m popcounts per row, not one
-    step per crossing.
+    step per crossing, and none for a row that crosses nothing.
     """
     m, births = arr.m, arr.births
     chord_birth = [max(births[a], births[b]) for a, b in arr.chords]
@@ -284,6 +284,8 @@ def prefix_region_counts(arr: ChordArrangement) -> list[int]:
     # chord through a crossing but its earliest-born one adds 1.
     step = [chords.bit_count() for chords in born]
     for i, row in enumerate(arr.pairs):
+        if not row:
+            continue
         ti = chord_birth[i]
         rest = row.bit_count()
         for t in range(ti + 1, m + 1):

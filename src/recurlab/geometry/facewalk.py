@@ -133,7 +133,6 @@ def _place_stops(arr: ChordArrangement, shift: int, direct: bool):
     stops: list[dict[int, int]] = [{} for _ in chords]
     around: list[list[tuple[int, int]]] = [[] for _ in range(arr.m)]
     slot = 0
-    placed = 0
     # Each chord's index, endpoints, side row and stops, for its partners.
     chord_rows = tuple(zip(range(len(chords)), chords, size, stops))
     sorted_pairs = []
@@ -158,7 +157,6 @@ def _place_stops(arr: ChordArrangement, shift: int, direct: bool):
             sa = sizes[a]
             stops[c][(sa << shift) // (sa + sizes[b])] = ~len(around)
         around.append([])
-        placed += len(through)
-    if direct and sum(map(len, stops)) != slot + placed:
+    if direct and sum(map(len, stops)) != slot + sum(map(len, sorted_pairs)):
         return None
     return stops, [0] * slot, around

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from recurlab import build_difference_table, format_rational, predict_next, regions_binomial
 from recurlab.cli import (
+    MAX_FILE_BYTES,
     MAX_GEOM_M,
     MAX_MOSER_N,
     MAX_SOLVE_TERMS,
+    MAX_TABLE_TERMS,
     MAX_TRIALS,
     MAX_VERIFY_M,
     build_parser,
@@ -371,6 +373,44 @@ class TestTable:
             assert (code, out) == (2, ""), argv
             assert err == f"error: solve got {MAX_SOLVE_TERMS + 1} terms, over the term limit ({MAX_SOLVE_TERMS} terms)\n"
 
+    def test_table_term_limit_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Up to the limit a table is built; over it, from --seq or --file,
+        # no term is parsed and no table is built.
+        code, out, _ = run_cli(["table", "--seq=" + ",".join(map(str, range(MAX_TABLE_TERMS)))], capsys)
+        assert code == 0 and out.endswith(f"constant row: depth 1\nnext term: {MAX_TABLE_TERMS}\n")
+
+        def never(*args):
+            raise AssertionError("parsed or built over the limit")
+
+        monkeypatch.setattr("recurlab.cli.parse_rational", never)
+        monkeypatch.setattr("recurlab.cli.build_difference_table", never)
+        path = tmp_path / "alternating.txt"
+        path.write_text("0\n1\n" * (MAX_TABLE_TERMS // 2) + "0\n")
+        seq = "--seq=" + ",".join("01"[n % 2] for n in range(MAX_TABLE_TERMS + 1))
+        for argv in (["table", seq], ["table", "--file", str(path), "--json"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: table got {MAX_TABLE_TERMS + 1} terms, over the term limit ({MAX_TABLE_TERMS} terms)\n"
+
+    def test_file_byte_limit_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A file of MAX_FILE_BYTES is read whole; one byte more is not read
+        # past the limit, whatever it holds, and no term is parsed.
+        path = tmp_path / "padded.txt"
+        head = "1\n2\n4\n8\n16\n31\n#"
+        path.write_text(head + "-" * (MAX_FILE_BYTES - len(head) - 1) + "\n")
+        assert path.stat().st_size == MAX_FILE_BYTES
+        assert run_cli(["table", "--file", str(path)], capsys)[1].endswith("next term: 57\n")
+        path.write_text(head + "-" * (MAX_FILE_BYTES - len(head)) + "\n")
+
+        def never(*args):
+            raise AssertionError("a term was parsed over the limit")
+
+        monkeypatch.setattr("recurlab.cli.parse_rational", never)
+        for command in ("table", "solve"):
+            code, out, err = run_cli([command, "--file", str(path)], capsys)
+            assert (code, out) == (2, ""), command
+            assert err == f"error: {path} is over the file size limit ({MAX_FILE_BYTES} bytes)\n"
+
     @pytest.mark.parametrize(
         "seq, max_depth",
         [
@@ -521,6 +561,29 @@ class TestRegions:
         assert detail["general_position"] is True
         assert detail["degeneracy"] is None
         assert (detail["vertices"], detail["edges"]) == (21, 51)
+
+    @pytest.mark.parametrize("method", ["all", "geometric"])
+    def test_later_trial_disagreement_exits_1(self, method, capsys, monkeypatch):
+        # A kernel that drops a crossing in trial 1 only: its count joins the
+        # comparison, with two or more methods or with the geometric one alone.
+        from recurlab.geometry import _kernel, generic_arrangement
+
+        def faulty(m, trial, seed):
+            with monkeypatch.context() as patch:
+                if trial == 1:
+                    pairs = _kernel.intersect_pairs
+                    patch.setattr(_kernel, "intersect_pairs", lambda *args: drop_last_crossing(pairs(*args)))
+                return generic_arrangement(m, trial=trial, seed=seed)
+
+        monkeypatch.setattr("recurlab.cli.generic_arrangement", faulty)
+        argv = ["regions", "--m", "12", "--trials", "2", "--method", method]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert "  trials: [562, 561]" in lines and lines[-1] == "methods agree: NO"
+        code, payload, _ = run_json(argv, capsys)
+        assert (code, payload["agreement"]) == (1, False)
+        assert payload["result"]["geometric"]["counts"] == [562, 561]
 
     def test_m1(self, capsys):
         code, payload, _ = run_json(["regions", "--m", "1"], capsys)

@@ -801,6 +801,18 @@ class TestIntersection:
         assert sorted(map(len, designed.concurrent)) == [3, 4] and count_regions(designed)[2] == 1089
         assert list(designed.crossings) == involution_crossings([p.t for p in designed.points])
 
+    def test_two_concurrent_points_in_one_row(self):
+        # Chord (-10, 1/3) meets (-1, 2) and (-3, 5) at two points.  The
+        # third chord through each joins -1/2 and 0 to their partners in
+        # that point's involution, 7/2 and -13.  A third triple point comes
+        # with them, where (-13, 0) meets (-1, 2) and (-1/2, 5).  Row 4,
+        # chord (-13, 0), finds two of the three, in ascending order.
+        params = [F(t) for t in "-10 1/3 -1 2 -1/2 7/2 -3 5 0 -13".split()]
+        arr = intersect_chords(map(CirclePoint, params))
+        assert [arr.points[i].t for i in arr.chords[4]] == [-13, 0]
+        assert arr.concurrent == ((4, 13, 23), (4, 27, 34), (13, 27, 33))
+        assert list(arr.crossings) == involution_crossings([p.t for p in arr.points])
+
     def test_merge_on_concurrent_points(self):
         for m in (8, 10, 12):
             arr = intersect_chords(_regular_approx_points(m))
@@ -944,6 +956,14 @@ class TestFaceWalk:
         arr = intersect_chords(_regular_approx_points(8))
         assert max(len(p.chords) for p in arr.interior_points) == 4
         assert count_faces(arr) == count_regions(arr)[2] + 1
+
+    def test_direct_pass_places_every_stop_at_concurrent_points(self):
+        # A stop is lost only if two stops of a chord share a key.  With
+        # concurrent points listed, the direct pass still places every stop:
+        # it sorts the concurrent points alone, and no fallback is taken.
+        for arr in (hexagon_arrangement(), intersect_chords(_regular_approx_points(12))):
+            placed = facewalk_module._place_stops(arr, _kernel.key_shift(arr.sides), True)
+            assert placed is not None and len(placed[2]) == arr.m + len(arr.concurrent)
 
     def test_empty_arrangement_rejected(self):
         # No arrangement without points reaches count_faces or count_regions.
