@@ -84,12 +84,14 @@ MAX_SOLVE_TERMS = 300
 # MB peak RSS at 1,200 terms, 1.0 s and 136 MB at 1,500, 4.2 s and 273 MB at
 # 2,000, and 35 s and 1.7 GB at 4,000.  1,200 terms of 2^n take 82 MB.
 MAX_TABLE_TERMS = 1_200
-# Most bytes a --file may hold; a longer file is not read past them.  The
-# 1,200 terms of 2^n take 218,362 bytes, and 300 terms of n^296 181,607.  At
-# the two term limits, terms that fill it cost most: 1,200 alternating terms
-# of 217 digits took `table --file` 2.3 s and 152 MB peak RSS, and 300 terms
-# of 10^270 n^296 + n `solve --file` 1.4 s and 60 MB.  (A --seq argument is
-# at most 128 KiB on Linux.)  Python 3.11, 2-CPU x86-64 host.
+# Most bytes a --file may hold (a longer file is not read past them) and most
+# bytes of --seq text (checked before it is split).  The 1,200 terms of 2^n
+# take 218,362 bytes, and 300 terms of n^296 181,607.  At the two term limits,
+# terms that fill it cost most: 1,200 alternating terms of 217 digits took
+# `table --file` 2.3 s and 152 MB peak RSS, and 300 terms of 10^270 n^296 + n
+# `solve --file` 1.4 s and 60 MB.  (As a program argument, --seq is at most
+# 128 KiB on Linux; `main(argv)` in process takes any length.)  Python 3.11,
+# 2-CPU x86-64 host.
 MAX_FILE_BYTES = 262_144
 # Largest verify --max-m; its symbolic sweeps are linear in it: `verify --max-m
 # N` took 0.8 s and 17 MB peak RSS in process at N = 100,000, 2.5 s at 300,000.
@@ -109,6 +111,13 @@ _SYMBOLIC = {
     "polynomial": lambda m: regions_polynomial(m),
     "sum": lambda m: regions_binomial_sum(m),
     "euler": lambda m: euler_counts(m)[2],
+}
+
+# The two solver routes, by --method name, each from a recurrence to its
+# closed form; looked up when they run, as _SYMBOLIC is.
+_ROUTES = {
+    "charpoly": lambda rec: solve_charpoly(rec),
+    "genfunc": lambda rec: extract_coefficient_formula(partial_fractions(build_ogf(rec))),
 }
 
 
@@ -170,8 +179,8 @@ def _resolve_sequence(args, limit: int) -> tuple[tuple[Fraction, ...], dict]:
     """The terms of the one sequence source given, and their JSON inputs.
 
     --seq and --file may give at most ``limit`` terms, the command's own
-    limit; --moser has MAX_MOSER_N.  Either is checked before any term is
-    parsed or computed.
+    limit, in at most MAX_FILE_BYTES bytes; --moser has MAX_MOSER_N.  Each
+    bound is checked before any term is parsed or computed.
     """
     provided = [
         (name, value)
@@ -189,6 +198,9 @@ def _resolve_sequence(args, limit: int) -> tuple[tuple[Fraction, ...], dict]:
         terms = [Fraction(v) for v in moser_terms(value)]
     else:
         if source == "seq":
+            # Its UTF-8 length; a lone surrogate (an undecodable argv byte) counts 3.
+            if len(value.encode("utf-8", "surrogatepass")) > MAX_FILE_BYTES:
+                raise ValueError(f"--seq is over the size limit ({MAX_FILE_BYTES} bytes)")
             tokens = [tok.strip() for tok in value.split(",")]
             if "" in tokens:
                 raise ValueError(f"malformed sequence: {value!r}")
@@ -272,22 +284,12 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _solve_forms(rec: LinearRecurrence, methods: list[str]) -> list[ClosedForm]:
-    forms = []
-    for method in methods:
-        if method == "charpoly":
-            forms.append(solve_charpoly(rec))
-        else:
-            forms.append(extract_coefficient_formula(partial_fractions(build_ogf(rec))))
-    return forms
-
-
 def cmd_solve(args) -> int:
     seq, inputs = _resolve_sequence(args, MAX_SOLVE_TERMS)
     table = build_difference_table(seq, args.max_depth)
     rec = infer_recurrence(table)
-    methods = ["charpoly", "genfunc"] if args.method == "both" else [args.method]
-    forms = _solve_forms(rec, methods)
+    methods = [*_ROUTES] if args.method == "both" else [args.method]
+    forms = [_ROUTES[method](rec) for method in methods]
 
     agreement = forms[0].agrees_with(forms[1]) if len(forms) == 2 else None
     forms_json = []
@@ -315,27 +317,23 @@ def cmd_regions(args) -> int:
         raise ValueError(f"--m must be >= 1, got {m}")
     cap = _geometry_cap(args)
     _check_trials(args)
+    layouts = args.trials != 1 or args.seed is not None  # options only a generic build reads
     if args.degenerate is not None:
         if args.method != "geometric":
             raise ValueError("--degenerate requires --method geometric")
         if m != 6:
             raise ValueError("--degenerate hexagon requires --m 6")
-        if args.trials != 1 or args.seed is not None:
+        if layouts:
             raise ValueError("--degenerate hexagon takes neither --trials nor --seed")
 
     wants = [*_SYMBOLIC, "geometric"] if args.method == "all" else [args.method]
     over_cap = f"m={m} exceeds the geometric cap ({cap}); raise --geom-cap to force it"
     if "geometric" not in wants:
-        if args.trials != 1 or args.seed is not None:
+        if layouts:
             raise ValueError(f"--method {args.method} takes neither --trials nor --seed")
         if args.dump_arrangement:
             raise ValueError(f"--method {args.method} has no arrangement to dump")
-    elif m > cap and (
-        args.method == "geometric"
-        or args.dump_arrangement
-        or args.trials != 1
-        or args.seed is not None
-    ):
+    elif m > cap and (args.method == "geometric" or args.dump_arrangement or layouts):
         raise ValueError(over_cap)
     elif m <= cap:
         _check_build_size(m)
@@ -411,7 +409,9 @@ def _verify_checks(args, cap: int) -> list[dict]:
     # freed before the next, whose regions are counted at every k = 1..K and
     # compared with the closed formula.
     geom_limit = min(max_m, cap)
-    formula = moser_terms(max(geom_limit, _MIN_COUNTED))
+    built = max(geom_limit, _MIN_COUNTED)
+    _check_build_size(built)
+    formula = moser_terms(built)
     trials = [verify_against_formula(formula, trial=t, seed=args.seed) for t in range(args.trials)]
 
     # 1. The four symbolic methods agree (the Euler route counts V and E by
@@ -426,51 +426,43 @@ def _verify_checks(args, cap: int) -> list[dict]:
 
     # 2. The paper's derivation, run on trial 0's counted regions: their
     #    difference table gives the recurrence, both routes solve it, and the
-    #    closed formula is only compared with what comes out.
+    #    closed formula is only compared with what comes out.  Counts that
+    #    give no solved recurrence fail all four checks with the reason.
+    iterate_count = min(max_m, 100)
     try:
         rec = infer_recurrence(build_difference_table(trials[0][0]))
-        charpoly_form, genfunc_form = _solve_forms(rec, ["charpoly", "genfunc"])
+        charpoly_form, genfunc_form = (route(rec) for route in _ROUTES.values())
     except RecurlabError as exc:
-        for name, scope in (
-            ("solver-routes-agree", "order-4 region recurrence"),
-            ("closed-form-matches-quartic", "m-variable comparison"),
-            ("closed-form-evaluation", f"m=1..{max_m}"),
-            ("forward-iteration", f"m=1..{min(max_m, 100)}"),
-        ):
-            add(name, scope, False, f"counted regions: {exc}")
+        outcomes = [(False, f"counted regions: {exc}")] * 4
     else:
-        add(
-            "solver-routes-agree",
-            "order-4 region recurrence",
-            charpoly_form.agrees_with(genfunc_form),
-            f"charpoly: {charpoly_form.describe()} | genfunc: {genfunc_form.describe()}",
-        )
+        iterate_count = max(rec.order, iterate_count)
         in_m, quartic = to_moser_variable(charpoly_form), moser_polynomial()
-        add(
-            "closed-form-matches-quartic",
-            "m-variable comparison",
-            in_m == quartic,
-            f"{format_polynomial(in_m, 'm')} vs {format_polynomial(quartic, 'm')}",
-        )
         eval_mismatch = None
         for m in range(1, max_m + 1):
             if charpoly_form.evaluate(m - 1) != regions_binomial(m):
                 eval_mismatch = f"m={m}"
                 break
-        add(
-            "closed-form-evaluation",
-            f"m=1..{max_m}",
-            eval_mismatch is None,
-            eval_mismatch or "closed form reproduces the region counts",
-        )
-        iterate_count = max(rec.order, min(max_m, 100))
         iterated = iterate_recurrence(rec, iterate_count)
-        add(
-            "forward-iteration",
-            f"m=1..{iterate_count}",
-            all(iterated[i] == regions_binomial(i + 1) for i in range(iterate_count)),
-            "recurrence iteration reproduces the region counts",
-        )
+        outcomes = [
+            (
+                charpoly_form.agrees_with(genfunc_form),
+                f"charpoly: {charpoly_form.describe()} | genfunc: {genfunc_form.describe()}",
+            ),
+            (in_m == quartic, f"{format_polynomial(in_m, 'm')} vs {format_polynomial(quartic, 'm')}"),
+            (eval_mismatch is None, eval_mismatch or "closed form reproduces the region counts"),
+            (
+                all(iterated[i] == regions_binomial(i + 1) for i in range(iterate_count)),
+                "recurrence iteration reproduces the region counts",
+            ),
+        ]
+    scopes = {
+        "solver-routes-agree": "order-4 region recurrence",
+        "closed-form-matches-quartic": "m-variable comparison",
+        "closed-form-evaluation": f"m=1..{max_m}",
+        "forward-iteration": f"m=1..{iterate_count}",
+    }
+    for (name, scope), outcome in zip(scopes.items(), outcomes):
+        add(name, scope, *outcome)
 
     # 3. Geometric construction against the closed formula for k <= geom_limit:
     #    the smallest failing k, from the first trial that fails there.
@@ -496,13 +488,12 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--max-m {args.max_m} exceeds the sweep limit ({MAX_VERIFY_M})")
     _check_trials(args)
     cap = _geometry_cap(args)
-    _check_build_size(max(min(args.max_m, cap), _MIN_COUNTED))
     checks = _verify_checks(args, cap)
     all_passed = all(c["passed"] for c in checks)
 
     result = {"checks": checks, "all_passed": all_passed}
     inputs = {"max_m": args.max_m, "trials": args.trials, "geom_cap": cap}
-    tags = [*_SYMBOLIC, "charpoly", "genfunc", "geometric"]
+    tags = [*_SYMBOLIC, *_ROUTES, "geometric"]
     envelope = _envelope("verify", inputs, tags, result, all_passed)
 
     human = []
@@ -565,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sequence_options(solve)
     solve.add_argument(
         "--method",
-        choices=["charpoly", "genfunc", "both"],
+        choices=[*_ROUTES, "both"],
         default="both",
         help="solver route(s) to run (default: both, with agreement verdict)",
     )
@@ -623,15 +614,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return globals()["cmd_" + args.command](args)
-    except DegeneracyBudgetError as exc:
+    except (RecurlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERACY
-    except RecurlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if isinstance(exc, DegeneracyBudgetError):
+            return EXIT_DEGENERACY
+        return EXIT_UNSUPPORTED if isinstance(exc, RecurlabError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

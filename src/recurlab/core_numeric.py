@@ -85,9 +85,7 @@ class Polynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coefficients: Iterable[RationalLike] = ()):
-        values = [as_rational(c) for c in coefficients]
-        den = math.lcm(*(v.denominator for v in values))
-        self._set([v.numerator * (den // v.denominator) for v in values], den)
+        self._set(*clear_denominators(tuple(map(as_rational, coefficients))))
 
     def _set(self, num: list[int], den: int) -> None:
         """Store sum num[i] x^i / den (integers, ``den`` positive), normalised."""

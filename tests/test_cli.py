@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from recurlab import build_difference_table, format_rational, predict_next, regions_binomial
+from recurlab import build_difference_table, format_rational, predict_next, regions_binomial, regions_polynomial
 from recurlab.cli import (
     MAX_FILE_BYTES,
     MAX_GEOM_M,
@@ -410,6 +410,25 @@ class TestTable:
             code, out, err = run_cli([command, "--file", str(path)], capsys)
             assert (code, out) == (2, ""), command
             assert err == f"error: {path} is over the file size limit ({MAX_FILE_BYTES} bytes)\n"
+
+    def test_seq_byte_limit_exit_2(self, capsys, monkeypatch):
+        # --seq text of MAX_FILE_BYTES bytes is split, so its one term too
+        # many is what exits; one byte more exits before the text is split.
+        # In process nothing else bounds it (as a program argument the OS
+        # caps it lower), and no term is parsed either way.
+        def never(*args):
+            raise AssertionError("a term was parsed over the limit")
+
+        monkeypatch.setattr("recurlab.cli.parse_rational", never)
+        terms = ["1"] * (MAX_SOLVE_TERMS + 1)
+        terms[-1] = "1".rjust(MAX_FILE_BYTES - 2 * MAX_SOLVE_TERMS, "0")
+        text = ",".join(terms)
+        assert len(text.encode()) == MAX_FILE_BYTES
+        for seq, message in (
+            (text, f"solve got {MAX_SOLVE_TERMS + 1} terms, over the term limit ({MAX_SOLVE_TERMS} terms)"),
+            ("0" + text, f"--seq is over the size limit ({MAX_FILE_BYTES} bytes)"),
+        ):
+            assert run_cli(["solve", "--seq=" + seq, "--json"], capsys) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "seq, max_depth",
@@ -898,6 +917,23 @@ class TestVerify:
         assert len(lines) == 7
         assert all(line.startswith("ok  ") for line in lines[:-1])
         assert lines[-1] == "verdict: all checks passed"
+
+    def test_symbolic_mismatch_fails_check_1(self, capsys, monkeypatch):
+        # One symbolic count one too high at m = 7 fails check 1 alone, with
+        # every method's count at the first m where they differ.
+        monkeypatch.setattr("recurlab.cli.regions_polynomial", lambda m: regions_polynomial(m) + (m == 7))
+        argv = ["verify", "--max-m", "12", "--geom-cap", "10"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == (
+            "FAIL symbolic-methods-agree [m=1..12]: "
+            "m=7: {'binomial': 57, 'polynomial': 58, 'sum': 57, 'euler': 57}"
+        )
+        assert all(line.startswith("ok  ") for line in lines[1:-1])
+        code, payload, _ = run_json(argv, capsys)
+        assert code == 1 and payload["agreement"] is False
+        assert [c["passed"] for c in payload["result"]["checks"]] == [False] + [True] * 5
 
     def test_caps_geometric_scope(self, capsys):
         code, payload, _ = run_json(

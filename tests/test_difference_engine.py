@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import (
+    ClosedForm,
     DifferenceTable,
     LinearRecurrence,
     NoConstantRowError,
@@ -228,3 +229,37 @@ class TestIterateRecurrence:
             rec = infer_recurrence(table)
             regenerated = iterate_recurrence(rec, length + 5)
             assert list(regenerated) == values, f"case {case}"
+
+
+# Input checks of the library that no CLI path reaches: each raises
+# ValueError with its message.  The short sequence is a hand-built table,
+# since a certified row at depth d built from terms keeps at least 2 entries.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: LinearRecurrence((1,), Polynomial.zero(), ()),
+            "a recurrence needs order >= 1 (at least two coefficients)",
+        ),
+        (
+            lambda: LinearRecurrence((2, -1), Polynomial.zero(), (0,)),
+            "recurrence must be monic, got leading coefficient 2",
+        ),
+        (
+            lambda: LinearRecurrence((1, -2, 1), Polynomial.zero(), (0,)),
+            "expected 2 initial conditions, got 1",
+        ),
+        (
+            lambda: infer_recurrence(DifferenceTable(((1,), (1, 1)), 1)),
+            "sequence has 1 terms; need 2 for an order-1 recurrence",
+        ),
+        (lambda: Polynomial.monomial(-1), "monomial degree must be >= 0, got -1"),
+        (lambda: Polynomial((1, 1)) ** -1, "polynomial exponent must be an int >= 0, got -1"),
+        (lambda: ClosedForm(((1, Polynomial.one()),), "charpoly").evaluate(-1), "index must be >= 0, got -1"),
+    ],
+    ids=["order-0", "not-monic", "initial-conditions", "short-sequence", "monomial", "power", "evaluate"],
+)
+def test_input_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
