@@ -203,7 +203,7 @@ def _resolve_sequence(args, limit: int) -> tuple[tuple[Fraction, ...], dict]:
                 raise ValueError(f"--seq is over the size limit ({MAX_FILE_BYTES} bytes)")
             tokens = [tok.strip() for tok in value.split(",")]
             if "" in tokens:
-                raise ValueError(f"malformed sequence: {value!r}")
+                raise ValueError(f"malformed sequence: term {tokens.index('') + 1} is empty")
         else:
             with open(value, "rb") as handle:
                 data = handle.read(MAX_FILE_BYTES + 1)

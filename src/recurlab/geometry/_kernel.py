@@ -20,9 +20,11 @@ endpoints, and none of the four sign tests is ever zero.
 Each sign test asks on which side of chord c's line circle point p lies,
 and that depends on (c, p) alone.  So the kernel evaluates the side value
 s_c(p) = ``lx[c]*px[p] + ly[c]*py[p] + lw[c]*pw[p]`` once per (chord,
-circle point), in exact integers, and keeps |s_c(p)| as row c of ``size``,
-a list the caller passes empty and keeps.  It keeps the signs as sets of
-chords, one integer bitset per circle point or per chord:
+circle point), in exact integers, one column per circle point: s_c(p) for
+every chord c.  Each column's signs are one byte per chord, and the
+transposed columns give |s_c(p)| as row c of ``size``, a list the caller
+passes empty and keeps.  It keeps the signs as sets of chords, one integer
+bitset per circle point or per chord:
 
 - bit c of ``above[p]`` is set iff s_c(p) > 0;
 - bit c of ``ends[p]`` is set iff p is an endpoint of chord c;
@@ -43,7 +45,8 @@ the circle point a, not inside the disk.  The endpoint mask clears those
 chords.  On a circle the four endpoints are in convex position, so either
 pair of tests alone decides a crossing; the kernel keeps both, so the test
 does not rest on that.  Shifted right by i + 1, bit k of the set is chord
-i + 1 + k, so only chords j > i remain.  The row takes them from one tuple
+i + 1 + k, so only chords j > i remain.  The row's set test takes their
+side rows from ``size``, and its grouping pass their indices from one tuple
 of chord indices, made once per call, so that no crossing makes an int of
 its own: a range makes a new int for each index above 256, one per crossing.
 
@@ -54,18 +57,32 @@ W_A, W_B > 0, its place along the chord grows with sa / (sa + sb), where
 sa = |s_j(A)| and sb = |s_j(B)|, and so with sa / sb: two chords meet
 chord i at one point exactly when those ratios are equal.
 
-Row i first keys chord j by the one-digit key floor(sa 2^30 / sb).  It is
-a function of sa / sb alone, so the chords through one point share it, and
-chords with distinct one-digit keys meet chord i at distinct points.  Its
-quotient has about 30 + log2(sa / sb) bits, where the exact key's has
-about twice as many bits as big, below.  Only the chords that share a
-one-digit key in a row (a clash) get the exact key
-floor(sa 2^shift / (sa + sb)), with 2^shift > 4 big^2 and big the largest
-|s|; ``key_shift`` gives the shift on the first clash of a call, and a
-call with no clash never computes it.  Distinct ratios p/q and p'/q'
-(q, q' <= 2 big) differ by at least 1/(q q') >= 1/(4 big^2), so scaled by
-2^shift they differ by more than 1 and so do their floors: equal exact
-keys are exactly equal points.
+Row i first keys chord j by the one-digit key floor(sa 2^w / sb), at a
+width w that starts at 30 on each call.  It is a function of sa / sb alone,
+so the chords through one point share it, and chords with distinct
+one-digit keys meet chord i at distinct points.  So the row puts its keys
+in one set, from the side rows alone, and a set as large as the row has no
+clash (two chords of one key) and no concurrent point.  Only a smaller set
+groups its chords by the key at width 2w.  Its quotient has about
+w + log2(sa / sb) bits, where the exact key's has about twice as many bits
+as big, below.  Only the chords that share that key in the row get the
+exact key floor(sa 2^shift / (sa + sb)), with 2^shift > 4 big^2 and big
+the largest |s|; ``key_shift`` gives the shift on the first clash at 2w of
+a call, and a call with no such clash never computes it.  Distinct ratios
+p/q and p'/q' (q, q' <= 2 big) differ by at least 1/(q q') >= 1/(4 big^2),
+so scaled by 2^shift they differ by more than 1 and so do their floors:
+equal exact keys are exactly equal points.
+
+A clash at w that is gone at 2w was false: the chords of one point share
+every key.  Then w doubles for the rest of the call, for the later rows;
+within a row, where the keys are compared, it is one width.  The same
+bound caps it: distinct ratios sa / sb (sb <= big) differ by at least
+1 / big^2, so once 2^w > big^2 no clash at w is false.  A doubling follows
+a false clash at w, so 2^w <= big^2, and a doubled width never exceeds
+4 log2(big) < 2 ``key_shift(size)``.  In the unseeded 2^i layouts, 270 of
+the 780 rows at m = 40 and 1,220 of the 1,770 at m = 60 clash falsely at
+w = 30, and none at 60: the first of them doubles w, and no later row
+groups its chords.
 
 The point where the chords S meet is found whole in row min(S): every
 other chord of S is larger and crosses min(S).  The row groups its clashing
@@ -90,8 +107,8 @@ tuples dropped.
 """
 
 from functools import reduce
-from itertools import combinations, compress
-from operator import xor
+from itertools import combinations, compress, repeat
+from operator import gt, xor
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\0\1")
@@ -99,7 +116,7 @@ _FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 def _bitset(flags):
     """The integer whose bit k is ``flags[k]``."""
-    return int(bytes(flags[::-1]).translate(_DIGITS), 2)
+    return int(flags[::-1].translate(_DIGITS) or b"0", 2)
 
 
 def _flags(bits):
@@ -128,21 +145,19 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
     [start, stop) see it.  ``size`` gets the |s_c(p)| rows (module
     docstring).
     """
-    points = tuple(zip(px, py, pw))
-    ends = [0] * len(points)
+    lines = tuple(zip(lx, ly, lw))
+    columns = [[l0 * x + l1 * y + l2 * w for l0, l1, l2 in lines] for x, y, w in zip(px, py, pw)]
+    signs = [bytes(map(gt, column, repeat(0))) for column in columns]
+    above = list(map(_bitset, signs))
+    ends = [0] * len(columns)
     for c, (a, b) in enumerate(zip(ca, cb)):
         ends[a] |= 1 << c
         ends[b] |= 1 << c
-    split = []
-    signs = []
-    for l0, l1, l2 in zip(lx, ly, lw):
-        values = [l0 * x + l1 * y + l2 * w for x, y, w in points]
-        positive = [s > 0 for s in values]
-        split.append(reduce(xor, compress(ends, positive), 0))
-        signs.append(positive)
-        size.append(list(map(abs, values)))
-    above = [_bitset(column) for column in zip(*signs)]
-    shift = None  # key_shift(size), on the first clash of one-digit keys
+    split = [reduce(xor, compress(ends, positive), 0) for positive in zip(*signs)]
+    size += [list(map(abs, row)) for row in zip(*columns)]
+    del columns  # size holds their magnitudes; the rows need no more
+    width = 30  # the one-digit keys' shift, doubled when 2 * width parts a clash
+    shift = None  # key_shift(size), on the first clash at 2 * width
 
     pairs = []
     concurrent = []
@@ -151,26 +166,30 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
     for i in range(start, stop):
         a, b = ca[i], cb[i]
         row = (split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later[i])) >> i + 1
-        at = {}
-        clashes = []
-        for j in partners(ids, i, row):
-            sizes = size[j]
-            first = at.setdefault((sizes[a] << 30) // sizes[b], j)
-            if first != j:
-                clashes += first, j
-        if clashes:
-            if shift is None:
-                shift = key_shift(size)
-            groups = {}  # exact key -> [i, its chords in j order]
-            for j in sorted(set(clashes)):
+        if len({(s[a] << width) // s[b] for s in partners(size, i, row)}) < row.bit_count():
+            wide = 2 * width
+            at = {}
+            clashes = []
+            for j in partners(ids, i, row):
                 sizes = size[j]
-                sa = sizes[a]
-                groups.setdefault((sa << shift) // (sa + sizes[b]), [i]).append(j)
-            for chords in (group for group in groups.values() if len(group) > 2):
-                for x, y in combinations(chords[1:], 2):
-                    later[x] |= 1 << y
-                for j in chords[1:]:
-                    row ^= 1 << j - i - 1
-                concurrent.append(tuple(chords))
+                first = at.setdefault((sizes[a] << wide) // sizes[b], j)
+                if first != j:
+                    clashes += first, j
+            if not clashes:
+                width = wide
+            else:
+                if shift is None:
+                    shift = key_shift(size)
+                groups = {}  # exact key -> [i, its chords in j order]
+                for j in sorted(set(clashes)):
+                    sizes = size[j]
+                    sa = sizes[a]
+                    groups.setdefault((sa << shift) // (sa + sizes[b]), [i]).append(j)
+                for chords in (group for group in groups.values() if len(group) > 2):
+                    for x, y in combinations(chords[1:], 2):
+                        later[x] |= 1 << y
+                    for j in chords[1:]:
+                        row ^= 1 << j - i - 1
+                    concurrent.append(tuple(chords))
         pairs.append(row)
     return pairs, concurrent

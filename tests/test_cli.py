@@ -288,7 +288,17 @@ class TestTable:
         code, out, err = run_cli(["table", "--seq", "1,,2"], capsys)
         assert code == 2
         assert out == ""
-        assert "error" in err
+        assert err == "error: malformed sequence: term 2 is empty\n"
+
+    def test_malformed_long_sequence_names_its_empty_term(self, capsys):
+        # 260,002 bytes, under the --seq size limit: the message names the
+        # empty term's position, not the text.
+        value = "1," * 130_000 + ",1"
+        assert len(value) == 260_002
+        code, out, err = run_cli(["table", "--seq=" + value], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: malformed sequence: term 130001 is empty\n"
+        assert len(err) < 200
 
     def test_non_numeric_token_exit_2(self, capsys):
         code, _, err = run_cli(["table", "--seq", "1,two,3"], capsys)

@@ -744,8 +744,11 @@ class TestIntersection:
         # values the CLI builds.
         layouts += [
             build_arrangement(map(CirclePoint, generic_parameters(m, variant=variant)))
-            for m, variant in ((15, 0), (15, 1), (25, 0))
+            for m, variant in ((15, 0), (15, 1), (25, 0), (40, 0))
         ]
+        # t_i = 8^i: no triple point, and rows whose chords share a key at
+        # 30 and at 60 bits, so only the exact keys part their points.
+        layouts.append(build_arrangement(map(CirclePoint, (F(8**i) for i in range(25)))))
         for points in layouts:
             args = _kernel_args(points)
             n = len(args[-1])
@@ -770,36 +773,77 @@ class TestIntersection:
             assert arr.sides == sides, len(points)
             assert [p.triple for p in arr.interior_points] == list(reference), len(points)
 
-    def test_one_digit_key_clash_of_distinct_points(self):
-        # A row keys its chords by floor(sa 2^30 / sb) first.  In the
-        # unseeded 40-point layout, 270 of the 780 rows have two chords
-        # that share that key but meet the row's chord at distinct points
-        # (the layout has no triple point): only their exact keys tell
-        # them apart.  The hexagon's and a designed layout's concurrent
-        # points share it too, and their exact keys join them.
-        arr = generic_arrangement(40)
-        crossings = involution_crossings([p.t for p in arr.points])
-        partners = {}
-        for i, j in crossings:
-            partners.setdefault(i, []).append(j)
+    def test_one_digit_key_clash_of_distinct_points(self, monkeypatch):
+        # A row puts its chords' keys floor(sa 2^w / sb) in one set, w = 30
+        # at the start of a call; only a set smaller than the row groups its
+        # chords by the key at 2w, and a clash there takes the exact keys.
+        # No clash at 2w doubles w for the later rows.  Three layouts take
+        # the three paths: the unseeded m = 40, whose rows clash at 30 bits
+        # but not at 60, so the width doubles; t_i = 8^i, whose rows clash
+        # at 30 and at 60 bits, so only the exact keys part their points;
+        # and a concurrent point found after the width has doubled.
+        # Each partners call as (items, row), and the partners calls made
+        # before each key_shift call.
+        calls, shifts = [], []
+        partners, key_shift = _kernel.partners, _kernel.key_shift
+        monkeypatch.setattr(
+            _kernel, "partners", lambda items, i, row: calls.append((items, i)) or partners(items, i, row)
+        )
+        monkeypatch.setattr(_kernel, "key_shift", lambda size: shifts.append(len(calls)) or key_shift(size))
 
-        def one_digit_keys(i):
-            a, b = arr.chords[i]
-            return [(arr.sides[j][a] << 30) // arr.sides[j][b] for j in partners[i]]
+        def layout(params):
+            points = build_arrangement(map(CirclePoint, params))
+            args = _kernel_args(points)
+            n = len(args[-1])
+            expected = _four_sign_reference(*args, 0, n)
+            size = []
+            result = _kernel.intersect_pairs(*args, 0, n, size)
+            assert kernel_crossings(result) == list(_merge_hits(expected).values())
+            crossing = {}
+            for i, j, *_ in expected:
+                crossing.setdefault(i, []).append(j)
+            a, b = args[6:8]
 
-        clash = next(i for i in partners if len(set(one_digit_keys(i))) < len(partners[i]))
-        args = _kernel_args(arr.points)
-        expected = _four_sign_reference(*args, 0, len(args[-1]))
-        assert kernel_crossings((arr.pairs, arr.concurrent)) == list(_merge_hits(expected).values()) == crossings
-        assert arr.general_position and count_regions(arr)[2] == regions_binomial(40)
-        # The clash row alone, in a call of its own, which computes the shift.
-        row = [(i, j) for i, j, *_ in expected if i == clash]
-        assert kernel_crossings(_kernel.intersect_pairs(*args, clash, clash + 1, []), clash) == row
-        hexagon = hexagon_arrangement()
-        assert hexagon.concurrent == ((2, 7, 11),) and count_regions(hexagon)[2] == 30
-        designed = intersect_chords(map(CirclePoint, designed_parameters((4, 3), seed=1)))
-        assert sorted(map(len, designed.concurrent)) == [3, 4] and count_regions(designed)[2] == 1089
-        assert list(designed.crossings) == involution_crossings([p.t for p in designed.points])
+            def clash(i, width):
+                keys = [(size[j][a[i]] << width) // size[j][b[i]] for j in crossing.get(i, ())]
+                return len(set(keys)) < len(keys)
+
+            return args, expected, result, size, clash
+
+        def row_alone(args, expected, i):
+            del calls[:], shifts[:]
+            row = [(r, j) for r, j, *_ in expected if r == i]
+            assert kernel_crossings(_kernel.intersect_pairs(*args, i, i + 1, []), i) == row
+
+        # The unseeded 40 points have no triple point.  Of the 270 rows
+        # that clash at 30 bits, none does at 60: the first groups its
+        # chords and doubles the width, and no later row groups them.
+        args, expected, result, size, clash = layout(generic_parameters(40))
+        assert not result[1] and len(expected) == binomial(40, 4)
+        rows = [i for i in range(780) if clash(i, 30)]
+        assert len(rows) == 270 and not any(clash(i, 60) for i in rows)
+        assert [i for items, i in calls if items is not size] == rows[:1] and not shifts
+        row_alone(args, expected, rows[-1])
+        assert len(calls) == 2 and not shifts
+        # t_i = 8^i: 55 rows clash at 60 bits, none at 120, and no point is
+        # of three chords.  A row that clashes at 30 and 60 bits, in a call
+        # of its own, takes the exact keys there.
+        args, expected, result, _, clash = layout([F(8**i) for i in range(25)])
+        assert not result[1] and len(expected) == binomial(25, 4)
+        assert sum(map(clash, range(300), itertools.repeat(60))) == 55
+        assert not any(map(clash, range(300), itertools.repeat(120)))
+        both = next(i for i in range(300) if clash(i, 30) and clash(i, 60))
+        row_alone(args, expected, both)
+        assert shifts == [2]
+        # Ten 8^i points before a designed 4-fold point: row 1 clashes at
+        # 30 bits but not at 60, ahead of the point's row, 3, so the point
+        # is found at the doubled width.
+        params = [F(8**i) for i in range(10)] + designed_parameters((4,), seed=3)
+        args, _, (_, concurrent), _, clash = layout(params)
+        assert concurrent == [(3, 20, 36, 52)]
+        assert clash(1, 30) and not clash(1, 60)
+        arr = intersect_chords(map(CirclePoint, params))
+        assert list(arr.crossings) == involution_crossings([p.t for p in arr.points])
 
     def test_two_concurrent_points_in_one_row(self):
         # Chord (-10, 1/3) meets (-1, 2) and (-3, 5) at two points.  The
@@ -866,8 +910,9 @@ class TestIntersection:
         # allocates nothing of its own: not an int, nor a tuple.  The build's
         # tracemalloc peak was 9.84-10.15 MiB on Python 3.10-3.13 when each
         # crossing held a fresh int for a partner above 256, 7.67-7.70 MiB
-        # when each held a tuple of its pair, and is 1.82-1.86 MiB with the
-        # bitsets.
+        # when each held a tuple of its pair, and 1.82-1.86 MiB with the
+        # bitsets.  It is 2.12 MiB on Python 3.11 since the kernel holds all
+        # the signed side values at once, one column per circle point.
         tracemalloc.start()
         try:
             arr = generic_arrangement(40, seed=1)
