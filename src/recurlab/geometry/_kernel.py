@@ -63,26 +63,27 @@ so the chords through one point share it, and chords with distinct
 one-digit keys meet chord i at distinct points.  So the row puts its keys
 in one set, from the side rows alone, and a set as large as the row has no
 clash (two chords of one key) and no concurrent point.  Only a smaller set
-groups its chords by the key at width 2w.  Its quotient has about
-w + log2(sa / sb) bits, where the exact key's has about twice as many bits
-as big, below.  Only the chords that share that key in the row get the
-exact key floor(sa 2^shift / (sa + sb)), with 2^shift > 4 big^2 and big
-the largest |s|; ``key_shift`` gives the shift on the first clash at 2w of
-a call, and a call with no such clash never computes it.  Distinct ratios
-p/q and p'/q' (q, q' <= 2 big) differ by at least 1/(q q') >= 1/(4 big^2),
-so scaled by 2^shift they differ by more than 1 and so do their floors:
-equal exact keys are exactly equal points.
+groups its chords by that key, and only the chords that share a key in the
+row get the exact key floor(sa 2^shift / (sa + sb)), with 2^shift > 4 big^2
+and big the largest |s|; ``key_shift`` gives the shift on the first clash
+of a call, and a call with no clash never computes it.  The one-digit
+quotient has about w + log2(sa / sb) bits, where the exact key's has about
+twice as many bits as big.  Distinct ratios p/q and p'/q' (q, q' <= 2 big)
+differ by at least 1/(q q') >= 1/(4 big^2), so scaled by 2^shift they
+differ by more than 1 and so do their floors: equal exact keys are exactly
+equal points.
 
-A clash at w that is gone at 2w was false: the chords of one point share
-every key.  Then w doubles for the rest of the call, for the later rows;
-within a row, where the keys are compared, it is one width.  The same
-bound caps it: distinct ratios sa / sb (sb <= big) differ by at least
-1 / big^2, so once 2^w > big^2 no clash at w is false.  A doubling follows
-a false clash at w, so 2^w <= big^2, and a doubled width never exceeds
+A row whose exact keys find no concurrent point had only false clashes at
+w, and then w doubles for the rest of the call, for the later rows; within
+a row, where the keys are compared, it is one width.  The same bound caps
+it: distinct ratios sa / sb (sb <= big) differ by at least 1 / big^2, so
+once 2^w > big^2 no clash at w is false.  A doubling follows a false clash
+at w, so 2^w <= big^2, and a doubled width never exceeds
 4 log2(big) < 2 ``key_shift(size)``.  In the unseeded 2^i layouts, 270 of
 the 780 rows at m = 40 and 1,220 of the 1,770 at m = 60 clash falsely at
 w = 30, and none at 60: the first of them doubles w, and no later row
-groups its chords.
+groups its chords.  In t_i = 8^i at m = 25, two rows double w, to 60 and
+then to 120, and no later row clashes.
 
 The point where the chords S meet is found whole in row min(S): every
 other chord of S is larger and crosses min(S).  The row groups its clashing
@@ -156,8 +157,8 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
     split = [reduce(xor, compress(ends, positive), 0) for positive in zip(*signs)]
     size += [list(map(abs, row)) for row in zip(*columns)]
     del columns  # size holds their magnitudes; the rows need no more
-    width = 30  # the one-digit keys' shift, doubled when 2 * width parts a clash
-    shift = None  # key_shift(size), on the first clash at 2 * width
+    width = 30  # the one-digit keys' shift, doubled after a row of false clashes
+    shift = None  # key_shift(size), on the first clash of a call
 
     pairs = []
     concurrent = []
@@ -167,29 +168,28 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
         a, b = ca[i], cb[i]
         row = (split[i] & (above[a] ^ above[b]) & ~(ends[a] | ends[b] | later[i])) >> i + 1
         if len({(s[a] << width) // s[b] for s in partners(size, i, row)}) < row.bit_count():
-            wide = 2 * width
+            if shift is None:
+                shift = key_shift(size)
             at = {}
             clashes = []
             for j in partners(ids, i, row):
                 sizes = size[j]
-                first = at.setdefault((sizes[a] << wide) // sizes[b], j)
+                first = at.setdefault((sizes[a] << width) // sizes[b], j)
                 if first != j:
                     clashes += first, j
-            if not clashes:
-                width = wide
-            else:
-                if shift is None:
-                    shift = key_shift(size)
-                groups = {}  # exact key -> [i, its chords in j order]
-                for j in sorted(set(clashes)):
-                    sizes = size[j]
-                    sa = sizes[a]
-                    groups.setdefault((sa << shift) // (sa + sizes[b]), [i]).append(j)
-                for chords in (group for group in groups.values() if len(group) > 2):
-                    for x, y in combinations(chords[1:], 2):
-                        later[x] |= 1 << y
-                    for j in chords[1:]:
-                        row ^= 1 << j - i - 1
-                    concurrent.append(tuple(chords))
+            groups = {}  # exact key -> [i, its chords in j order]
+            for j in sorted(set(clashes)):
+                sizes = size[j]
+                sa = sizes[a]
+                groups.setdefault((sa << shift) // (sa + sizes[b]), [i]).append(j)
+            points = [chords for chords in groups.values() if len(chords) > 2]
+            for chords in points:
+                for x, y in combinations(chords[1:], 2):
+                    later[x] |= 1 << y
+                for j in chords[1:]:
+                    row ^= 1 << j - i - 1
+                concurrent.append(tuple(chords))
+            if not points:
+                width *= 2  # every clash of the row was false
         pairs.append(row)
     return pairs, concurrent

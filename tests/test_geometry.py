@@ -776,14 +776,15 @@ class TestIntersection:
     def test_one_digit_key_clash_of_distinct_points(self, monkeypatch):
         # A row puts its chords' keys floor(sa 2^w / sb) in one set, w = 30
         # at the start of a call; only a set smaller than the row groups its
-        # chords by the key at 2w, and a clash there takes the exact keys.
-        # No clash at 2w doubles w for the later rows.  Three layouts take
-        # the three paths: the unseeded m = 40, whose rows clash at 30 bits
-        # but not at 60, so the width doubles; t_i = 8^i, whose rows clash
-        # at 30 and at 60 bits, so only the exact keys part their points;
-        # and a concurrent point found after the width has doubled.
-        # Each partners call as (items, row), and the partners calls made
-        # before each key_shift call.
+        # chords by that key, and the chords that share one take the exact
+        # keys.  A row whose exact keys find no concurrent point doubles w
+        # for the later rows.  Three layouts take the three paths: the
+        # unseeded m = 40, whose rows clash at 30 bits but not at 60, so the
+        # width doubles once; t_i = 8^i, whose rows clash at 30 and at 60
+        # bits, so the width doubles twice and only the exact keys part the
+        # points of a row that clashes at both; and a concurrent point found
+        # after the width has doubled.  Each partners call as (items, i),
+        # and the number of partners calls made before each key_shift call.
         calls, shifts = [], []
         partners, key_shift = _kernel.partners, _kernel.key_shift
         monkeypatch.setattr(
@@ -797,8 +798,12 @@ class TestIntersection:
             n = len(args[-1])
             expected = _four_sign_reference(*args, 0, n)
             size = []
+            del calls[:], shifts[:]
             result = _kernel.intersect_pairs(*args, 0, n, size)
             assert kernel_crossings(result) == list(_merge_hits(expected).values())
+            grouped = [i for items, i in calls if items is not size]
+            # key_shift runs once, after the set of the first row that groups.
+            assert shifts == [grouped[0] + 1] * bool(grouped)
             crossing = {}
             for i, j, *_ in expected:
                 crossing.setdefault(i, []).append(j)
@@ -808,42 +813,59 @@ class TestIntersection:
                 keys = [(size[j][a[i]] << width) // size[j][b[i]] for j in crossing.get(i, ())]
                 return len(set(keys)) < len(keys)
 
-            return args, expected, result, size, clash
+            return args, expected, result, grouped, clash
 
         def row_alone(args, expected, i):
             del calls[:], shifts[:]
             row = [(r, j) for r, j, *_ in expected if r == i]
-            assert kernel_crossings(_kernel.intersect_pairs(*args, i, i + 1, []), i) == row
+            size = []
+            assert kernel_crossings(_kernel.intersect_pairs(*args, i, i + 1, size), i) == row
+            # The row's set, the shift, then its grouping pass.
+            assert [items is size for items, _ in calls] == [True, False] and shifts == [1]
 
         # The unseeded 40 points have no triple point.  Of the 270 rows
         # that clash at 30 bits, none does at 60: the first groups its
         # chords and doubles the width, and no later row groups them.
-        args, expected, result, size, clash = layout(generic_parameters(40))
+        args, expected, result, grouped, clash = layout(generic_parameters(40))
         assert not result[1] and len(expected) == binomial(40, 4)
         rows = [i for i in range(780) if clash(i, 30)]
         assert len(rows) == 270 and not any(clash(i, 60) for i in rows)
-        assert [i for items, i in calls if items is not size] == rows[:1] and not shifts
+        assert grouped == rows[:1]
         row_alone(args, expected, rows[-1])
-        assert len(calls) == 2 and not shifts
         # t_i = 8^i: 55 rows clash at 60 bits, none at 120, and no point is
-        # of three chords.  A row that clashes at 30 and 60 bits, in a call
-        # of its own, takes the exact keys there.
-        args, expected, result, _, clash = layout([F(8**i) for i in range(25)])
+        # of three chords.  The first row that clashes at 30 bits doubles
+        # the width to 60, the first later one that clashes at 60 doubles it
+        # to 120, and no row after it groups its chords.  A row that clashes
+        # at 30 and 60 bits, in a call of its own, takes the exact keys.
+        args, expected, result, grouped, clash = layout([F(8**i) for i in range(25)])
         assert not result[1] and len(expected) == binomial(25, 4)
         assert sum(map(clash, range(300), itertools.repeat(60))) == 55
         assert not any(map(clash, range(300), itertools.repeat(120)))
+        first = next(i for i in range(300) if clash(i, 30))
+        assert grouped == [first, next(i for i in range(first + 1, 300) if clash(i, 60))]
         both = next(i for i in range(300) if clash(i, 30) and clash(i, 60))
         row_alone(args, expected, both)
-        assert shifts == [2]
         # Ten 8^i points before a designed 4-fold point: row 1 clashes at
         # 30 bits but not at 60, ahead of the point's row, 3, so the point
         # is found at the doubled width.
         params = [F(8**i) for i in range(10)] + designed_parameters((4,), seed=3)
-        args, _, (_, concurrent), _, clash = layout(params)
+        args, _, (_, concurrent), grouped, clash = layout(params)
         assert concurrent == [(3, 20, 36, 52)]
-        assert clash(1, 30) and not clash(1, 60)
+        assert clash(1, 30) and not clash(1, 60) and grouped[:2] == [1, 3]
         arr = intersect_chords(map(CirclePoint, params))
         assert list(arr.crossings) == involution_crossings([p.t for p in arr.points])
+        # The whole builds: the unseeded 40 points count the formula's
+        # regions, and the hexagon's and a designed layout's concurrent
+        # points join at their exact keys.
+        arr = generic_arrangement(40)
+        crossings = involution_crossings([p.t for p in arr.points])
+        assert kernel_crossings((arr.pairs, arr.concurrent)) == crossings
+        assert arr.general_position and count_regions(arr)[2] == regions_binomial(40)
+        hexagon = hexagon_arrangement()
+        assert hexagon.concurrent == ((2, 7, 11),) and count_regions(hexagon)[2] == 30
+        designed = intersect_chords(map(CirclePoint, designed_parameters((4, 3), seed=1)))
+        assert sorted(map(len, designed.concurrent)) == [3, 4] and count_regions(designed)[2] == 1089
+        assert list(designed.crossings) == involution_crossings([p.t for p in designed.points])
 
     def test_two_concurrent_points_in_one_row(self):
         # Chord (-10, 1/3) meets (-1, 2) and (-3, 5) at two points.  The
@@ -908,11 +930,9 @@ class TestIntersection:
         # Each row takes its partner chords from one tuple of chord indices,
         # and the arrangement keeps the kernel's row bitsets, so a crossing
         # allocates nothing of its own: not an int, nor a tuple.  The build's
-        # tracemalloc peak was 9.84-10.15 MiB on Python 3.10-3.13 when each
-        # crossing held a fresh int for a partner above 256, 7.67-7.70 MiB
-        # when each held a tuple of its pair, and 1.82-1.86 MiB with the
-        # bitsets.  It is 2.12 MiB on Python 3.11 since the kernel holds all
-        # the signed side values at once, one column per circle point.
+        # tracemalloc peak is 2.10-2.12 MiB, measured on Python 3.11 only,
+        # with the kernel's signed side values held one column per circle
+        # point; an int or a tuple per crossing takes it past 7.5 MiB.
         tracemalloc.start()
         try:
             arr = generic_arrangement(40, seed=1)
