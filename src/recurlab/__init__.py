@@ -40,7 +40,6 @@ from .difference_engine import (
     predict_next,
 )
 from .errors import (
-    DegeneracyBudgetError,
     NoConstantRowError,
     RecurlabError,
     SingularMatrixError,
@@ -94,7 +93,6 @@ __all__ = [
     "infer_recurrence",
     "iterate_recurrence",
     "predict_next",
-    "DegeneracyBudgetError",
     "NoConstantRowError",
     "RecurlabError",
     "SingularMatrixError",

@@ -14,8 +14,7 @@ Every command supports ``--json``; JSON output is a single object with a
 stable shape (``schema_version`` 1) in which every exact rational is a
 ``"p/q"`` string.  Exit codes: 0 success/agreement, 1 verification
 disagreement, 2 malformed input, 3 unsupported mathematics (no constant
-difference row, irrational/zero characteristic roots), 4 degeneracy retry
-budget of a seeded layout exhausted.
+difference row, irrational/zero characteristic roots).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .difference_engine import (
     iterate_recurrence,
     predict_next,
 )
-from .errors import DegeneracyBudgetError, RecurlabError
+from .errors import RecurlabError
 from .genfunc_solver import build_ogf, extract_coefficient_formula, partial_fractions
 from .geometry import (
     arrangement_to_json_dict,
@@ -60,7 +59,6 @@ EXIT_OK = 0
 EXIT_DISAGREEMENT = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
-EXIT_DEGENERACY = 4
 
 DEFAULT_GEOM_CAP = 15
 # Most points one geometric build may have, whatever --geom-cap says.  Its
@@ -76,7 +74,10 @@ MAX_MOSER_N = 100_000
 # d + 4 terms, `solve --file` took 0.22 s and 27 MB peak RSS at 204 terms, 0.70
 # s and 50 MB at 304, 1.8 s and 95 MB at 404, and 22 s and 668 MB at 804.
 # --moser keeps MAX_MOSER_N: its terms certify order 4 (`solve --moser 100000`
-# took 0.17 s and 54 MB).  Python 3.11, 2-CPU x86-64 host.
+# took 0.17 s and 54 MB).  The deepest table 300 terms can certify has depth
+# 298, and `solve --file` on 300 terms of n^298 (182,829 bytes) took 1.0-1.25 s
+# and 50 MB, so --max-depth needs no bound of its own.  Python 3.11, 2-CPU
+# x86-64 host.
 MAX_SOLVE_TERMS = 300
 # Most terms `table --seq` or `--file` may give.  The table holds about N^2 / 2
 # cells, and row k of an alternating sequence holds +-2^k, so the cost grows
@@ -96,9 +97,9 @@ MAX_FILE_BYTES = 262_144
 # Largest verify --max-m; its symbolic sweeps are linear in it: `verify --max-m
 # N` took 0.8 s and 17 MB peak RSS in process at N = 100,000, 2.5 s at 300,000.
 MAX_VERIFY_M = 100_000
-# Most --trials for regions or verify; each trial, retried or not, is one more
-# counted build, so the worst case is MAX_TRIALS builds of MAX_GEOM_M points:
-# `verify --max-m 60 --geom-cap 60 --trials 100` took 17 s and 25 MB peak RSS.
+# Most --trials for regions or verify; each trial is one more counted build,
+# so the worst case is MAX_TRIALS builds of MAX_GEOM_M points: `verify --max-m
+# 60 --geom-cap 60 --trials 100` took 17 s and 25 MB peak RSS.
 MAX_TRIALS = 100
 # Fewest points a verify trial builds: checks 2-5 read trial 0's counts, and 7
 # give their depth-4 constant row three equal entries (6 is the least for two).
@@ -616,8 +617,6 @@ def main(argv: list[str] | None = None) -> int:
         return globals()["cmd_" + args.command](args)
     except (RecurlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, DegeneracyBudgetError):
-            return EXIT_DEGENERACY
         return EXIT_UNSUPPORTED if isinstance(exc, RecurlabError) else EXIT_INPUT
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Union
 
 Rational = Fraction
 
-RationalLike = Union[Fraction, int]
+RationalLike = Fraction | int
 
 
 def as_rational(value: RationalLike) -> Rational:

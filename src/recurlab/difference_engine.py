@@ -17,10 +17,10 @@ recurrence a_{n+1} - a_n = 0.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Iterable
 
 from .core_numeric import (
     Polynomial,

@@ -43,7 +43,3 @@ class SingularMatrixError(RecurlabError):
     def __init__(self, message: str, rank: int):
         super().__init__(message)
         self.rank = rank
-
-
-class DegeneracyBudgetError(RecurlabError):
-    """No general-position point placement was found within the retry budget."""

@@ -23,20 +23,18 @@ C(m, 4) counting argument.
 the order given, off one arrangement, by the same Euler formula.  The
 layout families are nested, so one call of ``verify_against_formula`` is
 one trial: a single K-point build whose counts for m = 1..K it hands back,
-checked against formula values its caller passes.  ``generic_arrangement`` builds the unseeded
-family once, as it is proven to be in general position, and redraws a
-seeded layout that turns out degenerate.
+checked against formula values its caller passes.  ``generic_arrangement``
+builds either family once, as both are proven to be in general position.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Iterable, Sequence as SequenceABC
 
 from ..core_numeric import format_quotient
-from ..errors import DegeneracyBudgetError
 from . import _kernel
 from .points import (
     CirclePoint,
@@ -44,9 +42,6 @@ from .points import (
     hexagon_parameters,
     seeded_parameters,
 )
-
-# Seeded draws generic_arrangement tries for one trial before giving up.
-RETRY_BUDGET = 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +177,7 @@ def _cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, 
 
 
 def _chord_lines(
-    points: SequenceABC[CirclePoint], chords: SequenceABC[tuple[int, int]]
+    points: Sequence[CirclePoint], chords: Sequence[tuple[int, int]]
 ) -> tuple[list[int], list[int], list[int]]:
     """Integer line triples (cross products of endpoint triples), gcd-reduced."""
     lx, ly, lw = [], [], []
@@ -308,23 +303,18 @@ def generic_arrangement(m: int, *, trial: int = 0, seed: int | None = None) -> C
     """A fully intersected general-position arrangement of m points.
 
     Trial t's layout is ``generic_parameters`` with variant t when no seed
-    is given, built once: that family has no triple point (its docstring
-    gives the proof, checked up to m = 60), which the build asserts.  With
-    a seed it is ``seeded_parameters`` with seed ``seed + t``; a degenerate
-    draw (never observed, but checked exactly) is redrawn with the next
-    attempt, and DegeneracyBudgetError is raised after ``RETRY_BUDGET``.
+    is given, and ``seeded_parameters`` with seed ``seed + t`` otherwise.
+    It is built once: neither family has a triple point (the docstrings of
+    ``generic_parameters`` and ``base_parameters`` give the proofs), which
+    the build asserts.
     """
     if seed is None:
-        arr = intersect_chords(map(CirclePoint, generic_parameters(m, variant=trial)))
-        assert arr.general_position, f"generic layout m={m}, variant {trial} has a triple point"
-        return arr
-    for attempt in range(RETRY_BUDGET):
-        arr = intersect_chords(map(CirclePoint, seeded_parameters(m, seed=seed + trial, attempt=attempt)))
-        if arr.general_position:
-            return arr
-    raise DegeneracyBudgetError(
-        f"no general-position layout for m={m} within {RETRY_BUDGET} attempts"
-    )
+        params = generic_parameters(m, variant=trial)
+    else:
+        params = seeded_parameters(m, seed=seed + trial)
+    arr = intersect_chords(map(CirclePoint, params))
+    assert arr.general_position, f"layout m={m}, trial {trial}, seed {seed} has a triple point"
+    return arr
 
 
 def hexagon_arrangement() -> ChordArrangement:
@@ -333,13 +323,13 @@ def hexagon_arrangement() -> ChordArrangement:
 
 
 def verify_against_formula(
-    expected: SequenceABC[int], *, trial: int = 0, seed: int | None = None
+    expected: Sequence[int], *, trial: int = 0, seed: int | None = None
 ) -> tuple[list[int], tuple[int, int, int, tuple[str, ...]] | None]:
     """Count trial ``trial``'s regions for each k = 1..m, m = len(expected),
     and check each against ``expected[k - 1]``, the caller's formula values.
 
     Both layout families are nested: the k-point layout is the first k
-    parameters of the m-point one, whichever attempt a seeded draw took.
+    parameters of the m-point one.
     So the trial is one m-point build, ``generic_arrangement(m,
     trial=trial, seed=seed)``, and every prefix's count is read off it with
     ``prefix_region_counts``; ``count_regions`` cross-checks the last one.

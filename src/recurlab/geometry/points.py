@@ -16,13 +16,15 @@ kernels and all orientation tests work on, keeping the geometry entirely
 in integer arithmetic.
 
 Two layout families place m points: ``generic_parameters``, proven free of
-triple points up to m = 60, and ``seeded_parameters``, a pseudo-random
-draw whose general position is checked per build, and redrawn with the
-next ``attempt`` when it fails.
+triple points up to m = 60, and ``seeded_parameters``, a seeded shuffle of
+one base set of 80 points whose one build has no triple point.  A subset of
+points in general position is in general position, so that one build
+proves every seeded layout.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -118,22 +120,32 @@ def generic_parameters(m: int, variant: int = 0) -> list[Fraction]:
     return [Fraction(2**i + variant) for i in range(m)]
 
 
-def seeded_parameters(m: int, seed: int, attempt: int = 0) -> list[Fraction]:
+@functools.cache
+def base_parameters() -> tuple[Fraction, ...]:
+    """The 80 parameters every seeded layout is drawn from, drawn once.
+
+    Numerator/denominator pairs from a PRNG with a fixed seed, duplicates
+    dropped.  The arrangement of all 80 points has no concurrent point
+    (``tests/test_geometry.py``, ``TestSeededBaseSet``), so no subset has.
+    """
+    rng = random.Random("recurlab:1:0")
+    params: dict[Fraction, None] = {}
+    while len(params) < 80:
+        params[Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 997))] = None
+    return tuple(params)
+
+
+def seeded_parameters(m: int, seed: int) -> list[Fraction]:
     """A reproducible pseudo-random layout: same seed, same points.
 
-    Draws numerator/denominator pairs from a seeded PRNG, rejecting
-    duplicates, so layouts vary with the seed while runs stay
-    deterministic.  ``attempt`` gives another draw for the same seed, for
-    ``generic_arrangement`` to take when a draw is degenerate.
+    The first m parameters of ``base_parameters`` after a seeded shuffle of
+    all of them, so the k-point layout of a seed is the prefix of its
+    m-point one, and every layout is in general position.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    rng = random.Random(f"recurlab:{seed}:{attempt}")
-    seen: set[Fraction] = set()
-    params: list[Fraction] = []
-    while len(params) < m:
-        t = Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 997))
-        if t not in seen:
-            seen.add(t)
-            params.append(t)
-    return params
+    params = list(base_parameters())
+    if m > len(params):
+        raise ValueError(f"a seeded layout has at most {len(params)} points, got m={m}")
+    random.Random(f"recurlab:{seed}").shuffle(params)
+    return params[:m]

@@ -33,7 +33,6 @@ from recurlab.geometry import (
     CirclePoint,
     build_arrangement,
     hexagon_arrangement,
-    hexagon_parameters,
     seeded_parameters,
 )
 
@@ -78,7 +77,7 @@ HEXAGON_DUMP = {
 }
 
 # sha256 of the dump file of `regions --m 12 --method geometric --seed 5`.
-SEEDED_M12_DUMP_SHA256 = "cfceb826470211d4e287721beb61cf216e17a7d1c8d266c4240f76e5799af545"
+SEEDED_M12_DUMP_SHA256 = "90698d53f2ec3f17b943e6f1481e4a1c987a8621550d77b9df78e6fe5a34e36e"
 
 
 # sha256 of the --dump-arrangement file and of stdout, per geometric command.
@@ -88,11 +87,11 @@ GEOMETRY_PINS = {
         "3cda204b2a01386a332e0c5608532d012f4bb54085a223bc797962def6fbaec3",
     ),
     "--m 12 --method geometric --seed 5 --json": (
-        "cfceb826470211d4e287721beb61cf216e17a7d1c8d266c4240f76e5799af545",
+        "90698d53f2ec3f17b943e6f1481e4a1c987a8621550d77b9df78e6fe5a34e36e",
         "0929c58ffbb838805a70f57c06eda156c5316a8fbb9615000a8a0a37f39afb86",
     ),
     "--m 24 --method geometric --seed 5 --geom-cap 24 --json": (
-        "e395b2e63ab96bc20f1a0f64e7e59c1c3812dee8d842765460dbf1ec9b5207f4",
+        "5e8ed9a4d1440f025f767a48de0adb5ca6dd2b05453b422d42e3a2a1b7a420fa",
         "f1de4ba1589e2b1e03a8d62fc2e5a6475863f2a1039ffa84b0ad77f0425c5bb9",
     ),
 }
@@ -759,18 +758,6 @@ class TestRegions:
             code, _, err = run_cli(list(map(str, argv)), capsys)
             assert (code, err) == (0, ""), argv
 
-    def test_degeneracy_budget_exit_4(self, capsys, monkeypatch):
-        # Every seeded draw is the degenerate hexagon, so the retries run
-        # out and main maps DegeneracyBudgetError to exit 4.
-        def degenerate(m, seed, attempt=0):
-            return hexagon_parameters()
-
-        monkeypatch.setattr(arrangement_module, "seeded_parameters", degenerate)
-        argv = ["regions", "--m", "6", "--method", "geometric", "--seed", "1"]
-        code, out, err = run_cli(argv, capsys)
-        assert (code, out) == (4, "")
-        assert err == "error: no general-position layout for m=6 within 16 attempts\n"
-
     def test_cap_zero_exit_2(self, capsys):
         code, _, err = run_cli(
             ["regions", "--m", "4", "--method", "geometric", "--geom-cap", "0"], capsys
@@ -963,9 +950,9 @@ class TestVerify:
 
     def test_dropped_crossing_is_a_disagreement(self, capsys, monkeypatch):
         # A kernel that loses a crossing must fail the geometric check
-        # (exit 1), not look like a degenerate layout (exit 4).  Each trial
-        # builds one 10-point arrangement, and the kernel's last crossing
-        # there involves the last point, so the first failing prefix is m=10.
+        # (exit 1).  Each trial builds one 10-point arrangement, and the
+        # kernel's last crossing there involves the last point, so the first
+        # failing prefix is m=10.
         # Trial 0's counts have no constant difference row, so checks 2-5,
         # which run on them, fail as well (exit 1, not 3).
         self._drop_last_crossing(monkeypatch)
@@ -1108,25 +1095,25 @@ class TestVerify:
         assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 5), (8, 2, 5)]
 
     def test_mismatch_is_read_off_the_counted_build(self, capsys, monkeypatch):
-        # A dropped crossing fails both trials at m=6 with seed 3.  The
-        # reported points are trial 0's 6-prefix, read off its 8-point
-        # build: nothing is rebuilt at m=6 to report them.
+        # A dropped crossing fails both trials at m=7 with seed 3.  The
+        # reported points are trial 0's 7-prefix, read off its 8-point
+        # build: nothing is rebuilt at m=7 to report them.
         self._drop_last_crossing(monkeypatch)
         builds = self._track_builds(monkeypatch)
         code, out, _ = run_cli(["verify", "--max-m=8", "--geom-cap=8", "--seed=3"], capsys)
         assert code == 1
-        assert f"m=6: counted 30, expected 31, points {self._seeded_prefix(6, 3)}" in out
+        assert f"m=7: counted 56, expected 57, points {self._seeded_prefix(7, 3)}" in out
         assert builds == [(8, 0, 3), (8, 1, 3)]
 
-    @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7]), (7, [8, 7, 7])])
+    @pytest.mark.parametrize("seed, births", [(3, [7, 7]), (7, [8, 7]), (7, [8, 7, 8])])
     def test_smallest_failing_k_across_trials(self, capsys, monkeypatch, seed, births):
         # Dropping the kernel's last crossing fails trial t first at
         # births[t] (test_geometry's TestVerifyAgainstFormula pins these).
         # The smallest k is reported, from the first trial that fails there.
-        # Seed 3: both trials fail at m=6, and trial 0 is reported, not the
+        # Seed 3: both trials fail at m=7, and trial 0 is reported, not the
         # last trial on the tie.  Seed 7: trial 1 fails at m=7 before trial 0
         # does at m=8, so neither the largest k nor the first failing trial
-        # is reported; with three trials, trials 1 and 2 tie at m=7.
+        # is reported; with three trials, trial 2 fails at m=8 as trial 0 does.
         self._drop_last_crossing(monkeypatch)
         trials, m = len(births), min(births)
         trial = births.index(m)
@@ -1298,7 +1285,7 @@ class TestExitCodeContract:
     )
     def test_documented_exit_code_and_no_traceback(self, capsys, argv):
         code, _, err = run_cli(argv, capsys)
-        assert code in (0, 1, 2, 3, 4), argv
+        assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err, argv
 
 

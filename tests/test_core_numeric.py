@@ -79,6 +79,8 @@ class TestPolynomialStructure:
     def test_trailing_zeros_stripped(self):
         assert Polynomial((1, 2, 0, 0)) == Polynomial((1, 2))
         assert Polynomial((0, 0)) == Polynomial.zero()
+        # Equal only to a Polynomial: a constant one is not its int.
+        assert (Polynomial((1,)) == 1) is False
 
     def test_coefficient_beyond_degree(self):
         p = Polynomial((1, 2))
@@ -91,6 +93,9 @@ class TestPolynomialStructure:
             Polynomial((1.5,))
         with pytest.raises(TypeError):
             as_rational(0.5)
+        # A sum takes Polynomials only; an int is not lifted to one.
+        with pytest.raises(TypeError):
+            Polynomial((1,)) + 1
 
     def test_monomial(self):
         assert Polynomial.monomial(3, 2) == Polynomial((0, 0, 0, 2))
@@ -187,3 +192,4 @@ class TestFormatting:
         assert format_polynomial(Polynomial((0, -1, 1))) == "n^2 - n"
         assert format_polynomial(Polynomial.zero()) == "0"
         assert format_polynomial(Polynomial((0, 1))) == "n"
+        assert str(Polynomial((1, 2))) == "2*n + 1"

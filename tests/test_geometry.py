@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import (
-    DegeneracyBudgetError,
     binomial,
     build_difference_table,
     count_faces,
@@ -52,12 +51,12 @@ from recurlab.geometry import _kernel
 from recurlab.geometry import arrangement as arrangement_module
 from recurlab.geometry import facewalk as facewalk_module
 from recurlab.geometry.arrangement import (
-    RETRY_BUDGET,
     ChordArrangement,
     InteriorPoint,
     _chord_lines,
     _cross,
 )
+from recurlab.geometry.points import base_parameters
 
 from conftest import (
     antipode_parameter,
@@ -461,6 +460,8 @@ class TestCirclePoint:
     def test_equality_by_coordinates(self):
         assert CirclePoint(F(2, 4)) == CirclePoint(F(1, 2))
         assert CirclePoint(F(1)) != CirclePoint(F(-1))
+        # Not a CirclePoint, not equal, whatever its triple.
+        assert CirclePoint(0).triple == (1, 0, 1) and (CirclePoint(0) == (1, 0, 1)) is False
 
     def test_immutable(self):
         p = CirclePoint(F(1))
@@ -1229,9 +1230,9 @@ class TestVerifyAgainstFormula:
         assert builds == [(12, 0, None), (12, 1, None), (8, 0, 5), (8, 1, 5), (8, 2, 5)]
 
     def test_mismatch_reuses_the_counted_build(self, monkeypatch):
-        # A dropped crossing fails both trials at m=6 with seed 3.  The
+        # A dropped crossing fails both trials at m=7 with seed 3.  The
         # reported layout is read off the build that was counted, with no
-        # rebuild at m=6, and the arrangement is freed when the call returns.
+        # rebuild at m=7, and the arrangement is freed when the call returns.
         intersect_pairs = _kernel.intersect_pairs
         monkeypatch.setattr(_kernel, "intersect_pairs", lambda *args: drop_last_crossing(intersect_pairs(*args)))
         builds = self._record_builds(monkeypatch)
@@ -1246,72 +1247,26 @@ class TestVerifyAgainstFormula:
         monkeypatch.setattr(arrangement_module, "generic_arrangement", tracked)
         for trial in (0, 1):
             counts, (k, counted, expected, _) = verify_against_formula(moser_terms(8), trial=trial, seed=3)
-            assert (k, counted, expected) == (6, 30, 31)
-            assert counts == [f - (i >= 5) for i, f in enumerate(moser_terms(8))]
+            assert (k, counted, expected) == (7, 56, 57)
+            assert counts == [f - (i >= 6) for i, f in enumerate(moser_terms(8))]
             assert held[-1]() is None, f"trial {trial}: the layout outlived the call"
         assert builds == [(8, 0, 3), (8, 1, 3)]
-
-    SEED = 11
-
-    @classmethod
-    def _hexagon_at_six(cls, monkeypatch):
-        # Make the first draw of trial 0's 6-point layout the degenerate
-        # hexagon.  The build then redraws, and the trial reads every prefix
-        # off the redrawn layout, like any other.
-        attempts = []
-        parameters = arrangement_module.seeded_parameters
-
-        def hexagon_at_six(m, seed, attempt=0):
-            if (m, seed) == (6, cls.SEED):
-                attempts.append(attempt)
-                if attempt == 0:
-                    return hexagon_parameters()
-            return parameters(m, seed=seed, attempt=attempt)
-
-        monkeypatch.setattr(arrangement_module, "seeded_parameters", hexagon_at_six)
-        return attempts
-
-    def test_retried_layout_is_one_build(self, monkeypatch):
-        attempts = self._hexagon_at_six(monkeypatch)
-        builds = self._record_builds(monkeypatch)
-        for trial in (0, 1):
-            # None: the trial counted 31 at m = 6, as at every smaller m.
-            assert verify_against_formula(moser_terms(6), trial=trial, seed=self.SEED) == (moser_terms(6), None)
-        assert builds == [(6, 0, self.SEED), (6, 1, self.SEED)]
-        # The 6-point build's hexagon, then its redraw; no draw of its own.
-        assert attempts == [0, 1]
-
-    def test_retried_layout_reports_its_mismatch(self, monkeypatch):
-        # Mismatches carry the prefix of the layout that was counted: the
-        # redrawn one, not the hexagon, at every k.
-        self._hexagon_at_six(monkeypatch)
-        redrawn = seeded_parameters(6, self.SEED, attempt=1)
-        assert None not in redrawn and redrawn[:3] != seeded_parameters(3, self.SEED)
-
-        def prefix(k):
-            return tuple(p.parameter_text for p in build_arrangement(map(CirclePoint, redrawn[:k])))
-
-        for k in (3, 6):
-            expected = moser_terms(6)
-            expected[k - 1] += 1
-            found = (k, regions_binomial(k), regions_binomial(k) + 1, prefix(k))
-            assert verify_against_formula(expected, seed=self.SEED) == (moser_terms(6), found)
 
     def test_seeded_trial_draws_once(self, monkeypatch):
         # Each trial's parameters are drawn once, by its one build.
         draws = []
         draw = arrangement_module.seeded_parameters
 
-        def recording(m, seed, attempt=0):
-            draws.append((m, seed, attempt))
-            return draw(m, seed=seed, attempt=attempt)
+        def recording(m, seed):
+            draws.append((m, seed))
+            return draw(m, seed=seed)
 
         monkeypatch.setattr(arrangement_module, "seeded_parameters", recording)
         for trial in (0, 1):
             assert verify_against_formula(moser_terms(12), trial=trial, seed=3) == (moser_terms(12), None)
-        assert draws == [(12, 3, 0), (12, 4, 0)]
+        assert draws == [(12, 3), (12, 4)]
 
-    @pytest.mark.parametrize("seed, births", [(3, [6, 6]), (7, [8, 7, 7])])
+    @pytest.mark.parametrize("seed, births", [(3, [7, 7]), (7, [8, 7, 8])])
     def test_failing_prefix_is_the_dropped_crossings_birth(self, monkeypatch, seed, births):
         # Seeded parameters are not in angular order, so this checks the
         # birth bookkeeping: dropping the kernel's last crossing fails a
@@ -1359,27 +1314,11 @@ class TestCountedDifferenceTable:
             assert count == sum(math.comb(m - 1, k) for k in range(5))
 
 
-class TestRetryBudget:
-    def test_exhaustion_raises(self, monkeypatch):
-        # Degeneracy is never hit by the seeded family, so exercise the
-        # budget by forcing every draw to be the degenerate hexagon, and
-        # record the attempt index of each draw.
-        attempts = []
-
-        def degenerate(m, seed, attempt=0):
-            attempts.append(attempt)
-            return hexagon_parameters()
-
-        monkeypatch.setattr(arrangement_module, "seeded_parameters", degenerate)
-        with pytest.raises(DegeneracyBudgetError, match="within 16 attempts"):
-            generic_arrangement(6, seed=0)
-        assert RETRY_BUDGET == 16
-        assert attempts == list(range(16))
-
+class TestOneBuild:
+    # Both families are proven free of triple points (TestUnseededGeneralPosition
+    # and TestSeededBaseSet), so each is built once: a triple point there is a
+    # failed assertion after one build, not a redraw.
     def test_unseeded_layout_is_built_once(self, monkeypatch):
-        # The unseeded family is proven free of triple points
-        # (TestUnseededGeneralPosition), so it is never redrawn: a triple
-        # point there is a failed assertion after one build, not a retry.
         calls = []
 
         def degenerate(m, variant=0):
@@ -1387,9 +1326,45 @@ class TestRetryBudget:
             return hexagon_parameters()
 
         monkeypatch.setattr(arrangement_module, "generic_parameters", degenerate)
-        with pytest.raises(AssertionError, match="variant 2 has a triple point"):
+        with pytest.raises(AssertionError, match="m=6, trial 2, seed None has a triple point"):
             generic_arrangement(6, trial=2)
         assert calls == [(6, 2)]
+
+    def test_seeded_layout_is_built_once(self, monkeypatch):
+        calls = []
+
+        def degenerate(m, seed):
+            calls.append((m, seed))
+            return hexagon_parameters()
+
+        monkeypatch.setattr(arrangement_module, "seeded_parameters", degenerate)
+        with pytest.raises(AssertionError, match="m=6, trial 1, seed 4 has a triple point"):
+            generic_arrangement(6, trial=1, seed=4)
+        assert calls == [(6, 5)]
+
+
+class TestSeededBaseSet:
+    """Every seeded layout is a subset of one base set in general position.
+
+    A point of three chords among a subset of the points is one among all
+    of them, so the one build of the base set proves every seeded layout.
+    """
+
+    def test_base_set_is_in_general_position(self):
+        base = base_parameters()
+        arr = intersect_chords(map(CirclePoint, base))
+        assert arr.general_position
+        assert count_regions(arr)[2] == regions_binomial(len(base)) == regions_binomial(80)
+
+    def test_seeded_layouts_are_nested_subsets_of_the_base_set(self):
+        base = set(base_parameters())
+        for seed in (0, 1, 7, 11, -5, 10**6):
+            layout = seeded_parameters(80, seed)
+            assert set(layout) == base
+            for k, m in ((1, 2), (7, 25), (25, 40), (40, 60)):
+                assert seeded_parameters(k, seed) == seeded_parameters(m, seed)[:k]
+        with pytest.raises(ValueError, match="^a seeded layout has at most 80 points, got m=81$"):
+            seeded_parameters(81, 1)
 
 
 class TestUnseededGeneralPosition:
