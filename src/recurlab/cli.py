@@ -256,16 +256,19 @@ def cmd_table(args) -> int:
     # tens of thousands of cells.  Its rows go out one at a time, each cell
     # from its integer numerator, laid out as json.dumps(indent=2) would.
     # A cell holds only digits, "-" and "/", so quoting it needs no escaping.
+    # An integer table's cells are joined from map(repr, row): an int's repr
+    # is its str, and the builtin costs less per cell than the str type call.
+    den = table.denominator
     if args.json:
         next_text = None if next_term is None else format_rational(next_term)
         result = {"rows": [], "constant_depth": depth, "next": next_text}
         text = json.dumps(_envelope("table", inputs, ["differences"], result, None), indent=2)
         head, tail = text.split('"rows": []', 1)
-        write, den = sys.stdout.write, table.denominator
+        write = sys.stdout.write
         write(head + '"rows": [')
         for d, row in enumerate(table.rows):
             if den == 1:
-                cells = '/1",\n        "'.join(map(str, row)) + "/1"
+                cells = '/1",\n        "'.join(map(repr, row)) + "/1"
             else:
                 cells = '",\n        "'.join(format_quotient(v, den) for v in row)
             write(("," if d else "") + '\n      [\n        "' + cells + '"\n      ]')
@@ -274,7 +277,10 @@ def cmd_table(args) -> int:
 
     # The human view is printed a row at a time, so only one row's text is held.
     for d, row in enumerate(table.rows):
-        cells = " ".join(format_quotient(v, table.denominator, False) for v in row)
+        if den == 1:
+            cells = " ".join(map(repr, row))
+        else:
+            cells = " ".join(format_quotient(v, den, False) for v in row)
         print(("sequence " if d == 0 else f"depth {d}  ") + ": " + cells)
     if depth is None:
         print("constant row: none certified")
@@ -302,13 +308,15 @@ def cmd_solve(args) -> int:
     result = {"recurrence": _recurrence_json(rec), "closed_forms": forms_json}
     envelope = _envelope("solve", inputs, methods, result, agreement)
 
-    human = [f"recurrence: {rec.describe()}"]
-    for form, entry in zip(forms, forms_json):
-        human.append(f"closed form [{form.method}]: a(n) = {form.describe()}")
-        if "display_in_m" in entry:
-            human.append(f"  in m = n + 1: {entry['display_in_m']}")
-    if agreement is not None:
-        human.append(f"methods agree: {'yes' if agreement else 'NO'}")
+    human = []  # built only when printed: --json never reads it
+    if not args.json:
+        human.append(f"recurrence: {rec.describe()}")
+        for form, entry in zip(forms, forms_json):
+            human.append(f"closed form [{form.method}]: a(n) = {form.describe()}")
+            if "display_in_m" in entry:
+                human.append(f"  in m = n + 1: {entry['display_in_m']}")
+        if agreement is not None:
+            human.append(f"methods agree: {'yes' if agreement else 'NO'}")
     return _emit(args, envelope, human)
 
 

@@ -293,12 +293,17 @@ def parse_rational(text: str) -> Rational:
     (``1_000``) and whitespace inside the term (``1 /2``), which
     ``Fraction`` accepts on some Python versions and not on others.
     A rejected term longer than ``sys.get_int_max_str_digits()`` is named by its length.
+    An integer term is read by ``int``; ``Fraction`` parses only what ``int``
+    refuses (a decimal, a quotient or an invalid term).
     """
     term = text.strip()
     try:
         if _NOT_IN_TERM.search(term):
             raise ValueError("exponent, separator or inner whitespace")
-        return Fraction(term)
+        try:
+            return Fraction(int(term))
+        except ValueError:
+            return Fraction(term)
     except (ValueError, ZeroDivisionError) as exc:
         shown = repr(text)
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7

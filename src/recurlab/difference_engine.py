@@ -96,8 +96,12 @@ class LinearRecurrence:
 
 
 def _is_constant(row: tuple[int, ...]) -> bool:
-    """Constancy certified only with >= 2 entries; a single entry never counts."""
-    return len(row) >= 2 and row.count(row[0]) == len(row)
+    """Constancy certified only with >= 2 entries; a single entry never counts.
+
+    The ends are compared first: most rows that are not constant differ there,
+    and the full ``count`` pass is left for the rows that might be.
+    """
+    return len(row) >= 2 and row[0] == row[-1] and row.count(row[0]) == len(row)
 
 
 def build_difference_table(

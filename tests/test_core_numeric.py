@@ -5,6 +5,7 @@ polynomial algebra is checked by evaluation homomorphisms (an operation on
 polynomials must commute with evaluating at any point).
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,31 @@ class TestFormatting:
         for text in ("1e5", "2E3", "1.5e-2", "1e99999999", "1_000", "1_0/2_0", "1 /2"):
             with pytest.raises(ValueError, match="not a rational number"):
                 parse_rational(text)
+
+    def test_parse_rational_integer_terms_match_fraction(self):
+        # Integer terms are read by int; the value and type are Fraction's.
+        # The long term is at Python's integer-string limit (4300 by default).
+        long_term = "7" * sys.get_int_max_str_digits()
+        for text in ("+12", "-0", "0007", "\u0661\u0662", "\uff11\uff12", long_term):
+            value = parse_rational(text)
+            assert type(value) is Fraction
+            assert value == Fraction(text)
+        assert parse_rational("\u0661\u0662") == 12
+        for text, value in (("12.", 12), (".5", Fraction(1, 2)), ("1/2", Fraction(1, 2))):
+            assert parse_rational(text) == value
+
+    def test_parse_rational_rejects_keep_their_messages(self):
+        for text in ("1/0", "+-1", "\u00b2", "\u066b5"):
+            with pytest.raises(ValueError) as info:
+                parse_rational(text)
+            assert str(info.value) == f"not a rational number: {text!r}"
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as info:
+            parse_rational("7" * (limit + 1))
+        assert str(info.value) == (
+            f"not a rational number: a {limit + 1}-character term"
+            f" (Python's integer-string limit is {limit} digits)"
+        )
 
     def test_format_polynomial_common_denominator(self):
         quartic = Polynomial([Fraction(c, 24) for c in (24, -18, 23, -6, 1)])

@@ -25,6 +25,7 @@ from recurlab import (
     iterate_recurrence,
     predict_next,
 )
+from recurlab.difference_engine import _is_constant
 
 from conftest import brute_regions
 
@@ -111,6 +112,21 @@ class TestBuildTable:
         assert DifferenceTable(((1, 2, 4), (1, 2), (1,)), 1).constant_depth is None
         assert DifferenceTable(((5, 5),), 1).constant_depth == 0
         assert DifferenceTable(((1, 2, 4, 7), (1, 2, 3), (1, 1)), 1).constant_depth == 2
+
+    def test_constancy_compares_the_ends_then_counts(self):
+        # Equal ends alone certify nothing: the whole row must be one value.
+        assert not _is_constant((3, 1, 3))
+        assert not _is_constant((0, 5, -5, 0))
+        assert DifferenceTable(((3, 1, 3),), 1).constant_depth is None
+        assert _is_constant((7, 7)) and _is_constant((-2, -2, -2))
+        assert DifferenceTable(((7, 7),), 1).constant_depth == 0
+        assert not _is_constant((4,))
+        assert not _is_constant((1, 2, 2)) and not _is_constant((2, 2, 1))
+
+    def test_row_with_equal_ends_keeps_differencing(self):
+        table = build_difference_table(seq(0, 1, 1, 2), max_depth=3)
+        assert table.rows == ((0, 1, 1, 2), (1, 0, 1), (-1, 1), (2,))
+        assert table.constant_depth is None
 
 
 class TestPredictNext:
