@@ -19,110 +19,85 @@ The pipeline, all in exact rational arithmetic:
 
 The ``recurlab`` command line (see ``recurlab --help``) exposes the same
 pipeline with JSON and human output.
+
+Importing the package loads none of these modules.  Each name in
+``__all__`` is read from the module that defines it, on every access
+(PEP 562), and that module is imported on the first one.  Nothing is
+cached here, so a function rebound in its defining module, as perfbench's
+tracer and the tests rebind them, is what ``recurlab.<name>`` gives.
 """
 
-from .core_numeric import (
-    Polynomial,
-    Rational,
-    as_rational,
-    binomial,
-    binomial_rising,
-    format_polynomial,
-    format_rational,
-    parse_rational,
-)
-from .difference_engine import (
-    DifferenceTable,
-    LinearRecurrence,
-    build_difference_table,
-    infer_recurrence,
-    iterate_recurrence,
-    predict_next,
-)
-from .errors import (
-    NoConstantRowError,
-    RecurlabError,
-    SingularMatrixError,
-    UnsupportedRootsError,
-)
-from .genfunc_solver import build_ogf, extract_coefficient_formula, ogf_series, partial_fractions
-from .geometry import (
-    ChordArrangement,
-    CirclePoint,
-    build_arrangement,
-    count_faces,
-    count_regions,
-    hexagon_arrangement,
-    intersect_chords,
-    verify_against_formula,
-)
-from .moser_formulas import (
-    chord_count,
-    euler_counts,
-    intersection_count,
-    moser_polynomial,
-    moser_terms,
-    regions_binomial,
-    regions_binomial_sum,
-    regions_polynomial,
-)
-from .recurrence_solver import (
-    ClosedForm,
-    characteristic_polynomial,
-    gaussian_solve,
-    particular_solution,
-    rational_roots,
-    solve_charpoly,
-    to_moser_variable,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Polynomial",
-    "Rational",
-    "as_rational",
-    "binomial",
-    "binomial_rising",
-    "format_polynomial",
-    "format_rational",
-    "parse_rational",
-    "DifferenceTable",
-    "LinearRecurrence",
-    "build_difference_table",
-    "infer_recurrence",
-    "iterate_recurrence",
-    "predict_next",
-    "NoConstantRowError",
-    "RecurlabError",
-    "SingularMatrixError",
-    "UnsupportedRootsError",
-    "build_ogf",
-    "extract_coefficient_formula",
-    "ogf_series",
-    "partial_fractions",
-    "ChordArrangement",
-    "CirclePoint",
-    "build_arrangement",
-    "count_faces",
-    "count_regions",
-    "hexagon_arrangement",
-    "intersect_chords",
-    "verify_against_formula",
-    "chord_count",
-    "euler_counts",
-    "intersection_count",
-    "moser_polynomial",
-    "moser_terms",
-    "regions_binomial",
-    "regions_binomial_sum",
-    "regions_polynomial",
-    "ClosedForm",
-    "characteristic_polynomial",
-    "gaussian_solve",
-    "particular_solution",
-    "rational_roots",
-    "solve_charpoly",
-    "to_moser_variable",
-    "__version__",
-]
+
+def _exports(namespace: dict, sources: dict[str, str]):
+    """The module ``__getattr__`` and ``__dir__`` of the package whose
+    globals are ``namespace`` and whose public names are the keys of
+    ``sources``, each mapped to the submodule that defines it."""
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        if name not in sources:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f"{package}.{sources[name]}"), name)
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *sources})
+
+    return __getattr__, __dir__
+
+
+# Each public name, in __all__ order, and the submodule that defines it.
+_SOURCES = {
+    "Polynomial": "core_numeric",
+    "Rational": "core_numeric",
+    "as_rational": "core_numeric",
+    "binomial": "core_numeric",
+    "binomial_rising": "core_numeric",
+    "format_polynomial": "core_numeric",
+    "format_rational": "core_numeric",
+    "parse_rational": "core_numeric",
+    "DifferenceTable": "difference_engine",
+    "LinearRecurrence": "difference_engine",
+    "build_difference_table": "difference_engine",
+    "infer_recurrence": "difference_engine",
+    "iterate_recurrence": "difference_engine",
+    "predict_next": "difference_engine",
+    "NoConstantRowError": "errors",
+    "RecurlabError": "errors",
+    "SingularMatrixError": "errors",
+    "UnsupportedRootsError": "errors",
+    "build_ogf": "genfunc_solver",
+    "extract_coefficient_formula": "genfunc_solver",
+    "ogf_series": "genfunc_solver",
+    "partial_fractions": "genfunc_solver",
+    "ChordArrangement": "geometry.arrangement",
+    "CirclePoint": "geometry.points",
+    "build_arrangement": "geometry.arrangement",
+    "count_faces": "geometry.facewalk",
+    "count_regions": "geometry.arrangement",
+    "hexagon_arrangement": "geometry.arrangement",
+    "intersect_chords": "geometry.arrangement",
+    "verify_against_formula": "geometry.arrangement",
+    "chord_count": "moser_formulas",
+    "euler_counts": "moser_formulas",
+    "intersection_count": "moser_formulas",
+    "moser_polynomial": "moser_formulas",
+    "moser_terms": "moser_formulas",
+    "regions_binomial": "moser_formulas",
+    "regions_binomial_sum": "moser_formulas",
+    "regions_polynomial": "moser_formulas",
+    "ClosedForm": "recurrence_solver",
+    "characteristic_polynomial": "recurrence_solver",
+    "gaussian_solve": "recurrence_solver",
+    "particular_solution": "recurrence_solver",
+    "rational_roots": "recurrence_solver",
+    "solve_charpoly": "recurrence_solver",
+    "to_moser_variable": "recurrence_solver",
+}
+
+__all__ = [*_SOURCES, "__version__"]
+
+__getattr__, __dir__ = _exports(globals(), _SOURCES)

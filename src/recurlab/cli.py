@@ -15,6 +15,13 @@ stable shape (``schema_version`` 1) in which every exact rational is a
 ``"p/q"`` string.  Exit codes: 0 success/agreement, 1 verification
 disagreement, 2 malformed input, 3 unsupported mathematics (no constant
 difference row, irrational/zero characteristic roots).
+
+At module level this file imports only the standard library and ``errors``.
+Each command imports the library modules it runs inside its own function,
+so a process loads only what its command needs: ``table`` the number core
+and the difference engine (and ``moser_formulas`` for ``--moser``),
+``solve`` those and both solvers, ``regions`` the formulas and the
+geometry, and ``verify`` all of them.
 """
 
 from __future__ import annotations
@@ -26,32 +33,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .core_numeric import format_polynomial, format_quotient, format_rational, parse_rational
-from .difference_engine import (
-    LinearRecurrence,
-    build_difference_table,
-    infer_recurrence,
-    iterate_recurrence,
-    predict_next,
-)
 from .errors import RecurlabError
-from .genfunc_solver import build_ogf, extract_coefficient_formula, partial_fractions
-from .geometry import (
-    arrangement_to_json_dict,
-    count_regions,
-    generic_arrangement,
-    hexagon_arrangement,
-    verify_against_formula,
-)
-from .moser_formulas import (
-    euler_counts,
-    moser_polynomial,
-    moser_terms,
-    regions_binomial,
-    regions_binomial_sum,
-    regions_polynomial,
-)
-from .recurrence_solver import ClosedForm, solve_charpoly, to_moser_variable
 
 SCHEMA_VERSION = 1
 
@@ -105,21 +87,43 @@ MAX_TRIALS = 100
 # give their depth-4 constant row three equal entries (6 is the least for two).
 _MIN_COUNTED = 7
 
-# The four symbolic region counts, by --method name.  Each looks its function up
-# when it runs, so a wrapper bound in its place (as by perfbench's tracer) runs.
-_SYMBOLIC = {
-    "binomial": lambda m: regions_binomial(m),
-    "polynomial": lambda m: regions_polynomial(m),
-    "sum": lambda m: regions_binomial_sum(m),
-    "euler": lambda m: euler_counts(m)[2],
-}
+# The --method names of the four symbolic region counts, in report order.
+_SYMBOLIC = ("binomial", "polynomial", "sum", "euler")
 
-# The two solver routes, by --method name, each from a recurrence to its
-# closed form; looked up when they run, as _SYMBOLIC is.
-_ROUTES = {
-    "charpoly": lambda rec: solve_charpoly(rec),
-    "genfunc": lambda rec: extract_coefficient_formula(partial_fractions(build_ogf(rec))),
-}
+
+def _symbolic_counts() -> dict:
+    """The four symbolic region counts, by their names in ``_SYMBOLIC``.
+
+    Each is read from ``moser_formulas`` when this is called, so a wrapper
+    bound there beforehand (as by perfbench's tracer) is what runs.
+    """
+    from .moser_formulas import euler_counts, regions_binomial, regions_binomial_sum, regions_polynomial
+
+    return {
+        "binomial": regions_binomial,
+        "polynomial": regions_polynomial,
+        "sum": regions_binomial_sum,
+        "euler": lambda m: euler_counts(m)[2],
+    }
+
+
+# The two solver routes, each from a recurrence to its closed form.  Each
+# imports its functions when it runs, as every command does, so a wrapper bound
+# in the solver's module (as by perfbench's tracer) runs.
+def _charpoly_route(rec):
+    from .recurrence_solver import solve_charpoly
+
+    return solve_charpoly(rec)
+
+
+def _genfunc_route(rec):
+    from .genfunc_solver import build_ogf, extract_coefficient_formula, partial_fractions
+
+    return extract_coefficient_formula(partial_fractions(build_ogf(rec)))
+
+
+# The solver routes by --method name.
+_ROUTES = {"charpoly": _charpoly_route, "genfunc": _genfunc_route}
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +150,9 @@ def _envelope(command: str, inputs: dict, method_tags: list[str], result: dict, 
     }
 
 
-def _closed_form_json(form: ClosedForm) -> dict:
+def _closed_form_json(form) -> dict:
+    from .core_numeric import format_rational
+
     return {
         "method": form.method,
         "variable": "n",
@@ -161,7 +167,9 @@ def _closed_form_json(form: ClosedForm) -> dict:
     }
 
 
-def _recurrence_json(rec: LinearRecurrence) -> dict:
+def _recurrence_json(rec) -> dict:
+    from .core_numeric import format_polynomial, format_rational
+
     return {
         "order": rec.order,
         "coefficients": [format_rational(c) for c in rec.coefficients],
@@ -183,6 +191,8 @@ def _resolve_sequence(args, limit: int) -> tuple[tuple[Fraction, ...], dict]:
     limit, in at most MAX_FILE_BYTES bytes; --moser has MAX_MOSER_N.  Each
     bound is checked before any term is parsed or computed.
     """
+    from .core_numeric import format_rational, parse_rational
+
     provided = [
         (name, value)
         for name, value in (("seq", args.seq), ("file", args.file), ("moser", args.moser))
@@ -196,6 +206,8 @@ def _resolve_sequence(args, limit: int) -> tuple[tuple[Fraction, ...], dict]:
             raise ValueError(f"--moser needs at least 2 terms, got {value}")
         if value > MAX_MOSER_N:
             raise ValueError(f"--moser {value} exceeds the term limit ({MAX_MOSER_N} terms)")
+        from .moser_formulas import moser_terms
+
         terms = [Fraction(v) for v in moser_terms(value)]
     else:
         if source == "seq":
@@ -247,6 +259,9 @@ def _check_build_size(m: int) -> None:
 
 
 def cmd_table(args) -> int:
+    from .core_numeric import format_quotient, format_rational
+    from .difference_engine import build_difference_table, predict_next
+
     seq, inputs = _resolve_sequence(args, MAX_TABLE_TERMS)
     table = build_difference_table(seq, args.max_depth)
     depth = table.constant_depth
@@ -292,6 +307,10 @@ def cmd_table(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .core_numeric import format_polynomial
+    from .difference_engine import build_difference_table, infer_recurrence
+    from .recurrence_solver import to_moser_variable
+
     seq, inputs = _resolve_sequence(args, MAX_SOLVE_TERMS)
     table = build_difference_table(seq, args.max_depth)
     rec = infer_recurrence(table)
@@ -321,6 +340,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_regions(args) -> int:
+    from .geometry.arrangement import (
+        arrangement_to_json_dict,
+        count_regions,
+        generic_arrangement,
+        hexagon_arrangement,
+    )
+
     m = args.m
     if m < 1:
         raise ValueError(f"--m must be >= 1, got {m}")
@@ -347,7 +373,7 @@ def cmd_regions(args) -> int:
     elif m <= cap:
         _check_build_size(m)
 
-    counts = {name: count(m) for name, count in _SYMBOLIC.items() if name in wants}
+    counts = {name: count(m) for name, count in _symbolic_counts().items() if name in wants}
     trial_counts = []  # every trial's regions; only the last layout is kept
     geometric_detail = geometric_note = None
 
@@ -408,6 +434,12 @@ def cmd_regions(args) -> int:
 
 
 def _verify_checks(args, cap: int) -> list[dict]:
+    from .core_numeric import format_polynomial
+    from .difference_engine import build_difference_table, infer_recurrence, iterate_recurrence
+    from .geometry.arrangement import verify_against_formula
+    from .moser_formulas import moser_polynomial, moser_terms, regions_binomial
+    from .recurrence_solver import to_moser_variable
+
     max_m = args.max_m
     checks: list[dict] = []
 
@@ -425,9 +457,9 @@ def _verify_checks(args, cap: int) -> list[dict]:
 
     # 1. The four symbolic methods agree (the Euler route counts V and E by
     #    rule and gets F from Euler's formula).
-    mismatch = None
+    mismatch, symbolic = None, _symbolic_counts()
     for m in range(1, max_m + 1):
-        values = {name: count(m) for name, count in _SYMBOLIC.items()}
+        values = {name: count(m) for name, count in symbolic.items()}
         if len(set(values.values())) != 1:
             mismatch = f"m={m}: {values}"
             break

@@ -12,42 +12,33 @@ point of three or more (its ``concurrent``).  Every count reads those
 directly.  The tuple of each point is built only by the ``crossings``
 view, and its integer triple only for JSON and the ``interior_points``
 view.
+
+Importing the package loads none of its modules: each name in ``__all__``
+is read from the module that defines it on every access, as in
+``recurlab``, so ``import recurlab.geometry`` alone costs next to nothing.
 """
 
-from .arrangement import (
-    ChordArrangement,
-    InteriorPoint,
-    arrangement_to_json_dict,
-    build_arrangement,
-    count_regions,
-    generic_arrangement,
-    hexagon_arrangement,
-    intersect_chords,
-    prefix_region_counts,
-    verify_against_formula,
-)
-from .facewalk import count_faces
-from .points import (
-    CirclePoint,
-    generic_parameters,
-    hexagon_parameters,
-    seeded_parameters,
-)
+from .. import _exports
 
-__all__ = [
-    "ChordArrangement",
-    "CirclePoint",
-    "InteriorPoint",
-    "arrangement_to_json_dict",
-    "build_arrangement",
-    "count_faces",
-    "count_regions",
-    "generic_arrangement",
-    "generic_parameters",
-    "hexagon_arrangement",
-    "hexagon_parameters",
-    "intersect_chords",
-    "prefix_region_counts",
-    "seeded_parameters",
-    "verify_against_formula",
-]
+# Each public name, in __all__ order, and the module that defines it.
+_SOURCES = {
+    "ChordArrangement": "arrangement",
+    "CirclePoint": "points",
+    "InteriorPoint": "arrangement",
+    "arrangement_to_json_dict": "arrangement",
+    "build_arrangement": "arrangement",
+    "count_faces": "facewalk",
+    "count_regions": "arrangement",
+    "generic_arrangement": "arrangement",
+    "generic_parameters": "points",
+    "hexagon_arrangement": "arrangement",
+    "hexagon_parameters": "points",
+    "intersect_chords": "arrangement",
+    "prefix_region_counts": "arrangement",
+    "seeded_parameters": "points",
+    "verify_against_formula": "arrangement",
+}
+
+__all__ = [*_SOURCES]
+
+__getattr__, __dir__ = _exports(globals(), _SOURCES)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from fractions import Fraction
 
 from ..core_numeric import Rational, RationalLike, as_rational
@@ -128,6 +127,8 @@ def base_parameters() -> tuple[Fraction, ...]:
     dropped.  The arrangement of all 80 points has no concurrent point
     (``tests/test_geometry.py``, ``TestSeededBaseSet``), so no subset has.
     """
+    import random  # only the seeded family draws: unseeded runs never load it
+
     rng = random.Random("recurlab:1:0")
     params: dict[Fraction, None] = {}
     while len(params) < 80:
@@ -147,5 +148,7 @@ def seeded_parameters(m: int, seed: int) -> list[Fraction]:
     params = list(base_parameters())
     if m > len(params):
         raise ValueError(f"a seeded layout has at most {len(params)} points, got m={m}")
+    import random
+
     random.Random(f"recurlab:{seed}").shuffle(params)
     return params[:m]

@@ -354,7 +354,7 @@ class TestTable:
         def never(n):
             raise AssertionError(f"moser_terms({n}) called over the limit")
 
-        monkeypatch.setattr("recurlab.cli.moser_terms", never)
+        monkeypatch.setattr("recurlab.moser_formulas.moser_terms", never)
         for command in ("table", "solve"):
             for n in (MAX_MOSER_N + 1, 10**40):
                 code, out, err = run_cli([command, f"--moser={n}", "--json"], capsys)
@@ -374,7 +374,7 @@ class TestTable:
         def never(*args):
             raise AssertionError("a difference table was built over the limit")
 
-        monkeypatch.setattr("recurlab.cli.build_difference_table", never)
+        monkeypatch.setattr("recurlab.difference_engine.build_difference_table", never)
         path = tmp_path / "squares.txt"
         path.write_text("".join(f"{v}\n" for v in squares))
         for argv in (["solve", "--seq=" + ",".join(map(str, squares))], ["solve", "--file", str(path), "--json"]):
@@ -391,8 +391,8 @@ class TestTable:
         def never(*args):
             raise AssertionError("parsed or built over the limit")
 
-        monkeypatch.setattr("recurlab.cli.parse_rational", never)
-        monkeypatch.setattr("recurlab.cli.build_difference_table", never)
+        monkeypatch.setattr("recurlab.core_numeric.parse_rational", never)
+        monkeypatch.setattr("recurlab.difference_engine.build_difference_table", never)
         path = tmp_path / "alternating.txt"
         path.write_text("0\n1\n" * (MAX_TABLE_TERMS // 2) + "0\n")
         seq = "--seq=" + ",".join("01"[n % 2] for n in range(MAX_TABLE_TERMS + 1))
@@ -414,7 +414,7 @@ class TestTable:
         def never(*args):
             raise AssertionError("a term was parsed over the limit")
 
-        monkeypatch.setattr("recurlab.cli.parse_rational", never)
+        monkeypatch.setattr("recurlab.core_numeric.parse_rational", never)
         for command in ("table", "solve"):
             code, out, err = run_cli([command, "--file", str(path)], capsys)
             assert (code, out) == (2, ""), command
@@ -428,7 +428,7 @@ class TestTable:
         def never(*args):
             raise AssertionError("a term was parsed over the limit")
 
-        monkeypatch.setattr("recurlab.cli.parse_rational", never)
+        monkeypatch.setattr("recurlab.core_numeric.parse_rational", never)
         terms = ["1"] * (MAX_SOLVE_TERMS + 1)
         terms[-1] = "1".rjust(MAX_FILE_BYTES - 2 * MAX_SOLVE_TERMS, "0")
         text = ",".join(terms)
@@ -603,7 +603,7 @@ class TestRegions:
                     patch.setattr(_kernel, "intersect_pairs", lambda *args: drop_last_crossing(pairs(*args)))
                 return generic_arrangement(m, trial=trial, seed=seed)
 
-        monkeypatch.setattr("recurlab.cli.generic_arrangement", faulty)
+        monkeypatch.setattr("recurlab.geometry.arrangement.generic_arrangement", faulty)
         argv = ["regions", "--m", "12", "--trials", "2", "--method", method]
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (1, "")
@@ -771,18 +771,22 @@ class TestRegions:
         assert payload["agreement"] is None
 
     def test_symbolic_routes_read_patched_names(self, capsys, monkeypatch):
-        # Each route calls its function by name when it runs, so a wrapper
-        # bound in its place after import (as perfbench's tracer binds them)
-        # is what runs, in regions and in verify's check 1.  A geometric-only
-        # run calls none of them.
+        # Each command reads the routes' functions from moser_formulas when
+        # it runs, so a wrapper bound there after import (as perfbench's
+        # tracer binds them) is what runs, in regions and in verify's check
+        # 1.  A geometric-only run calls none of them.  verify's moser_terms calls
+        # regions_binomial itself before check 1, so it computes its terms
+        # with the real function and records nothing.
         from recurlab import moser_formulas
 
         calls = []
         routes = ("regions_binomial", "regions_polynomial", "regions_binomial_sum", "euler_counts")
+        binomial = moser_formulas.regions_binomial
+        monkeypatch.setattr(moser_formulas, "moser_terms", lambda n: [binomial(m) for m in range(1, n + 1)])
         for name in routes:
             real = getattr(moser_formulas, name)
             monkeypatch.setattr(
-                f"recurlab.cli.{name}", lambda m, real=real, name=name: calls.append(name) or real(m)
+                moser_formulas, name, lambda m, real=real, name=name: calls.append(name) or real(m)
             )
         assert run_cli(["regions", "--m=5"], capsys)[0] == 0
         assert calls == list(routes)
@@ -881,7 +885,7 @@ class TestRegions:
             held.append(weakref.ref(arr))
             return arr
 
-        monkeypatch.setattr("recurlab.cli.generic_arrangement", tracked)
+        monkeypatch.setattr("recurlab.geometry.arrangement.generic_arrangement", tracked)
         code, out, _ = run_cli(["regions", "--m=8", "--method=geometric", "--trials=3"], capsys)
         assert code == 0 and "  trials: [99, 99, 99]" in out.splitlines()
         assert len(held) == 3
@@ -918,7 +922,7 @@ class TestVerify:
     def test_symbolic_mismatch_fails_check_1(self, capsys, monkeypatch):
         # One symbolic count one too high at m = 7 fails check 1 alone, with
         # every method's count at the first m where they differ.
-        monkeypatch.setattr("recurlab.cli.regions_polynomial", lambda m: regions_polynomial(m) + (m == 7))
+        monkeypatch.setattr("recurlab.moser_formulas.regions_polynomial", lambda m: regions_polynomial(m) + (m == 7))
         argv = ["verify", "--max-m", "12", "--geom-cap", "10"]
         code, out, err = run_cli(argv, capsys)
         assert (code, err) == (1, "")
@@ -1008,7 +1012,7 @@ class TestVerify:
             terms[5] += 1
             return terms
 
-        monkeypatch.setattr("recurlab.cli.moser_terms", wrong)
+        monkeypatch.setattr("recurlab.moser_formulas.moser_terms", wrong)
         code, payload, _ = run_json(["verify", "--max-m", "12", "--geom-cap", "10"], capsys)
         assert code == 1
         checks = {c["name"]: c for c in payload["result"]["checks"]}
@@ -1165,7 +1169,7 @@ class TestVerify:
             return hexagon_arrangement()
 
         monkeypatch.setattr("recurlab.cli._verify_checks", no_checks)
-        monkeypatch.setattr("recurlab.cli.generic_arrangement", no_build)
+        monkeypatch.setattr("recurlab.geometry.arrangement.generic_arrangement", no_build)
         commands = (["verify"], ["regions", "--m=6", "--method=geometric"])
         for command in commands:
             assert run_cli([*command, f"--trials={MAX_TRIALS}"], capsys)[0] == 0
@@ -1206,7 +1210,7 @@ class TestParser:
         # The shared parser holds no handler: a cmd_* or a name it calls,
         # patched after the parser is built, is what main runs.
         build_parser()
-        monkeypatch.setattr("recurlab.cli.moser_terms", lambda n: [0] * n)
+        monkeypatch.setattr("recurlab.moser_formulas.moser_terms", lambda n: [0] * n)
         assert run_cli(["table", "--moser=3"], capsys)[1].startswith("sequence : 0 0 0\n")
         seen = []
         monkeypatch.setattr("recurlab.cli.cmd_regions", lambda args: seen.append(args.m) or 4)
