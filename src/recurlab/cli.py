@@ -223,7 +223,7 @@ def _resolve_sequence(args, limit: int) -> tuple[tuple[Fraction, ...], dict]:
             if len(data) > MAX_FILE_BYTES:
                 raise ValueError(f"{value} is over the file size limit ({MAX_FILE_BYTES} bytes)")
             # Lines split as iterating a text file splits them: on \n, \r\n or \r.
-            lines = [line.strip() for line in io.StringIO(data.decode("utf-8"), newline=None)]
+            lines = [line.strip() for line in io.StringIO(data.decode("utf-8-sig"), newline=None)]
             tokens = [line for line in lines if line and not line.startswith("#")]
             if not tokens:
                 raise ValueError(f"no terms found in {value}")

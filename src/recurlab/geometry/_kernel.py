@@ -22,9 +22,9 @@ and that depends on (c, p) alone.  So the kernel evaluates the side value
 s_c(p) = ``lx[c]*px[p] + ly[c]*py[p] + lw[c]*pw[p]`` once per (chord,
 circle point), in exact integers, one column per circle point: s_c(p) for
 every chord c.  Each column's signs are one byte per chord, and the
-transposed columns give |s_c(p)| as row c of ``size``, a list the caller
-passes empty and keeps.  It keeps the signs as sets of chords, one integer
-bitset per circle point or per chord:
+transposed columns give |s_c(p)| as row c of ``size``, which no caller
+sees.  It keeps the signs as sets of chords, one integer bitset per circle
+point or per chord:
 
 - bit c of ``above[p]`` is set iff s_c(p) > 0;
 - bit c of ``ends[p]`` is set iff p is an endpoint of chord c;
@@ -136,15 +136,14 @@ def key_shift(size):
     return (4 * max(map(max, size), default=0) ** 2).bit_length()
 
 
-def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
+def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop):
     """Return the crossings of rows [start, stop) as ``(pairs, concurrent)``.
 
     ``pairs[i - start]`` is row i's bitset of the points of exactly two
     chords: bit k is set iff chord i + 1 + k meets chord i there.
     ``concurrent`` holds the sorted chord tuple of each point of 3 or more
     chords, ascending.  A point is named by one of them, as far as rows
-    [start, stop) see it.  ``size`` gets the |s_c(p)| rows (module
-    docstring).
+    [start, stop) see it.
     """
     lines = tuple(zip(lx, ly, lw))
     columns = [[l0 * x + l1 * y + l2 * w for l0, l1, l2 in lines] for x, y, w in zip(px, py, pw)]
@@ -155,7 +154,7 @@ def intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, start, stop, size):
         ends[a] |= 1 << c
         ends[b] |= 1 << c
     split = [reduce(xor, compress(ends, positive), 0) for positive in zip(*signs)]
-    size += [list(map(abs, row)) for row in zip(*columns)]
+    size = [list(map(abs, row)) for row in zip(*columns)]
     del columns  # size holds their magnitudes; the rows need no more
     width = 30  # the one-digit keys' shift, doubled after a row of false clashes
     shift = None  # key_shift(size), on the first clash of a call

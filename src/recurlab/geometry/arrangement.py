@@ -67,16 +67,13 @@ class ChordArrangement:
     points where exactly two chords meet on chord i, bit k set iff chord
     i + 1 + k is the other one, and ``concurrent`` holds the sorted tuple
     of the chords through each point of 3 or more chords, ascending.
-    ``crossings`` lists them all as tuples.  ``sides[c][p]`` is the
-    kernel's |s_c(p)|, which the face walk reads; it stays out of ``repr``
-    and comparisons.  ``chords`` (the point-index pairs in lexicographic
-    order) is derived.
+    ``crossings`` lists them all as tuples.  ``chords`` (the point-index
+    pairs in lexicographic order) is derived.
 
     Construction checks the invariants every count relies on: at least one
     point, in strictly increasing ``angle_key`` order (so also distinct),
-    ``births`` a permutation of 1..m, one ``pairs`` row per chord with no
-    bit past the last chord, and one ``sides`` row per chord of one entry
-    per point.  A ValueError names the one that fails.
+    ``births`` a permutation of 1..m, and one ``pairs`` row per chord with
+    no bit past the last chord.  A ValueError names the one that fails.
     """
 
     points: tuple[CirclePoint, ...]
@@ -84,7 +81,6 @@ class ChordArrangement:
     chords: tuple[tuple[int, int], ...] = field(init=False)
     pairs: list[int]
     concurrent: tuple[tuple[int, ...], ...]
-    sides: list[list[int]] = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not self.points:
@@ -98,8 +94,6 @@ class ChordArrangement:
         n = len(self.chords)
         if len(self.pairs) != n or any(row >> n - 1 - i for i, row in enumerate(self.pairs)):
             raise ValueError("arrangement pairs must hold one row per chord, of later chords only")
-        if len(self.sides) != n or any(len(row) != len(keys) for row in self.sides):
-            raise ValueError("arrangement sides must hold one row per chord and one entry per point")
 
     @property
     def m(self) -> int:
@@ -212,8 +206,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     ca = [a for a, _ in chords]
     cb = [b for _, b in chords]
     lx, ly, lw = _chord_lines(points, chords)
-    sides = []
-    pairs, concurrent = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords), sides)
+    pairs, concurrent = _kernel.intersect_pairs(px, py, pw, lx, ly, lw, ca, cb, 0, len(chords))
 
     # No crossing lies on the circle.  The kernel skips pairs that share an
     # endpoint, and its four sign tests are strict: the endpoints of each
@@ -222,7 +215,7 @@ def intersect_chords(points: Iterable[CirclePoint]) -> ChordArrangement:
     # The disk is strictly convex, so the open segment between two distinct
     # circle points lies strictly inside it.  Every crossing is therefore an
     # interior point, and the JSON's "on_circle" list stays empty.
-    return ChordArrangement(points, tuple(position[p] for p in points), pairs, tuple(concurrent), sides)
+    return ChordArrangement(points, tuple(position[p] for p in points), pairs, tuple(concurrent))
 
 
 def count_regions(arr: ChordArrangement) -> tuple[int, int, int]:

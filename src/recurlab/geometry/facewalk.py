@@ -39,27 +39,51 @@ reads the two-chord crossings off the arrangement's row bitsets,
 on any input, a faulty kernel's output included, the walk's answer is
 that of the rank sort at every vertex, and it stays a second opinion.
 
-Along a chord, the stops are ordered by the kernel's exact integer key,
-from the side values it kept as the arrangement's ``sides``: a stop on
-chord c = (a, b) is keyed by floor(sa 2^shift / (sa + sb)) for one other
-chord j through it, with sa = |s_j(a)|, sb = |s_j(b)| and
-``_kernel.key_shift``.  ``_kernel``'s docstring proves that the keys grow
-from a to b and that equal keys are one point.  No coordinate is read.  If
-a point is listed twice, the later stop replaces the earlier one on the
+Along a chord, the stops are ordered by one key per crossing point X,
+shared by every chord through it and read off the circle parameters
+alone: no coordinate, line or side value.  The chord between parameters
+p/q and p'/q' (infinity is 1/0) is the vector v = (pp', pq' + p'q, qq').
+The lines through X pair the circle's points by one involution,
+A t t' + B(t + t') + C = 0, and for any two chords i and j through X,
+v_i x v_j is (A, B, C) up to a factor.  For a circle point r,
+sigma_X(r) = -(B r + C) / (A r + B) is the other end of the line from r
+through X.  Call the counterclockwise arc from a to b chord (a, b)'s arc,
+and take r on no chord's arc: after the last point and before the first.
+As X moves along chord (a, b) from a to b, the line rX turns one way about
+r, so sigma_X(r) runs monotonically over that arc from a to b, and two
+points of the chord never share it.  With r at infinity, sigma_X(r) =
+-B/A, and X's key is floor(-B 2^shift / A), with 2^shift > 4 (Y Z)^2, Y
+and Z the largest |pq' + p'q| and qq' over the chords.  Then |A| <= 2 Y Z,
+so distinct values -B/A differ by at least 1 / (4 (Y Z)^2), and scaled by
+2^shift by more than 1: the keys rise from a to b along each chord, and
+equal keys are one point.
+
+Infinity is after the last point unless it is the last point.  Then the
+walk first reads every parameter t as u = -1/(t - r), with r an integer
+below every finite parameter.  A Moebius map of the parameter is another
+parametrization of the circle, so the lines through X pair the u of the
+circle's points by an involution of the same form, from the chord vectors
+of the u.  The map is increasing on (r, oo], so it keeps the angular
+order, and it moves infinity to 0 and r to infinity, which is then before
+the first point.  Other layouts skip it, since it widens the integers.
+A = 0 only when X lies on the tangent at the reference point, outside the
+disk, so only a faulty kernel can list such a pair; the walk keys it 0.
+If a point is listed twice, the later stop replaces the earlier one on the
 chord, and every crossing takes the sort path.
 """
 
 from __future__ import annotations
 
-from . import _kernel
+from itertools import combinations
+
+from ._kernel import partners
 from .arrangement import ChordArrangement
 
 
 def count_faces(arr: ChordArrangement) -> int:
     """Number of faces of the arrangement, unbounded face included."""
     m = arr.m
-    shift = _kernel.key_shift(arr.sides)
-    stops, ring, around = _place_stops(arr, shift, True) or _place_stops(arr, shift, False)
+    stops, ring, around = _place_stops(arr, True) or _place_stops(arr, False)
 
     # Half-edges come in twin pairs, so the twin of half-edge he is he ^ 1.
     # Circle arcs, forward from i and backward from j; one point gets a loop.
@@ -117,7 +141,28 @@ def count_faces(arr: ChordArrangement) -> int:
     return faces
 
 
-def _place_stops(arr: ChordArrangement, shift: int, direct: bool):
+def _chord_vectors(arr: ChordArrangement):
+    """Each chord's vector (X, Y, Z) in the walk's parameters, and the keys'
+    shift (module docstring)."""
+    ends = [(1, 0) if p.t is None else (p.t.numerator, p.t.denominator) for p in arr.points]
+    if ends[-1] == (1, 0):
+        r = min((p // q for p, q in ends if q), default=0) - 1
+        ends = [(-q, p - r * q) for p, q in ends]
+    vectors = [(p * p2, p * q2 + p2 * q, q * q2) for (p, q), (p2, q2) in combinations(ends, 2)]
+    y = max((abs(v[1]) for v in vectors), default=0)
+    z = max((v[2] for v in vectors), default=0)
+    return vectors, (4 * (y * z) ** 2).bit_length()
+
+
+def _key(v, w, shift: int) -> int:
+    """The key of the point where the lines of chord vectors v and w meet."""
+    x0, y0, z0 = v
+    x1, y1, z1 = w
+    a = y0 * z1 - z0 * y1
+    return ((x0 * z1 - z0 * x1) << shift) // a if a else 0
+
+
+def _place_stops(arr: ChordArrangement, direct: bool):
     """The stops of each chord by key, the ring of the direct crossings,
     and the (rank, half-edge) list of each vertex the walk sorts.
 
@@ -129,33 +174,31 @@ def _place_stops(arr: ChordArrangement, shift: int, direct: bool):
     one and left a ring slot empty.
     """
     chords = arr.chords
-    size = arr.sides
+    vectors, shift = _chord_vectors(arr)
     stops: list[dict[int, int]] = [{} for _ in chords]
     around: list[list[tuple[int, int]]] = [[] for _ in range(arr.m)]
     slot = 0
-    # Each chord's index, endpoints, side row and stops, for its partners.
-    chord_rows = tuple(zip(range(len(chords)), chords, size, stops))
+    # Each chord's index, endpoints, vector and stops, for its partners.
+    chord_rows = tuple(zip(range(len(chords)), chords, vectors, stops))
     sorted_pairs = []
     for i, row in enumerate(arr.pairs):
         a, b = chords[i]
-        on_i, sizes_i = stops[i], size[i]
-        for j, (c, d), sizes, on_j in _kernel.partners(chord_rows, i, row):
+        x0, y0, z0 = vectors[i]
+        on_i = stops[i]
+        for j, (c, d), (x1, y1, z1), on_j in partners(chord_rows, i, row):
             if direct and a < c < b < d:
-                sa = sizes[a]
-                on_i[(sa << shift) // (sa + sizes[b])] = slot
-                sc = sizes_i[c]
-                on_j[(sc << shift) // (sc + sizes_i[d])] = slot + 1
+                # Interleaved chords cross inside the disk, so A != 0.
+                key = ((x0 * z1 - z0 * x1) << shift) // (y0 * z1 - z0 * y1)
+                on_i[key] = slot
+                on_j[key] = slot + 1
                 slot += 2
             else:
                 sorted_pairs.append((i, j))
     sorted_pairs += arr.concurrent
     for through in sorted_pairs:
-        first = through[0]
+        key = _key(vectors[through[0]], vectors[through[1]], shift)
         for c in through:
-            a, b = chords[c]
-            sizes = size[first] if c != first else size[through[1]]
-            sa = sizes[a]
-            stops[c][(sa << shift) // (sa + sizes[b])] = ~len(around)
+            stops[c][key] = ~len(around)
         around.append([])
     if direct and sum(map(len, stops)) != slot + sum(map(len, sorted_pairs)):
         return None

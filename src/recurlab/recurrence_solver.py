@@ -358,10 +358,7 @@ def solve_charpoly(rec: LinearRecurrence) -> ClosedForm:
     for n in range(d):
         rows.append([math.comb(n, j) * r**n for r, (_, j) in zip(scaled_roots, basis)])
         target.append((rec.initial_conditions[n] - particular.evaluate(n)) * scale**n)
-    try:
-        amplitudes = gaussian_solve(rows, target)
-    except SingularMatrixError as exc:  # fundamental system: cannot happen
-        raise AssertionError("initial-condition system cannot be singular") from exc
+    amplitudes = gaussian_solve(rows, target)
 
     # Each root's amplitudes, ascending in j, weigh C(n, j); the particular
     # solution belongs to root 1, and ClosedForm adds it to that root's

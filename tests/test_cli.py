@@ -275,6 +275,19 @@ class TestTable:
         assert code == 0
         assert payload["result"]["next"] == "99/1"
 
+    def test_file_with_byte_order_mark(self, tmp_path, capsys):
+        # A UTF-8 byte-order mark, as some editors write, is not part of
+        # the first term: the output is that of the same file without it.
+        path = tmp_path / "seq.txt"
+        text = "1\n2\n4\n8\n16\n31\n"
+        for argv in (["table", "--file", str(path)], ["table", "--file", str(path), "--json"]):
+            path.write_text(text, encoding="utf-8")
+            plain = run_cli(argv, capsys)
+            path.write_text(text, encoding="utf-8-sig")
+            assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+            assert run_cli(argv, capsys) == plain, argv
+            assert plain[0] == 0 and plain[2] == "", argv
+
     @pytest.mark.parametrize("text", ["", "# no terms\n\n#  1, 2, 3\n"])
     def test_empty_file_exit_2(self, text, tmp_path, capsys):
         path = tmp_path / "seq.txt"

@@ -54,7 +54,6 @@ from recurlab.geometry.arrangement import (
     ChordArrangement,
     InteriorPoint,
     _chord_lines,
-    _cross,
 )
 from recurlab.geometry.points import base_parameters
 
@@ -261,24 +260,15 @@ def _rank_sort_count_faces(arr: ChordArrangement) -> int:
         ranks += (2 * i + 1, 2 * j)
 
     # Chord segments: each chord a -> b is split at its interior points,
-    # vertex m + k for crossing k, in the order of their keys from a
+    # vertex m + k for crossing k, in the order of the walk's keys from a
     # (facewalk's module docstring).
     chords = arr.chords
-    ends = [p.triple for p in arr.points]
-    size = []
-    for a, b in chords:
-        l0, l1, l2 = _cross(ends[a], ends[b])
-        size.append([abs(l0 * x + l1 * y + l2 * w) for x, y, w in ends])
-    big = max(map(max, size), default=0)
-    shift = (4 * big * big).bit_length()
+    vectors, shift = facewalk_module._chord_vectors(arr)
     stops: list[dict[int, int]] = [{} for _ in chords]
     for vertex, through in enumerate(arr.crossings, start=m):
-        first = through[0]
+        key = facewalk_module._key(vectors[through[0]], vectors[through[1]], shift)
         for c in through:
-            a, b = chords[c]
-            sizes = size[first] if c != first else size[through[1]]
-            sa = sizes[a]
-            stops[c][(sa << shift) // (sa + sizes[b])] = vertex
+            stops[c][key] = vertex
     for (a, b), at in zip(chords, stops):
         chain = [a, *map(at.get, sorted(at)), b]
         for v1, v2 in zip(chain, chain[1:]):
@@ -337,34 +327,27 @@ def _tuple_prefix_region_counts(arr: ChordArrangement, births) -> list[int]:
     return list(itertools.accumulate(step[1:], initial=1))[1:]
 
 
-def _tuple_place_stops(arr: ChordArrangement, shift: int, direct: bool):
+def _tuple_place_stops(arr: ChordArrangement, direct: bool):
     """``facewalk._place_stops`` over the crossing tuples, in their order."""
     chords = arr.chords
-    size = arr.sides
+    vectors, shift = facewalk_module._chord_vectors(arr)
     stops: list[dict[int, int]] = [{} for _ in chords]
     around: list[list[tuple[int, int]]] = [[] for _ in range(arr.m)]
     slot = 0
     placed = 0
     for through in arr.crossings:
+        key = facewalk_module._key(vectors[through[0]], vectors[through[1]], shift)
         if direct and len(through) == 2:
             i, j = through
             a, b = chords[i]
             c, d = chords[j]
             if a < c < b < d:
-                sizes = size[j]
-                sa = sizes[a]
-                stops[i][(sa << shift) // (sa + sizes[b])] = slot
-                sizes = size[i]
-                sc = sizes[c]
-                stops[j][(sc << shift) // (sc + sizes[d])] = slot + 1
+                stops[i][key] = slot
+                stops[j][key] = slot + 1
                 slot += 2
                 continue
-        first = through[0]
         for c in through:
-            a, b = chords[c]
-            sizes = size[first] if c != first else size[through[1]]
-            sa = sizes[a]
-            stops[c][(sa << shift) // (sa + sizes[b])] = ~len(around)
+            stops[c][key] = ~len(around)
         around.append([])
         placed += len(through)
     if direct and sum(map(len, stops)) != slot + placed:
@@ -583,34 +566,20 @@ class TestIntersection:
     def test_hand_built_empty_arrangement_rejected(self):
         # Once counted as one region by count_regions.
         with pytest.raises(ValueError, match="^arrangement needs at least one point$"):
-            ChordArrangement((), (), [], (), [])
+            ChordArrangement((), (), [], ())
 
     def test_hand_built_points_out_of_order_rejected(self):
         # A hand-built arrangement must hold its points in strictly
         # increasing angular order, as intersect_chords makes them; the
         # unordered points above once split the face walk from Euler's count.
         built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.births, built.pairs, built.concurrent, built.sides)
+        fields = (built.births, built.pairs, built.concurrent)
         assert ChordArrangement(built.points, *fields) == built
         shuffled = tuple(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
         repeated = tuple(CirclePoint(F(t)) for t in (-2, 0, 1, 1, 7))
         for points in (shuffled, repeated, built.points[::-1]):
             with pytest.raises(ValueError, match="strictly increasing angular order"):
                 ChordArrangement(points, *fields)
-
-    def test_hand_built_sides_of_wrong_shape_rejected(self):
-        # The face walk reads sides[c][p] for every chord c and point p, so a
-        # hand-built side table must hold one row per chord and one entry
-        # per point.  It is derived from the points: repr leaves it out.
-        built = intersect_chords(CirclePoint(F(t)) for t in (3, 0, 1, -2, 7))
-        fields = (built.points, built.births, built.pairs, built.concurrent)
-        rows = built.sides
-        assert len(rows) == 10 and {len(row) for row in rows} == {5}
-        assert "sides" not in repr(built)
-        short_row, long_row = rows[:-1] + [rows[-1][:-1]], rows[:-1] + [rows[-1] + [1]]
-        for sides in ([], rows[:-1], rows + rows[:1], short_row, long_row):
-            with pytest.raises(ValueError, match="one row per chord and one entry per point"):
-                ChordArrangement(*fields, sides)
 
     def test_hand_built_pairs_of_wrong_shape_rejected(self):
         # Every count reads pairs[i] as the chords after chord i, so a
@@ -623,9 +592,9 @@ class TestIntersection:
         past = rows[:3] + [rows[3] | 1 << 6] + rows[4:]
         for pairs in ([], rows[:-1], rows + [0], last, past):
             with pytest.raises(ValueError, match="one row per chord, of later chords only"):
-                ChordArrangement(built.points, built.births, pairs, built.concurrent, built.sides)
+                ChordArrangement(built.points, built.births, pairs, built.concurrent)
         kept = rows[:3] + [rows[3] | 1 << 5] + rows[4:]
-        assert ChordArrangement(built.points, built.births, kept, (), built.sides)
+        assert ChordArrangement(built.points, built.births, kept, ())
 
     def test_hand_built_births_rejected(self):
         # prefix_region_counts reads births[i] as the time point i is added,
@@ -646,7 +615,7 @@ class TestIntersection:
         # concurrent points, so neither can be set, and neither can
         # contradict the other fields.
         settable = [f.name for f in dataclasses.fields(ChordArrangement) if f.init]
-        assert settable == ["points", "births", "pairs", "concurrent", "sides"]
+        assert settable == ["points", "births", "pairs", "concurrent"]
         arr = hexagon_arrangement()
         with pytest.raises(ValueError, match="chords"):
             dataclasses.replace(arr, chords=arr.chords[::-1])
@@ -696,18 +665,18 @@ class TestIntersection:
         for points in layouts:
             args = _kernel_args(points)
             n = len(args[-1])
-            whole = _kernel.intersect_pairs(*args, 0, n, [])
+            whole = _kernel.intersect_pairs(*args, 0, n)
             assert any(whole[0])
             splits = range(n + 1) if n < 100 else (1, n // 2, n - 1)
             for k in splits:
-                pairs, concurrent = _kernel.intersect_pairs(*args, 0, k, [])
+                pairs, concurrent = _kernel.intersect_pairs(*args, 0, k)
                 assert len(pairs) == k
                 # Each pair of chords through a point of [0, k) -> its chords.
                 # Distinct points of [k, n) share at most one chord, so only
                 # the points of [0, k) need the index; pair bits of [0, k)
                 # are points of their own, so only the concurrent ones.
                 index = {pair: t for t in concurrent for pair in itertools.combinations(t, 2)}
-                tail = kernel_crossings(_kernel.intersect_pairs(*args, k, n, []), k)
+                tail = kernel_crossings(_kernel.intersect_pairs(*args, k, n), k)
                 rest = []
                 for chords in tail:
                     same = {index[pair] for pair in itertools.combinations(chords, 2) if pair in index}
@@ -755,23 +724,15 @@ class TestIntersection:
             n = len(args[-1])
             expected = _four_sign_reference(*args, 0, n)
             reference = _merge_hits(expected)
-            size = []
-            pairs, concurrent = _kernel.intersect_pairs(*args, 0, n, size)
+            pairs, concurrent = _kernel.intersect_pairs(*args, 0, n)
             assert len(pairs) == n, len(points)
             assert all(len(chords) >= 3 for chords in concurrent), len(points)
             crossings = kernel_crossings((pairs, concurrent))
             assert crossings == list(reference.values()), len(points)
             assert len(expected) == binomial(len(points), 4), len(points)
-            px, py, pw, lx, ly, lw = args[:6]
-            sides = [
-                [abs(l0 * x + l1 * y + l2 * w) for x, y, w in zip(px, py, pw)]
-                for l0, l1, l2 in zip(lx, ly, lw)
-            ]
-            assert size == sides, len(points)
             arr = intersect_chords(points)
             assert (arr.pairs, arr.concurrent) == (pairs, tuple(concurrent)), len(points)
             assert arr.crossings == tuple(crossings), len(points)
-            assert arr.sides == sides, len(points)
             assert [p.triple for p in arr.interior_points] == list(reference), len(points)
 
     def test_one_digit_key_clash_of_distinct_points(self, monkeypatch):
@@ -785,26 +746,34 @@ class TestIntersection:
         # bits, so the width doubles twice and only the exact keys part the
         # points of a row that clashes at both; and a concurrent point found
         # after the width has doubled.  Each partners call as (items, i),
-        # and the number of partners calls made before each key_shift call.
+        # and the number of partners calls made before each key_shift call,
+        # with the side rows it was given.  The set pass reads the side rows,
+        # a list; the grouping pass the chord indices, a tuple.
         calls, shifts = [], []
         partners, key_shift = _kernel.partners, _kernel.key_shift
         monkeypatch.setattr(
             _kernel, "partners", lambda items, i, row: calls.append((items, i)) or partners(items, i, row)
         )
-        monkeypatch.setattr(_kernel, "key_shift", lambda size: shifts.append(len(calls)) or key_shift(size))
+        monkeypatch.setattr(
+            _kernel, "key_shift", lambda size: shifts.append((len(calls), size)) or key_shift(size)
+        )
 
         def layout(params):
             points = build_arrangement(map(CirclePoint, params))
             args = _kernel_args(points)
             n = len(args[-1])
             expected = _four_sign_reference(*args, 0, n)
-            size = []
             del calls[:], shifts[:]
-            result = _kernel.intersect_pairs(*args, 0, n, size)
+            result = _kernel.intersect_pairs(*args, 0, n)
             assert kernel_crossings(result) == list(_merge_hits(expected).values())
-            grouped = [i for items, i in calls if items is not size]
-            # key_shift runs once, after the set of the first row that groups.
-            assert shifts == [grouped[0] + 1] * bool(grouped)
+            grouped = [i for items, i in calls if isinstance(items, tuple)]
+            # key_shift runs once, after the set of the first row that groups,
+            # on the |s_c(p)| rows.
+            px, py, pw, lx, ly, lw = args[:6]
+            size = [
+                [abs(l0 * x + l1 * y + l2 * w) for x, y, w in zip(px, py, pw)] for l0, l1, l2 in zip(lx, ly, lw)
+            ]
+            assert shifts == [(grouped[0] + 1, size)] * bool(grouped)
             crossing = {}
             for i, j, *_ in expected:
                 crossing.setdefault(i, []).append(j)
@@ -819,10 +788,10 @@ class TestIntersection:
         def row_alone(args, expected, i):
             del calls[:], shifts[:]
             row = [(r, j) for r, j, *_ in expected if r == i]
-            size = []
-            assert kernel_crossings(_kernel.intersect_pairs(*args, i, i + 1, size), i) == row
+            assert kernel_crossings(_kernel.intersect_pairs(*args, i, i + 1), i) == row
             # The row's set, the shift, then its grouping pass.
-            assert [items is size for items, _ in calls] == [True, False] and shifts == [1]
+            assert [isinstance(items, list) for items, _ in calls] == [True, False]
+            assert [at for at, _ in shifts] == [1]
 
         # The unseeded 40 points have no triple point.  Of the 270 rows
         # that clash at 30 bits, none does at 60: the first groups its
@@ -1028,7 +997,7 @@ class TestFaceWalk:
         # concurrent points listed, the direct pass still places every stop:
         # it sorts the concurrent points alone, and no fallback is taken.
         for arr in (hexagon_arrangement(), intersect_chords(_regular_approx_points(12))):
-            placed = facewalk_module._place_stops(arr, _kernel.key_shift(arr.sides), True)
+            placed = facewalk_module._place_stops(arr, True)
             assert placed is not None and len(placed[2]) == arr.m + len(arr.concurrent)
 
     def test_empty_arrangement_rejected(self):
@@ -1074,24 +1043,61 @@ class TestFaceWalk:
                 assert bad.crossings == tuple(sorted(wrong)), name
                 assert count_faces(bad) == _rank_sort_count_faces(bad), name
 
-    def test_side_table_fault_splits_walk_from_euler(self):
-        # Euler's count reads the crossings alone; the walk also reads the
-        # kernel's side values, kept as the arrangement's sides.  Scaling
-        # one entry, |s_c(1)| of chord c = (0, 2), by 3 moves c's crossing
-        # along every chord from point 1, and the two counts disagree.
-        arr = generic_arrangement(12, seed=1)
-        c = arr.chords.index((0, 2))
-        sides = [list(row) for row in arr.sides]
-        sides[c][1] *= 3
-        bad = dataclasses.replace(arr, sides=sides)
-        assert count_regions(bad) == count_regions(arr)
-        assert count_faces(arr) == count_regions(arr)[2] + 1 == 563
-        assert count_faces(bad) != count_regions(bad)[2] + 1
+    def test_kernel_key_fault_fails_the_formula(self, monkeypatch):
+        # The walk shares only the crossings with Euler's count, so a fault
+        # in the kernel's exact key reaches both and the formula catches it.
+        # Without its scale, every exact key is 0: the unseeded 40 points,
+        # whose rows clash at 30 bits, then join distinct points into one.
+        monkeypatch.setattr(_kernel, "key_shift", lambda size: 0)
+        arr = intersect_chords(map(CirclePoint, generic_parameters(40)))
+        assert arr.concurrent
+        assert count_regions(arr)[2] != regions_binomial(40)
+
+    def test_walk_key_faults_fail_the_walk(self, monkeypatch):
+        # The reference point r inside a chord's arc: r is the third-least
+        # finite parameter's floor less 1, not the least one's, so the keys
+        # run from b to a along the chords across it.  The hexagon and the
+        # regular-approx octagon have a point at infinity, so the walk
+        # remaps their parameters.
+        layouts = [hexagon_arrangement(), intersect_chords(_regular_approx_points(8))]
+        with monkeypatch.context() as patch:
+            patch.setattr(facewalk_module, "min", lambda floors, default: sorted(floors)[2], raising=False)
+            for arr in layouts:
+                assert count_faces(arr) != count_regions(arr)[2] + 1, arr.m
+        # Keys without their scale, floor(-B / A), lose the order of stops
+        # closer than 1 apart in parameter.
+        chord_vectors = facewalk_module._chord_vectors
+        with monkeypatch.context() as patch:
+            patch.setattr(facewalk_module, "_chord_vectors", lambda arr: (chord_vectors(arr)[0], 0))
+            assert all(count_faces(arr) != count_regions(arr)[2] + 1 for arr in layouts)
+            assert count_faces(generic_arrangement(12)) != regions_binomial(12) + 1
+        # Expected to survive: a shift one bit short.  2^shift > 4 (Y Z)^2
+        # bounds every pair of keys on a chord at once, and no layout here
+        # comes near it: each counts right with half the shift.
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                facewalk_module, "_chord_vectors", lambda arr: (lambda v, s: (v, s - 1))(*chord_vectors(arr))
+            )
+            for name, arr in _face_walk_corpus():
+                assert count_faces(arr) == count_regions(arr)[2] + 1, name
+
+    def test_listed_pair_on_the_reference_tangent_does_not_raise(self):
+        # Chords (0, 3) and (1, 2) of parameters 0..3 are nested, and their
+        # vectors (0, 3, 1) and (2, 3, 1) give A = 0: their lines meet at
+        # (-1, 2/3), on the tangent at infinity, outside the disk.  Only a
+        # faulty kernel lists them; the walk keys them and counts what the
+        # rank-sort walk counts.
+        arr = intersect_chords(CirclePoint(F(t)) for t in range(4))
+        vectors, _ = facewalk_module._chord_vectors(arr)
+        i, j = arr.chords.index((0, 3)), arr.chords.index((1, 2))
+        assert (vectors[i], vectors[j]) == ((0, 3, 1), (2, 3, 1))
+        bad = _with_crossings(arr, arr.crossings + ((i, j),))
+        assert count_faces(bad) == _rank_sort_count_faces(bad)
 
     def test_walk_holds_one_chord_of_stops_at_a_time(self):
         # Each chord's stop dict is dropped as the chord is taken.  Holding
-        # all of them, the walk's tracemalloc peak was 35.6 MiB on Python
-        # 3.11; one at a time, 20.9-21.6 MiB on Python 3.10-3.13.
+        # all of them, the walk's tracemalloc peak is 31.7 MiB on Python
+        # 3.11; one at a time, 17.8 MiB.
         arr = generic_arrangement(40, seed=1)
         tracemalloc.start()
         try:
@@ -1474,7 +1480,7 @@ class TestCrossingCountInvariant:
         layouts = [hexagon_arrangement(), generic_arrangement(6), generic_arrangement(7)]
         layouts += [intersect_chords(_regular_approx_points(m)) for m in (8, 10, 12)]
         for arr in layouts:
-            result = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords), [])
+            result = _kernel.intersect_pairs(*_kernel_args(arr.points), 0, len(arr.chords))
             pairs = sum(binomial(len(chords), 2) for chords in kernel_crossings(result))
             assert pairs == binomial(arr.m, 4), arr.m
 
