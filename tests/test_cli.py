@@ -345,6 +345,31 @@ class TestTable:
                 )
                 assert len(err.encode()) < 200
 
+    def test_number_over_digit_limit_exit_2_before_output(self, capsys):
+        # A cell or next term with more digits than the limit exits 2 before
+        # anything is printed, in both views; one at the limit prints.
+        limit = sys.get_int_max_str_digits()
+        n = "9" * limit
+        refused = {
+            f"{n},-{n},{n}": "depth 1 of the table has a cell",  # row 1 holds 2n
+            f"{n},0,-{n}": "the next term is",  # -2n, after every row fits
+            f"1/{n},1/7": "depth 1 of the table has a cell",  # denominator 7n
+        }
+        printed = {
+            f"{n},0": f"sequence : {n} 0\ndepth 1  : -{n}\nconstant row: none certified\nnext term: unknown\n",
+            f"{n},{n}": f"sequence : {n} {n}\nconstant row: depth 0\nnext term: {n}\n",
+        }
+        for seq, what in refused.items():
+            for argv in (["table", f"--seq={seq}"], ["table", f"--seq={seq}", "--json"]):
+                message = f"error: {what} over Python's integer-string limit ({limit} digits)\n"
+                assert run_cli(argv, capsys) == (2, "", message), what
+        for seq, human in printed.items():
+            assert run_cli(["table", f"--seq={seq}"], capsys) == (0, human, "")
+            code, report, err = run_json(["table", f"--seq={seq}"], capsys)
+            rows = [line.split(": ")[1].split() for line in human.splitlines()[:-2]]
+            assert (code, err) == (0, "")
+            assert report["result"]["rows"] == [[f"{v}/1" for v in row] for row in rows]
+
     def test_two_sources_exit_2(self, capsys):
         code, _, err = run_cli(["table", "--seq", "1,2", "--moser"], capsys)
         assert code == 2
